@@ -12,6 +12,7 @@ Reports are deterministic: JSON with sorted keys, no timings on stdout.
 """
 
 import argparse
+import cmath
 import json
 import sys
 import time
@@ -36,7 +37,9 @@ def _emit(obj):
     if isinstance(obj, str):
         print(obj)
     else:
-        print(json.dumps(obj, sort_keys=True))
+        # A NaN or an infinity raises ValueError (exit 2) instead of
+        # printing JSON that strict parsers reject.
+        print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
 def _parse_y(text, graph):
@@ -53,6 +56,11 @@ def _parse_y(text, graph):
         value = jsonio.rational_from_json(raw.strip(), ("--y", eid))
         if value <= 0:
             raise jsonio.SchemaError("edge weights must be positive", ("--y", eid))
+        try:
+            float(value)
+        except OverflowError:
+            raise jsonio.SchemaError("edge weights must be finite as floats",
+                                     ("--y", eid)) from None
         out[eid] = value
     unknown = set(out) - set(graph.edge_ids())
     if unknown:
@@ -65,18 +73,19 @@ def _parse_y(text, graph):
 
 def _parse_complex(text):
     text = text.strip()
-    if "," in text:
-        re_part, _, im_part = text.partition(",")
-        try:
-            return complex(float(re_part), float(im_part))
-        except ValueError:
-            raise jsonio.SchemaError(f"not a complex number: {text!r}",
-                                     ("--points",)) from None
     try:
-        return complex(text)
+        if "," in text:
+            re_part, _, im_part = text.partition(",")
+            value = complex(float(re_part), float(im_part))
+        else:
+            value = complex(text)
     except ValueError:
         raise jsonio.SchemaError(f"not a complex number: {text!r}",
                                  ("--points",)) from None
+    if not cmath.isfinite(value):
+        raise jsonio.SchemaError(f"complex values must be finite: {text!r}",
+                                 ("--points",))
+    return value
 
 
 def _require_momenta(bundle, flag_context):

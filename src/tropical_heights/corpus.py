@@ -194,7 +194,7 @@ def check_bundle(bundle):
                 checks["golden_second"] = "fail"
                 failures.append("golden second present but the bundle has no momenta")
             else:
-                got = str(second_symanzik_bordered(graph, momenta))
+                got = str(by_bordered)
                 if got == golden["second"]:
                     checks["golden_second"] = "pass"
                 else:

@@ -20,6 +20,7 @@ The graph bundle is the shared input format::
 plain id strings when no genus is attached.
 """
 
+import cmath
 import json
 import math
 from fractions import Fraction
@@ -92,11 +93,17 @@ def complex_from_json(value, path=()):
     if isinstance(value, bool):
         raise SchemaError("expected a complex number, got a boolean", path)
     if isinstance(value, (int, float)):
-        return complex(value)
-    if (isinstance(value, list) and len(value) == 2
+        value = [value, 0]
+    if not (isinstance(value, list) and len(value) == 2
             and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)):
-        return complex(value[0], value[1])
-    raise SchemaError("expected [re, im]", path)
+        raise SchemaError("expected [re, im]", path)
+    try:
+        out = complex(value[0], value[1])
+    except OverflowError:  # an integer beyond the float range
+        out = complex(math.inf)
+    if not cmath.isfinite(out):
+        raise SchemaError("complex values must be finite", path)
+    return out
 
 
 def complex_to_json(value):

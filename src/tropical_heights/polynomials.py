@@ -116,13 +116,6 @@ class MultiPoly:
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def leading_term(self):
-        """(exponents, coefficient) of the graded-lex largest term."""
-        if not self.terms:
-            raise ValueError("the zero polynomial has no leading term")
-        exps = max(self.terms, key=_grlex_key)
-        return exps, self.terms[exps]
-
     # -- arithmetic -------------------------------------------------------
 
     def _check_same_ring(self, other):
@@ -211,31 +204,6 @@ class MultiPoly:
 
     def __hash__(self):
         return hash((self.variables, frozenset(self.terms.items())))
-
-    def exact_divide(self, divisor):
-        """Return q with self == q * divisor, or raise ValueError.
-
-        Repeated leading-term elimination in graded-lex order; exactness
-        of every step is asserted, so a non-divisible input fails loudly
-        rather than returning a wrong quotient.
-        """
-        if isinstance(divisor, _COEF_TYPES):
-            divisor = MultiPoly.constant(self.variables, divisor)
-        self._check_same_ring(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        d_exps, d_coef = divisor.leading_term()
-        rem = self
-        quo = MultiPoly.zero(self.variables)
-        while not rem.is_zero():
-            r_exps, r_coef = rem.leading_term()
-            t_exps = tuple(a - b for a, b in zip(r_exps, d_exps))
-            if any(e < 0 for e in t_exps):
-                raise ValueError("division is not exact (leading term not divisible)")
-            t = MultiPoly(self.variables, {t_exps: r_coef / d_coef})
-            quo = quo + t
-            rem = rem - t * divisor
-        return quo
 
     # -- evaluation -------------------------------------------------------
 
@@ -447,32 +415,50 @@ class RingMatrix:
         return det_fraction_free(self)
 
 
-# Above this dimension the cofactor expansion (even memoized) loses to
-# Bareiss; below it the memoized expansion avoids Bareiss' intermediate
-# swell on sparse graph matrices.
-_COFACTOR_LIMIT = 6
 _DIM_LIMIT = 12
 
 
 def det_fraction_free(matrix):
     """Exact determinant of a RingMatrix (or list-of-lists of MultiPoly).
 
-    Dimensions below 6 use a memoized cofactor expansion; from 6 up to the
-    supported limit of 12, one-step fraction-free Gaussian elimination
-    (Bareiss) with exact polynomial division.  Both routes are exact over
-    the rationals; no floating point is involved.
+    Computed by the memoized cofactor expansion of :func:`_det_cofactor`,
+    which only multiplies and adds polynomials (no division), so it is
+    exact over the rationals.  Dimensions above 12 raise ValueError.
     """
     if not isinstance(matrix, RingMatrix):
         matrix = RingMatrix(matrix)
-    n = matrix.n
+    _check_dim(matrix.n)
+    return _det_cofactor(matrix)
+
+
+def bordered_det(corner, row, column, matrix):
+    """Exact ``det [[corner, row^T], [column, matrix]]`` for a RingMatrix.
+
+    The bordered matrix has size n + 1 and goes through the same cofactor
+    expansion as :func:`det_fraction_free`.  The dimension limit applies
+    to ``matrix``, so every matrix with a determinant has bordered ones.
+    """
+    _check_dim(matrix.n)
+    rows = [[corner, *row]] + [[c, *r] for c, r in zip(column, matrix.rows)]
+    return _det_cofactor(RingMatrix(rows))
+
+
+def _check_dim(n):
     if n > _DIM_LIMIT:
         raise ValueError(f"determinant supported up to dimension {_DIM_LIMIT}, got {n}")
-    if n < _COFACTOR_LIMIT:
-        return _det_cofactor(matrix)
-    return _det_bareiss(matrix)
 
 
 def _det_cofactor(matrix):
+    """Laplace expansion along rows 0, 1, ..., n-1, memoized on columns.
+
+    The minor on rows i..n-1 and a column set S with |S| = n - i is
+
+        D(S) = sum_k (-1)^k a_{i,j_k} D(S - {j_k}),
+
+    where j_0 < j_1 < ... run over S, D(empty) = 1 and det = D(all
+    columns).  Each of the at most 2^n column sets is expanded once, and
+    zero entries are skipped, which keeps sparse graph matrices cheap.
+    """
     n = matrix.n
     rows = matrix.rows
     zero = MultiPoly.zero(matrix.variables)
@@ -526,26 +512,3 @@ def fraction_det(rows):
                 for j in range(k, n):
                     a[i][j] -= f * a[k][j]
     return det
-
-
-def _det_bareiss(matrix):
-    n = matrix.n
-    a = [list(r) for r in matrix.rows]
-    one = MultiPoly.constant(matrix.variables, 1)
-    prev = one
-    sign = 1
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
-            if pivot_row is None:
-                return MultiPoly.zero(matrix.variables)
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_divide(prev)
-            a[i][k] = MultiPoly.zero(matrix.variables)
-        prev = a[k][k]
-    d = a[n - 1][n - 1]
-    return d if sign > 0 else -d

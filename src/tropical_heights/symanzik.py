@@ -9,8 +9,8 @@ the height pairing:
   ``M = sum_e Y_e c_e c_e^T`` built from any integral cycle basis;
 * the momentum polynomial ``phi = sum over spanning 2-forests F of
   q(F) prod_{e not in F} Y_e`` with ``q(F) = -<p(F_1), p(F_2)>`` in the
-  chosen inner product, equal to a bordered determinant in M, a lift
-  omega of the external momenta, and the edge pairing.
+  chosen inner product, equal to a sum of determinants of M bordered by
+  a lift omega of the external momenta and the edge pairing.
 
 Both polynomials come with two independent algorithms each (forest
 enumeration vs. exact determinant), and the ratio ``phi/psi`` has a
@@ -25,7 +25,7 @@ import numpy as np
 
 from .graphs import cycle_basis, designated_tree, boundary_matrix, spanning_trees, \
     spanning_2forests, first_betti
-from .polynomials import MultiPoly, RingMatrix, det_fraction_free, Rational
+from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free, Rational
 
 
 def _as_fraction_vector(vec, dim):
@@ -337,36 +337,22 @@ def _border_vectors(graph, basis, lift):
     return out
 
 
-def _adjugate(matrix):
-    """Adjugate of a RingMatrix via cofactor determinants (exact)."""
-    n = matrix.n
-    variables = matrix.variables
-    if n == 1:
-        return [[MultiPoly.constant(variables, 1)]]
-    adj = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [matrix.rows[r][c] for c in range(n) if c != j]
-                for r in range(n) if r != i
-            ]
-            d = det_fraction_free(RingMatrix(minor))
-            adj[j][i] = d if (i + j) % 2 == 0 else -d
-    return adj
-
-
 def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=None,
                              lift2=None):
-    """Momentum polynomial via the bordered determinant (exact).
+    """Momentum polynomial as a sum of bordered determinants (exact).
 
-    The border of the cycle Gram matrix M by the V-valued row/column
-    W(omega) and the corner ``Q`` expands, once the V-valued products
-    are paired through the inner product, into
+    For each nonzero entry ``q_{mu nu}`` of the pairing, the cycle Gram
+    matrix M is bordered by the row ``W_mu(omega1)``, the column
+    ``W_nu(omega2)`` and the corner ``Q_{mu nu} = sum_e Y_e omega1_{e,mu}
+    omega2_{e,nu}``, where ``W_mu(omega)_i = sum_e c_{e,i} omega_{e,mu} Y_e``:
 
-        phi = Q(omega1, omega2) * det M - sum_{ij} adj(M)_{ij} <W_i(omega1), W_j(omega2)>.
+        phi = sum_{q_{mu nu} != 0} q_{mu nu} det [[Q_{mu nu}, W_mu(omega1)^T],
+                                                  [W_nu(omega2), M]].
 
-    With ``momenta2`` omitted this is the usual quadratic momentum
-    polynomial; with both given it is the symmetric bilinear version.
+    That is one determinant of size h + 1 per nonzero pairing entry.  On
+    a tree (h = 0) phi is the edge pairing polynomial.  With ``momenta2``
+    omitted this is the usual quadratic momentum polynomial; with both
+    given it is the symmetric bilinear version.
     """
     if basis is None:
         basis = cycle_basis(graph)
@@ -378,35 +364,26 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
         lift1 = momentum_lift(graph, momenta1)
     if lift2 is None:
         lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
-    space = momenta1.space
-    variables = _poly_vars(graph)
     m = cycle_gram_matrix(graph, basis)
-    q12 = edge_pairing_polynomial(graph, lift1, lift2)
     if m is None:
-        return q12
-    psi = det_fraction_free(m)
+        return edge_pairing_polynomial(graph, lift1, lift2)
+    variables = _poly_vars(graph)
     w1 = _border_vectors(graph, basis, lift1)
     w2 = _border_vectors(graph, basis, lift2)
-    adj = _adjugate(m)
-    h = m.n
-    correction = MultiPoly.zero(variables)
-    qmat = space.matrix
-    for i in range(h):
-        for j in range(h):
-            if adj[i][j].is_zero():
+    phi = MultiPoly.zero(variables)
+    for mu, qrow in enumerate(momenta1.space.matrix):
+        for nu, q in enumerate(qrow):
+            if q == 0:
                 continue
-            paired = MultiPoly.zero(variables)
-            for mu in range(space.dim):
-                for nu in range(space.dim):
-                    coeff = qmat[mu][nu]
-                    if coeff == 0:
-                        continue
-                    prod = w1[i][mu] * w2[j][nu]
-                    if not prod.is_zero():
-                        paired = paired + coeff * prod
-            if not paired.is_zero():
-                correction = correction + adj[i][j] * paired
-    return q12 * psi - correction
+            corner = MultiPoly.zero(variables)
+            for e in graph.edge_ids():
+                x = lift1.vector(e)[mu] * lift2.vector(e)[nu]
+                if x != 0:
+                    corner = corner + x * MultiPoly.variable(variables, e)
+            row = [w[mu] for w in w1]
+            column = [w[nu] for w in w2]
+            phi = phi + q * bordered_det(corner, row, column, m)
+    return phi
 
 
 def second_symanzik_forests(graph, momenta1, momenta2=None):

@@ -115,6 +115,13 @@ def test_symanzik_bad_weights(capsys, triangle_path):
     )
     assert code == 2
     assert "positive" in err
+    # A weight that overflows a float is bad input, not a crash.
+    code, out, err = run(
+        capsys, "symanzik", "ratio", "--graph", triangle_path,
+        "--y", "e1=1e400,e2=1,e3=1",
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "finite" in err
 
 
 def test_symanzik_wrong_method_for_subcommand(capsys, triangle_path):
@@ -204,6 +211,10 @@ def test_poincare_norm(capsys, tmp_path):
     code, out, _ = run(capsys, "poincare", "norm", "--point", str(point))
     assert code == 0
     assert float(out) == pytest.approx(-math.pi, abs=1e-12)
+    point.write_text(point.read_text().replace("1.0", "NaN", 1))
+    code, out, err = run(capsys, "poincare", "norm", "--point", str(point))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "omega" in err and "finite" in err
 
 
 def test_limit_eval(capsys, tmp_path, banana_path):
@@ -260,6 +271,11 @@ def test_lab_crossratio(capsys):
     )
     assert code == 2
     assert "coincident" in err
+    code, out, err = run(
+        capsys, "lab", "sphere-crossratio", "--points", "0", "1", "2", "nan"
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "finite" in err
 
 
 def test_corpus_run_cli(capsys, tmp_path):

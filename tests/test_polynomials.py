@@ -95,20 +95,6 @@ def test_parse_explicit_forms():
         MultiPoly.from_string("Y_e1 + unknown", VARS)
 
 
-def test_exact_divide():
-    rng = random.Random(23)
-    for _ in range(40):
-        q = rand_poly(rng)
-        d = rand_poly(rng)
-        if d.is_zero():
-            continue
-        prod = q * d
-        assert prod.exact_divide(d) == q
-    p = MultiPoly.variable(VARS, "e1") + 1
-    with pytest.raises(ValueError):
-        (p + 1).exact_divide(MultiPoly.variable(VARS, "e2"))
-
-
 def test_mixed_ring_rejected():
     p = MultiPoly.variable(("a",), "a")
     q = MultiPoly.variable(("b",), "b")
@@ -146,9 +132,9 @@ def test_det_small_matches_leibniz():
             assert m.det() == det_reference(rows)
 
 
-def test_det_large_uses_bareiss_and_agrees():
-    # 6x6 crosses the Bareiss threshold; compare against the cofactor route
-    # via a doubled cross-check on a structured matrix with known value.
+def test_det_large_agrees():
+    # A 6x6 structured matrix, too large for the Leibniz reference above;
+    # compare with the exact numeric determinant at a point.
     variables = tuple(f"e{i}" for i in range(1, 7))
     ys = [MultiPoly.variable(variables, v) for v in variables]
     rows = [[ys[i] if i == j else MultiPoly.constant(variables, 1)
@@ -168,6 +154,14 @@ def test_det_fraction_free_zero_and_identity():
     one = MultiPoly.constant(variables, 1)
     assert det_fraction_free([[zero]]).is_zero()
     assert det_fraction_free([[one, zero], [zero, one]]) == one
+
+
+def test_det_dimension_limit():
+    variables = ("e1",)
+    one = MultiPoly.constant(variables, 1)
+    rows = [[one] * 13 for _ in range(13)]
+    with pytest.raises(ValueError, match="up to dimension 12, got 13"):
+        det_fraction_free(rows)
 
 
 def test_fraction_det_exact():

@@ -48,6 +48,17 @@ def banana_momenta(p=3):
     return MomentumAssignment(D1, {"v1": (p,), "v2": (-p,)})
 
 
+def complete_graph(n):
+    vertices = [f"v{i}" for i in range(1, n + 1)]
+    pairs = [(a, b) for i, a in enumerate(vertices) for b in vertices[i + 1:]]
+    return Multigraph(vertices, [(f"e{k:02d}", a, b) for k, (a, b) in enumerate(pairs, 1)])
+
+
+def banana_graph(k):
+    """Two vertices joined by k parallel edges: h = k - 1."""
+    return Multigraph(["v1", "v2"], [(f"e{i:02d}", "v1", "v2") for i in range(1, k + 1)])
+
+
 def test_minkowski_pairings():
     eu = MinkowskiSpace.euclidean(3)
     assert eu.pair((1, 2, 3), (4, 5, 6)) == 32
@@ -259,6 +270,31 @@ def test_forest_route_matches_bordered():
             assert both == second_symanzik_forests(graph, mom1, mom2)
             # The bilinear pairing is symmetric in its two assignments.
             assert both == second_symanzik_forests(graph, mom2, mom1)
+    k5 = complete_graph(5)
+    lorentzian = MinkowskiSpace.lorentzian(4)
+    mom1 = random_conserved_momenta(rng, k5, lorentzian)
+    mom2 = random_conserved_momenta(rng, k5, lorentzian)
+    assert second_symanzik_bordered(k5, mom1) == second_symanzik_forests(k5, mom1)
+    assert (second_symanzik_bordered(k5, mom1, mom2)
+            == second_symanzik_forests(k5, mom1, mom2))
+    # 13 parallel edges: h = 12, the largest supported Betti number.
+    banana13 = banana_graph(13)
+    mom = random_conserved_momenta(rng, banana13, D1)
+    assert second_symanzik_bordered(banana13, mom) == second_symanzik_forests(banana13, mom)
+
+
+def test_first_routes_agree_on_k6():
+    k6 = complete_graph(6)
+    assert first_betti(k6) == 10
+    assert first_symanzik_det(k6) == first_symanzik_trees(k6)
+
+
+def test_betti_above_twelve_rejected():
+    banana14 = banana_graph(14)
+    with pytest.raises(ValueError, match="up to dimension 12, got 13"):
+        first_symanzik_det(banana14)
+    with pytest.raises(ValueError, match="up to dimension 12, got 13"):
+        second_symanzik_bordered(banana14, banana_momenta())
 
 
 def test_ratio_methods_match_oracle():
