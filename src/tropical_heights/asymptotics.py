@@ -284,8 +284,10 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     For each ray the remainder is sampled on a geometric t-grid (default
     up to 1e4); the report records its sup, the final Cauchy increment
     and a terminal linear growth rate.  ``bounded`` holds when the
-    increments die out and the rate is negligible; blocks inconsistent
-    with the graph (the negative controls) show a clean linear rate.
+    increments die out and the rate is negligible, both measured against
+    ``tol * max(1, sup)`` so the verdict does not depend on the size of
+    the momenta; blocks inconsistent with the graph (the negative
+    controls) show a clean linear rate.
     """
     if blocks is None:
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
@@ -306,9 +308,12 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
         rem = np.array(rem)
         increments = np.abs(np.diff(rem))
         rate = (rem[-1] - rem[-2]) / (ts[-1] - ts[-2])
-        bounded = bool(increments[-1] <= tol_increment and abs(rate) <= tol_rate)
-        reports.append(RayReport(dict(direction), float(np.max(np.abs(rem))),
-                                 float(increments[-1]), float(rate), bounded))
+        sup = float(np.max(np.abs(rem)))
+        scale = max(1.0, sup)
+        bounded = bool(increments[-1] <= tol_increment * scale
+                       and abs(rate) <= tol_rate * scale)
+        reports.append(RayReport(dict(direction), sup, float(increments[-1]),
+                                 float(rate), bounded))
     return reports
 
 

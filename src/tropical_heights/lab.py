@@ -6,10 +6,16 @@ C/(Z + tau Z) the Green's function of the unit-area flat metric is
     g(z) = -log|theta1(z; tau)| + pi Im(z)^2 / Im(tau) + C(tau),
 
 normalized so that g integrates to zero against the flat measure.  The
-constant C(tau) is produced by quadrature (a separable scheme, exact for
-the affine-in-y structure of the integrand) and cross-checked against
-the closed form log|eta(tau)|; an independent 2D singularity-subtracted
-scheme verifies the vanishing integral.
+constant C(tau) is the closed form log|eta(tau)|; every
+:class:`TorusGreen` checks it against a quadrature (a separable scheme,
+exact for the affine-in-y structure of the integrand) and raises when
+they disagree, rather than carry on with either value.  An independent
+2D singularity-subtracted scheme verifies the vanishing integral.
+
+The theta product :func:`log_abs_theta1_frac` broadcasts over both
+fractional coordinates, so each quadrature, residual check and
+per-torus batch of pairing values (:meth:`TorusGreen.values`) is a few
+array calls rather than one call per row or per point.
 
 Pairings of degree-zero divisors against these Green's functions, with
 their regularized diagonal for self-pairings, degenerate as
@@ -26,8 +32,8 @@ pin the sign independently).
 """
 
 import cmath
+import functools
 import math
-import warnings
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -99,35 +105,46 @@ def _product_terms(im_tau):
 def log_abs_theta1_frac(x, y, tau):
     r"""log |theta1(x + y tau; tau)| for fractional coordinates, stably.
 
-    ``x`` may be an array; ``y`` is a scalar in [0, 1).  Uses the triple
-    product, whose factors all have modulus below 1 in this range, so the
-    value never overflows even for Im(tau) in the thousands:
+    ``x`` and ``y`` broadcast together (scalars or arrays of any shape);
+    every ``y`` must lie in [0, 1).  Uses the triple product, whose
+    factors all have modulus below 1 in this range, so the value never
+    overflows even for Im(tau) in the thousands:
 
         log|theta1| = -pi Im(tau)/4 + pi y Im(tau) + log|1 - w|
-                      + sum_{n>=1} [log|1-q^n| + log|1-q^n w| + log|1-q^n/w|]
+                      + sum_{n>=1} [log|1-q^n| + log|(1-q^n w)(1-q^{n-1} v)|]
 
-    with w = exp(2 pi i (x + y tau)).
+    with w = exp(2 pi i (x + y tau)) and v = exp(2 pi i ((1-y) tau - x)),
+    so that q^{n-1} v = q^n / w is assembled without dividing by a
+    possibly underflowed w.  One call evaluates a whole batch.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    if not 0.0 <= y < 1.0:
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if not np.all((y >= 0.0) & (y < 1.0)):
         raise ValueError("fractional coordinate y must lie in [0, 1)")
-    x = np.asarray(x, dtype=float)
     im = tau.imag
     w = np.exp(2j * math.pi * (x + y * tau))
+    v = np.exp(2j * math.pi * ((1.0 - y) * tau - x))
     with np.errstate(divide="ignore"):
         out = -math.pi * im / 4.0 + math.pi * y * im + np.log(np.abs(1.0 - w))
     q = cmath.exp(2j * math.pi * tau)
-    qn = 1.0 + 0j
+    a = np.empty_like(w)
+    b = np.empty_like(w)
+    mod = np.empty_like(out)
+    q_prev = 1.0 + 0j
     for _n in range(1, _product_terms(im) + 1):
-        qn *= q
-        out = out + math.log(abs(1.0 - qn))
-        out = out + np.log(np.abs(1.0 - qn * w))
-        # q^n / w = q^{n-y} e^{-2 pi i x}: assemble without dividing by a
-        # possibly underflowed w.
-        qow = cmath.exp(2j * math.pi * ((_n - y) * tau)) * np.exp(-2j * math.pi * x)
-        out = out + np.log(np.abs(1.0 - qow))
+        qn = q_prev * q
+        out += math.log(abs(1.0 - qn))
+        np.multiply(w, qn, out=a)
+        np.subtract(1.0, a, out=a)
+        np.multiply(v, q_prev, out=b)
+        np.subtract(1.0, b, out=b)
+        a *= b
+        np.abs(a, out=mod)
+        np.log(mod, out=mod)
+        out += mod
+        q_prev = qn
     return out
 
 
@@ -231,6 +248,20 @@ def _plateau_bump(u):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(nodes):
+    """Gauss-Legendre nodes and weights of ``nodes`` points on [-1, 1]."""
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(nodes)
+    gl_nodes.flags.writeable = False
+    gl_weights.flags.writeable = False
+    return gl_nodes, gl_weights
+
+
+# Points per theta batch in the quadrature, unless its longest row alone
+# is longer; keeps a batch's temporaries to a few hundred kB.
+_QUADRATURE_BATCH = 4096
+
+
 def normalization_by_quadrature(tau, nodes=64):
     """Constant C(tau) by direct quadrature of the Green's function.
 
@@ -238,31 +269,48 @@ def normalization_by_quadrature(tau, nodes=64):
     a periodic trapezoid in the horizontal one, whose point count adapts
     to the analyticity strip ~ Im(tau) min(y, 1-y).  The y-integrand is
     affine up to quadrature-level noise, so the outer rule is exact.
+    Runs of consecutive rows go through :func:`log_abs_theta1_frac` in
+    one broadcast call of at most max(longest row, 4096) points.
+    :class:`TorusGreen` checks the result against log|eta(tau)| and
+    raises when they disagree.
     """
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(nodes)
+    gl_nodes, gl_weights = _gauss_legendre(nodes)
     ys = 0.5 * (gl_nodes + 1.0)
     ws = 0.5 * gl_weights
     im = tau.imag
+    counts = [64 + int(math.ceil(6.5 / (im * min(y, 1.0 - y)))) for y in ys]
+    budget = max(max(counts), _QUADRATURE_BATCH)
+    means = []
+    start = 0
+    while start < len(counts):
+        stop = start + 1
+        size = counts[start]
+        while stop < len(counts) and size + counts[stop] <= budget:
+            size += counts[stop]
+            stop += 1
+        rows = counts[start:stop]
+        xs = np.concatenate([np.arange(nx) / nx for nx in rows])
+        vals = log_abs_theta1_frac(xs, np.repeat(ys[start:stop], rows), tau)
+        offsets = np.cumsum([0] + rows[:-1])
+        means.extend(np.add.reduceat(vals, offsets) / rows)
+        start = stop
     total = 0.0
-    for y, wgt in zip(ys, ws):
-        delta = im * min(y, 1.0 - y)
-        nx = 64 + int(math.ceil(6.5 / delta))
-        xs = np.arange(nx) / nx
-        total += wgt * float(np.mean(log_abs_theta1_frac(xs, float(y), tau)))
+    for wgt, mean in zip(ws, means):
+        total += wgt * float(mean)
     return total - math.pi * im / 3.0
 
 
 class TorusGreen:
     """Green's function of the unit-area flat metric on one torus.
 
-    The normalization constant is computed by quadrature at
-    construction and, when it matches the closed form log|eta(tau)| to
-    ``match_tol``, the closed form is adopted (it is the analytically
-    exact value of the same constant); a mismatch keeps the quadrature
-    value and warns, which would indicate a numerical defect.
+    The normalization constant is the closed form log|eta(tau)|.  At
+    construction it is checked against :func:`normalization_by_quadrature`
+    (kept as ``normalization_quadrature``); a gap above ``match_tol``
+    means the numerics cannot be trusted at this modulus (it first
+    happens near Im(tau) ~ 1e10), and raises ``ValueError``.
     """
 
     __slots__ = ("tau", "normalization", "normalization_quadrature")
@@ -271,16 +319,15 @@ class TorusGreen:
         self.tau = TorusModulus(tau).tau
         c_quad = normalization_by_quadrature(self.tau, nodes=nodes)
         c_eta = dedekind_eta_log_abs(self.tau)
-        self.normalization_quadrature = c_quad
-        if abs(c_quad - c_eta) <= match_tol:
-            self.normalization = c_eta
-        else:
-            warnings.warn(
-                f"torus normalization quadrature ({c_quad!r}) disagrees with the "
-                f"closed form ({c_eta!r}); keeping the quadrature value",
-                stacklevel=2,
+        gap = abs(c_quad - c_eta)
+        if not gap <= match_tol:
+            raise ValueError(
+                f"torus normalization quadrature disagrees with the closed form "
+                f"log|eta(tau)| by {gap:.3e} (tolerance {match_tol:g}) at "
+                f"Im(tau) = {self.tau.imag:.6g}"
             )
-            self.normalization = c_quad
+        self.normalization_quadrature = c_quad
+        self.normalization = c_eta
 
     def _coerce_point(self, z):
         if isinstance(z, TorusPoint):
@@ -288,20 +335,31 @@ class TorusGreen:
         return TorusPoint.from_complex(z, self.tau)
 
     def value_frac(self, x, y):
-        """g at fractional coordinates; vectorized over x for scalar y."""
+        """g at fractional coordinates; ``x`` and ``y`` broadcast together
+        as in :func:`log_abs_theta1_frac` (every y in [0, 1))."""
         im = self.tau.imag
         return (-log_abs_theta1_frac(x, y, self.tau)
                 + math.pi * y * y * im + self.normalization)
 
+    def values(self, zs, ws, min_distance=1e-12):
+        """g(z - w) for paired sequences of complex or TorusPoint
+        arguments, as one float array; raises if any pair coincides."""
+        ps = [self._coerce_point(z) for z in zs]
+        qs = [self._coerce_point(w) for w in ws]
+        if len(ps) != len(qs):
+            raise ValueError("values needs as many second points as first points")
+        x = np.array([p.x for p in ps]) - np.array([q.x for q in qs])
+        y = np.array([p.y for p in ps]) - np.array([q.y for q in qs])
+        x %= 1.0
+        y %= 1.0
+        if np.any(_min_image_distance(x, y, self.tau)
+                  < min_distance * max(1.0, self.tau.imag)):
+            raise ValueError("Green's function evaluated at coincident points")
+        return self.value_frac(x, y)
+
     def value(self, z, w=0.0, min_distance=1e-12):
         """g(z - w) for complex or TorusPoint arguments."""
-        p = self._coerce_point(z)
-        q = self._coerce_point(w)
-        x = (p.x - q.x) % 1.0
-        y = (p.y - q.y) % 1.0
-        if _min_image_distance(x, y, self.tau) < min_distance * max(1.0, self.tau.imag):
-            raise ValueError("Green's function evaluated at coincident points")
-        return float(self.value_frac(np.array([x]), y)[0])
+        return float(self.values([z], [w], min_distance)[0])
 
     def regularized_diagonal(self, metric_scale=1.0):
         """Limit of g(z, w) + log d(z, w) as w -> z, in the unit-area flat
@@ -323,9 +381,7 @@ class TorusGreen:
         r0 = 0.45 * min(1.0, im)
         grid = (np.arange(n) + 0.5) / n
         xg, yg = np.meshgrid(grid, grid, indexing="ij")
-        vals = np.empty_like(xg)
-        for j in range(n):
-            vals[:, j] = self.value_frac(xg[:, j], float(grid[j]))
+        vals = self.value_frac(xg, yg)
         r = _min_image_distance(xg, yg, tau)
         model = np.zeros_like(vals)
         inside = r < r0
@@ -335,7 +391,7 @@ class TorusGreen:
         # The model integrates in the plane metric: measure dA / Im(tau).
         a = r0 / 2.0
         inner = 2.0 * math.pi * (a * a / 4.0 - (a * a / 2.0) * math.log(a))
-        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(64)
+        gl_nodes, gl_weights = _gauss_legendre(64)
         rr = a + (r0 - a) * 0.5 * (gl_nodes + 1.0)
         wr = (r0 - a) * 0.5 * gl_weights
         outer = float(np.sum(wr * (-np.log(rr)) * _plateau_bump(rr / r0) * 2.0 * math.pi * rr))
@@ -358,11 +414,7 @@ class TorusGreen:
         def g_at(zs):
             pts_y = zs.imag / im
             pts_x = zs.real - pts_y * tau.real
-            out = np.empty(zs.shape)
-            # Group by identical y to reuse the vectorized x evaluation.
-            for i in range(zs.shape[0]):
-                out[i] = self.value_frac(np.array([pts_x[i] % 1.0]), pts_y[i] % 1.0)[0]
-            return out
+            return self.value_frac(pts_x % 1.0, pts_y % 1.0)
 
         center = g_at(z)
         lap = (g_at(z + h) + g_at(z - h) + g_at(z + 1j * h) + g_at(z - 1j * h)
@@ -637,20 +689,30 @@ def degeneration_experiment(family, nodes=64):
     family).
     """
     pred = family.prediction()
+    self_mode = family.mode == "self"
+    second = family.divisor1 if self_mode else family.divisor2
+    # (i, j, <p_i, q_j>) for the nonzero pairings, in summation order; in
+    # self mode i == j is a diagonal term.  None of it depends on tau.
+    terms = []
+    for i, a in enumerate(family.divisor1):
+        for j, b in enumerate(second):
+            coeff = family.space.pair(a.momentum, b.momentum)
+            if coeff != 0:
+                terms.append((i, j, float(coeff)))
+    off_diagonal = [(i, j) for i, j, _c in terms if not (self_mode and i == j)]
+    has_diagonal = len(off_diagonal) < len(terms)
     values = []
     for alpha in family.alphas:
         tau = family.tau(alpha)
         green = TorusGreen(tau, nodes=nodes)
         pts1 = family._points(family.divisor1, tau)
-        m1 = [ins.momentum for ins in family.divisor1]
-        if family.mode == "disjoint":
-            pts2 = family._points(family.divisor2, tau)
-            m2 = [ins.momentum for ins in family.divisor2]
-            v = height_pairing_surface(pts1, m1, pts2, m2, green.value,
-                                       space=family.space)
-        else:
-            v = regularized_self_height(pts1, m1, green, space=family.space,
-                                        metric_scale=family.metric_scale)
+        pts2 = family._points(second, tau)
+        g = iter(green.values([pts1[i] for i, _j in off_diagonal],
+                              [pts2[j] for _i, j in off_diagonal]).tolist())
+        diag = green.regularized_diagonal(family.metric_scale) if has_diagonal else None
+        v = 0.0
+        for i, j, coeff in terms:
+            v += coeff * (diag if self_mode and i == j else next(g))
         values.append(alpha * v)
     values = tuple(values)
     estimate = values[-1]

@@ -170,6 +170,14 @@ def test_bounded_remainder_scan_banana():
         assert rep.bounded, rep
         assert rep.final_increment < 1e-4
         assert rep.sup_abs < 50.0
+    # Larger momenta scale the remainder by p^2; the verdict must not move.
+    for p in (3, 10):
+        mom = banana_momenta(p)
+        reports = bounded_remainder_scan(BANANA, mom, mom, fx, rays=rays)
+        for rep in reports:
+            assert rep.bounded, (p, rep)
+            assert rep.final_increment < 1e-4 * rep.sup_abs
+            assert rep.sup_abs > 1.0
 
 
 def test_bounded_remainder_negative_control():

@@ -259,6 +259,24 @@ def test_lab_torus_limit(capsys, tmp_path):
     assert report["slope"] == pytest.approx(1.0, abs=1e-3)
 
 
+def test_lab_torus_limit_extreme_length_fails_loudly(capsys, tmp_path):
+    # Im(tau) ~ 1e301: the normalization quadrature cannot match log|eta|.
+    family = tmp_path / "family.json"
+    dump_json(
+        {
+            "y_total": 1e300,
+            "divisor1": [{"c": 0, "momentum": [1]},
+                         {"c": "1/2", "momentum": [-1]}],
+            "divisor2": [{"c": "1/8", "momentum": [1]},
+                         {"c": "3/8", "momentum": [-1]}],
+        },
+        family,
+    )
+    code, out, err = run(capsys, "lab", "torus-limit", "--family", str(family))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "Im(tau)" in err
+
+
 def test_lab_crossratio(capsys):
     code, out, _ = run(
         capsys, "lab", "sphere-crossratio", "--points", "0", "1", "2", "4"

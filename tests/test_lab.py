@@ -75,6 +75,25 @@ def test_log_abs_theta_fractional_far_in_the_cusp():
     assert got[0] == pytest.approx(math.pi * 400 * 0.25, abs=1e-9)
 
 
+def test_log_abs_theta_fractional_broadcasts():
+    rng = random.Random(17)
+    for tau in TAUS + (32.3j, 1007j):
+        xs = np.array([rng.uniform(0, 1) for _ in range(7)])
+        ys = np.array([rng.uniform(0, 1) for _ in range(5)])
+        grid = log_abs_theta1_frac(xs[:, None], ys[None, :], tau)
+        assert grid.shape == (7, 5)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                want = log_abs_theta1_frac(np.array([x]), float(y), tau)[0]
+                assert abs(grid[i, j] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_log_abs_theta_fractional_rejects_y_outside_unit_interval():
+    for y in (np.array([0.2, 1.0]), np.array([-0.1, 0.5])):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            log_abs_theta1_frac(np.array([0.1, 0.3]), y, 0.8j)
+
+
 def test_normalization_matches_eta_expression():
     for tau in TAUS:
         quad = normalization_by_quadrature(tau)
@@ -83,6 +102,20 @@ def test_normalization_matches_eta_expression():
         green = TorusGreen(tau)
         assert green.normalization == pytest.approx(eta_form, abs=1e-15)
         assert green.normalization_quadrature == pytest.approx(quad, abs=1e-15)
+    # The degeneration experiments' moduli, |C(tau)| up to ~830.
+    for tau in (32.3j, 1007j, 3184j):
+        quad = normalization_by_quadrature(tau)
+        eta_form = dedekind_eta_log_abs(tau)
+        assert quad == pytest.approx(eta_form, abs=1e-12 * abs(eta_form))
+        assert TorusGreen(tau).normalization == eta_form
+
+
+def test_normalization_mismatch_raises():
+    # Far in the cusp the quadrature's rounding, about one ulp of
+    # pi Im(tau), exceeds the 1e-6 tolerance.
+    for tau in (1e13j, 1e15j):
+        with pytest.raises(ValueError, match=r"Im\(tau\)"):
+            TorusGreen(tau)
 
 
 def test_torus_point_roundtrip():
@@ -115,6 +148,25 @@ def test_green_coincident_points_raise():
     green = TorusGreen(0.8j)
     with pytest.raises(ValueError, match="coincident"):
         green.value(0.25 + 0.25j, 0.25 + 0.25j)
+    zs = [0.1 + 0.2j, 0.25 + 0.25j, 0.7 + 0.1j]
+    ws = [0.3 + 0.4j, 1.25 + 0.25j, 0.2 + 0.5j]
+    with pytest.raises(ValueError, match="coincident"):
+        green.values(zs, ws)
+
+
+def test_green_values_match_value():
+    rng = random.Random(5)
+    for tau in (0.3 + 1.2j, 0.8j, 101j):
+        green = TorusGreen(tau)
+        zs = [complex(rng.uniform(0, 1), 0) + rng.uniform(0.1, 0.9) * tau
+              for _ in range(9)]
+        ws = [complex(rng.uniform(0, 1), 0) + rng.uniform(0.1, 0.9) * tau
+              for _ in range(9)]
+        ws[0] = TorusPoint(0.3, 0.6)
+        got = green.values(zs, ws)
+        assert got.shape == (9,)
+        for z, w, g in zip(zs, ws, got):
+            assert g == pytest.approx(green.value(z, w), rel=1e-14, abs=1e-14)
 
 
 def test_green_mean_zero():
