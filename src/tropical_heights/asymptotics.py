@@ -277,6 +277,10 @@ class RayReport(NamedTuple):
     bounded: bool
 
 
+def _momentum_norm(momenta):
+    return math.sqrt(sum(float(x) ** 2 for p in momenta.momenta.values() for x in p))
+
+
 def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays=None,
                            ts=None, space=None, h0=0.0, tol_increment=1e-4, tol_rate=1e-6):
     """Scan ``height - tropical height`` along rays y = t * direction.
@@ -285,8 +289,11 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     up to 1e4); the report records its sup, the final Cauchy increment
     and a terminal linear growth rate.  ``bounded`` holds when the
     increments die out and the rate is negligible, both measured against
-    ``tol * max(1, sup)`` so the verdict does not depend on the size of
-    the momenta; blocks inconsistent with the graph (the negative
+    ``tol * max(1, |p1| |p2|)`` with |p| the Euclidean norm of all of a
+    divisor's momentum components.  The remainder is bilinear in the
+    momenta, so the verdict does not depend on their size, and the scale
+    does not grow with t, so a drifting remainder cannot raise its own
+    threshold.  Blocks inconsistent with the graph (the negative
     controls) show a clean linear rate.
     """
     if blocks is None:
@@ -295,6 +302,8 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
         rays = [{e: 1.0 for e in graph.edge_ids()}]
     if ts is None:
         ts = np.geomspace(1.0, 1.0e4, 25)
+    scale = max(1.0, _momentum_norm(momenta1)
+                * _momentum_norm(momenta1 if momenta2 is None else momenta2))
     reports = []
     for direction in rays:
         rem = []
@@ -308,12 +317,10 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
         rem = np.array(rem)
         increments = np.abs(np.diff(rem))
         rate = (rem[-1] - rem[-2]) / (ts[-1] - ts[-2])
-        sup = float(np.max(np.abs(rem)))
-        scale = max(1.0, sup)
         bounded = bool(increments[-1] <= tol_increment * scale
                        and abs(rate) <= tol_rate * scale)
-        reports.append(RayReport(dict(direction), sup, float(increments[-1]),
-                                 float(rate), bounded))
+        reports.append(RayReport(dict(direction), float(np.max(np.abs(rem))),
+                                 float(increments[-1]), float(rate), bounded))
     return reports
 
 

@@ -14,7 +14,7 @@ they disagree, rather than carry on with either value.  An independent
 
 The theta product :func:`log_abs_theta1_frac` broadcasts over both
 fractional coordinates, so each quadrature, residual check and
-per-torus batch of pairing values (:meth:`TorusGreen.values`) is a few
+pairing's set of Green's values (:meth:`TorusGreen.values`) is a few
 array calls rather than one call per row or per point.
 
 Pairings of degree-zero divisors against these Green's functions, with
@@ -250,7 +250,9 @@ def _plateau_bump(u):
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(nodes):
-    """Gauss-Legendre nodes and weights of ``nodes`` points on [-1, 1]."""
+    """Gauss-Legendre nodes and weights of ``nodes`` points on [-1, 1],
+    read-only because every caller shares them.  Computing 64 of them
+    takes about 2 ms, most of a :class:`TorusGreen`'s construction."""
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(nodes)
     gl_nodes.flags.writeable = False
     gl_weights.flags.writeable = False
@@ -309,8 +311,10 @@ class TorusGreen:
     The normalization constant is the closed form log|eta(tau)|.  At
     construction it is checked against :func:`normalization_by_quadrature`
     (kept as ``normalization_quadrature``); a gap above ``match_tol``
-    means the numerics cannot be trusted at this modulus (it first
-    happens near Im(tau) ~ 1e10), and raises ``ValueError``.
+    means the numerics cannot be trusted at this modulus, and raises
+    ``ValueError``.  Below Im(tau) ~ 1e10 the gap stays far under the
+    default tolerance; beyond, it is rounding noise of pi Im(tau) / 3,
+    which may or may not exceed it.
     """
 
     __slots__ = ("tau", "normalization", "normalization_quadrature")
@@ -462,10 +466,50 @@ def _check_conserved(momenta, label):
             )
 
 
+def _pairing_terms(m1, m2, space):
+    """Nonzero pairings <p_i, q_j> as (i, j, float), in summation order."""
+    terms = []
+    for i, p in enumerate(m1):
+        for j, q in enumerate(m2):
+            coeff = space.pair(p, q)
+            if coeff != 0:
+                terms.append((i, j, float(coeff)))
+    return terms
+
+
+def _pairing_sum(terms, points1, points2, green, metric_scale=None):
+    """Sum of coeff * g(points1[i], points2[j]) over ``terms``, in order.
+
+    ``green`` is a :class:`TorusGreen`, whose values come from one
+    :meth:`TorusGreen.values` call, or any callable (z, w) -> float.
+    Passing ``metric_scale`` makes it a self-pairing: its i == j terms
+    take ``green.regularized_diagonal(metric_scale)`` instead.
+    """
+    self_pairing = metric_scale is not None
+    off = [(i, j) for i, j, _c in terms if not (self_pairing and i == j)]
+    zs = [points1[i] for i, _j in off]
+    ws = [points2[j] for _i, j in off]
+    if isinstance(green, TorusGreen):
+        gs = iter(green.values(zs, ws).tolist())
+    else:
+        gs = map(green, zs, ws)
+    diag = None
+    total = 0.0
+    for i, j, coeff in terms:
+        if self_pairing and i == j:
+            if diag is None:
+                diag = green.regularized_diagonal(metric_scale)
+            total += coeff * diag
+        else:
+            total += coeff * next(gs)
+    return total
+
+
 def height_pairing_surface(points1, momenta1, points2, momenta2, green, space=None):
     """Momentum-weighted double sum of Green's values across two divisors.
 
-    ``green`` is a callable (z, w) -> float (e.g. ``TorusGreen.value`` or
+    ``green`` is a :class:`TorusGreen`, whose values are taken in one
+    batched call, or any callable (z, w) -> float (e.g.
     :func:`green_sphere`); momenta are exact rational vectors, paired by
     ``space`` (Euclidean when omitted).  Both divisors must conserve
     momentum, which makes the pairing independent of the Green's
@@ -479,20 +523,14 @@ def height_pairing_surface(points1, momenta1, points2, momenta2, green, space=No
     _check_conserved(m2, "second divisor")
     if space is None:
         space = MinkowskiSpace.euclidean(dim)
-    total = 0.0
-    for z, p in zip(points1, m1):
-        for w, q in zip(points2, m2):
-            coeff = space.pair(p, q)
-            if coeff == 0:
-                continue
-            total += float(coeff) * green(z, w)
-    return total
+    return _pairing_sum(_pairing_terms(m1, m2, space), points1, points2, green)
 
 
 def regularized_self_height(points, momenta, green, space=None, metric_scale=1.0):
     """Self-pairing of one divisor with the regularized diagonal.
 
-    Off-diagonal terms use the Green's function; diagonal terms use its
+    ``green`` is a :class:`TorusGreen`.  Off-diagonal terms use its
+    values, all taken in one batched call; diagonal terms use its
     metric-regularized limit.  For light-like (self-paired-to-zero)
     momenta the diagonal drops out exactly, making the value independent
     of the metric scale; that independence is the regularization test.
@@ -503,20 +541,8 @@ def regularized_self_height(points, momenta, green, space=None, metric_scale=1.0
     _check_conserved(m, "divisor")
     if space is None:
         space = MinkowskiSpace.euclidean(dim)
-    diag = None
-    total = 0.0
-    for i, (z, p) in enumerate(zip(points, m)):
-        for j, (w, q) in enumerate(zip(points, m)):
-            coeff = space.pair(p, q)
-            if coeff == 0:
-                continue
-            if i == j:
-                if diag is None:
-                    diag = green.regularized_diagonal(metric_scale)
-                total += float(coeff) * diag
-            else:
-                total += float(coeff) * green.value(z, w)
-    return total
+    return _pairing_sum(_pairing_terms(m, m, space), points, points, green,
+                        metric_scale=metric_scale)
 
 
 def cross_ratio_height(z1, z2, z3, z4):
@@ -691,28 +717,18 @@ def degeneration_experiment(family, nodes=64):
     pred = family.prediction()
     self_mode = family.mode == "self"
     second = family.divisor1 if self_mode else family.divisor2
-    # (i, j, <p_i, q_j>) for the nonzero pairings, in summation order; in
-    # self mode i == j is a diagonal term.  None of it depends on tau.
-    terms = []
-    for i, a in enumerate(family.divisor1):
-        for j, b in enumerate(second):
-            coeff = family.space.pair(a.momentum, b.momentum)
-            if coeff != 0:
-                terms.append((i, j, float(coeff)))
-    off_diagonal = [(i, j) for i, j, _c in terms if not (self_mode and i == j)]
-    has_diagonal = len(off_diagonal) < len(terms)
+    # The momentum pairings do not depend on tau (the family checked
+    # conservation), so they are computed once, not once per torus.
+    terms = _pairing_terms([ins.momentum for ins in family.divisor1],
+                           [ins.momentum for ins in second], family.space)
     values = []
     for alpha in family.alphas:
         tau = family.tau(alpha)
         green = TorusGreen(tau, nodes=nodes)
         pts1 = family._points(family.divisor1, tau)
-        pts2 = family._points(second, tau)
-        g = iter(green.values([pts1[i] for i, _j in off_diagonal],
-                              [pts2[j] for _i, j in off_diagonal]).tolist())
-        diag = green.regularized_diagonal(family.metric_scale) if has_diagonal else None
-        v = 0.0
-        for i, j, coeff in terms:
-            v += coeff * (diag if self_mode and i == j else next(g))
+        pts2 = pts1 if self_mode else family._points(second, tau)
+        v = _pairing_sum(terms, pts1, pts2, green,
+                         metric_scale=family.metric_scale if self_mode else None)
         values.append(alpha * v)
     values = tuple(values)
     estimate = values[-1]

@@ -176,7 +176,8 @@ def test_bounded_remainder_scan_banana():
         reports = bounded_remainder_scan(BANANA, mom, mom, fx, rays=rays)
         for rep in reports:
             assert rep.bounded, (p, rep)
-            assert rep.final_increment < 1e-4 * rep.sup_abs
+            # |p1| |p2| = 2 p^2 for charges +p and -p.
+            assert rep.final_increment < 1e-4 * 2 * p * p
             assert rep.sup_abs > 1.0
 
 
@@ -193,6 +194,15 @@ def test_bounded_remainder_negative_control():
     assert not rep.bounded
     # The corrupted gamma feeds a clean linear drift, rate ~ 2 pi.
     assert abs(rep.linear_rate) > 1.0
+    # Far out on a finely spaced tail the drift's sup is ~6e7, while its
+    # last increment stays ~2 pi: tolerances scaled by the sup would pass
+    # it, the momentum scale must not.
+    ts = np.append(np.geomspace(1.0, 1.0e7, 24), 1.0e7 + 1.0)
+    rep = bounded_remainder_scan(BANANA, mom, mom, fx, blocks=bad, ts=ts)[0]
+    assert rep.sup_abs > 1.0e7
+    assert not rep.bounded
+    good = bounded_remainder_scan(BANANA, mom, mom, fx, ts=ts)[0]
+    assert good.bounded
 
 
 def test_limit_along_segment_banana():

@@ -111,11 +111,13 @@ def test_normalization_matches_eta_expression():
 
 
 def test_normalization_mismatch_raises():
-    # Far in the cusp the quadrature's rounding, about one ulp of
-    # pi Im(tau), exceeds the 1e-6 tolerance.
-    for tau in (1e13j, 1e15j):
-        with pytest.raises(ValueError, match=r"Im\(tau\)"):
-            TorusGreen(tau)
+    # At Im(tau) = 1e300 the quadrature is off by ~1e284: pi Im(tau) / 3
+    # has no digits left for C(tau).
+    with pytest.raises(ValueError, match=r"Im\(tau\) = 1e\+300"):
+        TorusGreen(1e300j)
+    # A negative tolerance fails every modulus, so the check always runs.
+    with pytest.raises(ValueError, match="disagrees with the closed form"):
+        TorusGreen(0.8j, match_tol=-1.0)
 
 
 def test_torus_point_roundtrip():
@@ -154,9 +156,11 @@ def test_green_coincident_points_raise():
         green.values(zs, ws)
 
 
-def test_green_values_match_value():
+def test_green_values_match_series():
+    # Independent reference: the sine series for theta1 at the reduced
+    # difference z - w = x + y tau, x and y in [0, 1).
     rng = random.Random(5)
-    for tau in (0.3 + 1.2j, 0.8j, 101j):
+    for tau in (0.3 + 1.2j, 0.8j, 3.7j):
         green = TorusGreen(tau)
         zs = [complex(rng.uniform(0, 1), 0) + rng.uniform(0.1, 0.9) * tau
               for _ in range(9)]
@@ -166,7 +170,15 @@ def test_green_values_match_value():
         got = green.values(zs, ws)
         assert got.shape == (9,)
         for z, w, g in zip(zs, ws, got):
-            assert g == pytest.approx(green.value(z, w), rel=1e-14, abs=1e-14)
+            p = TorusPoint.from_complex(z, tau)
+            q = w if isinstance(w, TorusPoint) else TorusPoint.from_complex(w, tau)
+            x = (p.x - q.x) % 1.0
+            y = (p.y - q.y) % 1.0
+            want = (-math.log(abs(theta1(x + y * tau, tau)))
+                    + math.pi * (y * tau.imag) ** 2 / tau.imag
+                    + dedekind_eta_log_abs(tau))
+            assert g == pytest.approx(want, abs=1e-11)
+            assert green.value(z, w) == pytest.approx(want, abs=1e-11)
 
 
 def test_green_mean_zero():
@@ -318,6 +330,33 @@ def test_on_shell_metric_scale_independence():
     )
     # Null momenta never touch the diagonal, so the drift is exactly zero.
     assert scaled.estimate - base.estimate == 0.0
+
+
+def test_degeneration_off_shell_self_pairing():
+    # Charges +1 and -1 (Euclidean): both diagonal terms are nonzero.
+    family = DegenerationFamily(
+        1.0, [(Fraction(0), 0.1, (1,)), (Fraction(1, 3), 0.6, (-1,))],
+        alphas=(0.05, 0.02),
+    )
+    report = degeneration_experiment(family)
+    scaled = degeneration_experiment(DegenerationFamily(
+        1.0, family.divisor1, alphas=(0.05, 0.02), metric_scale=7.5,
+    ))
+    for alpha, got, moved in zip(report.alphas, report.values, scaled.values):
+        tau = family.tau(alpha)
+        z1, z2 = family._points(family.divisor1, tau)
+        # Series reference: g(z1 - z2) = g(z2 - z1) by symmetry, and the
+        # regularized diagonal is -log|theta1'(0)| - log(Im tau) / 2 + C.
+        x = (0.1 - 0.6) % 1.0
+        y = (0.0 - 1.0 / 3.0) % 1.0
+        eta = dedekind_eta_log_abs(tau)
+        g12 = (-math.log(abs(theta1(x + y * tau, tau)))
+               + math.pi * y * y * tau.imag + eta)
+        diag = (-math.log(abs(theta1_prime_zero(tau)))
+                - 0.5 * math.log(tau.imag) + eta)
+        want = alpha * (2.0 * diag - 2.0 * g12)
+        assert got == pytest.approx(want, rel=1e-10)
+        assert moved - got == pytest.approx(alpha * 2.0 * math.log(7.5), rel=1e-9)
 
 
 def test_off_shell_metric_scale_control():
