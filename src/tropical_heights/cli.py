@@ -13,6 +13,7 @@ Reports are deterministic: JSON with sorted keys, no timings on stdout.
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 import time
@@ -300,7 +301,9 @@ def _cmd_corpus(args):
 # ---------------------------------------------------------------------------
 # Parser
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and reused by later calls."""
     parser = argparse.ArgumentParser(
         prog="tropical-heights",
         description="Graph polynomials, monodromy blocks, biextension norms, "

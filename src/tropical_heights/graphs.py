@@ -11,7 +11,6 @@ runs over the same graph always agree.
 """
 
 import itertools
-import warnings
 
 
 class Multigraph:
@@ -280,12 +279,11 @@ def spanning_trees(graph):
     """All spanning trees, as sorted tuples of edge ids.
 
     Brute-force over edge subsets of size |V|-1, so intended for the
-    small graphs this package works with.  On disconnected input a
-    warning is emitted and the list is empty.
+    small graphs this package works with.  Raises ValueError on
+    disconnected input, which has no spanning tree.
     """
     if not graph.is_connected():
-        warnings.warn("graph is disconnected; it has no spanning trees", stacklevel=2)
-        return []
+        raise ValueError("graph is disconnected; it has no spanning trees")
     nv = len(graph.vertices)
     candidates = [e for e in graph.edge_ids() if not graph.is_loop(e)]
     out = []
@@ -302,12 +300,11 @@ def spanning_2forests(graph):
     Returns a list of ``(edges, (part0, part1))`` where ``edges`` is a
     sorted tuple of edge ids, the parts are frozensets of vertex ids
     covering all vertices, and ``part0`` contains the smallest vertex id.
-    Forests have |V|-2 edges and exactly two components.
+    Forests have |V|-2 edges and exactly two components.  Raises
+    ValueError on disconnected input.
     """
     if not graph.is_connected():
-        warnings.warn("graph is disconnected; 2-forest enumeration assumes connected input",
-                      stacklevel=2)
-        return []
+        raise ValueError("graph is disconnected; 2-forest enumeration needs connected input")
     nv = len(graph.vertices)
     if nv < 2:
         return []

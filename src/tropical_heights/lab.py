@@ -194,6 +194,13 @@ class TorusModulus:
         return f"TorusModulus({self.tau})"
 
 
+def _unit_frac(v):
+    """``v mod 1`` in [0, 1).  A tiny negative ``v`` rounds up to 1.0,
+    which is the point 0.0 on the circle, so it maps to 0.0."""
+    r = float(v) % 1.0
+    return 0.0 if r == 1.0 else r
+
+
 class TorusPoint:
     """Point on the torus in fractional coordinates (x, y) in [0, 1)^2,
     representing z = x + y tau."""
@@ -201,8 +208,8 @@ class TorusPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        self.x = float(x) % 1.0
-        self.y = float(y) % 1.0
+        self.x = _unit_frac(x)
+        self.y = _unit_frac(y)
 
     @classmethod
     def from_complex(cls, z, tau):
@@ -356,6 +363,9 @@ class TorusGreen:
         y = np.array([p.y for p in ps]) - np.array([q.y for q in qs])
         x %= 1.0
         y %= 1.0
+        # As in _unit_frac: a difference that rounds up to 1.0 is 0.0.
+        x[x == 1.0] = 0.0
+        y[y == 1.0] = 0.0
         if np.any(_min_image_distance(x, y, self.tau)
                   < min_distance * max(1.0, self.tau.imag)):
             raise ValueError("Green's function evaluated at coincident points")

@@ -13,8 +13,17 @@ two classes here:
 Terms are kept in a dict mapping exponent tuples to nonzero coefficients.
 The canonical printed order is graded lexicographic (total degree first,
 then lex on the exponent tuple), descending.
+
+Determinants do not use ``MultiPoly`` arithmetic; their cofactor
+expansion runs on Python ints.  Each row is scaled to integer
+coefficients by its common denominator.  Each exponent tuple is packed
+into one int, ``width`` bits per variable, so a monomial product is one
+integer addition; ``width`` is bounded by the sum over rows of the row's
+largest exponent.  The result is divided by the row denominators once,
+back into ``Fraction`` coefficients.
 """
 
+import math
 from fractions import Fraction
 
 # Rational scalars everywhere in the exact layer.
@@ -422,8 +431,9 @@ def det_fraction_free(matrix):
     """Exact determinant of a RingMatrix (or list-of-lists of MultiPoly).
 
     Computed by the memoized cofactor expansion of :func:`_det_cofactor`,
-    which only multiplies and adds polynomials (no division), so it is
-    exact over the rationals.  Dimensions above 12 raise ValueError.
+    which only multiplies and adds integers and divides once at the end,
+    so it is exact over the rationals.  Dimensions above 12 raise
+    ValueError.
     """
     if not isinstance(matrix, RingMatrix):
         matrix = RingMatrix(matrix)
@@ -458,32 +468,57 @@ def _det_cofactor(matrix):
     where j_0 < j_1 < ... run over S, D(empty) = 1 and det = D(all
     columns).  Each of the at most 2^n column sets is expanded once, and
     zero entries are skipped, which keeps sparse graph matrices cheap.
+
+    The expansion runs on Python ints.  Row i is scaled by the common
+    denominator d_i of its coefficients, so every coefficient is an
+    integer, and the result is divided by d_0 d_1 ... d_{n-1} once at the
+    end.  Each exponent tuple is packed into one int, ``width`` bits per
+    variable, so multiplying two monomials adds their keys.  A term of
+    any minor takes one entry from each of its rows, so no exponent
+    exceeds the sum over rows of the row's largest exponent; ``width`` is
+    the bit length of that bound, and no field ever carries into the next.
     """
     n = matrix.n
-    rows = matrix.rows
-    zero = MultiPoly.zero(matrix.variables)
-    memo = {}
+    dens = [math.lcm(*(c.denominator for a in row for c in a.terms.values()))
+            for row in matrix.rows]
+    bound = sum(max((e for a in row for exps in a.terms for e in exps), default=0)
+                for row in matrix.rows)
+    width = max(bound.bit_length(), 1)
+    shifts = [width * k for k in range(len(matrix.variables))]
+    rows = [[{sum(e << s for e, s in zip(exps, shifts)): c.numerator * (d // c.denominator)
+              for exps, c in a.terms.items()} for a in row]
+            for row, d in zip(matrix.rows, dens)]
+    memo = {0: {0: 1}}
 
     def minor(colmask):
         if colmask in memo:
             return memo[colmask]
-        cols = [j for j in range(n) if colmask & (1 << j)]
-        i = n - len(cols)
-        if not cols:
-            return MultiPoly.constant(matrix.variables, 1)
-        acc = zero
+        row = rows[n - colmask.bit_count()]
+        acc = {}
         sign = 1
-        for k, j in enumerate(cols):
-            a = rows[i][j]
-            if not a.is_zero():
-                sub = minor(colmask & ~(1 << j))
-                term = a * sub
-                acc = acc + (term if sign > 0 else -term)
+        for j in range(n):
+            bit = 1 << j
+            if not colmask & bit:
+                continue
+            if row[j]:
+                sub = minor(colmask ^ bit)
+                for ka, ca in row[j].items():
+                    ca *= sign
+                    for ks, cs in sub.items():
+                        k = ka + ks
+                        acc[k] = acc.get(k, 0) + ca * cs
             sign = -sign
+        acc = {k: c for k, c in acc.items() if c}
         memo[colmask] = acc
         return acc
 
-    return minor((1 << n) - 1)
+    det = minor((1 << n) - 1)
+    scale = math.prod(dens)
+    mask = (1 << width) - 1
+    p = MultiPoly.zero(matrix.variables)
+    p.terms = {tuple((k >> s) & mask for s in shifts): Fraction(c, scale)
+               for k, c in det.items()}
+    return p
 
 
 def fraction_det(rows):

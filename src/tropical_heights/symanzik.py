@@ -18,6 +18,7 @@ third, purely numeric oracle through the weighted graph Laplacian.
 All polynomial arithmetic is exact over the rationals.
 """
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -123,13 +124,6 @@ class MomentumAssignment:
     def is_conserved(self):
         return all(x == 0 for x in self.total())
 
-    def partial_sum(self, vertices):
-        out = [Fraction(0)] * self.space.dim
-        for v in vertices:
-            for i, x in enumerate(self.vector(v)):
-                out[i] += x
-        return tuple(out)
-
     def __repr__(self):
         return f"MomentumAssignment(D={self.space.dim}, vertices={sorted(self.momenta)})"
 
@@ -203,17 +197,23 @@ def first_symanzik_det(graph, basis=None):
 def first_symanzik_trees(graph):
     """Kirchhoff polynomial by direct spanning-tree enumeration."""
     variables = _poly_vars(graph)
-    trees = spanning_trees(graph)
-    if not trees:
-        raise ValueError("graph has no spanning tree (disconnected input)")
     psi = MultiPoly.zero(variables)
-    all_edges = set(variables)
-    for t in trees:
-        term = MultiPoly.constant(variables, 1)
-        for e in sorted(all_edges - set(t)):
-            term = term * MultiPoly.variable(variables, e)
-        psi = psi + term
+    # Distinct trees have distinct complements, so each monomial occurs once.
+    psi.terms = {_complement(variables, t): Fraction(1) for t in spanning_trees(graph)}
     return psi
+
+
+def _complement(variables, edges):
+    """Exponent tuple of ``prod_{e not in edges} Y_e``."""
+    edges = set(edges)
+    return tuple(0 if e in edges else 1 for e in variables)
+
+
+def _scaled_to_ints(vectors):
+    """``(ints, d)``: the rational vectors times the least common
+    denominator d of their entries, as lists of ints."""
+    d = math.lcm(*(x.denominator for vec in vectors for x in vec))
+    return [[x.numerator * (d // x.denominator) for x in vec] for vec in vectors], d
 
 
 class MomentumLift:
@@ -393,23 +393,29 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     ``<p(F_1), p'(F_1)>  * prod_{e not in F} Y_e``; conservation makes the
     part choice immaterial, and the diagonal case reduces to
     ``-<p(F_1), p(F_2)>``.
+
+    The sums run on ints: each assignment and the pairing matrix are
+    scaled by their common denominators d1, d2 and dq, and since phi is
+    bilinear it is divided by d1 d2 dq once at the end.
     """
     if momenta2 is None:
         momenta2 = momenta1
     variables = _poly_vars(graph)
-    space = momenta1.space
-    phi = MultiPoly.zero(variables)
-    all_edges = set(variables)
+    qrows, dq = _scaled_to_ints(momenta1.space.matrix)
+    pairing = [(mu, nu, q) for mu, row in enumerate(qrows) for nu, q in enumerate(row) if q]
+    vertices = graph.vertices
+    vecs1, d1 = _scaled_to_ints([momenta1.vector(v) for v in vertices])
+    vecs2, d2 = _scaled_to_ints([momenta2.vector(v) for v in vertices])
+    rows1, rows2 = dict(zip(vertices, vecs1)), dict(zip(vertices, vecs2))
+    terms = {}
     for edges, (part1, _part2) in spanning_2forests(graph):
-        p1 = momenta1.partial_sum(part1)
-        p2 = momenta2.partial_sum(part1)
-        qf = space.pair(p1, p2)
-        if qf == 0:
-            continue
-        term = MultiPoly.constant(variables, qf)
-        for e in sorted(all_edges - set(edges)):
-            term = term * MultiPoly.variable(variables, e)
-        phi = phi + term
+        p1 = [sum(col) for col in zip(*(rows1[v] for v in part1))]
+        p2 = [sum(col) for col in zip(*(rows2[v] for v in part1))]
+        qf = sum(q * p1[mu] * p2[nu] for mu, nu, q in pairing)
+        if qf:
+            terms[_complement(variables, edges)] = Fraction(qf, d1 * d2 * dq)
+    phi = MultiPoly.zero(variables)
+    phi.terms = terms
     return phi
 
 

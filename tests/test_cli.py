@@ -330,3 +330,32 @@ def test_conservation_violation_is_input_error(capsys, tmp_path):
     code, _out, err = run(capsys, "symanzik", "second", "--graph", str(path))
     assert code == 2
     assert "conservation law" in err
+
+
+def test_repeated_main_calls_agree(capsys, triangle_path, banana_path):
+    # main reuses one parser; interleaved calls must not leak state.
+    calls = [("symanzik", "first", "--graph", triangle_path),
+             ("curve", "genus", "--graph", banana_path),
+             ("symanzik", "second", "--graph", triangle_path, "--method", "trees")]
+    first = [run(capsys, *argv) for argv in calls]
+    second = [run(capsys, *argv) for argv in calls]
+    assert first == second
+    assert [code for code, _out, _err in first] == [0, 0, 2]
+
+
+def test_disconnected_bundle_is_input_error(capsys, tmp_path):
+    path = tmp_path / "disconnected.json"
+    dump_json({
+        "vertices": ["v1", "v2", "v3"],
+        "edges": [{"id": "e1", "tail": "v1", "head": "v2"},
+                  {"id": "e2", "tail": "v3", "head": "v3"}],
+        "markings": [{"id": "l1", "vertex": "v1", "momentum": [1]},
+                     {"id": "l2", "vertex": "v2", "momentum": [-1]}],
+        "minkowski": {"dim": 1, "signature": "euclidean"},
+    }, path)
+    for which, method in (("first", "trees"), ("first", "det"), ("second", "forests")):
+        code, out, err = run(capsys, "symanzik", which, "--graph", str(path),
+                             "--method", method)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "disconnected" in err

@@ -114,10 +114,12 @@ def test_spanning_trees_counts():
     assert len(spanning_trees(k4)) == 16
 
 
-def test_spanning_trees_disconnected_warns_empty():
+def test_enumerations_reject_disconnected():
     g = Multigraph(["a", "b"], [])
-    with pytest.warns(UserWarning):
-        assert spanning_trees(g) == []
+    with pytest.raises(ValueError, match="disconnected"):
+        spanning_trees(g)
+    with pytest.raises(ValueError, match="disconnected"):
+        spanning_2forests(g)
 
 
 def test_spanning_2forests_triangle():

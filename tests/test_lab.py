@@ -132,6 +132,20 @@ def test_torus_point_roundtrip():
     assert wrapped.y == pytest.approx(pt.y, abs=1e-12)
 
 
+def test_torus_point_tiny_negative_wraps_to_zero():
+    # -1e-17 % 1.0 rounds to 1.0, which is 0.0 on the circle.
+    pt = TorusPoint(-1e-17, -1e-17)
+    assert (pt.x, pt.y) == (0.0, 0.0)
+    assert TorusPoint(0.3, -1e-17).y == 0.0
+
+
+def test_green_difference_rounding_to_one_is_zero():
+    # The y difference 1e-20 - 2e-20 is -1e-20, and -1e-20 % 1.0 is 1.0.
+    green = TorusGreen(0.8j)
+    got = green.value(TorusPoint(0.3, 1e-20), TorusPoint(0.1, 2e-20))
+    assert got == green.value(TorusPoint(0.3, 0.0), TorusPoint(0.1, 0.0))
+
+
 def test_green_symmetry_and_periodicity():
     rng = random.Random(3)
     for tau in (0.3 + 1.2j, 0.8j):

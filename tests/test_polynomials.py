@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropical_heights.polynomials import (MultiPoly, RingMatrix,
+from tropical_heights.polynomials import (MultiPoly, RingMatrix, bordered_det,
                                           det_fraction_free, fraction_det,
                                           poly_add, poly_eval, poly_mul)
 
@@ -130,6 +130,43 @@ def test_det_small_matches_leibniz():
                      for _ in range(n)] for _ in range(n)]
             m = RingMatrix(rows)
             assert m.det() == det_reference(rows)
+
+
+def rand_entry(rng, variables=VARS):
+    """Sparse entry: up to two terms of degree up to 3, coefficients with
+    either sign and denominators up to 6."""
+    p = MultiPoly.zero(variables)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        exps = [0] * len(variables)
+        for _ in range(rng.randint(0, 3)):
+            exps[rng.randrange(len(variables))] += 1
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 6), rng.randint(1, 6))
+        p = p + MultiPoly(variables, {tuple(exps): c})
+    return p
+
+
+def test_integer_kernel_matches_leibniz():
+    rng = random.Random(2024)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(6):
+            rows = [[rand_entry(rng) for _ in range(n)] for _ in range(n)]
+            assert det_fraction_free(rows) == det_reference(rows)
+            corner, *border = [rand_entry(rng) for _ in range(2 * n + 1)]
+            row, column = border[:n], border[n:]
+            bordered = [[corner, *row]] + [[c, *r] for c, r in zip(column, rows)]
+            assert bordered_det(corner, row, column, RingMatrix(rows)) == det_reference(bordered)
+
+
+def test_integer_kernel_exponents_past_four_bits():
+    # Y^9 * Y^9 = Y^18 needs a 5-bit field per variable.
+    y = MultiPoly.variable(VARS, "e2")
+    zero = MultiPoly.zero(VARS)
+    rows = [[Fraction(1, 3) * y ** 9, zero], [zero, -y ** 9]]
+    det = det_fraction_free(rows)
+    assert det == det_reference(rows)
+    assert str(det) == "-1/3*Y_e2^18"
+    rows = [[y ** 8 + 1, y], [y ** 7, y ** 8 - 1]]
+    assert det_fraction_free(rows) == det_reference(rows)
 
 
 def test_det_large_agrees():

@@ -283,6 +283,35 @@ def test_forest_route_matches_bordered():
     assert second_symanzik_bordered(banana13, mom) == second_symanzik_forests(banana13, mom)
 
 
+def test_forest_route_matches_bordered_on_k6_lorentzian():
+    rng = random.Random(6)
+    k6 = complete_graph(6)
+    lorentzian = MinkowskiSpace.lorentzian(4)
+    mom1 = random_conserved_momenta(rng, k6, lorentzian)
+    mom2 = random_conserved_momenta(rng, k6, lorentzian)
+    assert all(any(mom1.vector(v)) for v in k6.vertices)
+    phi = second_symanzik_bordered(k6, mom1)
+    assert len(phi.terms) == 1080
+    assert phi == second_symanzik_forests(k6, mom1)
+    assert second_symanzik_bordered(k6, mom1, mom2) == second_symanzik_forests(k6, mom1, mom2)
+
+
+def test_forest_route_matches_bordered_rational_pairing():
+    # Fractional momenta and a non-diagonal pairing with denominators, so
+    # phi by forests is divided by d1 * d2 * dq with every factor above 1.
+    rng = random.Random(77)
+    space = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+    for _ in range(12):
+        graph = random_connected_multigraph(rng, max_edges=7, max_vertices=5)
+        mom1 = random_conserved_momenta(rng, graph, space)
+        other = random_conserved_momenta(rng, graph, space)
+        mom2 = MomentumAssignment(space, {v: [Fraction(2, 5) * x for x in p]
+                                          for v, p in other.momenta.items()})
+        assert second_symanzik_bordered(graph, mom1) == second_symanzik_forests(graph, mom1)
+        assert (second_symanzik_bordered(graph, mom1, mom2)
+                == second_symanzik_forests(graph, mom1, mom2))
+
+
 def test_first_routes_agree_on_k6():
     k6 = complete_graph(6)
     assert first_betti(k6) == 10
