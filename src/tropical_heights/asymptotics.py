@@ -15,6 +15,10 @@ assumed: H equals the biextension log-norm of the translated point
 (:func:`height_via_orbit`), and H minus the tropical height
 ``2 pi phi/psi`` stays bounded along rays y = t d as t grows, provided
 the blocks are the geometric ones of a graph (:func:`graph_blocks`).
+The scan evaluates the heights of a whole t-grid as one stack of
+translated matrices, and the tropical height once per ray: phi has
+degree h+1 and psi degree h, so ``2 pi phi/psi`` at t d is t times its
+value at d.
 
 Admissible degenerating segments move y_e to infinity like
 Y_e / (2 pi alpha') while the horizontal coordinates may oscillate;
@@ -188,24 +192,38 @@ def _pairing_matrix(space, dim):
     return q
 
 
-def _accumulate(fixture, blocks, params, s):
+def _accumulate(fixture, blocks, yprime, s):
+    # yprime[..., k] is the offset of edge sorted(blocks)[k]; leading axes
+    # stack points.  Each point adds the blocks edge by edge, as a lone one.
     omega0, w0, z0, rho0 = fixture.evaluate(s)
-    order = sorted(blocks)
-    yprime = params.offsets(order)
+    lead = yprime.shape[:-1]
     g, d = fixture.genus, fixture.dim
-    a = omega0.imag.copy()
-    wmat = w0.imag.copy()
-    zmat = z0.imag.copy()
-    rmat = rho0.imag.copy()
-    for yp, e in zip(yprime, order):
+    a, wmat, zmat, rmat = (np.empty(lead + m.shape) for m in (omega0, w0, z0, rho0))
+    a[...], wmat[...], zmat[...], rmat[...] = omega0.imag, w0.imag, z0.imag, rho0.imag
+    for k, e in enumerate(sorted(blocks)):
         blk = blocks[e]
+        yp = yprime[..., k, None, None]
         a += yp * blk.mt
         wmat += yp * blk.w
         zmat += yp * blk.z
         rmat += yp * blk.gamma
-    if a.shape != (g, g) or wmat.shape != (d, g) or zmat.shape != (g, d) or rmat.shape != (d, d):
+    if (a.shape[-2:] != (g, g) or wmat.shape[-2:] != (d, g)
+            or zmat.shape[-2:] != (g, d) or rmat.shape[-2:] != (d, d)):
         raise ValueError("block shapes do not match the fixture's (genus, dim)")
     return a, wmat, zmat, rmat
+
+
+def _heights(fixture, blocks, yprime, space=None, s=None):
+    """Heights at a stack of offset vectors (last axis over ``sorted(blocks)``)."""
+    a, wmat, zmat, rmat = _accumulate(fixture, blocks, yprime, s)
+    q = _pairing_matrix(space, fixture.dim)
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("imaginary part of the translated period matrix is not "
+                         "positive definite at these coordinates") from exc
+    middle = wmat @ np.linalg.solve(a, zmat) if fixture.genus else np.zeros_like(rmat)
+    return 2.0 * math.pi * np.sum(q * (middle - rmat), axis=(-2, -1))
 
 
 def height_eval(fixture, blocks, params, space=None, s=None):
@@ -215,15 +233,7 @@ def height_eval(fixture, blocks, params, space=None, s=None):
     momentum pairing contracted over the d x d component matrices
     (identity when omitted, the scalar d = 1 case).
     """
-    a, wmat, zmat, rmat = _accumulate(fixture, blocks, params, s)
-    q = _pairing_matrix(space, fixture.dim)
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("imaginary part of the translated period matrix is not "
-                         "positive definite at these coordinates") from exc
-    middle = wmat @ np.linalg.solve(a, zmat) if fixture.genus else np.zeros_like(rmat)
-    return float(2.0 * math.pi * np.sum(q * (middle - rmat)))
+    return float(_heights(fixture, blocks, params.offsets(sorted(blocks)), space, s))
 
 
 def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
@@ -281,6 +291,26 @@ def _momentum_norm(momenta):
     return math.sqrt(sum(float(x) ** 2 for p in momenta.momenta.values() for x in p))
 
 
+def _scan_grid(ts):
+    ts = np.geomspace(1.0, 1.0e4, 25) if ts is None else np.asarray(ts, dtype=float)
+    if (ts.ndim != 1 or ts.size < 2 or not np.all(np.isfinite(ts)) or ts[0] <= 0
+            or np.any(np.diff(ts) <= 0)):
+        raise ValueError("ts must hold at least two finite, positive, strictly "
+                         "increasing values")
+    return ts
+
+
+def _ray_weights(direction, edges):
+    missing = sorted(e for e in edges if e not in direction)
+    if missing:
+        raise ValueError(f"ray has no weight for edges {missing}")
+    weights = {e: float(d) for e, d in direction.items()}
+    bad = [e for e, d in weights.items() if not (math.isfinite(d) and d > 0)]
+    if bad:
+        raise ValueError(f"ray weights must be finite and positive: {bad}")
+    return weights
+
+
 def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays=None,
                            ts=None, space=None, h0=0.0, tol_increment=1e-4, tol_rate=1e-6):
     """Scan ``height - tropical height`` along rays y = t * direction.
@@ -295,26 +325,31 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     does not grow with t, so a drifting remainder cannot raise its own
     threshold.  Blocks inconsistent with the graph (the negative
     controls) show a clean linear rate.
+
+    Each ray costs one stacked height evaluation over the whole grid and
+    one tropical height: phi/psi is homogeneous of degree 1, so the
+    tropical height at t * d is t times its value at d.  ``ts`` must hold
+    at least two finite, positive, strictly increasing values, and every
+    ray a finite positive weight on each edge; otherwise ValueError.
     """
     if blocks is None:
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
     if rays is None:
         rays = [{e: 1.0 for e in graph.edge_ids()}]
-    if ts is None:
-        ts = np.geomspace(1.0, 1.0e4, 25)
+    ts = _scan_grid(ts)
+    h0 = float(h0)
     scale = max(1.0, _momentum_norm(momenta1)
                 * _momentum_norm(momenta1 if momenta2 is None else momenta2))
+    order = sorted(blocks)
+    edges = set(order).union(graph.edge_ids())
     reports = []
     for direction in rays:
-        rem = []
-        for t in ts:
-            y = {e: h0 + t * float(d) for e, d in direction.items()}
-            params = EdgeParameters(y, h0=h0)
-            h = height_eval(fixture, blocks, params, space=space)
-            trop = tropical_height(graph, {e: t * float(d) for e, d in direction.items()},
-                                   momenta1, momenta2)
-            rem.append(h - trop)
-        rem = np.array(rem)
+        weights = _ray_weights(direction, edges)
+        y = h0 + np.outer(ts, [weights[e] for e in order])
+        if np.any(y <= h0):
+            raise ValueError(f"edge coordinates must exceed the base height {h0}")
+        h = _heights(fixture, blocks, y - h0, space)
+        rem = h - ts * tropical_height(graph, weights, momenta1, momenta2)
         increments = np.abs(np.diff(rem))
         rate = (rem[-1] - rem[-2]) / (ts[-1] - ts[-2])
         bounded = bool(increments[-1] <= tol_increment * scale

@@ -311,15 +311,13 @@ def spanning_2forests(graph):
     candidates = [e for e in graph.edge_ids() if not graph.is_loop(e)]
     out = []
     vmin = min(graph.vertices)
+    vertices = frozenset(graph.vertices)
     for subset in itertools.combinations(candidates, nv - 2):
         uf = _UnionFind(graph.vertices)
         if not all(uf.union(*graph.endpoints(e)) for e in subset):
             continue
-        comps = graph.components(edge_subset=frozenset(subset))
-        if len(comps) != 2:
-            continue
-        part0, part1 = comps
-        if vmin not in part0:
-            part0, part1 = part1, part0
-        out.append((subset, (part0, part1)))
+        # An acyclic set of |V|-2 edges leaves exactly two components.
+        root = uf.find(vmin)
+        part0 = frozenset(v for v in graph.vertices if uf.find(v) == root)
+        out.append((subset, (part0, vertices - part0)))
     return out

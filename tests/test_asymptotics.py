@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropical_heights import (
     AdmissibleSegment,
@@ -21,8 +23,11 @@ from tropical_heights import (
     height_via_orbit,
     limit_along_segment,
     symanzik_ratio_eval,
+    first_betti,
     tropical_height,
 )
+from tropical_heights.asymptotics import _heights
+from tropical_heights.corpus import random_conserved_momenta, random_connected_multigraph
 
 BANANA = Multigraph(["v1", "v2"], [("e1", "v1", "v2"), ("e2", "v1", "v2")])
 TRIANGLE = Multigraph(
@@ -203,6 +208,113 @@ def test_bounded_remainder_negative_control():
     assert not rep.bounded
     good = bounded_remainder_scan(BANANA, mom, mom, fx, ts=ts)[0]
     assert good.bounded
+
+
+def random_scan_case(rng):
+    """A random graph, momenta (two sides), a generic constant fixture of
+    the graph's genus and its geometric blocks."""
+    graph = random_connected_multigraph(rng)
+    space = rng.choice((D1, MinkowskiSpace.euclidean(2)))
+    mom1 = random_conserved_momenta(rng, graph, space)
+    mom2 = random_conserved_momenta(rng, graph, space) if rng.random() < 0.5 else mom1
+    g, d = first_betti(graph), space.dim
+    nrng = np.random.default_rng(rng.randrange(2**32))
+    sym = nrng.uniform(-0.2, 0.2, (g, g))
+    omega0 = 1j * (np.eye(g) + 0.1 * (sym + sym.T) / max(g, 1)) + (sym + sym.T)
+    fx = HolomorphicFixture.constant(
+        omega0,
+        w0=nrng.normal(size=(d, g)) + 1j * nrng.normal(size=(d, g)),
+        z0=nrng.normal(size=(g, d)) + 1j * nrng.normal(size=(g, d)),
+        rho0=nrng.normal(size=(d, d)) + 1j * nrng.normal(size=(d, d)),
+        dim=d,
+    )
+    blocks, _g = graph_blocks(graph, mom1, mom2)
+    return graph, space, mom1, mom2, fx, blocks
+
+
+def test_scan_matches_per_t_reference():
+    rng = random.Random(4242)
+    ts = np.geomspace(1.0, 1.0e4, 25)
+    for _ in range(25):
+        graph, space, mom1, mom2, fx, blocks = random_scan_case(rng)
+        h0 = rng.uniform(0.5, 3.0)
+        rays = [{e: 1.0 for e in graph.edge_ids()},
+                {e: rng.uniform(0.5, 2.0) for e in graph.edge_ids()}]
+        reports = bounded_remainder_scan(graph, mom1, mom2, fx, blocks=blocks, rays=rays,
+                                         space=space, h0=h0)
+        norms = [math.sqrt(sum(float(x) ** 2 for p in m.momenta.values() for x in p))
+                 for m in (mom1, mom2)]
+        scale = max(1.0, norms[0] * norms[1])
+        for direction, rep in zip(rays, reports):
+            rem = []
+            for t in ts:
+                params = EdgeParameters({e: h0 + t * d for e, d in direction.items()}, h0=h0)
+                h = height_eval(fx, blocks, params, space=space)
+                trop = tropical_height(graph, {e: t * d for e, d in direction.items()},
+                                       mom1, mom2)
+                rem.append(h - trop)
+            increment = abs(rem[-1] - rem[-2])
+            rate = (rem[-1] - rem[-2]) / (ts[-1] - ts[-2])
+            bounded = increment <= 1e-4 * scale and abs(rate) <= 1e-6 * scale
+            assert rep.direction == direction
+            assert rep.sup_abs == pytest.approx(max(map(abs, rem)), rel=1e-9)
+            assert abs(rep.final_increment - increment) <= 1e-8 * scale
+            assert abs(rep.linear_rate - rate) * ts[-1] <= 1e-8 * scale
+            assert rep.bounded == bounded
+
+
+def test_stacked_heights_match_height_eval_bitwise():
+    rng = random.Random(99)
+    for _ in range(20):
+        graph, space, _m1, _m2, fx, blocks = random_scan_case(rng)
+        order = sorted(blocks)
+        yprime = np.array([[[rng.uniform(0.1, 1e3) for _e in order] for _j in range(4)]
+                           for _i in range(3)])
+        stacked = _heights(fx, blocks, yprime, space)
+        assert stacked.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                params = EdgeParameters(dict(zip(order, yprime[i, j])))
+                assert stacked[i, j] == height_eval(fx, blocks, params, space=space)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_t=st.floats(-3.0, 7.0))
+def test_tropical_height_is_homogeneous(seed, log_t):
+    rng = random.Random(seed)
+    graph = random_connected_multigraph(rng)
+    mom = random_conserved_momenta(rng, graph, rng.choice((D1, MinkowskiSpace.euclidean(2))))
+    d = {e: rng.uniform(0.5, 2.0) for e in graph.edge_ids()}
+    t = 10.0 ** log_t
+    scaled = tropical_height(graph, {e: t * v for e, v in d.items()}, mom)
+    assert scaled == pytest.approx(t * tropical_height(graph, d, mom), rel=1e-12)
+
+
+@pytest.mark.parametrize("ts", [[1.0], [5.0, 5.0], [float("nan"), 1.0, 2.0],
+                                [1.0, float("inf")], [3.0, 2.0, 1.0], [0.0, 1.0]],
+                         ids=["one-point", "repeated", "nan", "inf", "decreasing", "zero"])
+def test_scan_rejects_bad_grid(ts):
+    mom = banana_momenta(1)
+    fx = HolomorphicFixture.constant([[1j]])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        bounded_remainder_scan(BANANA, mom, mom, fx, ts=ts)
+
+
+@pytest.mark.parametrize("ray", [{"e1": float("nan"), "e2": 1.0}, {"e1": float("inf"), "e2": 1.0},
+                                 {"e1": 0.0, "e2": 1.0}, {"e1": -1.0, "e2": 1.0}],
+                         ids=["nan", "inf", "zero", "negative"])
+def test_scan_rejects_bad_ray_weight(ray):
+    mom = banana_momenta(1)
+    fx = HolomorphicFixture.constant([[1j]])
+    with pytest.raises(ValueError, match="finite and positive"):
+        bounded_remainder_scan(BANANA, mom, mom, fx, rays=[ray])
+
+
+def test_scan_rejects_ray_missing_an_edge():
+    mom = banana_momenta(1)
+    fx = HolomorphicFixture.constant([[1j]])
+    with pytest.raises(ValueError, match="no weight for edges"):
+        bounded_remainder_scan(BANANA, mom, mom, fx, rays=[{"e1": 1.0}])
 
 
 def test_limit_along_segment_banana():
