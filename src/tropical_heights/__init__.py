@@ -10,8 +10,8 @@ from .polynomials import MultiPoly, RingMatrix, Rational, poly_add, poly_mul, \
     poly_eval, det_fraction_free, fraction_det
 from .graphs import Multigraph, CycleVector, CycleBasis, cycle_basis, \
     boundary_matrix, spanning_trees, spanning_2forests, first_betti, designated_tree
-from .symanzik import MinkowskiSpace, MomentumAssignment, EdgeQuadratic, MomentumLift, \
-    edge_quadratics, first_symanzik_det, first_symanzik_trees, momentum_lift, \
+from .symanzik import MinkowskiSpace, MomentumAssignment, MomentumLift, \
+    first_symanzik_det, first_symanzik_trees, momentum_lift, \
     second_symanzik_bordered, second_symanzik_forests, symanzik_ratio_eval, \
     resistance_oracle
 from .curves import Marking, StableCurve, DeformationDimensions, is_stable, \

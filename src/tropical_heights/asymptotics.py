@@ -169,9 +169,11 @@ def graph_blocks(graph, momenta1, momenta2=None, basis=None):
     dim = momenta1.space.dim
     lift1 = momentum_lift(graph, momenta1)
     lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
+    edges = graph.edge_ids()
+    cmat = np.array(basis.matrix(), dtype=float).reshape(g, len(edges))
     blocks = {}
-    for e in graph.edge_ids():
-        c = np.array([cyc.coefficient(e) for cyc in basis.cycles], dtype=float)
+    for k, e in enumerate(edges):
+        c = cmat[:, k]
         om1 = np.array([float(x) for x in lift1.vector(e)])
         om2 = np.array([float(x) for x in lift2.vector(e)])
         blocks[e] = EdgeBlocks(
@@ -272,9 +274,9 @@ def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
     return float(total)
 
 
-def tropical_height(graph, y, momenta1, momenta2=None, method="schur"):
+def tropical_height(graph, y, momenta1, momenta2=None):
     """2 pi times the momentum/Kirchhoff ratio at edge weights y."""
-    return 2.0 * math.pi * symanzik_ratio_eval(graph, y, momenta1, momenta2, method=method)
+    return 2.0 * math.pi * symanzik_ratio_eval(graph, y, momenta1, momenta2)
 
 
 class RayReport(NamedTuple):
@@ -383,6 +385,10 @@ class AdmissibleSegment:
         norm = {}
         for e, spec in edges.items():
             spec = spec if isinstance(spec, SegmentEdge) else SegmentEdge(**spec)
+            for field, value in spec._asdict().items():
+                if not math.isfinite(value):
+                    raise ValueError(f"segment edge {e!r} field {field!r} must be finite, "
+                                     f"got {value}")
             if spec.y_scale <= 0:
                 raise ValueError(f"segment edge {e!r} needs a positive vertical scale")
             norm[str(e)] = spec
@@ -443,13 +449,17 @@ def limit_along_segment(graph, momenta1, momenta2, fixture, segment, blocks=None
 
     Converges to the momentum/Kirchhoff ratio ``phi/psi`` at the
     segment's direction Y; the tests compare against
-    :func:`~tropical_heights.symanzik.symanzik_ratio_eval` there.
+    :func:`~tropical_heights.symanzik.symanzik_ratio_eval` there.  The
+    schedule must hold at least two finite, positive, pairwise distinct
+    values; otherwise ValueError.
     """
     if blocks is None:
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
     alphas = tuple(float(a) for a in schedule)
-    if len(alphas) < 2 or any(a <= 0 for a in alphas):
-        raise ValueError("schedule must contain at least two positive values")
+    if (len(alphas) < 2 or not all(math.isfinite(a) and a > 0 for a in alphas)
+            or len(set(alphas)) != len(alphas)):
+        raise ValueError("schedule must contain at least two positive values, "
+                         "all finite and pairwise distinct")
     samples = []
     for alpha in alphas:
         params = EdgeParameters(segment.vertical(alpha), h0=0.0)

@@ -374,7 +374,8 @@ def main(argv=None):
     except jsonio.SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
+        # OverflowError: a rational input too large to convert to a float.
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

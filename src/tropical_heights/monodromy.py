@@ -28,7 +28,7 @@ crossing-derived momentum lifts.
 from fractions import Fraction
 
 from .graphs import designated_tree
-from .symanzik import MomentumLift, MomentumAssignment, edge_quadratics, momentum_lift
+from .symanzik import MomentumLift, MomentumAssignment, momentum_lift
 
 
 def _std_symplectic_pairing(x, y):
@@ -284,22 +284,21 @@ def translation_block_check(basis, vc, sc, p1, p2, space, lift1=None, lift2=None
     h = len(basis)
     if vc.genus < h:
         raise ValueError(f"vanishing-cycle genus {vc.genus} is below the graph's h = {h}")
-    quads = {q.edge_id: q.coeffs for q in edge_quadratics(basis)}
+    cmat = basis.matrix()
     failures = []
-    for e in graph.edge_ids():
+    for k, e in enumerate(graph.edge_ids()):
         c = vc.vector(e)
         s1 = sc.weighted_sum(e, 1, pm1, dim)
         s2 = sc.weighted_sum(e, 2, pm2, dim)
         om1 = lift1.vector(e)
         om2 = lift2.vector(e)
-        gq = quads[e]
         for i in range(h):
             lhs = tuple(c[i] * x for x in s1)             # (Zt p1)_i
-            rhs = tuple(-gq[i] * x for x in om1)          # -W_e(omega1)_i
+            rhs = tuple(-cmat[i][k] * x for x in om1)     # -W_e(omega1)_i
             if lhs != rhs:
                 failures.append((e, "Zt*p1", i, lhs, rhs))
             lhs = tuple(-c[i] * x for x in s2)            # (p2 Wt)_i
-            rhs = tuple(gq[i] * x for x in om2)           # W_e(omega2)_i
+            rhs = tuple(cmat[i][k] * x for x in om2)      # W_e(omega2)_i
             if lhs != rhs:
                 failures.append((e, "p2*Wt", i, lhs, rhs))
         for i in range(h, vc.genus):
@@ -328,8 +327,9 @@ def consistent_fixture(graph, basis, space, sections1, sections2, rng,
     the pushed-down vertex momenta.
     """
     h = len(basis)
+    cmat = basis.matrix()
     vc = VanishingCycleData(h, {
-        e: tuple(-c.coefficient(e) for c in basis.cycles) for e in graph.edge_ids()
+        e: tuple(-row[k] for row in cmat) for k, e in enumerate(graph.edge_ids())
     })
     base = min(graph.vertices)
     tree = designated_tree(graph)

@@ -12,6 +12,12 @@ the height pairing:
   chosen inner product, equal to a sum of determinants of M bordered by
   a lift omega of the external momenta and the edge pairing.
 
+Every entry of M, of its borders and of their corners is a linear form
+``sum_e a_e Y_e``; each is written in one step from the cycle
+coefficients c_{e,i} of :meth:`~tropical_heights.graphs.CycleBasis.matrix`,
+the one place that table is built.  On a tree (h = 0) M is empty and
+phi is the sum of the corners.
+
 Both polynomials come with two independent algorithms each (forest
 enumeration vs. exact determinant), and the ratio ``phi/psi`` has a
 third, purely numeric oracle through the weighted graph Laplacian.
@@ -20,13 +26,12 @@ All polynomial arithmetic is exact over the rationals.
 
 import math
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import cycle_basis, designated_tree, boundary_matrix, spanning_trees, \
-    spanning_2forests, first_betti
-from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free, Rational
+    spanning_2forests
+from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free
 
 
 def _as_fraction_vector(vec, dim):
@@ -128,61 +133,25 @@ class MomentumAssignment:
         return f"MomentumAssignment(D={self.space.dim}, vertices={sorted(self.momenta)})"
 
 
-class EdgeQuadratic(NamedTuple):
-    """Coefficients of one edge in each basis cycle (one int per cycle)."""
-
-    edge_id: str
-    coeffs: tuple
-
-
-def edge_quadratics(basis):
-    """Per-edge cycle coefficients c_{e,i} for a given cycle basis.
-
-    One entry per edge of the underlying graph, in lexicographic edge-id
-    order; ``coeffs[i]`` is the coefficient of the edge in basis cycle i.
-    """
-    graph = basis.graph
-    return [
-        EdgeQuadratic(e, tuple(c.coefficient(e) for c in basis.cycles))
-        for e in graph.edge_ids()
-    ]
-
-
-def _poly_vars(graph):
-    return graph.edge_ids()
-
-def _edge_variable(graph, eid):
-    return MultiPoly.variable(_poly_vars(graph), eid)
-
-
 def cycle_gram_matrix(graph, basis=None):
     """RingMatrix ``M = sum_e Y_e c_e c_e^T`` over the cycle basis.
 
-    Returns None for trees (h = 0), where the matrix is empty and its
-    determinant is 1 by convention.
+    Entry (i, j) is the linear form ``sum_e c_{e,i} c_{e,j} Y_e`` read
+    off the basis' coefficient table.  Returns None for trees (h = 0),
+    where the matrix is empty and its determinant is 1 by convention.
     """
     if basis is None:
         basis = cycle_basis(graph)
     h = len(basis)
     if h == 0:
         return None
-    variables = _poly_vars(graph)
-    quads = edge_quadratics(basis)
-    rows = [[MultiPoly.zero(variables) for _ in range(h)] for _ in range(h)]
-    for q in quads:
-        y = MultiPoly.variable(variables, q.edge_id)
-        for i in range(h):
-            ci = q.coeffs[i]
-            if ci == 0:
-                continue
-            for j in range(i, h):
-                cj = q.coeffs[j]
-                if cj == 0:
-                    continue
-                rows[i][j] = rows[i][j] + (ci * cj) * y
+    variables = graph.edge_ids()
+    cmat = basis.matrix()
+    rows = [[None] * h for _ in range(h)]
     for i in range(h):
-        for j in range(i):
-            rows[i][j] = rows[j][i]
+        for j in range(i, h):
+            rows[i][j] = rows[j][i] = _linear_form(
+                variables, [a * b for a, b in zip(cmat[i], cmat[j])])
     return RingMatrix(rows)
 
 
@@ -190,13 +159,13 @@ def first_symanzik_det(graph, basis=None):
     """Kirchhoff polynomial as det of the cycle Gram matrix (exact)."""
     m = cycle_gram_matrix(graph, basis)
     if m is None:
-        return MultiPoly.constant(_poly_vars(graph), 1)
+        return MultiPoly.constant(graph.edge_ids(), 1)
     return det_fraction_free(m)
 
 
 def first_symanzik_trees(graph):
     """Kirchhoff polynomial by direct spanning-tree enumeration."""
-    variables = _poly_vars(graph)
+    variables = graph.edge_ids()
     psi = MultiPoly.zero(variables)
     # Distinct trees have distinct complements, so each monomial occurs once.
     psi.terms = {_complement(variables, t): Fraction(1) for t in spanning_trees(graph)}
@@ -207,6 +176,15 @@ def _complement(variables, edges):
     """Exponent tuple of ``prod_{e not in edges} Y_e``."""
     edges = set(edges)
     return tuple(0 if e in edges else 1 for e in variables)
+
+
+def _linear_form(variables, coeffs):
+    """``sum_k coeffs[k] * Y_{variables[k]}`` as one terms dict, zeros dropped."""
+    n = len(variables)
+    p = MultiPoly.zero(variables)
+    p.terms = {tuple(int(j == k) for j in range(n)): Fraction(a)
+               for k, a in enumerate(coeffs) if a}
+    return p
 
 
 def _scaled_to_ints(vectors):
@@ -300,43 +278,6 @@ def momentum_lift(graph, momenta):
     return MomentumLift(graph, momenta.space, omega)
 
 
-def edge_pairing_polynomial(graph, lift1, lift2):
-    """``Q = sum_e Y_e <omega1_e, omega2_e>`` as an exact polynomial."""
-    variables = _poly_vars(graph)
-    space = lift1.space
-    out = MultiPoly.zero(variables)
-    for e in graph.edge_ids():
-        val = space.pair(lift1.vector(e), lift2.vector(e))
-        if val != 0:
-            out = out + val * MultiPoly.variable(variables, e)
-    return out
-
-
-def _border_vectors(graph, basis, lift):
-    """W_i(omega), one V-valued linear polynomial per basis cycle.
-
-    Returned as a list over cycles of tuples over coordinates of
-    MultiPoly: ``W[i][mu] = sum_e c_{e,i} omega_{e,mu} Y_e``.
-    """
-    variables = _poly_vars(graph)
-    quads = edge_quadratics(basis)
-    h = len(basis)
-    dim = lift.space.dim
-    out = [[MultiPoly.zero(variables) for _ in range(dim)] for _ in range(h)]
-    for q in quads:
-        vec = lift.vector(q.edge_id)
-        if not any(vec):
-            continue
-        y = MultiPoly.variable(variables, q.edge_id)
-        for i, ci in enumerate(q.coeffs):
-            if ci == 0:
-                continue
-            for mu in range(dim):
-                if vec[mu] != 0:
-                    out[i][mu] = out[i][mu] + (ci * vec[mu]) * y
-    return out
-
-
 def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=None,
                              lift2=None):
     """Momentum polynomial as a sum of bordered determinants (exact).
@@ -350,9 +291,10 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
                                                   [W_nu(omega2), M]].
 
     That is one determinant of size h + 1 per nonzero pairing entry.  On
-    a tree (h = 0) phi is the edge pairing polynomial.  With ``momenta2``
-    omitted this is the usual quadratic momentum polynomial; with both
-    given it is the symmetric bilinear version.
+    a tree (h = 0) the determinant is its corner, so phi is
+    ``sum q_{mu nu} Q_{mu nu}``.  With ``momenta2`` omitted this is the
+    usual quadratic momentum polynomial; with both given it is the
+    symmetric bilinear version.
     """
     if basis is None:
         basis = cycle_basis(graph)
@@ -364,25 +306,29 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
         lift1 = momentum_lift(graph, momenta1)
     if lift2 is None:
         lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
+    variables = graph.edge_ids()
+    cmat = basis.matrix()
     m = cycle_gram_matrix(graph, basis)
-    if m is None:
-        return edge_pairing_polynomial(graph, lift1, lift2)
-    variables = _poly_vars(graph)
-    w1 = _border_vectors(graph, basis, lift1)
-    w2 = _border_vectors(graph, basis, lift2)
+    om1 = [lift1.vector(e) for e in variables]
+    om2 = [lift2.vector(e) for e in variables]
+
+    def border(omegas, mu):
+        # W_mu(omega), one linear form per basis cycle.
+        return [_linear_form(variables, [c * w[mu] for c, w in zip(row, omegas)])
+                for row in cmat]
+
+    dim = momenta1.space.dim
+    w1 = [border(om1, mu) for mu in range(dim)]
+    w2 = w1 if lift2 is lift1 else [border(om2, nu) for nu in range(dim)]
     phi = MultiPoly.zero(variables)
     for mu, qrow in enumerate(momenta1.space.matrix):
         for nu, q in enumerate(qrow):
             if q == 0:
                 continue
-            corner = MultiPoly.zero(variables)
-            for e in graph.edge_ids():
-                x = lift1.vector(e)[mu] * lift2.vector(e)[nu]
-                if x != 0:
-                    corner = corner + x * MultiPoly.variable(variables, e)
-            row = [w[mu] for w in w1]
-            column = [w[nu] for w in w2]
-            phi = phi + q * bordered_det(corner, row, column, m)
+            term = _linear_form(variables, [a[mu] * b[nu] for a, b in zip(om1, om2)])
+            if m is not None:
+                term = bordered_det(term, w1[mu], w2[nu], m)
+            phi = phi + q * term
     return phi
 
 
@@ -400,7 +346,7 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     """
     if momenta2 is None:
         momenta2 = momenta1
-    variables = _poly_vars(graph)
+    variables = graph.edge_ids()
     qrows, dq = _scaled_to_ints(momenta1.space.matrix)
     pairing = [(mu, nu, q) for mu, row in enumerate(qrows) for nu, q in enumerate(row) if q]
     vertices = graph.vertices
@@ -438,7 +384,7 @@ def _lift_array(lift, order):
     return np.array([[float(x) for x in lift.vector(e)] for e in order])
 
 
-def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur", basis=None):
+def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur"):
     """Numeric value of ``phi/psi`` at positive edge weights ``y``.
 
     Parameters
@@ -451,15 +397,14 @@ def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur", basis
     """
     if momenta2 is None:
         momenta2 = momenta1
+    if method not in ("schur", "polynomial"):
+        raise ValueError(f"unknown method {method!r} (expected 'schur' or 'polynomial')")
+    basis = cycle_basis(graph)
     if method == "polynomial":
         psi = first_symanzik_det(graph, basis)
         phi = second_symanzik_bordered(graph, momenta1, momenta2, basis=basis)
         assign = {e: float(v) for e, v in y.items()}
         return float(phi.evaluate(assign)) / float(psi.evaluate(assign))
-    if method != "schur":
-        raise ValueError(f"unknown method {method!r} (expected 'schur' or 'polynomial')")
-    if basis is None:
-        basis = cycle_basis(graph)
     order, vals = _edge_values(graph, y)
     lift1 = momentum_lift(graph, momenta1)
     lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
@@ -471,7 +416,7 @@ def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur", basis
     h = len(basis)
     if h == 0:
         return qterm
-    cmat = np.array([[c.coefficient(e) for e in order] for c in basis.cycles], dtype=float)
+    cmat = np.array(basis.matrix(), dtype=float)
     m = (cmat * vals) @ cmat.T
     w1 = (cmat * vals) @ om1
     w2 = (cmat * vals) @ om2

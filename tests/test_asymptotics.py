@@ -379,3 +379,22 @@ def test_segment_validation():
     segment = AdmissibleSegment({"e1": {"y_scale": 1.0}, "e2": {"y_scale": 1.0}})
     with pytest.raises(ValueError, match="at least two positive"):
         limit_along_segment(BANANA, mom, mom, fx, segment, schedule=(1e-2,))
+
+
+@pytest.mark.parametrize("schedule", [(1e-2, math.nan), (1e-2, math.inf),
+                                      (1e-2, 1e-2), (1e-2, 1e-3, 1e-2)])
+def test_segment_schedule_must_be_finite_and_distinct(schedule):
+    mom = banana_momenta(3)
+    fx = HolomorphicFixture.constant([[1j]])
+    segment = AdmissibleSegment({"e1": {"y_scale": 1.0}, "e2": {"y_scale": 1.0}})
+    with pytest.raises(ValueError, match="finite and pairwise distinct"):
+        limit_along_segment(BANANA, mom, mom, fx, segment, schedule=schedule)
+
+
+@pytest.mark.parametrize("field", ["y_scale", "phase_amplitude", "phase_frequency",
+                                   "phase_offset", "imag_offset"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_segment_fields_must_be_finite(field, value):
+    spec = {"y_scale": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"field '{field}' must be finite"):
+        AdmissibleSegment({"e1": spec})

@@ -238,6 +238,23 @@ def test_limit_eval(capsys, tmp_path, banana_path):
     assert len(report["samples"]) == 3
 
 
+def test_limit_eval_nonfinite_segment_names_field(capsys, tmp_path, banana_path):
+    fixture = tmp_path / "fixture.json"
+    dump_json(
+        {"genus": 1, "dim": 1, "edge_ids": [],
+         "terms": [{"field": "omega", "coeff": [[[0.0, 1.0]]]}]},
+        fixture,
+    )
+    segment = tmp_path / "segment.json"
+    segment.write_text('{"edges": {"e1": {"y_scale": NaN}, "e2": {"y_scale": 1.0}}}')
+    code, out, err = run(
+        capsys, "limit", "eval", "--graph", banana_path,
+        "--fixture", str(fixture), "--segment", str(segment),
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "'y_scale' must be finite" in err
+
+
 def test_lab_torus_limit(capsys, tmp_path):
     family = tmp_path / "family.json"
     dump_json(
@@ -275,6 +292,63 @@ def test_lab_torus_limit_extreme_length_fails_loudly(capsys, tmp_path):
     code, out, err = run(capsys, "lab", "torus-limit", "--family", str(family))
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "Im(tau)" in err
+
+
+@pytest.fixture()
+def huge_banana_path(tmp_path):
+    # Exact momenta beyond the float range: fine for the exact polynomials,
+    # out of range for every float evaluation.
+    path = tmp_path / "huge.json"
+    dump_json({
+        "vertices": ["v1", "v2"],
+        "edges": [{"id": "e1", "tail": "v1", "head": "v2"},
+                  {"id": "e2", "tail": "v2", "head": "v1"}],
+        "markings": [{"id": "l1", "vertex": "v1", "momentum": ["1e400"]},
+                     {"id": "l2", "vertex": "v2", "momentum": ["-1e400"]}],
+        "minkowski": {"dim": 1, "signature": "euclidean"},
+    }, path)
+    return str(path)
+
+
+def _assert_one_line_input_error(result):
+    code, out, err = result
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("input error:")
+
+
+def test_symanzik_ratio_out_of_range_momenta(capsys, huge_banana_path):
+    _assert_one_line_input_error(run(capsys, "symanzik", "ratio", "--graph",
+                                     huge_banana_path, "--y", "e1=1,e2=1"))
+
+
+def test_symanzik_second_evaluated_out_of_range_momenta(capsys, huge_banana_path):
+    _assert_one_line_input_error(run(capsys, "symanzik", "second", "--graph",
+                                     huge_banana_path, "--y", "e1=1,e2=1"))
+    # The exact polynomial itself is printable.
+    code, out, _ = run(capsys, "symanzik", "second", "--graph", huge_banana_path)
+    assert code == 0 and out.endswith("*Y_e1*Y_e2")
+
+
+def _torus_family(tmp_path, y_total, momentum):
+    family = tmp_path / "family.json"
+    dump_json({
+        "y_total": y_total,
+        "divisor1": [{"c": 0, "momentum": [momentum]},
+                     {"c": "1/2", "momentum": ["-" + momentum]}],
+        "divisor2": [{"c": "1/8", "momentum": [1]},
+                     {"c": "3/8", "momentum": [-1]}],
+    }, family)
+    return str(family)
+
+
+def test_lab_torus_limit_out_of_range_length(capsys, tmp_path):
+    family = _torus_family(tmp_path, "1e400", "1")
+    _assert_one_line_input_error(run(capsys, "lab", "torus-limit", "--family", family))
+
+
+def test_lab_torus_limit_out_of_range_momentum(capsys, tmp_path):
+    family = _torus_family(tmp_path, 1, "1e400")
+    _assert_one_line_input_error(run(capsys, "lab", "torus-limit", "--family", family))
 
 
 def test_lab_crossratio(capsys):

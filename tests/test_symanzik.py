@@ -16,7 +16,6 @@ from tropical_heights import (
     MultiPoly,
     cycle_basis,
     designated_tree,
-    edge_quadratics,
     first_betti,
     first_symanzik_det,
     first_symanzik_trees,
@@ -128,11 +127,19 @@ def test_triangle_frozen():
     assert symanzik_ratio_eval(TRIANGLE, y, mom) == pytest.approx(4 / 3)
 
 
-def test_edge_quadratics_banana():
-    quads = edge_quadratics(cycle_basis(BANANA))
-    by_edge = {q.edge_id: q.coeffs for q in quads}
-    assert by_edge["e1"] == (-1,)
-    assert by_edge["e2"] == (1,)
+def test_cycle_basis_matrix():
+    assert cycle_basis(BANANA).matrix() == [[-1, 1]]
+    rng = random.Random(17)
+    for _ in range(30):
+        graph = random_connected_multigraph(rng, max_edges=7, max_vertices=5)
+        basis = cycle_basis(graph)
+        edges = graph.edge_ids()
+        table = basis.matrix()
+        assert len(table) == len(basis) == first_betti(graph)
+        for row, cyc in zip(table, basis.cycles):
+            assert row == [cyc.coefficient(e) for e in edges]
+            # Each row is a cycle: zero boundary at every vertex.
+            assert CycleVector(dict(zip(edges, row))).is_cycle(graph)
 
 
 def test_first_counts_trees_at_unit_lengths():
@@ -281,6 +288,26 @@ def test_forest_route_matches_bordered():
     banana13 = banana_graph(13)
     mom = random_conserved_momenta(rng, banana13, D1)
     assert second_symanzik_bordered(banana13, mom) == second_symanzik_forests(banana13, mom)
+
+
+def test_forest_route_matches_bordered_on_trees():
+    # h = 0: phi is the sum of the corners q_mn * sum_e Y_e omega1_em omega2_en.
+    rng = random.Random(808)
+    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+    for space in (MinkowskiSpace.lorentzian(4), rational):
+        checked = 0
+        while checked < 10:
+            graph = random_connected_multigraph(rng, max_edges=5, max_vertices=6)
+            if first_betti(graph):
+                continue
+            mom1 = random_conserved_momenta(rng, graph, space)
+            other = random_conserved_momenta(rng, graph, space)
+            mom2 = MomentumAssignment(space, {v: [Fraction(3, 7) * x for x in p]
+                                              for v, p in other.momenta.items()})
+            assert second_symanzik_bordered(graph, mom1) == second_symanzik_forests(graph, mom1)
+            assert (second_symanzik_bordered(graph, mom1, mom2)
+                    == second_symanzik_forests(graph, mom1, mom2))
+            checked += 1
 
 
 def test_forest_route_matches_bordered_on_k6_lorentzian():
