@@ -17,18 +17,10 @@ import functools
 import json
 import sys
 import time
-from fractions import Fraction
 
-from . import corpus as corpus_mod
+# Each subcommand imports its own layers, so a cold process loads only
+# what it runs (the exact ones never load numpy).
 from . import jsonio
-from .asymptotics import limit_along_segment
-from .curves import arithmetic_genus, deformation_dimensions, is_stable
-from .graphs import cycle_basis, first_betti
-from .monodromy import build_Ne, translation_block_check
-from .poincare import log_norm
-from .symanzik import (first_symanzik_det, first_symanzik_trees,
-                       second_symanzik_bordered, second_symanzik_forests,
-                       symanzik_ratio_eval)
 
 CHECK_FAIL = 1
 INPUT_ERROR = 2
@@ -102,6 +94,9 @@ def _require_momenta(bundle, flag_context):
 # symanzik
 
 def _cmd_symanzik(args):
+    from .symanzik import (first_symanzik_det, first_symanzik_trees,
+                           second_symanzik_bordered, second_symanzik_forests,
+                           symanzik_ratio_eval)
     bundle = jsonio.load_graph_bundle(args.graph)
     graph = bundle.graph
     y = _parse_y(args.y, graph) if args.y else None
@@ -168,6 +163,7 @@ def _render(value, y):
 # curve
 
 def _cmd_curve(args):
+    from .curves import arithmetic_genus, deformation_dimensions, is_stable
     bundle = jsonio.load_graph_bundle(args.graph)
     curve = bundle.curve()
     if args.which == "stability":
@@ -185,6 +181,9 @@ def _cmd_curve(args):
 # monodromy
 
 def _cmd_monodromy(args):
+    from .graphs import cycle_basis, first_betti
+    from .monodromy import build_Ne, translation_block_check
+    from .symanzik import MinkowskiSpace
     bundle = jsonio.load_graph_bundle(args.graph)
     vc, sc = jsonio.monodromy_fixture_from_json(jsonio.load_json(args.fixture))
     graph = bundle.graph
@@ -200,7 +199,6 @@ def _cmd_monodromy(args):
     dim = bundle.momentum_dimension()
     space = bundle.space
     if space is None:
-        from .symanzik import MinkowskiSpace
         space = MinkowskiSpace.euclidean(dim)
     p1 = {l: momenta[l] for l in sc.sections1}
     p2 = {l: momenta[l] for l in sc.sections2}
@@ -250,12 +248,14 @@ def _mat_mul(a, b):
 # poincare / limit / lab / corpus
 
 def _cmd_poincare(args):
+    from .poincare import log_norm
     point = jsonio.biextension_point_from_json(jsonio.load_json(args.point))
     _emit(log_norm(point))
     return 0
 
 
 def _cmd_limit(args):
+    from .asymptotics import limit_along_segment
     bundle = jsonio.load_graph_bundle(args.graph)
     fixture = jsonio.holomorphic_fixture_from_json(jsonio.load_json(args.fixture))
     segment = jsonio.segment_from_json(jsonio.load_json(args.segment))
@@ -290,8 +290,9 @@ def _cmd_lab_crossratio(args):
 
 
 def _cmd_corpus(args):
+    from .corpus import corpus_run
     t0 = time.monotonic()
-    report = corpus_mod.corpus_run(args.directory, threads=args.threads)
+    report = corpus_run(args.directory, threads=args.threads)
     print(f"corpus run: {report['summary']['total']} graphs in "
           f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
     _emit(report)

@@ -19,9 +19,7 @@ and returns a deterministic machine-readable report.
 
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
 from .graphs import Multigraph
@@ -252,6 +250,7 @@ def corpus_run(directory, threads=None):
         return row
 
     if files:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=_worker_count(threads)) as pool:
             rows = list(pool.map(run_one, files))
     else:
@@ -355,6 +354,7 @@ def bundled_corpus():
 
 def corpus_data_dir():
     """Path of the bundled corpus directory inside the package."""
+    from importlib import resources
     return Path(resources.files("tropical_heights") / "data" / "corpus")
 
 

@@ -25,12 +25,12 @@ import json
 import math
 from fractions import Fraction
 
-from .asymptotics import AdmissibleSegment, HolomorphicFixture, SegmentEdge
+# Only the exact layers are imported here.  The parsers of monodromy
+# fixtures and of numeric objects (biextension points, holomorphic fixtures,
+# segments, families) import their layer when called, so that loading a
+# graph bundle does not load numpy.
 from .curves import Marking, StableCurve
 from .graphs import Multigraph
-from .lab import DegenerationFamily
-from .monodromy import SectionCrossingData, VanishingCycleData
-from .poincare import BiextensionPoint
 from .symanzik import MinkowskiSpace, MomentumAssignment
 
 
@@ -322,6 +322,7 @@ def monodromy_fixture_from_json(data, path=()):
     ``sections1``/``sections2`` arrays pin the section order; otherwise
     the sorted union of the crossing keys is used.
     """
+    from .monodromy import SectionCrossingData, VanishingCycleData
     edges = _require(data, "edges", path)
     if not isinstance(edges, dict) or not edges:
         raise SchemaError("edges must be a non-empty object", path + ("edges",))
@@ -387,6 +388,7 @@ def monodromy_fixture_to_json(vc, sc):
 # Biextension points
 
 def biextension_point_from_json(data, path=()):
+    from .poincare import BiextensionPoint
     omega = complex_matrix_from_json(_require(data, "omega", path), path + ("omega",))
     w = complex_vector_from_json(_require(data, "w", path), path + ("w",))
     z = complex_vector_from_json(_require(data, "z", path), path + ("z",))
@@ -410,6 +412,7 @@ def biextension_point_to_json(point):
 # Holomorphic fixtures and segments
 
 def holomorphic_fixture_from_json(data, path=()):
+    from .asymptotics import HolomorphicFixture
     genus = _require(data, "genus", path)
     if isinstance(genus, bool) or not isinstance(genus, int) or genus < 1:
         raise SchemaError("genus must be a positive integer", path + ("genus",))
@@ -451,10 +454,9 @@ def holomorphic_fixture_to_json(fixture):
             "edge_ids": list(fixture.edge_ids), "terms": terms}
 
 
-_SEGMENT_FIELDS = set(SegmentEdge._fields)
-
-
 def segment_from_json(data, path=()):
+    from .asymptotics import AdmissibleSegment, SegmentEdge
+    known = set(SegmentEdge._fields)
     edges = _require(data, "edges", path)
     if not isinstance(edges, dict) or not edges:
         raise SchemaError("edges must be a non-empty object", path + ("edges",))
@@ -463,7 +465,7 @@ def segment_from_json(data, path=()):
         epath = path + ("edges", eid)
         if not isinstance(entry, dict):
             raise SchemaError("expected an object of segment fields", epath)
-        unknown = set(entry) - _SEGMENT_FIELDS
+        unknown = set(entry) - known
         if unknown:
             raise SchemaError(f"unknown segment fields {sorted(unknown)}", epath)
         if "y_scale" not in entry:
@@ -511,6 +513,7 @@ def _divisor_from_json(value, path):
 
 
 def degeneration_family_from_json(data, path=()):
+    from .lab import DegenerationFamily
     y_total = rational_from_json(_require(data, "y_total", path), path + ("y_total",))
     divisor1 = _divisor_from_json(_require(data, "divisor1", path), path + ("divisor1",))
     divisor2 = None

@@ -21,13 +21,13 @@ phi is the sum of the corners.
 Both polynomials come with two independent algorithms each (forest
 enumeration vs. exact determinant), and the ratio ``phi/psi`` has a
 third, purely numeric oracle through the weighted graph Laplacian.
-All polynomial arithmetic is exact over the rationals.
+All polynomial arithmetic is exact over the rationals.  Only the
+numeric evaluators import numpy, when they are called, so the exact
+routes never load it.
 """
 
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from .graphs import cycle_basis, designated_tree, boundary_matrix, spanning_trees, \
     spanning_2forests
@@ -90,6 +90,7 @@ class MinkowskiSpace:
         return (Fraction(0),) * self.dim
 
     def numeric(self):
+        import numpy as np
         return np.array([[float(x) for x in r] for r in self.matrix])
 
     def __repr__(self):
@@ -320,7 +321,8 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
     dim = momenta1.space.dim
     w1 = [border(om1, mu) for mu in range(dim)]
     w2 = w1 if lift2 is lift1 else [border(om2, nu) for nu in range(dim)]
-    phi = MultiPoly.zero(variables)
+    # Every q_{mu nu} * det goes into one terms dict; phi is built once.
+    terms = {}
     for mu, qrow in enumerate(momenta1.space.matrix):
         for nu, q in enumerate(qrow):
             if q == 0:
@@ -328,7 +330,10 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
             term = _linear_form(variables, [a[mu] * b[nu] for a, b in zip(om1, om2)])
             if m is not None:
                 term = bordered_det(term, w1[mu], w2[nu], m)
-            phi = phi + q * term
+            for exps, c in term.terms.items():
+                terms[exps] = terms.get(exps, 0) + q * c
+    phi = MultiPoly.zero(variables)
+    phi.terms = {exps: c for exps, c in terms.items() if c}
     return phi
 
 
@@ -370,6 +375,7 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
 
 
 def _edge_values(graph, y):
+    import numpy as np
     order = graph.edge_ids()
     missing = [e for e in order if e not in y]
     if missing:
@@ -381,6 +387,7 @@ def _edge_values(graph, y):
 
 
 def _lift_array(lift, order):
+    import numpy as np
     return np.array([[float(x) for x in lift.vector(e)] for e in order])
 
 
@@ -405,6 +412,7 @@ def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur"):
         phi = second_symanzik_bordered(graph, momenta1, momenta2, basis=basis)
         assign = {e: float(v) for e, v in y.items()}
         return float(phi.evaluate(assign)) / float(psi.evaluate(assign))
+    import numpy as np
     order, vals = _edge_values(graph, y)
     lift1 = momentum_lift(graph, momenta1)
     lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
@@ -436,6 +444,7 @@ def resistance_oracle(graph, y, momenta1, momenta2=None):
     incidence matrix and returns ``sum_{mu,nu} q_{mu nu} p1^mu . L^+ p2^nu``.
     Shares nothing with the polynomial or Schur routes beyond the graph.
     """
+    import numpy as np
     if momenta2 is None:
         momenta2 = momenta1
     order, vals = _edge_values(graph, y)

@@ -1,10 +1,18 @@
-"""End-to-end tests of the command line, run in process."""
+"""End-to-end tests of the command line, run in process (the cold-start
+checks run fresh interpreters)."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import tropical_heights
+from tropical_heights import symanzik
 from tropical_heights.cli import main
 from tropical_heights.corpus import write_bundled_corpus
 from tropical_heights.jsonio import dump_json
@@ -433,3 +441,78 @@ def test_disconnected_bundle_is_input_error(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and "disconnected" in err
+
+
+def test_linalg_error_is_input_error(capsys, monkeypatch, banana_path):
+    # numpy's LinAlgError subclasses ValueError, so main maps it to exit 2.
+    def singular(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(symanzik, "symanzik_ratio_eval", singular)
+    _assert_one_line_input_error(run(capsys, "symanzik", "ratio", "--graph",
+                                     banana_path, "--y", "e1=1,e2=1"))
+
+
+# ---------------------------------------------------------------------------
+# Cold start: each subcommand loads only the layers it runs.
+
+_COLD_MAIN = """
+import json, sys
+from tropical_heights import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(sys.modules)}), file=sys.stderr)
+"""
+_NUMERIC = {"numpy", "tropical_heights.lab", "tropical_heights.asymptotics",
+            "tropical_heights.poincare"}
+
+
+def _fresh_python(*args):
+    """Run ``python -c *args`` in a fresh interpreter that finds this package."""
+    src = str(Path(tropical_heights.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", *args], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    return proc.stderr.splitlines()[-1]
+
+
+def _cold_main(*argv):
+    report = json.loads(_fresh_python(_COLD_MAIN, *argv))
+    return report["code"], set(report["loaded"])
+
+
+def test_bare_import_loads_no_submodule():
+    line = _fresh_python("import sys, tropical_heights; print(sorted(m for m in sys.modules "
+                         "if m == 'numpy' or m.startswith('tropical_heights')), "
+                         "file=sys.stderr)")
+    assert line == "['tropical_heights']"
+
+
+def test_exact_subcommands_do_not_load_numpy(tmp_path, banana_path):
+    fixture = tmp_path / "fixture.json"
+    dump_json({"edges": {"e1": {"c": [1], "d1": {"l1": 1}, "d2": {"l2": 1}},
+                         "e2": {"c": [-1], "d1": {}, "d2": {}}},
+               "sections1": ["l1"], "sections2": ["l2"]}, fixture)
+    corpus = tmp_path / "corpus"
+    write_bundled_corpus(corpus)
+    cases = [
+        (("symanzik", "first", "--graph", banana_path), 0),
+        (("symanzik", "second", "--graph", banana_path), 0),
+        (("curve", "stability", "--graph", banana_path), 0),
+        (("monodromy", "check", "--graph", banana_path, "--fixture", str(fixture)), 0),
+        (("corpus", "run", str(corpus)), 0),
+        (("symanzik", "ratio", "--graph", banana_path), 2),
+    ]
+    for argv, expected in cases:
+        code, loaded = _cold_main(*argv)
+        assert code == expected, argv
+        assert not loaded & _NUMERIC, (argv, sorted(loaded & _NUMERIC))
+
+
+def test_numeric_subcommands_load_numpy(tmp_path, banana_path):
+    point = tmp_path / "point.json"
+    dump_json({"omega": [[[0.0, 1.0]]], "w": [[0.25, 0.0]], "z": [[0.0, 0.5]],
+               "rho": [0.0, 0.5]}, point)
+    for argv in (("poincare", "norm", "--point", str(point)),
+                 ("symanzik", "ratio", "--graph", banana_path, "--y", "e1=1,e2=2")):
+        code, loaded = _cold_main(*argv)
+        assert code == 0 and "numpy" in loaded, argv
