@@ -396,9 +396,6 @@ class AdmissibleSegment:
             raise ValueError("segment needs at least one edge")
         self.edges = norm
 
-    def direction(self):
-        return {e: spec.y_scale for e, spec in self.edges.items()}
-
     def phases(self, alpha):
         return {
             e: spec.phase_offset + spec.phase_amplitude * math.cos(spec.phase_frequency / alpha)

@@ -64,14 +64,6 @@ class Multigraph:
         t, h = self.endpoints(edge_id)
         return t == h
 
-    def reversed_edge(self, edge_id):
-        """Copy of the graph with one edge's orientation flipped."""
-        flipped = [
-            (eid, head, tail) if eid == edge_id else (eid, tail, head)
-            for eid, tail, head in self.edges
-        ]
-        return Multigraph(self.vertices, flipped)
-
     # -- connectivity -----------------------------------------------------
 
     def components(self, edge_subset=None):

@@ -7,15 +7,17 @@ C/(Z + tau Z) the Green's function of the unit-area flat metric is
 
 normalized so that g integrates to zero against the flat measure.  The
 constant C(tau) is the closed form log|eta(tau)|; every
-:class:`TorusGreen` checks it against a quadrature (a separable scheme,
-exact for the affine-in-y structure of the integrand) and raises when
-they disagree, rather than carry on with either value.  An independent
+:class:`TorusGreen` checks it against a quadrature (4 Gauss-Legendre
+rows, exact for the affine-in-y structure of the integrand) and raises
+when they disagree, rather than carry on with either value.  An independent
 2D singularity-subtracted scheme verifies the vanishing integral.
 
 The theta product :func:`log_abs_theta1_frac` broadcasts over both
 fractional coordinates, so each quadrature, residual check and
 pairing's set of Green's values (:meth:`TorusGreen.values`) is a few
-array calls rather than one call per row or per point.
+array calls rather than one call per row or per point.  Those array
+functions import numpy when they are called, so the sphere's pairings,
+which need only ``math``, never load it.
 
 Pairings of degree-zero divisors against these Green's functions, with
 their regularized diagonal for self-pairings, degenerate as
@@ -36,8 +38,6 @@ import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
-
-import numpy as np
 
 from .graphs import Multigraph
 from .symanzik import MinkowskiSpace, MomentumAssignment, resistance_oracle
@@ -117,6 +117,7 @@ def log_abs_theta1_frac(x, y, tau):
     so that q^{n-1} v = q^n / w is assembled without dividing by a
     possibly underflowed w.  One call evaluates a whole batch.
     """
+    import numpy as np
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
@@ -230,6 +231,7 @@ class TorusPoint:
 def _min_image_distance(x, y, tau):
     """Euclidean distance from (x, y) fractional to the nearest lattice
     point, scanning the 3 x 3 block of translates (arrays accepted)."""
+    import numpy as np
     x = np.asarray(x, dtype=float) % 1.0
     y = np.asarray(y, dtype=float) % 1.0
     best = None
@@ -243,6 +245,7 @@ def _min_image_distance(x, y, tau):
 
 def _plateau_bump(u):
     """C^inf cutoff: 1 on u <= 1/2, 0 on u >= 1, monotone between."""
+    import numpy as np
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
     out[u <= 0.5] = 1.0
@@ -258,58 +261,45 @@ def _plateau_bump(u):
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(nodes):
     """Gauss-Legendre nodes and weights of ``nodes`` points on [-1, 1],
-    read-only because every caller shares them.  Computing 64 of them
-    takes about 2 ms, most of a :class:`TorusGreen`'s construction."""
+    read-only because every caller shares them.  Computing 64 of them,
+    as each :meth:`TorusGreen.integral_residual` asks, takes about 1 ms."""
+    import numpy as np
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(nodes)
     gl_nodes.flags.writeable = False
     gl_weights.flags.writeable = False
     return gl_nodes, gl_weights
 
 
-# Points per theta batch in the quadrature, unless its longest row alone
-# is longer; keeps a batch's temporaries to a few hundred kB.
-_QUADRATURE_BATCH = 4096
+# Largest gap |quadrature - log|eta(tau)|| that TorusGreen accepts.
+_MATCH_TOL = 1e-6
 
 
-def normalization_by_quadrature(tau, nodes=64):
+def normalization_by_quadrature(tau):
     """Constant C(tau) by direct quadrature of the Green's function.
 
-    Separable scheme: Gauss-Legendre in the vertical coordinate against
-    a periodic trapezoid in the horizontal one, whose point count adapts
-    to the analyticity strip ~ Im(tau) min(y, 1-y).  The y-integrand is
-    affine up to quadrature-level noise, so the outer rule is exact.
-    Runs of consecutive rows go through :func:`log_abs_theta1_frac` in
-    one broadcast call of at most max(longest row, 4096) points.
+    Separable scheme: 4 Gauss-Legendre rows in the vertical coordinate,
+    each the mean of a periodic trapezoid in the horizontal one, whose
+    point count adapts to the analyticity strip ~ Im(tau) min(y, 1-y).
+    Each factor log|1 - c e^{+-2 pi i x}| of the triple product has
+    |c| < 1, so its x-mean is 0 by Jensen's formula and a row's mean is
+    affine in y, which any rule of 2 or more nodes integrates exactly.
+    All rows go through one :func:`log_abs_theta1_frac` call.
     :class:`TorusGreen` checks the result against log|eta(tau)| and
-    raises when they disagree.
+    raises when they disagree.  The check sees only these x-means, so a
+    wrong factor that keeps them, like a dropped (1 - q^n w), passes it.
     """
+    import numpy as np
     tau = complex(tau)
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
-    gl_nodes, gl_weights = _gauss_legendre(nodes)
+    gl_nodes, gl_weights = _gauss_legendre(4)
     ys = 0.5 * (gl_nodes + 1.0)
-    ws = 0.5 * gl_weights
     im = tau.imag
     counts = [64 + int(math.ceil(6.5 / (im * min(y, 1.0 - y)))) for y in ys]
-    budget = max(max(counts), _QUADRATURE_BATCH)
-    means = []
-    start = 0
-    while start < len(counts):
-        stop = start + 1
-        size = counts[start]
-        while stop < len(counts) and size + counts[stop] <= budget:
-            size += counts[stop]
-            stop += 1
-        rows = counts[start:stop]
-        xs = np.concatenate([np.arange(nx) / nx for nx in rows])
-        vals = log_abs_theta1_frac(xs, np.repeat(ys[start:stop], rows), tau)
-        offsets = np.cumsum([0] + rows[:-1])
-        means.extend(np.add.reduceat(vals, offsets) / rows)
-        start = stop
-    total = 0.0
-    for wgt, mean in zip(ws, means):
-        total += wgt * float(mean)
-    return total - math.pi * im / 3.0
+    xs = np.concatenate([np.arange(nx) / nx for nx in counts])
+    vals = log_abs_theta1_frac(xs, np.repeat(ys, counts), tau)
+    means = np.add.reduceat(vals, np.cumsum([0] + counts[:-1])) / counts
+    return float(np.dot(0.5 * gl_weights, means)) - math.pi * im / 3.0
 
 
 class TorusGreen:
@@ -317,24 +307,24 @@ class TorusGreen:
 
     The normalization constant is the closed form log|eta(tau)|.  At
     construction it is checked against :func:`normalization_by_quadrature`
-    (kept as ``normalization_quadrature``); a gap above ``match_tol``
-    means the numerics cannot be trusted at this modulus, and raises
-    ``ValueError``.  Below Im(tau) ~ 1e10 the gap stays far under the
-    default tolerance; beyond, it is rounding noise of pi Im(tau) / 3,
-    which may or may not exceed it.
+    (kept as ``normalization_quadrature``); a gap above 1e-6 means the
+    numerics cannot be trusted at this modulus, and raises
+    ``ValueError``.  Below Im(tau) ~ 1e10 the gap stays far under that
+    tolerance; beyond, it is rounding noise of pi Im(tau) / 3, which may
+    or may not exceed it.
     """
 
     __slots__ = ("tau", "normalization", "normalization_quadrature")
 
-    def __init__(self, tau, nodes=64, match_tol=1e-6):
+    def __init__(self, tau):
         self.tau = TorusModulus(tau).tau
-        c_quad = normalization_by_quadrature(self.tau, nodes=nodes)
+        c_quad = normalization_by_quadrature(self.tau)
         c_eta = dedekind_eta_log_abs(self.tau)
         gap = abs(c_quad - c_eta)
-        if not gap <= match_tol:
+        if not gap <= _MATCH_TOL:
             raise ValueError(
                 f"torus normalization quadrature disagrees with the closed form "
-                f"log|eta(tau)| by {gap:.3e} (tolerance {match_tol:g}) at "
+                f"log|eta(tau)| by {gap:.3e} (tolerance {_MATCH_TOL:g}) at "
                 f"Im(tau) = {self.tau.imag:.6g}"
             )
         self.normalization_quadrature = c_quad
@@ -355,6 +345,7 @@ class TorusGreen:
     def values(self, zs, ws, min_distance=1e-12):
         """g(z - w) for paired sequences of complex or TorusPoint
         arguments, as one float array; raises if any pair coincides."""
+        import numpy as np
         ps = [self._coerce_point(z) for z in zs]
         qs = [self._coerce_point(w) for w in ws]
         if len(ps) != len(qs):
@@ -390,6 +381,7 @@ class TorusGreen:
     def integral_residual(self, n=256):
         """Integral of g over the torus by a 2D singularity-subtracted
         midpoint rule; should vanish to quadrature accuracy."""
+        import numpy as np
         tau = self.tau
         im = tau.imag
         r0 = 0.45 * min(1.0, im)
@@ -414,6 +406,7 @@ class TorusGreen:
     def laplacian_residual(self, n=128, h=1.0 / 512.0, exclusion=None):
         """Max deviation of the 5-point Laplacian of g from 2 pi / Im(tau)
         on an n x n grid, away from the singularity."""
+        import numpy as np
         tau = self.tau
         im = tau.imag
         if exclusion is None:
@@ -715,7 +708,7 @@ class ExperimentReport(NamedTuple):
     values: tuple
 
 
-def degeneration_experiment(family, nodes=64):
+def degeneration_experiment(family):
     """Run the scan a' -> a' * pairing(tau(a')) and compare to the
     tropical prediction.
 
@@ -724,6 +717,7 @@ def degeneration_experiment(family, nodes=64):
     remainder is already at noise level, as happens for the straight
     family).
     """
+    import numpy as np
     pred = family.prediction()
     self_mode = family.mode == "self"
     second = family.divisor1 if self_mode else family.divisor2
@@ -734,7 +728,7 @@ def degeneration_experiment(family, nodes=64):
     values = []
     for alpha in family.alphas:
         tau = family.tau(alpha)
-        green = TorusGreen(tau, nodes=nodes)
+        green = TorusGreen(tau)
         pts1 = family._points(family.divisor1, tau)
         pts2 = pts1 if self_mode else family._points(second, tau)
         v = _pairing_sum(terms, pts1, pts2, green,

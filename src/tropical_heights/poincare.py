@@ -148,25 +148,6 @@ class GroupElement:
     def identity(cls, genus):
         return cls(genus)
 
-    @classmethod
-    def symplectic(cls, s):
-        s = np.asarray(s, dtype=float)
-        return cls(s.shape[0] // 2, sympl=s)
-
-    @classmethod
-    def lambda_shift(cls, lam1, lam2=None):
-        lam1 = np.asarray(lam1, dtype=float).reshape(-1)
-        return cls(lam1.shape[0], lam1=lam1, lam2=lam2)
-
-    @classmethod
-    def mu_shift(cls, mu1, mu2=None):
-        mu1 = np.asarray(mu1, dtype=float).reshape(-1)
-        return cls(mu1.shape[0], mu1=mu1, mu2=mu2)
-
-    @classmethod
-    def alpha_shift(cls, genus, alpha):
-        return cls(genus, alpha=alpha)
-
     # -- matrix embedding ---------------------------------------------------
 
     def matrix(self):

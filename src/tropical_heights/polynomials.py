@@ -416,10 +416,6 @@ class RingMatrix:
         self.variables = variables
         self.rows = rows
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
     def det(self):
         return det_fraction_free(self)
 

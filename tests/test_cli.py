@@ -506,13 +506,18 @@ def test_exact_subcommands_do_not_load_numpy(tmp_path, banana_path):
         code, loaded = _cold_main(*argv)
         assert code == expected, argv
         assert not loaded & _NUMERIC, (argv, sorted(loaded & _NUMERIC))
+    # The sphere's pairing runs in lab, on math alone.
+    code, loaded = _cold_main("lab", "sphere-crossratio", "--points", "0", "1", "2", "4")
+    assert code == 0 and "numpy" not in loaded, sorted(loaded & _NUMERIC)
 
 
 def test_numeric_subcommands_load_numpy(tmp_path, banana_path):
     point = tmp_path / "point.json"
     dump_json({"omega": [[[0.0, 1.0]]], "w": [[0.25, 0.0]], "z": [[0.0, 0.5]],
                "rho": [0.0, 0.5]}, point)
+    family = _torus_family(tmp_path, 1, "1")
     for argv in (("poincare", "norm", "--point", str(point)),
-                 ("symanzik", "ratio", "--graph", banana_path, "--y", "e1=1,e2=2")):
+                 ("symanzik", "ratio", "--graph", banana_path, "--y", "e1=1,e2=2"),
+                 ("lab", "torus-limit", "--family", family)):
         code, loaded = _cold_main(*argv)
         assert code == 0 and "numpy" in loaded, argv

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tropical_heights import lab
 from tropical_heights import (
     DegenerationFamily,
     MinkowskiSpace,
@@ -95,7 +96,8 @@ def test_log_abs_theta_fractional_rejects_y_outside_unit_interval():
 
 
 def test_normalization_matches_eta_expression():
-    for tau in TAUS:
+    # Im(tau) = 0.3 gives the quadrature its longest edge rows.
+    for tau in TAUS + (0.3j,):
         quad = normalization_by_quadrature(tau)
         eta_form = dedekind_eta_log_abs(tau)
         assert quad == pytest.approx(eta_form, abs=5e-13)
@@ -103,21 +105,35 @@ def test_normalization_matches_eta_expression():
         assert green.normalization == pytest.approx(eta_form, abs=1e-15)
         assert green.normalization_quadrature == pytest.approx(quad, abs=1e-15)
     # The degeneration experiments' moduli, |C(tau)| up to ~830.
-    for tau in (32.3j, 1007j, 3184j):
+    for tau in (32.3j, 1007j, 3184j, 1e5j):
         quad = normalization_by_quadrature(tau)
         eta_form = dedekind_eta_log_abs(tau)
         assert quad == pytest.approx(eta_form, abs=1e-12 * abs(eta_form))
         assert TorusGreen(tau).normalization == eta_form
 
 
-def test_normalization_mismatch_raises():
+def test_normalization_mismatch_raises(monkeypatch):
     # At Im(tau) = 1e300 the quadrature is off by ~1e284: pi Im(tau) / 3
     # has no digits left for C(tau).
     with pytest.raises(ValueError, match=r"Im\(tau\) = 1e\+300"):
         TorusGreen(1e300j)
-    # A negative tolerance fails every modulus, so the check always runs.
-    with pytest.raises(ValueError, match="disagrees with the closed form"):
-        TorusGreen(0.8j, match_tol=-1.0)
+    # A corrupted theta product fails the check at an ordinary modulus:
+    # without the sum of log|1 - q^n| (off by 6.6e-3 at tau = 0.8i), and
+    # with the quasi-period pi y Im(tau) squared in y (off by 0.42).
+    exact = lab.log_abs_theta1_frac
+
+    def no_q_factors(x, y, tau):
+        q_sum = dedekind_eta_log_abs(tau) + math.pi * complex(tau).imag / 12.0
+        return exact(x, y, tau) - q_sum
+
+    def y_squared(x, y, tau):
+        return exact(x, y, tau) + math.pi * (y * y - y) * complex(tau).imag
+
+    for corrupted in (no_q_factors, y_squared):
+        with monkeypatch.context() as patch:
+            patch.setattr(lab, "log_abs_theta1_frac", corrupted)
+            with pytest.raises(ValueError, match="disagrees with the closed form"):
+                TorusGreen(0.8j)
 
 
 def test_torus_point_roundtrip():
