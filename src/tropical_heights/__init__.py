@@ -13,8 +13,7 @@ never pull in numpy unless a numeric name is used.
 import importlib
 
 _EXPORTS = {
-    "polynomials": ("MultiPoly", "RingMatrix", "Rational", "poly_add", "poly_mul",
-                    "poly_eval", "det_fraction_free", "fraction_det"),
+    "polynomials": ("MultiPoly", "RingMatrix", "det_fraction_free", "fraction_det"),
     "graphs": ("Multigraph", "CycleVector", "CycleBasis", "cycle_basis",
                "boundary_matrix", "spanning_trees", "spanning_2forests", "first_betti",
                "designated_tree"),
@@ -33,12 +32,12 @@ _EXPORTS = {
                     "SegmentEdge", "AdmissibleSegment", "LimitReport", "graph_blocks",
                     "height_eval", "height_via_orbit", "tropical_height",
                     "bounded_remainder_scan", "limit_along_segment"),
-    "lab": ("TorusModulus", "TorusPoint", "TorusGreen", "Insertion",
-            "DegenerationFamily", "ExperimentReport", "theta1", "theta1_prime_zero",
-            "log_abs_theta1_frac", "log_abs_theta1_prime_zero", "dedekind_eta_log_abs",
+    "lab": ("TorusPoint", "TorusGreen", "Insertion", "DegenerationFamily",
+            "ExperimentReport", "theta1", "theta1_prime_zero", "log_abs_theta1_frac",
+            "log_abs_theta1_prime_zero", "dedekind_eta_log_abs",
             "normalization_by_quadrature", "green_sphere", "cross_ratio_height",
-            "height_pairing_surface", "regularized_self_height", "metric_graph_green",
-            "build_cycle_graph", "degeneration_experiment"),
+            "height_pairing_surface", "regularized_self_height", "build_cycle_graph",
+            "degeneration_experiment"),
     "jsonio": ("SchemaError", "GraphBundle", "load_json", "dump_json", "dumps_canonical",
                "load_graph_bundle", "graph_bundle_from_json", "graph_bundle_to_json"),
 }

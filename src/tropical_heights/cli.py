@@ -182,8 +182,7 @@ def _cmd_curve(args):
 
 def _cmd_monodromy(args):
     from .graphs import cycle_basis, first_betti
-    from .monodromy import build_Ne, translation_block_check
-    from .symanzik import MinkowskiSpace
+    from .monodromy import translation_block_check
     bundle = jsonio.load_graph_bundle(args.graph)
     vc, sc = jsonio.monodromy_fixture_from_json(jsonio.load_json(args.fixture))
     graph = bundle.graph
@@ -191,19 +190,19 @@ def _cmd_monodromy(args):
     if vc.genus != h:
         raise jsonio.SchemaError(
             f"fixture genus {vc.genus} != graph first Betti number {h}", ("edges",))
+    if bundle.space is None:
+        raise jsonio.SchemaError(
+            "monodromy check needs markings with momenta in the graph bundle",
+            ("markings",))
     momenta = {m.marking_id: m.momentum for m in bundle.markings}
     missing = [l for l in sc.sections1 + sc.sections2 if l not in momenta]
     if missing:
         raise jsonio.SchemaError(
             f"sections {sorted(set(missing))} have no marked momenta", ("markings",))
-    dim = bundle.momentum_dimension()
-    space = bundle.space
-    if space is None:
-        space = MinkowskiSpace.euclidean(dim)
     p1 = {l: momenta[l] for l in sc.sections1}
     p2 = {l: momenta[l] for l in sc.sections2}
     basis = cycle_basis(graph)
-    report = translation_block_check(basis, vc, sc, p1, p2, space)
+    report = translation_block_check(basis, vc, sc, p1, p2, bundle.space)
 
     def fmt(value):
         if isinstance(value, tuple):
@@ -215,33 +214,9 @@ def _cmd_monodromy(args):
         + f" {fmt(lhs)} != {fmt(rhs)}"
         for edge, kind, idx, lhs, rhs in report.failures
     ]
-
-    if dim == 1:
-        scalars1 = {l: p[0] for l, p in p1.items()}
-        scalars2 = {l: p[0] for l, p in p2.items()}
-        blocks = {e: build_Ne(vc, sc, scalars1, scalars2, e)
-                  for e in graph.edge_ids()}
-        for e, ne in blocks.items():
-            me = ne.matrix()
-            sq = _mat_mul(me, me)
-            if any(any(x != 0 for x in row) for row in sq):
-                failures.append(f"N_{e}^2 != 0")
-        ids = graph.edge_ids()
-        for i, e in enumerate(ids):
-            for f in ids[i + 1:]:
-                prod = _mat_mul(blocks[e].matrix(), blocks[f].matrix())
-                if any(any(x != 0 for x in row) for row in prod):
-                    failures.append(f"N_{e} N_{f} != 0")
-
     ok = not failures
     _emit({"ok": ok, "failures": failures})
     return 0 if ok else CHECK_FAIL
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

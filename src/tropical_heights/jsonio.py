@@ -29,9 +29,9 @@ from fractions import Fraction
 # fixtures and of numeric objects (biextension points, holomorphic fixtures,
 # segments, families) import their layer when called, so that loading a
 # graph bundle does not load numpy.
-from .curves import Marking, StableCurve
+from .curves import Marking, StableCurve, restrict_momenta
 from .graphs import Multigraph
-from .symanzik import MinkowskiSpace, MomentumAssignment
+from .symanzik import MinkowskiSpace
 
 
 class SchemaError(ValueError):
@@ -163,7 +163,12 @@ def dump_json(obj, path):
 # Graph bundles
 
 class GraphBundle:
-    """Parsed graph JSON: the multigraph plus optional curve/momentum data."""
+    """Parsed graph JSON: the multigraph plus optional curve/momentum data.
+
+    ``space`` is the momentum space: the bundle's ``minkowski`` entry, or
+    Euclidean of the marking momenta's dimension when that is omitted.
+    It is None only when no marking carries a momentum.
+    """
 
     __slots__ = ("graph", "genus", "markings", "space", "raw")
 
@@ -171,6 +176,10 @@ class GraphBundle:
         self.graph = graph
         self.genus = genus
         self.markings = tuple(markings)
+        if space is None:
+            dim = next((len(m.momentum) for m in self.markings if m.momentum), None)
+            if dim is not None:
+                space = MinkowskiSpace.euclidean(dim)
         self.space = space
         self.raw = raw if raw is not None else {}
 
@@ -179,31 +188,11 @@ class GraphBundle:
         return StableCurve(self.graph, genus=self.genus, markings=self.markings,
                            space=self.space)
 
-    def momentum_dimension(self):
-        if self.space is not None:
-            return self.space.dim
-        for m in self.markings:
-            if m.momentum:
-                return len(m.momentum)
-        return None
-
     def momentum_assignment(self):
         """Per-vertex momenta summed from the markings (None if unmarked)."""
-        dim = self.momentum_dimension()
-        if dim is None:
+        if self.space is None:
             return None
-        space = self.space if self.space is not None else MinkowskiSpace.euclidean(dim)
-        acc = {}
-        for m in self.markings:
-            p = m.momentum if m.momentum else (Fraction(0),) * dim
-            if len(p) != dim:
-                raise SchemaError(
-                    f"marking {m.marking_id!r} momentum has dimension {len(p)}, "
-                    f"expected {dim}", ("markings",))
-            cur = acc.setdefault(m.vertex, [Fraction(0)] * dim)
-            for i, x in enumerate(p):
-                cur[i] += Fraction(x)
-        return MomentumAssignment(space, {v: tuple(p) for v, p in acc.items()})
+        return restrict_momenta(self.curve())
 
 
 def minkowski_from_json(data, path=("minkowski",)):

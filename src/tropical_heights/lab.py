@@ -49,6 +49,14 @@ from .symanzik import MinkowskiSpace, MomentumAssignment, resistance_oracle
 _THETA_MAX_TERMS = 4000
 
 
+def _as_tau(tau):
+    """``tau`` as a complex number; raises unless Im(tau) > 0."""
+    tau = complex(tau)
+    if tau.imag <= 0:
+        raise ValueError("tau must lie in the upper half-plane")
+    return tau
+
+
 def theta1(z, tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
     r"""First Jacobi theta function, odd in z.
 
@@ -60,10 +68,8 @@ def theta1(z, tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
     Im(tau) <= 0 or if the term cap is hit before convergence (extreme
     |Im z| / Im tau ratios).
     """
-    tau = complex(tau)
+    tau = _as_tau(tau)
     z = complex(z)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
     acc = 0j
     scale = 1.0
     for n in range(max_terms):
@@ -84,9 +90,7 @@ def theta1(z, tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
 
 def theta1_prime_zero(tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
     """d/dz theta1(z; tau) at z = 0, by the differentiated sine series."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
+    tau = _as_tau(tau)
     acc = 0j
     for n in range(max_terms):
         k = 2 * n + 1
@@ -98,8 +102,14 @@ def theta1_prime_zero(tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
 
 
 def _product_terms(im_tau):
-    # Number of q-power factors needed for absolute error ~1e-18.
-    return 2 + int(math.ceil(6.7 / im_tau))
+    """Number of q-power factors needed for absolute error ~1e-18; raises
+    above ``_THETA_MAX_TERMS``, i.e. for Im(tau) below about 1.68e-3."""
+    terms = 2 + int(math.ceil(6.7 / im_tau))
+    if terms > _THETA_MAX_TERMS:
+        raise ValueError(
+            f"Im(tau) = {im_tau:.3g} needs {terms} theta product factors, "
+            f"above the cap of {_THETA_MAX_TERMS}")
+    return terms
 
 
 def log_abs_theta1_frac(x, y, tau):
@@ -118,9 +128,7 @@ def log_abs_theta1_frac(x, y, tau):
     possibly underflowed w.  One call evaluates a whole batch.
     """
     import numpy as np
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
+    tau = _as_tau(tau)
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     if not np.all((y >= 0.0) & (y < 1.0)):
         raise ValueError("fractional coordinate y must lie in [0, 1)")
@@ -151,9 +159,7 @@ def log_abs_theta1_frac(x, y, tau):
 
 def log_abs_theta1_prime_zero(tau):
     """log |theta1'(0; tau)|, stable for large Im(tau) (product form)."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
+    tau = _as_tau(tau)
     q = cmath.exp(2j * math.pi * tau)
     acc = math.log(2.0 * math.pi) - math.pi * tau.imag / 4.0
     qn = 1.0 + 0j
@@ -165,9 +171,7 @@ def log_abs_theta1_prime_zero(tau):
 
 def dedekind_eta_log_abs(tau):
     """log |eta(tau)| by the product formula."""
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
+    tau = _as_tau(tau)
     q = cmath.exp(2j * math.pi * tau)
     acc = -math.pi * tau.imag / 12.0
     qn = 1.0 + 0j
@@ -179,21 +183,6 @@ def dedekind_eta_log_abs(tau):
 
 # ---------------------------------------------------------------------------
 # Torus geometry
-
-class TorusModulus:
-    """Modulus tau of the torus C/(Z + tau Z); Im(tau) > 0 enforced."""
-
-    __slots__ = ("tau",)
-
-    def __init__(self, tau):
-        tau = complex(tau)
-        if tau.imag <= 0:
-            raise ValueError("torus modulus must have positive imaginary part")
-        self.tau = tau
-
-    def __repr__(self):
-        return f"TorusModulus({self.tau})"
-
 
 def _unit_frac(v):
     """``v mod 1`` in [0, 1).  A tiny negative ``v`` rounds up to 1.0,
@@ -289,12 +278,13 @@ def normalization_by_quadrature(tau):
     wrong factor that keeps them, like a dropped (1 - q^n w), passes it.
     """
     import numpy as np
-    tau = complex(tau)
-    if tau.imag <= 0:
-        raise ValueError("tau must lie in the upper half-plane")
+    tau = _as_tau(tau)
+    im = tau.imag
+    # The term cap bounds Im(tau) from below, and with it the row sizes:
+    # check it before they are built.
+    _product_terms(im)
     gl_nodes, gl_weights = _gauss_legendre(4)
     ys = 0.5 * (gl_nodes + 1.0)
-    im = tau.imag
     counts = [64 + int(math.ceil(6.5 / (im * min(y, 1.0 - y)))) for y in ys]
     xs = np.concatenate([np.arange(nx) / nx for nx in counts])
     vals = log_abs_theta1_frac(xs, np.repeat(ys, counts), tau)
@@ -317,7 +307,7 @@ class TorusGreen:
     __slots__ = ("tau", "normalization", "normalization_quadrature")
 
     def __init__(self, tau):
-        self.tau = TorusModulus(tau).tau
+        self.tau = _as_tau(tau)
         c_quad = normalization_by_quadrature(self.tau)
         c_eta = dedekind_eta_log_abs(self.tau)
         gap = abs(c_quad - c_eta)
@@ -564,11 +554,6 @@ def cross_ratio_height(z1, z2, z3, z4):
 # ---------------------------------------------------------------------------
 # Metric-graph side and degeneration experiments
 
-def metric_graph_green(graph, y, momenta1, momenta2=None):
-    """Resistance pairing on a metric graph (edge weights = lengths)."""
-    return resistance_oracle(graph, y, momenta1, momenta2)
-
-
 def build_cycle_graph(positions, total_length):
     """Metric circle of circumference ``total_length`` subdivided at
     fractional positions.
@@ -694,7 +679,7 @@ class DegenerationFamily:
 
         m1 = assignment(self.divisor1)
         m2 = assignment(self.divisor2) if self.divisor2 is not None else m1
-        return metric_graph_green(graph, lengths, m1, m2)
+        return resistance_oracle(graph, lengths, m1, m2)
 
 
 class ExperimentReport(NamedTuple):

@@ -8,11 +8,14 @@ two classes here:
   coefficients over a fixed, ordered tuple of variable names.  Variable
   names are edge ids; the canonical order is lexicographic in the id.
 * :class:`RingMatrix` -- a square matrix of `MultiPoly` entries sharing
-  one variable registry, with a fraction-free determinant.
+  one variable registry, whose exact determinant is
+  :func:`det_fraction_free`.
 
 Terms are kept in a dict mapping exponent tuples to nonzero coefficients.
 The canonical printed order is graded lexicographic (total degree first,
-then lex on the exponent tuple), descending.
+then lex on the exponent tuple), descending.  Canonical strings are
+output only: reports and golden files compare them as text, and nothing
+parses them back.
 
 Determinants do not use ``MultiPoly`` arithmetic; their cofactor
 expansion runs on Python ints.  Each row is scaled to integer
@@ -25,9 +28,6 @@ back into ``Fraction`` coefficients.
 
 import math
 from fractions import Fraction
-
-# Rational scalars everywhere in the exact layer.
-Rational = Fraction
 
 _COEF_TYPES = (int, Fraction)
 
@@ -263,33 +263,6 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly({self})"
 
-    @classmethod
-    def from_string(cls, text, variables=None):
-        """Parse the canonical string format back into a polynomial.
-
-        ``variables`` fixes the registry; when omitted it is inferred from
-        the names that occur, sorted lexicographically.
-        """
-        terms = _parse_terms(text)
-        if variables is None:
-            names = sorted({n for t in terms for n in t[1]})
-            variables = tuple(names)
-        else:
-            variables = tuple(variables)
-        index = {n: i for i, n in enumerate(variables)}
-        out = cls.zero(variables)
-        acc = {}
-        for coef, factors in terms:
-            exps = [0] * len(variables)
-            for name, e in factors.items():
-                if name not in index:
-                    raise ValueError(f"unknown variable {name!r} (registry {variables})")
-                exps[index[name]] += e
-            key = tuple(exps)
-            acc[key] = acc.get(key, Fraction(0)) + coef
-        out.terms = {e: c for e, c in acc.items() if c != 0}
-        return out
-
 
 def _horner_eval(terms, values, i, nvars):
     if not terms:
@@ -319,78 +292,6 @@ def _ipow(x, k):
     return x ** k
 
 
-def _parse_terms(text):
-    """Split the canonical form into (coefficient, {name: exp}) terms."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial string")
-    if s == "0":
-        return []
-    # Normalize spacing around +/- separators, then walk sign by sign.
-    tokens = s.replace("+", " + ").replace("-", " - ").split()
-    # Re-glue fraction coefficients like "1/2" that were never split; the
-    # replace above only touches +/-, so "/" survives inside a token.
-    terms = []
-    sign = 1
-    expect_term = True
-    for tok in tokens:
-        if tok == "+":
-            sign = 1
-            expect_term = True
-            continue
-        if tok == "-":
-            # Unary minus on the first term or separator afterwards.
-            sign = -sign if expect_term else -1
-            expect_term = True
-            continue
-        if not expect_term:
-            raise ValueError(f"unexpected token {tok!r} in {text!r}")
-        terms.append(_parse_single_term(tok, sign))
-        sign = 1
-        expect_term = False
-    if expect_term:
-        raise ValueError(f"dangling sign in {text!r}")
-    return terms
-
-
-def _parse_single_term(tok, sign):
-    coef = Fraction(sign)
-    factors = {}
-    for piece in tok.split("*"):
-        if not piece:
-            raise ValueError(f"empty factor in term {tok!r}")
-        if piece.startswith("Y_"):
-            body = piece[2:]
-            if "^" in body:
-                name, _, exp = body.partition("^")
-                e = int(exp)
-                if e <= 0:
-                    raise ValueError(f"bad exponent in {piece!r}")
-            else:
-                name, e = body, 1
-            if not name:
-                raise ValueError(f"missing variable name in {piece!r}")
-            factors[name] = factors.get(name, 0) + e
-        else:
-            coef *= Fraction(piece)
-    return coef, factors
-
-
-def poly_add(p, q):
-    """Sum of two polynomials over the same variable registry."""
-    return p + q
-
-
-def poly_mul(p, q):
-    """Product of two polynomials over the same variable registry."""
-    return p * q
-
-
-def poly_eval(p, assignment):
-    """Evaluate ``p`` at ``assignment`` (dict of variable name to value)."""
-    return p.evaluate(assignment)
-
-
 class RingMatrix:
     """Square matrix of MultiPoly entries over one variable registry."""
 
@@ -415,9 +316,6 @@ class RingMatrix:
         self.n = n
         self.variables = variables
         self.rows = rows
-
-    def det(self):
-        return det_fraction_free(self)
 
 
 _DIM_LIMIT = 12

@@ -209,6 +209,39 @@ def test_monodromy_genus_mismatch(capsys, tmp_path, banana_path):
     assert "Betti" in err
 
 
+def _banana_without_space(tmp_path, banana_path, momenta=True):
+    data = json.loads(Path(banana_path).read_text())
+    del data["minkowski"]
+    if not momenta:
+        for m in data["markings"]:
+            del m["momentum"]
+    path = tmp_path / "banana_no_space.json"
+    dump_json(data, path)
+    return str(path)
+
+
+def test_momenta_without_minkowski_are_euclidean(capsys, tmp_path, banana_path):
+    # "minkowski" is optional: marking momenta then live in Euclidean space
+    # of their own dimension, for every subcommand alike.
+    bare = _banana_without_space(tmp_path, banana_path)
+    for argv in (("curve", "stability"), ("curve", "genus"), ("curve", "dimensions"),
+                 ("symanzik", "second")):
+        assert run(capsys, *argv, "--graph", bare) == run(capsys, *argv, "--graph",
+                                                             banana_path)
+    code, out, _ = run(capsys, "curve", "genus", "--graph", bare)
+    assert (code, out) == (0, "genus=1")
+
+
+def test_monodromy_check_without_momenta_is_input_error(capsys, tmp_path, banana_path):
+    fixture = tmp_path / "fixture.json"
+    dump_json({"edges": {"e1": {"c": [1], "d1": {"l1": 1}, "d2": {"l2": 1}},
+                         "e2": {"c": [-1], "d1": {}, "d2": {}}},
+               "sections1": ["l1"], "sections2": ["l2"]}, fixture)
+    bare = _banana_without_space(tmp_path, banana_path, momenta=False)
+    _assert_one_line_input_error(run(capsys, "monodromy", "check", "--graph", bare,
+                                     "--fixture", str(fixture)))
+
+
 def test_poincare_norm(capsys, tmp_path):
     point = tmp_path / "point.json"
     dump_json(
@@ -357,6 +390,20 @@ def test_lab_torus_limit_out_of_range_length(capsys, tmp_path):
 def test_lab_torus_limit_out_of_range_momentum(capsys, tmp_path):
     family = _torus_family(tmp_path, 1, "1e400")
     _assert_one_line_input_error(run(capsys, "lab", "torus-limit", "--family", family))
+
+
+def test_lab_torus_limit_tiny_length_is_input_error(capsys, tmp_path):
+    # With no vertical offset, y_total = 1e-6 puts Im(tau) near 1.6e-6,
+    # beyond the theta product's term cap.
+    family = tmp_path / "family.json"
+    dump_json({
+        "y_total": "1/1000000", "imag_offset": 0,
+        "divisor1": [{"c": 0, "momentum": [1]}, {"c": "1/2", "momentum": [-1]}],
+        "divisor2": [{"c": "1/8", "momentum": [1]}, {"c": "3/8", "momentum": [-1]}],
+    }, family)
+    code, out, err = run(capsys, "lab", "torus-limit", "--family", str(family))
+    _assert_one_line_input_error((code, out, err))
+    assert "theta product factors" in err
 
 
 def test_lab_crossratio(capsys):

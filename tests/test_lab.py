@@ -23,9 +23,9 @@ from tropical_heights import (
     height_pairing_surface,
     log_abs_theta1_frac,
     log_abs_theta1_prime_zero,
-    metric_graph_green,
     normalization_by_quadrature,
     regularized_self_height,
+    resistance_oracle,
     theta1,
     theta1_prime_zero,
 )
@@ -134,6 +134,20 @@ def test_normalization_mismatch_raises(monkeypatch):
             patch.setattr(lab, "log_abs_theta1_frac", corrupted)
             with pytest.raises(ValueError, match="disagrees with the closed form"):
                 TorusGreen(0.8j)
+
+
+def test_small_im_tau_hits_the_term_cap():
+    # Im(tau) = 1.6e-6 would take about 4.2 million product factors and,
+    # in the quadrature, about 141 million points: it is refused up front.
+    for fn in (normalization_by_quadrature, dedekind_eta_log_abs,
+               log_abs_theta1_prime_zero, TorusGreen):
+        with pytest.raises(ValueError, match="theta product factors"):
+            fn(1.6e-6j)
+    # Just above the cap, about 1.68e-3, the product forms still evaluate.
+    assert math.isfinite(dedekind_eta_log_abs(0.002j))
+    for fn in (normalization_by_quadrature, TorusGreen, theta1_prime_zero):
+        with pytest.raises(ValueError, match="upper half-plane"):
+            fn(-1j)
 
 
 def test_torus_point_roundtrip():
@@ -302,7 +316,7 @@ def test_cycle_resistance_closed_form():
         mom = MomentumAssignment(
             space, {vertex_of[Fraction(0)]: (1,), vertex_of[a % 1]: (-1,)}
         )
-        got = metric_graph_green(graph, lengths, mom)
+        got = resistance_oracle(graph, lengths, mom)
         arc = float(a * y_total)
         want = arc * (y_total - arc) / y_total
         assert got == pytest.approx(want, rel=1e-12)

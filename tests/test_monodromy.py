@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropical_heights import (
     MinkowskiSpace,
@@ -128,6 +130,38 @@ def test_blocks_square_to_zero_pairwise():
         for ne in blocks:
             for nf in blocks:
                 assert is_zero(mat_mul(ne, nf))
+
+
+@st.composite
+def arbitrary_block_data(draw):
+    """Integer vanishing cycles, crossing counts and scalar momenta with no
+    consistency between them, on genus 1-3 and up to four edges."""
+    genus = draw(st.integers(1, 3))
+    edges = [f"e{i}" for i in range(1, draw(st.integers(1, 4)) + 1)]
+    small = st.integers(-4, 4)
+    vc = VanishingCycleData(genus, {e: draw(st.lists(small, min_size=genus,
+                                                     max_size=genus))
+                                    for e in edges})
+    sections1 = [f"a{i}" for i in range(draw(st.integers(0, 2)))]
+    sections2 = [f"b{i}" for i in range(draw(st.integers(0, 2)))]
+    d1 = {e: {l: draw(small) for l in sections1} for e in edges}
+    d2 = {e: {l: draw(small) for l in sections2} for e in edges}
+    sc = SectionCrossingData(sections1, sections2, d1, d2)
+    p1 = {l: draw(small) for l in sections1}
+    p2 = {l: draw(small) for l in sections2}
+    return vc, sc, p1, p2, edges
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(arbitrary_block_data())
+def test_blocks_multiply_to_zero_for_any_integer_data(data):
+    # N_e is nonzero only in rows 0..g and columns g+1..2g+1, so every
+    # product N_e N_f vanishes whether or not the data are consistent.
+    vc, sc, p1, p2, edges = data
+    blocks = [build_Ne(vc, sc, p1, p2, e).matrix() for e in edges]
+    for ne in blocks:
+        for nf in blocks:
+            assert is_zero(mat_mul(ne, nf))
 
 
 def test_translation_block_check_accepts_consistent_data():

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tropical_heights.polynomials import (MultiPoly, RingMatrix, bordered_det,
-                                          det_fraction_free, fraction_det,
-                                          poly_add, poly_eval, poly_mul)
+                                          det_fraction_free, fraction_det)
 
 VARS = ("e1", "e2", "e3")
 
@@ -47,8 +46,8 @@ def test_arithmetic_matches_reference_eval():
     for _ in range(60):
         p = rand_poly(rng)
         q = rand_poly(rng)
-        assert poly_eval(poly_add(p, q), point) == p.evaluate(point) + q.evaluate(point)
-        assert poly_eval(poly_mul(p, q), point) == p.evaluate(point) * q.evaluate(point)
+        assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+        assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
         assert (p - q).evaluate(point) == p.evaluate(point) - q.evaluate(point)
         assert (p ** 2).evaluate(point) == p.evaluate(point) ** 2
 
@@ -77,22 +76,6 @@ def test_canonical_string_order():
         (1, 1, 0): Fraction(-1),
     })
     assert str(p) == "-Y_e1*Y_e2 + 3*Y_e2^2 + Y_e1 - 1/2"
-
-
-def test_parse_roundtrip():
-    rng = random.Random(5)
-    for _ in range(80):
-        p = rand_poly(rng)
-        assert MultiPoly.from_string(str(p), VARS) == p
-
-
-def test_parse_explicit_forms():
-    p = MultiPoly.from_string("Y_e1^2*Y_e3 - 5/3*Y_e2 + 7", VARS)
-    assert p.coefficient((2, 0, 1)) == 1
-    assert p.coefficient((0, 1, 0)) == Fraction(-5, 3)
-    assert p.coefficient((0, 0, 0)) == 7
-    with pytest.raises(ValueError):
-        MultiPoly.from_string("Y_e1 + unknown", VARS)
 
 
 def test_mixed_ring_rejected():
@@ -129,7 +112,7 @@ def test_det_small_matches_leibniz():
             rows = [[rand_poly(rng, max_terms=2, max_exp=1, max_coeff=3)
                      for _ in range(n)] for _ in range(n)]
             m = RingMatrix(rows)
-            assert m.det() == det_reference(rows)
+            assert det_fraction_free(m) == det_reference(rows)
 
 
 def rand_entry(rng, variables=VARS):
@@ -177,7 +160,7 @@ def test_det_large_agrees():
     rows = [[ys[i] if i == j else MultiPoly.constant(variables, 1)
              for j in range(6)] for i in range(6)]
     m = RingMatrix(rows)
-    d = m.det()
+    d = det_fraction_free(m)
     # reference: evaluate at distinct primes and compare with numeric det
     point = {v: Fraction(p) for v, p in zip(variables, (2, 3, 5, 7, 11, 13))}
     num = fraction_det([[rows[i][j].evaluate(point) for j in range(6)]
