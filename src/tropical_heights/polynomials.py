@@ -22,8 +22,15 @@ expansion runs on Python ints.  Each row is scaled to integer
 coefficients by its common denominator.  Each exponent tuple is packed
 into one int, ``width`` bits per variable, so a monomial product is one
 integer addition; ``width`` is bounded by the sum over rows of the row's
-largest exponent.  The result is divided by the row denominators once,
-back into ``Fraction`` coefficients.
+largest exponent.  A weighted sum of bordered determinants
+(:func:`bordered_det`) is added on ints too, over one common
+denominator, and each coefficient goes back to ``Fraction`` once.
+
+Matrices above dimension 12 are rejected.  For the graph polynomials
+the limit applies to the Kirchhoff matrix that
+:mod:`~tropical_heights.symanzik` chooses, the smaller of the h x h
+cycle Gram matrix and the (|V| - 1)-square reduced Laplacian, so it
+reads min(h, |V| - 1) <= 12.
 """
 
 import math
@@ -332,19 +339,22 @@ def det_fraction_free(matrix):
     if not isinstance(matrix, RingMatrix):
         matrix = RingMatrix(matrix)
     _check_dim(matrix.n)
-    return _det_cofactor(matrix)
+    return _det_sum(matrix.variables, [(1, matrix.rows)])
 
 
-def bordered_det(corner, row, column, matrix):
-    """Exact ``det [[corner, row^T], [column, matrix]]`` for a RingMatrix.
+def bordered_det(matrix, borders):
+    """Exact ``sum q * det [[corner, row^T], [column, matrix]]`` over the
+    ``(q, corner, row, column)`` in ``borders``, for a RingMatrix.
 
-    The bordered matrix has size n + 1 and goes through the same cofactor
-    expansion as :func:`det_fraction_free`.  The dimension limit applies
-    to ``matrix``, so every matrix with a determinant has bordered ones.
+    Each bordered matrix has size n + 1 and goes through the same integer
+    cofactor expansion as :func:`det_fraction_free`; the weighted sum is
+    taken on ints too.  The dimension limit applies to ``matrix``, so
+    every matrix with a determinant has bordered ones.
     """
     _check_dim(matrix.n)
-    rows = [[corner, *row]] + [[c, *r] for c, r in zip(column, matrix.rows)]
-    return _det_cofactor(RingMatrix(rows))
+    return _det_sum(matrix.variables, [
+        (q, [[corner, *row]] + [[c, *r] for c, r in zip(column, matrix.rows)])
+        for q, corner, row, column in borders])
 
 
 def _check_dim(n):
@@ -352,36 +362,61 @@ def _check_dim(n):
         raise ValueError(f"determinant supported up to dimension {_DIM_LIMIT}, got {n}")
 
 
-def _det_cofactor(matrix):
+def _det_sum(variables, dets):
+    """``sum q det(rows)`` over the ``(q, rows)`` in ``dets``, exact.
+
+    Each determinant is the cofactor expansion of :func:`_det_cofactor`
+    on integer rows: row i of a matrix is scaled by the common
+    denominator d_i of its coefficients, so the determinant comes out
+    multiplied by d_0 d_1 ... d_{n-1}.  Each exponent tuple is packed into
+    one int, ``width`` bits per variable, so multiplying two monomials
+    adds their keys.  A term of any minor takes one entry from each of
+    its rows, so no exponent exceeds the sum over rows of the row's
+    largest exponent; ``width`` is the bit length of the largest such
+    bound over all the matrices, so no field ever carries into the next
+    and the keys of every determinant agree.  The weights q and the row
+    scales go into one common denominator, the integer determinants are
+    added under it, and each coefficient becomes a ``Fraction`` once.
+    """
+    bound = max((sum(max((e for a in row for exps in a.terms for e in exps), default=0)
+                     for row in rows) for _q, rows in dets), default=0)
+    width = max(bound.bit_length(), 1)
+    shifts = [width * k for k in range(len(variables))]
+    scaled = []
+    for q, rows in dets:
+        dens = [math.lcm(*(c.denominator for a in row for c in a.terms.values()))
+                for row in rows]
+        rows = [[{sum(e << s for e, s in zip(exps, shifts)): c.numerator * (d // c.denominator)
+                  for exps, c in a.terms.items()} for a in row]
+                for row, d in zip(rows, dens)]
+        scaled.append((Fraction(q) / math.prod(dens), _det_cofactor(rows)))
+    scale = math.lcm(*(w.denominator for w, _det in scaled))
+    acc = {}
+    for w, det in scaled:
+        w = w.numerator * (scale // w.denominator)
+        for k, c in det.items():
+            acc[k] = acc.get(k, 0) + w * c
+    mask = (1 << width) - 1
+    p = MultiPoly.zero(variables)
+    p.terms = {tuple((k >> s) & mask for s in shifts): Fraction(c, scale)
+               for k, c in acc.items() if c}
+    return p
+
+
+def _det_cofactor(rows):
     """Laplace expansion along rows 0, 1, ..., n-1, memoized on columns.
 
-    The minor on rows i..n-1 and a column set S with |S| = n - i is
+    ``rows`` holds the entries as dicts from packed monomial keys to int
+    coefficients.  The minor on rows i..n-1 and a column set S with
+    |S| = n - i is
 
         D(S) = sum_k (-1)^k a_{i,j_k} D(S - {j_k}),
 
     where j_0 < j_1 < ... run over S, D(empty) = 1 and det = D(all
     columns).  Each of the at most 2^n column sets is expanded once, and
     zero entries are skipped, which keeps sparse graph matrices cheap.
-
-    The expansion runs on Python ints.  Row i is scaled by the common
-    denominator d_i of its coefficients, so every coefficient is an
-    integer, and the result is divided by d_0 d_1 ... d_{n-1} once at the
-    end.  Each exponent tuple is packed into one int, ``width`` bits per
-    variable, so multiplying two monomials adds their keys.  A term of
-    any minor takes one entry from each of its rows, so no exponent
-    exceeds the sum over rows of the row's largest exponent; ``width`` is
-    the bit length of that bound, and no field ever carries into the next.
     """
-    n = matrix.n
-    dens = [math.lcm(*(c.denominator for a in row for c in a.terms.values()))
-            for row in matrix.rows]
-    bound = sum(max((e for a in row for exps in a.terms for e in exps), default=0)
-                for row in matrix.rows)
-    width = max(bound.bit_length(), 1)
-    shifts = [width * k for k in range(len(matrix.variables))]
-    rows = [[{sum(e << s for e, s in zip(exps, shifts)): c.numerator * (d // c.denominator)
-              for exps, c in a.terms.items()} for a in row]
-            for row, d in zip(matrix.rows, dens)]
+    n = len(rows)
     memo = {0: {0: 1}}
 
     def minor(colmask):
@@ -406,13 +441,7 @@ def _det_cofactor(matrix):
         memo[colmask] = acc
         return acc
 
-    det = minor((1 << n) - 1)
-    scale = math.prod(dens)
-    mask = (1 << width) - 1
-    p = MultiPoly.zero(matrix.variables)
-    p.terms = {tuple((k >> s) & mask for s in shifts): Fraction(c, scale)
-               for k, c in det.items()}
-    return p
+    return minor((1 << n) - 1)
 
 
 def fraction_det(rows):

@@ -5,18 +5,35 @@ computes the two graph polynomials that control the tropical limit of
 the height pairing:
 
 * the Kirchhoff polynomial ``psi = sum over spanning trees T of
-  prod_{e not in T} Y_e``, equal to ``det M`` for the cycle Gram matrix
-  ``M = sum_e Y_e c_e c_e^T`` built from any integral cycle basis;
+  prod_{e not in T} Y_e``;
 * the momentum polynomial ``phi = sum over spanning 2-forests F of
   q(F) prod_{e not in F} Y_e`` with ``q(F) = -<p(F_1), p(F_2)>`` in the
-  chosen inner product, equal to a sum of determinants of M bordered by
-  a lift omega of the external momenta and the edge pairing.
+  chosen inner product.
 
-Every entry of M, of its borders and of their corners is a linear form
-``sum_e a_e Y_e``; each is written in one step from the cycle
-coefficients c_{e,i} of :meth:`~tropical_heights.graphs.CycleBasis.matrix`,
-the one place that table is built.  On a tree (h = 0) M is empty and
-phi is the sum of the corners.
+The exact determinant routes take them from one of two Kirchhoff
+matrices, each a Gram matrix ``sum_e x_e t_e t_e^T`` of an integer
+table t_{e,i}, whichever is smaller:
+
+* the cycle form, h x h: the cycle Gram matrix ``M = sum_e Y_e c_e
+  c_e^T`` of an integral cycle basis, with ``psi = det M`` and phi a
+  sum of determinants of M bordered by a lift omega of the external
+  momenta and the edge pairing;
+* the vertex form, (|V| - 1) square: the reduced Laplacian L0, the
+  incidence rows of every vertex but the first, with a variable x_e per
+  edge.  By the all-minors matrix-tree theorem ``psi =
+  complement(det L0)`` and phi is minus the complement of a sum of
+  determinants of L0 bordered by the vertex momenta, where complement
+  maps ``x^S`` to ``Y^{E - S}``.  Loops never enter L0.
+
+The vertex form is taken when |V| - 1 < h, the cycle form otherwise;
+a caller that passes a cycle basis or a lift gets the cycle form.
+Every matrix, border and corner entry is a linear form ``sum_e a_e
+Y_e`` (or a constant) written in one step from its table; the cycle
+coefficients c_{e,i} come from
+:meth:`~tropical_heights.graphs.CycleBasis.matrix`, the one place that
+table is built.  On a tree (h = 0) M is empty and phi is the sum of the
+corners; on one vertex L0 is empty, psi is the product of the loops and
+phi = 0.
 
 Both polynomials come with two independent algorithms each (forest
 enumeration vs. exact determinant), and the ratio ``phi/psi`` has a
@@ -134,34 +151,60 @@ class MomentumAssignment:
         return f"MomentumAssignment(D={self.space.dim}, vertices={sorted(self.momenta)})"
 
 
-def cycle_gram_matrix(graph, basis=None):
-    """RingMatrix ``M = sum_e Y_e c_e c_e^T`` over the cycle basis.
+def _gram_matrix(variables, table):
+    """RingMatrix ``sum_e x_e t_e t_e^T`` of the integer rows ``table``.
 
-    Entry (i, j) is the linear form ``sum_e c_{e,i} c_{e,j} Y_e`` read
-    off the basis' coefficient table.  Returns None for trees (h = 0),
-    where the matrix is empty and its determinant is 1 by convention.
+    Entry (i, j) is the linear form ``sum_e t_{i,e} t_{j,e} x_e``.
+    Returns None for an empty table, where the matrix is empty and its
+    determinant is 1 by convention.
     """
-    if basis is None:
-        basis = cycle_basis(graph)
-    h = len(basis)
+    h = len(table)
     if h == 0:
         return None
-    variables = graph.edge_ids()
-    cmat = basis.matrix()
     rows = [[None] * h for _ in range(h)]
     for i in range(h):
         for j in range(i, h):
             rows[i][j] = rows[j][i] = _linear_form(
-                variables, [a * b for a, b in zip(cmat[i], cmat[j])])
+                variables, [a * b for a, b in zip(table[i], table[j])])
     return RingMatrix(rows)
 
 
+def _vertex_form(graph):
+    """True when the reduced Laplacian (|V| - 1 square) is smaller than
+    the cycle Gram matrix (h x h).  Raises ValueError on disconnected
+    input, which has no spanning tree."""
+    nv = len(graph.vertices)
+    if nv - 1 >= len(graph.edges) - nv + 1:
+        return False
+    if not graph.is_connected():
+        raise ValueError("graph is disconnected; no spanning tree exists")
+    return True
+
+
+def _complement_poly(p):
+    """``x^S -> Y^{E - S}`` on a polynomial whose monomials are squarefree."""
+    out = MultiPoly.zero(p.variables)
+    out.terms = {tuple(1 - e for e in exps): c for exps, c in p.terms.items()}
+    return out
+
+
 def first_symanzik_det(graph, basis=None):
-    """Kirchhoff polynomial as det of the cycle Gram matrix (exact)."""
-    m = cycle_gram_matrix(graph, basis)
-    if m is None:
-        return MultiPoly.constant(graph.edge_ids(), 1)
-    return det_fraction_free(m)
+    """Kirchhoff polynomial as the determinant of the smaller Kirchhoff
+    matrix (exact).
+
+    With |V| - 1 < h and no ``basis``, ``psi = complement(det L0)`` for
+    the reduced Laplacian L0; otherwise ``psi = det M`` for the cycle Gram
+    matrix M of ``basis`` (the designated cycle basis when None).
+    """
+    variables = graph.edge_ids()
+    vertex = basis is None and _vertex_form(graph)
+    if vertex:
+        table = boundary_matrix(graph)[1:]
+    else:
+        table = (cycle_basis(graph) if basis is None else basis).matrix()
+    m = _gram_matrix(variables, table)
+    psi = MultiPoly.constant(variables, 1) if m is None else det_fraction_free(m)
+    return _complement_poly(psi) if vertex else psi
 
 
 def first_symanzik_trees(graph):
@@ -283,58 +326,81 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
                              lift2=None):
     """Momentum polynomial as a sum of bordered determinants (exact).
 
-    For each nonzero entry ``q_{mu nu}`` of the pairing, the cycle Gram
-    matrix M is bordered by the row ``W_mu(omega1)``, the column
-    ``W_nu(omega2)`` and the corner ``Q_{mu nu} = sum_e Y_e omega1_{e,mu}
-    omega2_{e,nu}``, where ``W_mu(omega)_i = sum_e c_{e,i} omega_{e,mu} Y_e``:
+    It is taken from the smaller Kirchhoff matrix, as in
+    :func:`first_symanzik_det`; a ``basis``, ``lift1`` or ``lift2``
+    selects the cycle form.  The sums run over the nonzero entries
+    ``q_{mu nu}`` of the pairing, one determinant of size n + 1 each,
+    and go through one :func:`~tropical_heights.polynomials.bordered_det`.
 
-        phi = sum_{q_{mu nu} != 0} q_{mu nu} det [[Q_{mu nu}, W_mu(omega1)^T],
-                                                  [W_nu(omega2), M]].
+    Cycle form: the cycle Gram matrix M is bordered by the row
+    ``W_mu(omega1)``, the column ``W_nu(omega2)`` and the corner
+    ``Q_{mu nu} = sum_e Y_e omega1_{e,mu} omega2_{e,nu}``, where
+    ``W_mu(omega)_i = sum_e c_{e,i} omega_{e,mu} Y_e``:
 
-    That is one determinant of size h + 1 per nonzero pairing entry.  On
-    a tree (h = 0) the determinant is its corner, so phi is
-    ``sum q_{mu nu} Q_{mu nu}``.  With ``momenta2`` omitted this is the
-    usual quadratic momentum polynomial; with both given it is the
-    symmetric bilinear version.
+        phi = sum q_{mu nu} det [[Q_{mu nu}, W_mu(omega1)^T],
+                                 [W_nu(omega2), M]].
+
+    On a tree (h = 0) each determinant is its corner, so phi is
+    ``sum_e Y_e <omega1_e, omega2_e>``.
+
+    Vertex form (|V| - 1 < h): with P the vertex momenta of every vertex
+    but the first, the reduced Laplacian L0 is bordered by constants,
+
+        phi = -complement(sum q_{mu nu} det [[0, P1_mu^T], [P2_nu, L0]]).
+
+    On one vertex L0 is empty and phi = 0.  With ``momenta2`` omitted
+    this is the usual quadratic momentum polynomial; with both given it
+    is the symmetric bilinear version.
     """
-    if basis is None:
-        basis = cycle_basis(graph)
     if momenta2 is None:
         momenta2 = momenta1
-    if momenta1.space is not momenta2.space and momenta1.space.matrix != momenta2.space.matrix:
+    space = momenta1.space
+    if space is not momenta2.space and space.matrix != momenta2.space.matrix:
         raise ValueError("both assignments must live in the same momentum space")
+    variables = graph.edge_ids()
+    pairing = [(mu, nu, q) for mu, qrow in enumerate(space.matrix)
+               for nu, q in enumerate(qrow) if q]
+    if basis is None and lift1 is None and lift2 is None and _vertex_form(graph):
+        if not (momenta1.is_conserved() and momenta2.is_conserved()):
+            raise ValueError("momenta must sum to zero to admit a lift")
+        lap = _gram_matrix(variables, boundary_matrix(graph)[1:])
+        if lap is None:
+            return MultiPoly.zero(variables)
+        rest = sorted(graph.vertices)[1:]
+        zero = MultiPoly.zero(variables)
+
+        def momentum_border(momenta, mu):
+            # P_mu, constant: coordinate mu of the momentum at each vertex of L0.
+            return [MultiPoly.constant(variables, momenta.vector(v)[mu]) for v in rest]
+
+        # The sign of phi goes into the weights.
+        return _complement_poly(bordered_det(lap, [
+            (-q, zero, momentum_border(momenta1, mu), momentum_border(momenta2, nu))
+            for mu, nu, q in pairing]))
+    if basis is None:
+        basis = cycle_basis(graph)
     if lift1 is None:
         lift1 = momentum_lift(graph, momenta1)
     if lift2 is None:
         lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
-    variables = graph.edge_ids()
-    cmat = basis.matrix()
-    m = cycle_gram_matrix(graph, basis)
     om1 = [lift1.vector(e) for e in variables]
     om2 = [lift2.vector(e) for e in variables]
+    cmat = basis.matrix()
+    m = _gram_matrix(variables, cmat)
+    if m is None:
+        return _linear_form(variables, [space.pair(a, b) for a, b in zip(om1, om2)])
 
     def border(omegas, mu):
         # W_mu(omega), one linear form per basis cycle.
         return [_linear_form(variables, [c * w[mu] for c, w in zip(row, omegas)])
                 for row in cmat]
 
-    dim = momenta1.space.dim
-    w1 = [border(om1, mu) for mu in range(dim)]
-    w2 = w1 if lift2 is lift1 else [border(om2, nu) for nu in range(dim)]
-    # Every q_{mu nu} * det goes into one terms dict; phi is built once.
-    terms = {}
-    for mu, qrow in enumerate(momenta1.space.matrix):
-        for nu, q in enumerate(qrow):
-            if q == 0:
-                continue
-            term = _linear_form(variables, [a[mu] * b[nu] for a, b in zip(om1, om2)])
-            if m is not None:
-                term = bordered_det(term, w1[mu], w2[nu], m)
-            for exps, c in term.terms.items():
-                terms[exps] = terms.get(exps, 0) + q * c
-    phi = MultiPoly.zero(variables)
-    phi.terms = {exps: c for exps, c in terms.items() if c}
-    return phi
+    w1 = [border(om1, mu) for mu in range(space.dim)]
+    w2 = w1 if lift2 is lift1 else [border(om2, nu) for nu in range(space.dim)]
+    return bordered_det(m, [
+        (q, _linear_form(variables, [a[mu] * b[nu] for a, b in zip(om1, om2)]),
+         w1[mu], w2[nu])
+        for mu, nu, q in pairing])
 
 
 def second_symanzik_forests(graph, momenta1, momenta2=None):
@@ -406,13 +472,13 @@ def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur"):
         momenta2 = momenta1
     if method not in ("schur", "polynomial"):
         raise ValueError(f"unknown method {method!r} (expected 'schur' or 'polynomial')")
-    basis = cycle_basis(graph)
     if method == "polynomial":
-        psi = first_symanzik_det(graph, basis)
-        phi = second_symanzik_bordered(graph, momenta1, momenta2, basis=basis)
+        psi = first_symanzik_det(graph)
+        phi = second_symanzik_bordered(graph, momenta1, momenta2)
         assign = {e: float(v) for e, v in y.items()}
         return float(phi.evaluate(assign)) / float(psi.evaluate(assign))
     import numpy as np
+    basis = cycle_basis(graph)
     order, vals = _edge_values(graph, y)
     lift1 = momentum_lift(graph, momenta1)
     lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1

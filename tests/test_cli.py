@@ -94,6 +94,23 @@ def test_symanzik_second_and_check(capsys, triangle_path):
     assert out == "Y_e1*Y_e2 + Y_e1*Y_e3 + 2*Y_e2*Y_e3"
 
 
+def test_symanzik_banana14_within_limit(capsys, tmp_path):
+    # h = 13 is past the determinant limit; |V| - 1 = 1 is the matrix taken.
+    path = tmp_path / "banana14.json"
+    dump_json({
+        "vertices": ["v1", "v2"],
+        "edges": [{"id": f"e{k:02d}", "tail": "v1", "head": "v2"} for k in range(1, 15)],
+        "markings": [{"id": "l1", "vertex": "v1", "momentum": [2]},
+                     {"id": "l2", "vertex": "v2", "momentum": [-2]}],
+        "minkowski": {"dim": 1, "signature": "euclidean"},
+    }, path)
+    for which, enumeration in (("first", "trees"), ("second", "forests")):
+        code, out, _ = run(capsys, "symanzik", which, "--graph", str(path))
+        assert code == 0
+        assert (code, out) == run(capsys, "symanzik", which, "--graph", str(path),
+                                  "--method", enumeration)[:2]
+
+
 def test_symanzik_ratio_checked(capsys, triangle_path):
     code, out, _ = run(
         capsys, "symanzik", "ratio", "--graph", triangle_path,

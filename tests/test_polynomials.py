@@ -134,10 +134,17 @@ def test_integer_kernel_matches_leibniz():
         for _ in range(6):
             rows = [[rand_entry(rng) for _ in range(n)] for _ in range(n)]
             assert det_fraction_free(rows) == det_reference(rows)
-            corner, *border = [rand_entry(rng) for _ in range(2 * n + 1)]
-            row, column = border[:n], border[n:]
-            bordered = [[corner, *row]] + [[c, *r] for c, r in zip(column, rows)]
-            assert bordered_det(corner, row, column, RingMatrix(rows)) == det_reference(bordered)
+            # Up to three borders with rational weights, summed under one
+            # common denominator.
+            borders, want = [], MultiPoly.zero(VARS)
+            for _ in range(rng.randint(1, 3)):
+                q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+                corner, *border = [rand_entry(rng) for _ in range(2 * n + 1)]
+                row, column = border[:n], border[n:]
+                borders.append((q, corner, row, column))
+                bordered = [[corner, *row]] + [[c, *r] for c, r in zip(column, rows)]
+                want = want + q * det_reference(bordered)
+            assert bordered_det(RingMatrix(rows), borders) == want
 
 
 def test_integer_kernel_exponents_past_four_bits():

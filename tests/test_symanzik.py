@@ -113,6 +113,10 @@ def test_loop_second_vanishes():
     assert str(first_symanzik_det(LOOP)) == "Y_e1"
     assert second_symanzik_bordered(LOOP, mom).is_zero()
     assert second_symanzik_forests(LOOP, mom).is_zero()
+    # One vertex, two loops: L0 is empty and psi is the product of the loops.
+    loops = Multigraph(["v1"], [("a", "v1", "v1"), ("b", "v1", "v1")])
+    assert str(first_symanzik_det(loops)) == "Y_a*Y_b"
+    assert second_symanzik_bordered(loops, mom).is_zero()
 
 
 def test_triangle_frozen():
@@ -254,7 +258,8 @@ def test_lift_independence():
             vectors[e] = tuple(x + coeff * s for x, s in zip(base, shift))
         other = MomentumLift(graph, space, vectors)
         assert other.boundary() == lift.boundary()
-        phi = second_symanzik_bordered(graph, mom)
+        # Passing the lifts keeps both sides in the cycle form.
+        phi = second_symanzik_bordered(graph, mom, lift1=lift, lift2=lift)
         assert second_symanzik_bordered(graph, mom, lift1=other, lift2=other) == phi
 
 
@@ -284,10 +289,12 @@ def test_forest_route_matches_bordered():
     assert second_symanzik_bordered(k5, mom1) == second_symanzik_forests(k5, mom1)
     assert (second_symanzik_bordered(k5, mom1, mom2)
             == second_symanzik_forests(k5, mom1, mom2))
-    # 13 parallel edges: h = 12, the largest supported Betti number.
+    # 13 parallel edges: h = 12, the largest cycle Gram matrix, pinned by
+    # the basis (without one, |V| - 1 = 1 picks the vertex form).
     banana13 = banana_graph(13)
     mom = random_conserved_momenta(rng, banana13, D1)
-    assert second_symanzik_bordered(banana13, mom) == second_symanzik_forests(banana13, mom)
+    assert (second_symanzik_bordered(banana13, mom, basis=cycle_basis(banana13))
+            == second_symanzik_forests(banana13, mom))
 
 
 def test_forest_route_matches_bordered_on_trees():
@@ -345,12 +352,60 @@ def test_first_routes_agree_on_k6():
     assert first_symanzik_det(k6) == first_symanzik_trees(k6)
 
 
-def test_betti_above_twelve_rejected():
-    banana14 = banana_graph(14)
+def test_kirchhoff_matrix_above_twelve_rejected():
+    # A 14-cycle with 12 chords: h = |V| - 1 = 13, so both Kirchhoff
+    # matrices exceed the determinant limit.
+    vertices = [f"v{i:02d}" for i in range(14)]
+    edges = [(f"c{i:02d}", vertices[i], vertices[(i + 1) % 14]) for i in range(14)]
+    edges += [(f"d{i:02d}", vertices[i], vertices[(i + 7) % 14]) for i in range(12)]
+    graph = Multigraph(vertices, edges)
+    assert first_betti(graph) == len(vertices) - 1 == 13
+    mom = random_conserved_momenta(random.Random(14), graph, D1)
     with pytest.raises(ValueError, match="up to dimension 12, got 13"):
-        first_symanzik_det(banana14)
+        first_symanzik_det(graph)
     with pytest.raises(ValueError, match="up to dimension 12, got 13"):
-        second_symanzik_bordered(banana14, banana_momenta())
+        second_symanzik_bordered(graph, mom)
+
+
+def test_routes_agree_on_k7():
+    # h = 15: only the vertex form (6 x 6 reduced Laplacian) is in reach.
+    rng = random.Random(7)
+    k7 = complete_graph(7)
+    assert first_betti(k7) == 15
+    assert first_symanzik_det(k7) == first_symanzik_trees(k7)
+    mom = random_conserved_momenta(rng, k7, MinkowskiSpace.euclidean(2))
+    assert second_symanzik_bordered(k7, mom) == second_symanzik_forests(k7, mom)
+
+
+def test_vertex_form_matches_cycle_form():
+    # Graphs with |V| - 1 < h take the reduced Laplacian; an explicit
+    # basis pins the cycle Gram matrix, so the two forms meet exactly.
+    rng = random.Random(1013)
+    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+    spaces = (D1, MinkowskiSpace.lorentzian(4), rational)
+    seen = {"loops": 0, "one vertex": 0, "rational": 0}
+    checked = 0
+    while checked < 60:
+        graph = random_connected_multigraph(rng, max_edges=8, max_vertices=5)
+        nv = len(graph.vertices)
+        if nv - 1 >= first_betti(graph):
+            continue
+        basis = cycle_basis(graph)
+        assert first_symanzik_det(graph) == first_symanzik_det(graph, basis)
+        space = spaces[checked % len(spaces)]
+        mom1 = random_conserved_momenta(rng, graph, space)
+        other = random_conserved_momenta(rng, graph, space)
+        mom2 = MomentumAssignment(space, {v: [Fraction(2, 5) * x for x in p]
+                                          for v, p in other.momenta.items()})
+        assert second_symanzik_bordered(graph, mom1) == second_symanzik_bordered(
+            graph, mom1, basis=basis)
+        assert second_symanzik_bordered(graph, mom1, mom2) == second_symanzik_bordered(
+            graph, mom1, mom2, basis=basis)
+        seen["loops"] += any(graph.is_loop(e) for e in graph.edge_ids())
+        seen["one vertex"] += nv == 1
+        seen["rational"] += space is rational
+        checked += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_ratio_methods_match_oracle():
@@ -394,3 +449,6 @@ def test_nonconserved_lift_rejected():
     )
     with pytest.raises(ValueError):
         momentum_lift(BANANA, mom)
+    # The vertex form (h = 2 > |V| - 1 = 1) needs no lift but still rejects them.
+    with pytest.raises(ValueError, match="sum to zero"):
+        second_symanzik_bordered(banana_graph(3), mom)
