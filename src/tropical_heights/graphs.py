@@ -8,9 +8,14 @@ heights) is orientation independent, and the tests check that.
 The designated spanning tree used by :func:`cycle_basis` and by the
 momentum lift is the greedy tree in lexicographic edge-id order, so two
 runs over the same graph always agree.
-"""
 
-import itertools
+Spanning trees and spanning 2-forests are the acyclic edge sets of size
+|V|-1 and |V|-2.  Each enumeration is one depth-first search over the
+non-loop edges in lexicographic order that extends a single union-find
+and rolls it back when it backtracks, so an edge closing a cycle prunes
+every subset through it and the output order is that of
+``itertools.combinations``.
+"""
 
 
 class Multigraph:
@@ -86,31 +91,44 @@ class Multigraph:
 
 
 class _UnionFind:
-    __slots__ = ("parent", "rank")
+    """Union by rank with rollback: ``undo`` reverts the latest
+    successful ``union``.  ``find`` does not compress paths, which
+    rollback could not undo; union by rank keeps every tree's depth at
+    most log2 of the item count."""
+
+    __slots__ = ("parent", "rank", "history")
 
     def __init__(self, items):
         self.parent = {x: x for x in items}
         self.rank = {x: 0 for x in items}
+        self.history = []
 
     def find(self, x):
         p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
+        while p[x] != x:
+            x = p[x]
+        return x
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        if self.rank[ra] < self.rank[rb]:
+        rank = self.rank
+        if rank[ra] < rank[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        if self.rank[ra] == self.rank[rb]:
-            self.rank[ra] += 1
+        bumped = rank[ra] == rank[rb]
+        if bumped:
+            rank[ra] += 1
+        self.history.append((rb, bumped))
         return True
+
+    def undo(self):
+        rb, bumped = self.history.pop()
+        ra = self.parent[rb]
+        self.parent[rb] = rb
+        if bumped:
+            self.rank[ra] -= 1
 
 
 class CycleVector:
@@ -267,23 +285,53 @@ def boundary_matrix(graph):
     return mat
 
 
-def spanning_trees(graph):
-    """All spanning trees, as sorted tuples of edge ids.
+def _acyclic_subsets(graph, size, uf):
+    """Yield every acyclic ``size``-subset of the non-loop edges, as a
+    sorted tuple of edge ids, in the order of ``itertools.combinations``.
 
-    Brute-force over edge subsets of size |V|-1, so intended for the
-    small graphs this package works with.  Raises ValueError on
-    disconnected input, which has no spanning tree.
+    Depth-first search over the edges in lexicographic id order: each edge
+    is tried as included, merged into ``uf`` (a :class:`_UnionFind` over
+    the graph's vertices) and rolled back on backtracking.  An edge that
+    closes a cycle is skipped, with every subset through it.  At each
+    yield ``uf`` holds exactly the yielded subset's components.
     """
-    if not graph.is_connected():
+    ends = [(e, *graph.endpoints(e)) for e in graph.edge_ids() if not graph.is_loop(e)]
+    slack = len(ends) - size  # how far past its depth a choice may reach
+    at = []  # positions in ``ends`` of the chosen edges
+    chosen = []
+    i = 0
+    while True:
+        if len(chosen) == size:
+            yield tuple(chosen)
+        elif i <= slack + len(chosen):
+            eid, tail, head = ends[i]
+            if uf.union(tail, head):
+                at.append(i)
+                chosen.append(eid)
+            i += 1
+            continue
+        if not chosen:
+            return
+        # Backtrack: drop the latest edge and go on with the one after it.
+        i = at.pop() + 1
+        chosen.pop()
+        uf.undo()
+
+
+def spanning_trees(graph):
+    """All spanning trees, as sorted tuples of edge ids, in lexicographic
+    order.
+
+    One depth-first search over the non-loop edges extends a single
+    rollback union-find (see :func:`_acyclic_subsets`): a tree is an
+    acyclic set of |V|-1 edges.  Raises ValueError on disconnected input,
+    which has no spanning tree.
+    """
+    uf = _UnionFind(graph.vertices)
+    trees = list(_acyclic_subsets(graph, len(graph.vertices) - 1, uf))
+    if not trees:  # a connected graph has at least one
         raise ValueError("graph is disconnected; it has no spanning trees")
-    nv = len(graph.vertices)
-    candidates = [e for e in graph.edge_ids() if not graph.is_loop(e)]
-    out = []
-    for subset in itertools.combinations(candidates, nv - 1):
-        uf = _UnionFind(graph.vertices)
-        if all(uf.union(*graph.endpoints(e)) for e in subset):
-            out.append(subset)
-    return out
+    return trees
 
 
 def spanning_2forests(graph):
@@ -292,7 +340,9 @@ def spanning_2forests(graph):
     Returns a list of ``(edges, (part0, part1))`` where ``edges`` is a
     sorted tuple of edge ids, the parts are frozensets of vertex ids
     covering all vertices, and ``part0`` contains the smallest vertex id.
-    Forests have |V|-2 edges and exactly two components.  Raises
+    Forests have |V|-2 edges and exactly two components; they come in
+    lexicographic order from the same search as :func:`spanning_trees`,
+    and each forest's parts are read off the search's union-find.  Raises
     ValueError on disconnected input.
     """
     if not graph.is_connected():
@@ -300,16 +350,14 @@ def spanning_2forests(graph):
     nv = len(graph.vertices)
     if nv < 2:
         return []
-    candidates = [e for e in graph.edge_ids() if not graph.is_loop(e)]
-    out = []
     vmin = min(graph.vertices)
     vertices = frozenset(graph.vertices)
-    for subset in itertools.combinations(candidates, nv - 2):
-        uf = _UnionFind(graph.vertices)
-        if not all(uf.union(*graph.endpoints(e)) for e in subset):
-            continue
+    uf = _UnionFind(graph.vertices)
+    find = uf.find
+    out = []
+    for edges in _acyclic_subsets(graph, nv - 2, uf):
         # An acyclic set of |V|-2 edges leaves exactly two components.
-        root = uf.find(vmin)
-        part0 = frozenset(v for v in graph.vertices if uf.find(v) == root)
-        out.append((subset, (part0, vertices - part0)))
+        root = find(vmin)
+        part0 = frozenset(v for v in graph.vertices if find(v) == root)
+        out.append((edges, (part0, vertices - part0)))
     return out

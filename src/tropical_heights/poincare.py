@@ -27,6 +27,8 @@ The invariant of interest is the norm
 unchanged under the action for real shift data and real alpha.
 """
 
+import math
+
 import numpy as np
 
 
@@ -233,7 +235,16 @@ def act(element, point):
 
 
 def log_norm(point):
-    """-2 pi Im(rho) + 2 pi Im(W) (Im Omega)^-1 Im(Z)."""
-    im_omega = point.omega.imag
-    sol = np.linalg.solve(im_omega, point.z.imag)
-    return float(2.0 * np.pi * (-point.rho.imag + point.w.imag @ sol))
+    """-2 pi Im(rho) + 2 pi Im(W) (Im Omega)^-1 Im(Z).
+
+    Raises ValueError when the norm is not finite: Im(Omega) is too close
+    to singular for the solve, or the product overflows.
+    """
+    with np.errstate(all="ignore"):
+        sol = np.linalg.solve(point.omega.imag, point.z.imag)
+        value = float(2.0 * np.pi * (-point.rho.imag + point.w.imag @ sol))
+    if not math.isfinite(value):
+        cause = ("the imaginary part of the period matrix is numerically singular"
+                 if not np.isfinite(sol).all() else "it overflows a float")
+        raise ValueError(f"log norm is not finite: {cause}")
+    return value

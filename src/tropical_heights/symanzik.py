@@ -210,16 +210,21 @@ def first_symanzik_det(graph, basis=None):
 def first_symanzik_trees(graph):
     """Kirchhoff polynomial by direct spanning-tree enumeration."""
     variables = graph.edge_ids()
+    position = {e: k for k, e in enumerate(variables)}
+    one = Fraction(1)
     psi = MultiPoly.zero(variables)
     # Distinct trees have distinct complements, so each monomial occurs once.
-    psi.terms = {_complement(variables, t): Fraction(1) for t in spanning_trees(graph)}
+    psi.terms = {_complement(position, t): one for t in spanning_trees(graph)}
     return psi
 
 
-def _complement(variables, edges):
-    """Exponent tuple of ``prod_{e not in edges} Y_e``."""
-    edges = set(edges)
-    return tuple(0 if e in edges else 1 for e in variables)
+def _complement(position, edges):
+    """Exponent tuple of ``prod_{e not in edges} Y_e``; ``position`` maps
+    each variable to its index."""
+    exps = [1] * len(position)
+    for e in edges:
+        exps[position[e]] = 0
+    return tuple(exps)
 
 
 def _linear_form(variables, coeffs):
@@ -407,9 +412,11 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     """Momentum polynomial by spanning-2-forest enumeration (exact).
 
     Each forest F with parts (F_1, F_2) contributes
-    ``<p(F_1), p'(F_1)>  * prod_{e not in F} Y_e``; conservation makes the
-    part choice immaterial, and the diagonal case reduces to
-    ``-<p(F_1), p(F_2)>``.
+    ``<p(F_1), p'(F_1)>  * prod_{e not in F} Y_e``.  Conservation makes
+    p(F_2) = -p(F_1) for both assignments, so the bilinear weight is the
+    same on either part and is summed over the smaller one; the diagonal
+    case reduces to ``-<p(F_1), p(F_2)>``.  Raises ValueError on
+    momenta that do not sum to zero, as the determinant route does.
 
     The sums run on ints: each assignment and the pairing matrix are
     scaled by their common denominators d1, d2 and dq, and since phi is
@@ -417,7 +424,10 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     """
     if momenta2 is None:
         momenta2 = momenta1
+    if not (momenta1.is_conserved() and momenta2.is_conserved()):
+        raise ValueError("momenta must sum to zero to admit a lift")
     variables = graph.edge_ids()
+    position = {e: k for k, e in enumerate(variables)}
     qrows, dq = _scaled_to_ints(momenta1.space.matrix)
     pairing = [(mu, nu, q) for mu, row in enumerate(qrows) for nu, q in enumerate(row) if q]
     vertices = graph.vertices
@@ -425,12 +435,13 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     vecs2, d2 = _scaled_to_ints([momenta2.vector(v) for v in vertices])
     rows1, rows2 = dict(zip(vertices, vecs1)), dict(zip(vertices, vecs2))
     terms = {}
-    for edges, (part1, _part2) in spanning_2forests(graph):
-        p1 = [sum(col) for col in zip(*(rows1[v] for v in part1))]
-        p2 = [sum(col) for col in zip(*(rows2[v] for v in part1))]
+    for edges, (part0, part1) in spanning_2forests(graph):
+        part = part0 if len(part0) <= len(part1) else part1
+        p1 = [sum(col) for col in zip(*(rows1[v] for v in part))]
+        p2 = [sum(col) for col in zip(*(rows2[v] for v in part))]
         qf = sum(q * p1[mu] * p2[nu] for mu, nu, q in pairing)
         if qf:
-            terms[_complement(variables, edges)] = Fraction(qf, d1 * d2 * dq)
+            terms[_complement(position, edges)] = Fraction(qf, d1 * d2 * dq)
     phi = MultiPoly.zero(variables)
     phi.terms = terms
     return phi

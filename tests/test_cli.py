@@ -275,6 +275,21 @@ def test_poincare_norm(capsys, tmp_path):
     assert err.count("\n") == 1 and "omega" in err and "finite" in err
 
 
+@pytest.mark.parametrize("point, cause", [
+    # Im(Omega) = 1e-320 passes Cholesky, but 0.5 / 1e-320 is inf.
+    ({"omega": [[[0.0, 1e-320]]], "w": [[0.25, 0.0]], "z": [[0.0, 0.5]],
+      "rho": [0.0, 0.5]}, "singular"),
+    ({"omega": [[[0.0, 1.0]]], "w": [[0.25, 1e300]], "z": [[0.0, 1e300]],
+      "rho": [0.0, 0.5]}, "overflows"),
+], ids=["near-singular-omega", "overflow"])
+def test_poincare_norm_not_finite(capsys, tmp_path, point, cause):
+    path = tmp_path / "point.json"
+    dump_json(point, path)
+    result = run(capsys, "poincare", "norm", "--point", str(path))
+    _assert_one_line_input_error(result)
+    assert cause in result[2]
+
+
 def test_limit_eval(capsys, tmp_path, banana_path):
     fixture = tmp_path / "fixture.json"
     dump_json(

@@ -7,9 +7,9 @@ from itertools import combinations
 import pytest
 
 from tropical_heights.corpus import exhaustive_small_graphs, random_connected_multigraph
-from tropical_heights.graphs import (CycleVector, Multigraph, boundary_matrix,
-                                     cycle_basis, designated_tree, first_betti,
-                                     spanning_2forests, spanning_trees)
+from tropical_heights.graphs import (CycleVector, Multigraph, _UnionFind,
+                                     boundary_matrix, cycle_basis, designated_tree,
+                                     first_betti, spanning_2forests, spanning_trees)
 from tropical_heights.polynomials import fraction_det
 
 BANANA = Multigraph(["v1", "v2"], [("e1", "v1", "v2"), ("e2", "v1", "v2")])
@@ -184,3 +184,65 @@ def test_forests_cover_and_partition():
             for eid in edges:
                 a, b = graph.endpoints(eid)
                 assert ({a, b} <= set(part0)) or ({a, b} <= set(part1))
+
+
+def reference_trees(graph):
+    """Brute force: the connected (|V|-1)-subsets of the non-loop edges."""
+    candidates = [e for e in graph.edge_ids() if not graph.is_loop(e)]
+    return [subset for subset in combinations(candidates, len(graph.vertices) - 1)
+            if len(graph.components(subset)) == 1]
+
+
+def reference_2forests(graph):
+    """Brute force: the (|V|-2)-subsets of the non-loop edges that leave
+    two components, with those components (smallest vertex first)."""
+    if len(graph.vertices) < 2:  # no 2-forest on one vertex
+        return []
+    candidates = [e for e in graph.edge_ids() if not graph.is_loop(e)]
+    out = []
+    for subset in combinations(candidates, len(graph.vertices) - 2):
+        parts = graph.components(subset)
+        if len(parts) == 2:
+            out.append((subset, tuple(parts)))
+    return out
+
+
+def test_enumerations_match_brute_force():
+    rng = random.Random(2718)
+    graphs = exhaustive_small_graphs(4) + [
+        random_connected_multigraph(rng, max_edges=9, max_vertices=7) for _ in range(100)]
+    # The random draw includes loops and parallel edges.
+    assert any(graph.is_loop(e) for graph in graphs for e in graph.edge_ids())
+    assert any(len({frozenset(graph.endpoints(e)) for e in graph.edge_ids()})
+               < len(graph.edges) for graph in graphs)
+    for graph in graphs:
+        # Same subsets, same parts, same order.
+        assert spanning_trees(graph) == reference_trees(graph)
+        assert spanning_2forests(graph) == reference_2forests(graph)
+
+
+def test_union_find_undo_restores_components():
+    rng = random.Random(5)
+    items = [f"v{k}" for k in range(12)]
+    uf = _UnionFind(items)
+
+    def components():
+        groups = {}
+        for x in items:
+            groups.setdefault(uf.find(x), set()).add(x)
+        return sorted(map(sorted, groups.values()))
+
+    states = [components()]
+    while len(states) < len(items):
+        a, b = rng.sample(items, 2)
+        if uf.union(a, b):
+            states.append(components())
+        else:  # a refused union changes nothing and is not undone
+            assert components() == states[-1]
+    assert states[-1] == [sorted(items)]
+    while len(states) > 1:
+        uf.undo()
+        states.pop()
+        assert components() == states[-1]
+    assert components() == [[x] for x in sorted(items)]
+    assert all(rank == 0 for rank in uf.rank.values())

@@ -452,3 +452,13 @@ def test_nonconserved_lift_rejected():
     # The vertex form (h = 2 > |V| - 1 = 1) needs no lift but still rejects them.
     with pytest.raises(ValueError, match="sum to zero"):
         second_symanzik_bordered(banana_graph(3), mom)
+    # The forest route rejects them too: without conservation a forest's
+    # weight would depend on which of its two parts is summed.
+    triangle_mom = MomentumAssignment(
+        D1, {"v1": (1,), "v2": (2,), "v3": (0,)}, require_conserved=False
+    )
+    conserved = MomentumAssignment(D1, {"v1": (1,), "v2": (-1,)})
+    for args in ((TRIANGLE, triangle_mom), (BANANA, mom), (BANANA, conserved, mom),
+                 (BANANA, mom, conserved)):
+        with pytest.raises(ValueError, match="sum to zero"):
+            second_symanzik_forests(*args)
