@@ -236,6 +236,124 @@ def test_green_laplacian_residual():
     assert green.laplacian_residual(n=64) <= 1e-3
 
 
+def test_laplacian_stencil_below_zero_wraps():
+    # At this tau the first grid row lies h / Im(tau) above y = 0 up to
+    # rounding, so its z - ih stencil point has y = -9.9e-18, and
+    # -9.9e-18 % 1.0 is 1.0.
+    green = TorusGreen(-0.08480269556666153 + 0.021999999999999995j)
+    assert math.isfinite(green.laplacian_residual(n=11, h=0.001))
+
+
+def test_green_is_even():
+    # g(-z) = g(z): the half-grid integral residual rests on it.
+    rng = random.Random(41)
+    for tau in TAUS + (0.3j, 3 + 0.8j):
+        green = TorusGreen(tau)
+        x = np.array([rng.uniform(0.01, 0.99) for _ in range(20)])
+        y = np.array([rng.uniform(0.01, 0.99) for _ in range(20)])
+        g = green.value_frac(x, y)
+        assert np.max(np.abs(green.value_frac(1.0 - x, 1.0 - y) - g)) <= 1e-12
+
+
+def _full_grid_integral_residual(green, n):
+    """The singularity-subtracted midpoint rule on every row of the grid."""
+    tau = green.tau
+    r0 = 0.45 * min(1.0, tau.imag)
+    grid = (np.arange(n) + 0.5) / n
+    xg, yg = np.meshgrid(grid, grid, indexing="ij")
+    vals = green.value_frac(xg, yg)
+    r = lab._min_image_distance(xg, yg, tau)
+    model = np.zeros_like(vals)
+    inside = r < r0
+    model[inside] = -np.log(r[inside]) * lab._plateau_bump(r[inside] / r0)
+    a = r0 / 2.0
+    inner = 2.0 * math.pi * (a * a / 4.0 - (a * a / 2.0) * math.log(a))
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    rr = a + (r0 - a) * 0.5 * (nodes + 1.0)
+    wr = (r0 - a) * 0.5 * weights
+    outer = float(np.sum(wr * -np.log(rr) * lab._plateau_bump(rr / r0) * 2.0 * math.pi * rr))
+    return float(np.mean(vals - model)) + (inner + outer) / tau.imag
+
+
+def test_integral_residual_half_grid_matches_full_grid():
+    for tau in TAUS + (0.3j,):
+        green = TorusGreen(tau)
+        for n in (95, 96):
+            want = _full_grid_integral_residual(green, n)
+            assert abs(green.integral_residual(n=n) - want) <= 1e-14
+
+
+def test_laplacian_residual_matches_five_calls():
+    for tau in (0.3 + 1.2j, 0.8j, -0.41 + 0.9j):
+        green = TorusGreen(tau)
+        n, h = 24, 1.0 / 512.0
+        grid = (np.arange(n) + 0.5) / n
+        xg, yg = np.meshgrid(grid, grid, indexing="ij")
+        keep = lab._min_image_distance(xg, yg, tau) > 0.45 * min(1.0, tau.imag)
+        z = xg[keep] + yg[keep] * tau
+
+        def g_at(zs):
+            y = zs.imag / tau.imag
+            return green.value_frac((zs.real - y * tau.real) % 1.0, y % 1.0)
+
+        lap = (g_at(z + h) + g_at(z - h) + g_at(z + 1j * h) + g_at(z - 1j * h)
+               - 4.0 * g_at(z)) / (h * h)
+        want = float(np.max(np.abs(lap - 2.0 * math.pi / tau.imag)))
+        assert green.laplacian_residual(n=n, h=h) == pytest.approx(want, abs=1e-9)
+
+
+def test_min_image_distance_matches_brute_force_below_r0():
+    # A 17 x 17 block of translates around the reduced point is the
+    # reference; |Re tau| up to 3 needs the Re tau reduction.
+    rng = random.Random(12)
+    steps = np.arange(-8.0, 9.0)
+    m, n = np.meshgrid(steps, steps, indexing="ij")
+    for _ in range(60):
+        tau = complex(rng.uniform(-3, 3), rng.uniform(0.02, 3))
+        r0 = 0.45 * min(1.0, tau.imag)
+        x = np.array([rng.uniform(0, 1) for _ in range(40)])
+        y = np.array([rng.uniform(0, 1) for _ in range(40)])
+        # Points close to a lattice point, where the reduction matters.
+        u = np.array([rng.uniform(-0.4, 0.4) for _ in range(20)]) * r0 / tau.imag
+        v = np.array([rng.uniform(-0.4, 0.4) for _ in range(20)]) * r0
+        x[:20] = (v - u * tau.real) % 1.0
+        y[:20] = u % 1.0
+        got = lab._min_image_distance(x, y, tau)
+        brute = np.min(np.abs((x + m[..., None]) + (y + n[..., None]) * tau), axis=(0, 1))
+        below = brute < r0
+        assert below[:20].all()
+        assert np.max(np.abs(got[below] - brute[below])) <= 1e-12
+        assert (got >= brute - 1e-12).all()
+
+
+def test_integral_residual_with_large_real_part():
+    # 3 + 0.8j spans the same lattice as 0.8j.
+    assert abs(TorusGreen(3 + 0.8j).integral_residual(n=128)) <= 1e-8
+
+
+def test_residuals_reject_bad_grid_size():
+    green = TorusGreen(0.8j)
+    for n in (0, -3, 2.5, 14.0):
+        with pytest.raises(ValueError, match="grid size n"):
+            green.integral_residual(n=n)
+        with pytest.raises(ValueError, match="grid size n"):
+            green.laplacian_residual(n=n)
+
+
+def test_laplacian_residual_rejects_bad_step():
+    green = TorusGreen(0.8j)
+    for h in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="step h"):
+            green.laplacian_residual(n=14, h=h)
+
+
+def test_laplacian_residual_rejects_empty_exclusion():
+    green = TorusGreen(0.8j)
+    for exclusion in (5.0, math.nan):
+        with pytest.raises(ValueError, match="exclusion"):
+            green.laplacian_residual(n=14, exclusion=exclusion)
+
+
 def test_regularized_diagonal_metric_scale():
     green = TorusGreen(1.1j)
     base = green.regularized_diagonal()
