@@ -397,10 +397,14 @@ class AdmissibleSegment:
         self.edges = norm
 
     def phases(self, alpha):
-        return {
-            e: spec.phase_offset + spec.phase_amplitude * math.cos(spec.phase_frequency / alpha)
-            for e, spec in self.edges.items()
-        }
+        out = {}
+        for e, spec in self.edges.items():
+            arg = spec.phase_frequency / alpha
+            if not math.isfinite(arg):
+                raise ValueError(f"edges.{e}.phase_frequency: frequency / alpha overflows "
+                                 f"at alpha = {alpha!r}, got {spec.phase_frequency!r}")
+            out[e] = spec.phase_offset + spec.phase_amplitude * math.cos(arg)
+        return out
 
     def vertical(self, alpha):
         return {

@@ -15,6 +15,7 @@ import argparse
 import cmath
 import functools
 import json
+import math
 import sys
 import time
 
@@ -246,8 +247,14 @@ def _cmd_lab_torus(args):
     family = jsonio.degeneration_family_from_json(jsonio.load_json(args.family))
     from .lab import degeneration_experiment
     report = degeneration_experiment(family)
-    _emit({"estimate": report.estimate, "prediction": report.prediction,
-           "rel_error": report.rel_error, "slope": report.slope})
+    out = {"estimate": report.estimate, "prediction": report.prediction,
+           "rel_error": report.rel_error, "slope": report.slope}
+    if math.isnan(report.slope):
+        # No log-log rate can be fitted to a remainder already at noise
+        # level (the straight family); say so instead of printing NaN.
+        out["slope"] = None
+        out["remainder_at_noise_floor"] = True
+    _emit(out)
     return 0
 
 
@@ -327,8 +334,10 @@ def build_parser():
     p_torus.add_argument("--family", required=True, help="family JSON")
     p_torus.set_defaults(func=_cmd_lab_torus)
     p_cross = lab_sub.add_parser("sphere-crossratio", help="four-point pairing")
-    p_cross.add_argument("--points", nargs=4, required=True,
-                         metavar="Z", help="four complex points, e.g. 1+2j or 1,2")
+    # REMAINDER takes the values as they are: with nargs=4, argparse reads
+    # a value such as -1e-3 or -1/2 as an option.
+    p_cross.add_argument("--points", nargs=argparse.REMAINDER, required=True,
+                         help="four complex points, e.g. 1+2j or 1,2 (last option)")
     p_cross.set_defaults(func=_cmd_lab_crossratio)
 
     p_corpus = sub.add_parser("corpus", help="directory sweeps")

@@ -17,6 +17,8 @@ every subset through it and the output order is that of
 ``itertools.combinations``.
 """
 
+from operator import add
+
 
 class Multigraph:
     """Oriented multigraph.
@@ -94,14 +96,21 @@ class _UnionFind:
     """Union by rank with rollback: ``undo`` reverts the latest
     successful ``union``.  ``find`` does not compress paths, which
     rollback could not undo; union by rank keeps every tree's depth at
-    most log2 of the item count."""
+    most log2 of the item count.
 
-    __slots__ = ("parent", "rank", "history")
+    With ``payload`` (a dict from each item to a tuple of ints), each
+    root's entry holds the elementwise sum over its component: ``union``
+    adds the absorbed root's sum, and ``undo`` puts back the sum it
+    replaced.
+    """
 
-    def __init__(self, items):
+    __slots__ = ("parent", "rank", "history", "payload")
+
+    def __init__(self, items, payload=None):
         self.parent = {x: x for x in items}
         self.rank = {x: 0 for x in items}
         self.history = []
+        self.payload = payload
 
     def find(self, x):
         p = self.parent
@@ -120,15 +129,22 @@ class _UnionFind:
         bumped = rank[ra] == rank[rb]
         if bumped:
             rank[ra] += 1
-        self.history.append((rb, bumped))
+        payload = self.payload
+        old = None
+        if payload is not None:
+            old = payload[ra]
+            payload[ra] = tuple(map(add, old, payload[rb]))
+        self.history.append((rb, bumped, old))
         return True
 
     def undo(self):
-        rb, bumped = self.history.pop()
+        rb, bumped, old = self.history.pop()
         ra = self.parent[rb]
         self.parent[rb] = rb
         if bumped:
             self.rank[ra] -= 1
+        if old is not None:
+            self.payload[ra] = old
 
 
 class CycleVector:
@@ -334,6 +350,17 @@ def spanning_trees(graph):
     return trees
 
 
+def _two_forests(graph, uf):
+    """Iterator over the spanning 2-forests' edge sets, from the search of
+    :func:`_acyclic_subsets` on ``uf``, a union-find over the graph's
+    vertices: an acyclic set of |V|-2 edges leaves exactly two
+    components.  Raises ValueError on disconnected input."""
+    if not graph.is_connected():
+        raise ValueError("graph is disconnected; 2-forest enumeration needs connected input")
+    nv = len(graph.vertices)
+    return _acyclic_subsets(graph, nv - 2, uf) if nv >= 2 else iter(())
+
+
 def spanning_2forests(graph):
     """All spanning 2-forests, with their vertex bipartitions.
 
@@ -345,18 +372,12 @@ def spanning_2forests(graph):
     and each forest's parts are read off the search's union-find.  Raises
     ValueError on disconnected input.
     """
-    if not graph.is_connected():
-        raise ValueError("graph is disconnected; 2-forest enumeration needs connected input")
-    nv = len(graph.vertices)
-    if nv < 2:
-        return []
     vmin = min(graph.vertices)
     vertices = frozenset(graph.vertices)
     uf = _UnionFind(graph.vertices)
     find = uf.find
     out = []
-    for edges in _acyclic_subsets(graph, nv - 2, uf):
-        # An acyclic set of |V|-2 edges leaves exactly two components.
+    for edges in _two_forests(graph, uf):
         root = find(vmin)
         part0 = frozenset(v for v in graph.vertices if find(v) == root)
         out.append((edges, (part0, vertices - part0)))

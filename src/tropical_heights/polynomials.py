@@ -1,40 +1,42 @@
-r"""Sparse multivariate polynomials over the rationals.
+r"""Sparse multivariate polynomials over the rationals, in packed form.
 
-Everything in the exact layer of this package (Kirchhoff and momentum
-polynomials, bordered determinants, lattice-basis changes) runs on the
-two classes here:
+:class:`MultiPoly` is a polynomial over Q in a fixed, ordered tuple of
+variable names (edge ids, in lexicographic order); :class:`RingMatrix`
+is a square matrix of them over one registry, with the exact
+determinant :func:`det_fraction_free`.
 
-* :class:`MultiPoly` -- a sparse polynomial with `fractions.Fraction`
-  coefficients over a fixed, ordered tuple of variable names.  Variable
-  names are edge ids; the canonical order is lexicographic in the id.
-* :class:`RingMatrix` -- a square matrix of `MultiPoly` entries sharing
-  one variable registry, whose exact determinant is
-  :func:`det_fraction_free`.
+A polynomial is ``sum_k coeffs[k] * Y^k / den``: each monomial is one
+int key holding the exponent of variable i in bits ``[width*i,
+width*(i+1))``, so multiplying monomials adds keys.  The numerators are
+nonzero ints, ``den`` > 0 shares no factor with all of them, and
+``width`` is the bit length of the largest exponent (at least 1), so the
+form is canonical and ``==`` is a dict compare.  Multilinear
+polynomials, such as every Symanzik polynomial, have width 1: their keys
+are edge subsets.  Each form is built from the other on first read:
+the determinants and the Symanzik routes write packed ints, and their
+``terms`` view ``{exponent tuple: Fraction}``, in which ``str``,
+``evaluate`` and the ring arithmetic work, waits until it is read; a
+polynomial built from terms (the constructor, the ring arithmetic) is
+packed when ``coeffs``, ``den`` or ``width`` is first read.  Strings
+list terms in descending graded lexicographic order; they are output
+only, and nothing parses them back.
 
-Terms are kept in a dict mapping exponent tuples to nonzero coefficients.
-The canonical printed order is graded lexicographic (total degree first,
-then lex on the exponent tuple), descending.  Canonical strings are
-output only: reports and golden files compare them as text, and nothing
-parses them back.
-
-Determinants do not use ``MultiPoly`` arithmetic; their cofactor
-expansion runs on Python ints.  Each row is scaled to integer
-coefficients by its common denominator.  Each exponent tuple is packed
-into one int, ``width`` bits per variable, so a monomial product is one
-integer addition; ``width`` is bounded by the sum over rows of the row's
-largest exponent.  A weighted sum of bordered determinants
-(:func:`bordered_det`) is added on ints too, over one common
-denominator, and each coefficient goes back to ``Fraction`` once.
-
-Matrices above dimension 12 are rejected.  For the graph polynomials
-the limit applies to the Kirchhoff matrix that
-:mod:`~tropical_heights.symanzik` chooses, the smaller of the h x h
-cycle Gram matrix and the (|V| - 1)-square reduced Laplacian, so it
-reads min(h, |V| - 1) <= 12.
+Determinants run on the entries' int dicts: each row is scaled by the
+lcm of its entries' denominators, and each entry's keys are re-spaced
+once to a width that no minor's exponents can overflow.  A weighted sum
+of bordered determinants (:func:`bordered_det`) is added on ints under
+one denominator, and the result is re-spaced once to its canonical
+width.  Matrices above dimension 12 are rejected; for the graph
+polynomials that limit reads min(h, |V| - 1) <= 12, since
+:mod:`~tropical_heights.symanzik` takes the smaller Kirchhoff matrix.
 """
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import lshift, or_
+from types import MappingProxyType
 
 _COEF_TYPES = (int, Fraction)
 
@@ -52,8 +54,20 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
+def _respace(key, old, new):
+    """``key`` with each ``old``-bit exponent field moved to ``new`` bits;
+    the loop runs once per nonzero field."""
+    out = 0
+    while key:
+        shift = (key.bit_length() - 1) // old * old
+        out |= (key >> shift) << (shift // old * new)
+        key &= (1 << shift) - 1
+    return out
+
+
 class MultiPoly:
-    """Sparse polynomial in the variables ``Y_<id>`` over Q.
+    """Sparse polynomial in the variables ``Y_<id>`` over Q, in the
+    immutable packed form of the module docstring.
 
     Parameters
     ----------
@@ -61,11 +75,11 @@ class MultiPoly:
         Ordered variable registry.  All arithmetic requires both operands
         to share the same registry (build them from one graph's edge ids).
     terms : dict, optional
-        Mapping from exponent tuples (one entry per variable) to
-        coefficients.  Zero coefficients are dropped.
+        Mapping from exponent tuples (one entry per variable) to int or
+        Fraction coefficients.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_coeffs", "_den", "_width", "_terms")
 
     def __init__(self, variables, terms=None):
         variables = tuple(variables)
@@ -80,15 +94,32 @@ class MultiPoly:
                 )
             if any((not isinstance(e, int)) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be non-negative integers, got {exps}")
-            c = _as_coeff(c)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
-        self.variables = variables
-        self.terms = clean
+            clean[exps] = clean.get(exps, 0) + _as_coeff(c)
+        self.variables, self._coeffs = variables, None
+        self._terms = MappingProxyType({exps: c for exps, c in clean.items() if c})
 
-    # -- constructors ---------------------------------------------------
+    @classmethod
+    def packed(cls, variables, coeffs, den=1, width=1):
+        """``sum_k coeffs[k] * Y^k / den`` for nonzero int ``coeffs`` on
+        keys of ``width`` bits per variable and a positive int ``den``,
+        brought to lowest terms and to its canonical width.  The dict is
+        kept, not copied."""
+        g = math.gcd(den, *coeffs.values()) if den != 1 else 1
+        if g != 1:
+            coeffs = {k: c // g for k, c in coeffs.items()}
+            den //= g
+        if width > 1:
+            seen = reduce(or_, coeffs, 0)
+            mask = (1 << width) - 1
+            canonical = max(max((((seen >> (width * i)) & mask).bit_length()
+                                 for i in range(len(variables))), default=0), 1)
+            if canonical != width:
+                coeffs = {_respace(k, width, canonical): c for k, c in coeffs.items()}
+                width = canonical
+        p = cls.__new__(cls)
+        p.variables, p._coeffs, p._den, p._width, p._terms = \
+            tuple(variables), coeffs, den, width, None
+        return p
 
     @classmethod
     def zero(cls, variables):
@@ -96,9 +127,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables, c):
-        variables = tuple(variables)
-        z = (0,) * len(variables)
-        return cls(variables, {z: _as_coeff(c)})
+        return cls(variables, {(0,) * len(tuple(variables)): c})
 
     @classmethod
     def variable(cls, variables, name):
@@ -107,38 +136,64 @@ class MultiPoly:
             i = variables.index(name)
         except ValueError:
             raise ValueError(f"variable {name!r} is not in the registry {variables}") from None
-        exps = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {exps: 1})
+        return cls(variables, {tuple(int(j == i) for j in range(len(variables))): 1})
 
-    # -- basic queries ---------------------------------------------------
+    @property
+    def terms(self):
+        """Read-only ``{exponent tuple: Fraction}`` view, built on first read."""
+        if self._terms is None:
+            width, n, den = self._width, len(self.variables), self._den
+            mask = (1 << width) - 1
+            self._terms = MappingProxyType({
+                tuple((k >> (width * i)) & mask for i in range(n)): Fraction(c, den)
+                for k, c in self._coeffs.items()})
+        return self._terms
+
+    def _packed_form(self):
+        """``(coeffs, den, width)``; a polynomial built from terms packs
+        them on first read."""
+        if self._coeffs is None:
+            terms = self._terms
+            width = max(max(chain.from_iterable(terms), default=0).bit_length(), 1)
+            # Each coefficient is in lowest terms, so the lcm of the
+            # denominators shares no factor with all scaled numerators.
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            shifts = [width * i for i in range(len(self.variables))]
+            self._den, self._width = den, width
+            self._coeffs = {sum(map(lshift, exps, shifts)): c.numerator * (den // c.denominator)
+                            for exps, c in terms.items()}
+        return self._coeffs, self._den, self._width
+
+    coeffs = property(lambda self: self._packed_form()[0])
+    den = property(lambda self: self._packed_form()[1])
+    width = property(lambda self: self._packed_form()[2])
 
     def is_zero(self):
         return not self.terms
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(e) for e in self.terms), default=-1)
 
     def is_homogeneous(self, degree=None):
-        if not self.terms:
-            return True
         degs = {sum(e) for e in self.terms}
-        if len(degs) != 1:
-            return False
-        return degree is None or degs == {degree}
+        return len(degs) <= 1 and (degree is None or not degs or degs == {degree})
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
-
-    # -- arithmetic -------------------------------------------------------
+    # Ring arithmetic on the ``terms`` view: used by tests, not by the
+    # exact routes.
 
     def _check_same_ring(self, other):
         if self.variables != other.variables:
             raise ValueError(
                 f"mixed variable registries: {self.variables} vs {other.variables}"
             )
+
+    def _result(self, terms):
+        """A polynomial on this registry from ``terms``, valid exponent
+        tuples to nonzero Fractions, taken unchecked and not copied."""
+        p = MultiPoly.__new__(MultiPoly)
+        p.variables, p._coeffs, p._terms = self.variables, None, MappingProxyType(terms)
+        return p
 
     def __add__(self, other):
         if isinstance(other, _COEF_TYPES):
@@ -148,21 +203,17 @@ class MultiPoly:
         self._check_same_ring(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s == 0:
-                out.pop(exps, None)
+            c += out.get(exps, 0)
+            if c:
+                out[exps] = c
             else:
-                out[exps] = s
-        p = MultiPoly.zero(self.variables)
-        p.terms = out
-        return p
+                del out[exps]
+        return self._result(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = MultiPoly.zero(self.variables)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return self._result({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, _COEF_TYPES):
@@ -176,11 +227,7 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, _COEF_TYPES):
-            c = _as_coeff(other)
-            p = MultiPoly.zero(self.variables)
-            if c != 0:
-                p.terms = {e: k * c for e, k in self.terms.items()}
-            return p
+            other = MultiPoly.constant(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_same_ring(other)
@@ -188,14 +235,8 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        p = MultiPoly.zero(self.variables)
-        p.terms = out
-        return p
+                out[e] = out.get(e, 0) + c1 * c2
+        return self._result({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -216,12 +257,13 @@ class MultiPoly:
             other = MultiPoly.constant(self.variables, other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.variables == other.variables and self.terms == other.terms
+        # The packed form is canonical, so equal polynomials share it; the
+        # same key means different monomials at different widths.
+        return (self.variables == other.variables and self.width == other.width
+                and self.den == other.den and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
-
-    # -- evaluation -------------------------------------------------------
+        return hash((self.variables, self.width, self.den, frozenset(self.coeffs.items())))
 
     def evaluate(self, assignment):
         """Evaluate at a point given as a dict ``{variable: value}``.
@@ -236,8 +278,6 @@ class MultiPoly:
         values = [assignment[v] for v in self.variables]
         return _horner_eval(self.terms, values, 0, len(self.variables))
 
-    # -- canonical string -------------------------------------------------
-
     def _monomial_str(self, exps):
         factors = []
         for name, e in zip(self.variables, exps):
@@ -248,11 +288,12 @@ class MultiPoly:
         return "*".join(factors)
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[exps]
+        for exps in sorted(terms, key=_grlex_key, reverse=True):
+            c = terms[exps]
             mono = self._monomial_str(exps)
             mag = abs(c)
             if not mono:
@@ -365,42 +406,40 @@ def _check_dim(n):
 def _det_sum(variables, dets):
     """``sum q det(rows)`` over the ``(q, rows)`` in ``dets``, exact.
 
-    Each determinant is the cofactor expansion of :func:`_det_cofactor`
-    on integer rows: row i of a matrix is scaled by the common
-    denominator d_i of its coefficients, so the determinant comes out
-    multiplied by d_0 d_1 ... d_{n-1}.  Each exponent tuple is packed into
-    one int, ``width`` bits per variable, so multiplying two monomials
-    adds their keys.  A term of any minor takes one entry from each of
-    its rows, so no exponent exceeds the sum over rows of the row's
-    largest exponent; ``width`` is the bit length of the largest such
-    bound over all the matrices, so no field ever carries into the next
-    and the keys of every determinant agree.  The weights q and the row
-    scales go into one common denominator, the integer determinants are
-    added under it, and each coefficient becomes a ``Fraction`` once.
+    Row i of each matrix is scaled to ints by the lcm d_i of its entries'
+    denominators, so its cofactor expansion (:func:`_det_cofactor`) is
+    d_0 ... d_{n-1} times the determinant.  No exponent of a minor
+    exceeds the sum over rows of the row's largest exponent, which is
+    below ``2**entry.width``; keys of ``width`` bits, enough for the
+    largest such sum, never carry between fields, and each entry is
+    re-spaced to them once.  The weighted determinants are added on ints
+    under one common denominator.
     """
-    bound = max((sum(max((e for a in row for exps in a.terms for e in exps), default=0)
-                     for row in rows) for _q, rows in dets), default=0)
+    bound = max((sum(max((1 << a.width) - 1 for a in row) for row in rows)
+                 for _q, rows in dets), default=0)
     width = max(bound.bit_length(), 1)
-    shifts = [width * k for k in range(len(variables))]
+    spaced = {}  # id(entry) -> its numerators on ``width``-bit keys
+
+    def ints(a, d):
+        c = spaced.get(id(a))
+        if c is None:
+            c = spaced[id(a)] = a.coeffs if a.width == width else {
+                _respace(k, a.width, width): v for k, v in a.coeffs.items()}
+        f = d // a.den
+        return c if f == 1 else {k: v * f for k, v in c.items()}
+
     scaled = []
     for q, rows in dets:
-        dens = [math.lcm(*(c.denominator for a in row for c in a.terms.values()))
-                for row in rows]
-        rows = [[{sum(e << s for e, s in zip(exps, shifts)): c.numerator * (d // c.denominator)
-                  for exps, c in a.terms.items()} for a in row]
-                for row, d in zip(rows, dens)]
-        scaled.append((Fraction(q) / math.prod(dens), _det_cofactor(rows)))
+        dens = [math.lcm(*(a.den for a in row)) for row in rows]
+        det = _det_cofactor([[ints(a, d) for a in row] for row, d in zip(rows, dens)])
+        scaled.append((Fraction(q) / math.prod(dens), det))
     scale = math.lcm(*(w.denominator for w, _det in scaled))
     acc = {}
     for w, det in scaled:
         w = w.numerator * (scale // w.denominator)
         for k, c in det.items():
             acc[k] = acc.get(k, 0) + w * c
-    mask = (1 << width) - 1
-    p = MultiPoly.zero(variables)
-    p.terms = {tuple((k >> s) & mask for s in shifts): Fraction(c, scale)
-               for k, c in acc.items() if c}
-    return p
+    return MultiPoly.packed(variables, {k: c for k, c in acc.items() if c}, scale, width)
 
 
 def _det_cofactor(rows):

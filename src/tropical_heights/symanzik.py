@@ -10,44 +10,39 @@ the height pairing:
   q(F) prod_{e not in F} Y_e`` with ``q(F) = -<p(F_1), p(F_2)>`` in the
   chosen inner product.
 
-The exact determinant routes take them from one of two Kirchhoff
-matrices, each a Gram matrix ``sum_e x_e t_e t_e^T`` of an integer
-table t_{e,i}, whichever is smaller:
+Each has two independent exact routes, an enumeration and a
+determinant, and the ratio ``phi/psi`` has a third, numeric oracle
+through the weighted graph Laplacian.  The determinant routes take the
+smaller of two Kirchhoff matrices, each a Gram matrix ``sum_e x_e t_e
+t_e^T`` of an integer table t_{e,i}:
 
 * the cycle form, h x h: the cycle Gram matrix ``M = sum_e Y_e c_e
   c_e^T`` of an integral cycle basis, with ``psi = det M`` and phi a
   sum of determinants of M bordered by a lift omega of the external
   momenta and the edge pairing;
-* the vertex form, (|V| - 1) square: the reduced Laplacian L0, the
-  incidence rows of every vertex but the first, with a variable x_e per
-  edge.  By the all-minors matrix-tree theorem ``psi =
-  complement(det L0)`` and phi is minus the complement of a sum of
-  determinants of L0 bordered by the vertex momenta, where complement
-  maps ``x^S`` to ``Y^{E - S}``.  Loops never enter L0.
+* the vertex form, (|V| - 1) square, taken when |V| - 1 < h and no
+  basis or lift is given: the reduced Laplacian L0 (incidence rows of
+  every vertex but the first, loops left out).  By the all-minors
+  matrix-tree theorem ``psi = complement(det L0)`` and phi is minus the
+  complement of a sum of determinants of L0 bordered by the vertex
+  momenta, where complement maps ``x^S`` to ``Y^{E - S}``.
 
-The vertex form is taken when |V| - 1 < h, the cycle form otherwise;
-a caller that passes a cycle basis or a lift gets the cycle form.
-Every matrix, border and corner entry is a linear form ``sum_e a_e
-Y_e`` (or a constant) written in one step from its table; the cycle
-coefficients c_{e,i} come from
-:meth:`~tropical_heights.graphs.CycleBasis.matrix`, the one place that
-table is built.  On a tree (h = 0) M is empty and phi is the sum of the
-corners; on one vertex L0 is empty, psi is the product of the loops and
-phi = 0.
-
-Both polynomials come with two independent algorithms each (forest
-enumeration vs. exact determinant), and the ratio ``phi/psi`` has a
-third, purely numeric oracle through the weighted graph Laplacian.
-All polynomial arithmetic is exact over the rationals.  Only the
-numeric evaluators import numpy, when they are called, so the exact
-routes never load it.
+All four routes write :class:`~tropical_heights.polynomials.MultiPoly`'s
+packed form directly: edge k is key ``1 << k``, so a monomial is an
+edge subset, the complement is ``full ^ key``, and every matrix, border
+and corner entry is an int linear form (or constant) built in one step
+from its table.  Rational momenta and lifts are scaled to ints once, and
+the determinant weights carry the scales.  On a tree (h = 0) M is empty
+and phi is the sum of the corners; on one vertex L0 is empty, psi is the
+product of the loops and phi = 0.  Only the numeric evaluators import
+numpy, when they are called.
 """
 
 import math
 from fractions import Fraction
 
-from .graphs import cycle_basis, designated_tree, boundary_matrix, spanning_trees, \
-    spanning_2forests
+from .graphs import (_UnionFind, _two_forests, boundary_matrix, cycle_basis,
+                     designated_tree, spanning_trees)
 from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free
 
 
@@ -181,11 +176,11 @@ def _vertex_form(graph):
     return True
 
 
-def _complement_poly(p):
-    """``x^S -> Y^{E - S}`` on a polynomial whose monomials are squarefree."""
-    out = MultiPoly.zero(p.variables)
-    out.terms = {tuple(1 - e for e in exps): c for exps, c in p.terms.items()}
-    return out
+def _complement(p):
+    """``x^S -> Y^{E - S}`` on a multilinear polynomial, whose width-1
+    keys are edge subsets."""
+    full = (1 << len(p.variables)) - 1
+    return MultiPoly.packed(p.variables, {full ^ k: c for k, c in p.coeffs.items()}, p.den)
 
 
 def first_symanzik_det(graph, basis=None):
@@ -204,36 +199,22 @@ def first_symanzik_det(graph, basis=None):
         table = (cycle_basis(graph) if basis is None else basis).matrix()
     m = _gram_matrix(variables, table)
     psi = MultiPoly.constant(variables, 1) if m is None else det_fraction_free(m)
-    return _complement_poly(psi) if vertex else psi
+    return _complement(psi) if vertex else psi
 
 
 def first_symanzik_trees(graph):
     """Kirchhoff polynomial by direct spanning-tree enumeration."""
     variables = graph.edge_ids()
-    position = {e: k for k, e in enumerate(variables)}
-    one = Fraction(1)
-    psi = MultiPoly.zero(variables)
+    bit = {e: 1 << k for k, e in enumerate(variables)}.__getitem__
+    full = (1 << len(variables)) - 1
     # Distinct trees have distinct complements, so each monomial occurs once.
-    psi.terms = {_complement(position, t): one for t in spanning_trees(graph)}
-    return psi
+    return MultiPoly.packed(variables, {full ^ sum(map(bit, t)): 1
+                                       for t in spanning_trees(graph)})
 
 
-def _complement(position, edges):
-    """Exponent tuple of ``prod_{e not in edges} Y_e``; ``position`` maps
-    each variable to its index."""
-    exps = [1] * len(position)
-    for e in edges:
-        exps[position[e]] = 0
-    return tuple(exps)
-
-
-def _linear_form(variables, coeffs):
-    """``sum_k coeffs[k] * Y_{variables[k]}`` as one terms dict, zeros dropped."""
-    n = len(variables)
-    p = MultiPoly.zero(variables)
-    p.terms = {tuple(int(j == k) for j in range(n)): Fraction(a)
-               for k, a in enumerate(coeffs) if a}
-    return p
+def _linear_form(variables, coeffs, den=1):
+    """``sum_k coeffs[k] * Y_{variables[k]} / den`` for int ``coeffs``."""
+    return MultiPoly.packed(variables, {1 << k: a for k, a in enumerate(coeffs) if a}, den)
 
 
 def _scaled_to_ints(vectors):
@@ -372,15 +353,17 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
         if lap is None:
             return MultiPoly.zero(variables)
         rest = sorted(graph.vertices)[1:]
+        p1, d1 = _scaled_to_ints([momenta1.vector(v) for v in rest])
+        p2, d2 = _scaled_to_ints([momenta2.vector(v) for v in rest])
         zero = MultiPoly.zero(variables)
 
-        def momentum_border(momenta, mu):
-            # P_mu, constant: coordinate mu of the momentum at each vertex of L0.
-            return [MultiPoly.constant(variables, momenta.vector(v)[mu]) for v in rest]
+        def momentum_border(vectors, mu):
+            # d P_mu, constant: coordinate mu of the scaled momentum at each vertex of L0.
+            return [MultiPoly.packed(variables, {0: p[mu]} if p[mu] else {}) for p in vectors]
 
-        # The sign of phi goes into the weights.
-        return _complement_poly(bordered_det(lap, [
-            (-q, zero, momentum_border(momenta1, mu), momentum_border(momenta2, nu))
+        # The sign of phi and the scales d1 d2 go into the weights.
+        return _complement(bordered_det(lap, [
+            (-q / (d1 * d2), zero, momentum_border(p1, mu), momentum_border(p2, nu))
             for mu, nu, q in pairing]))
     if basis is None:
         basis = cycle_basis(graph)
@@ -388,22 +371,28 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
         lift1 = momentum_lift(graph, momenta1)
     if lift2 is None:
         lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
-    om1 = [lift1.vector(e) for e in variables]
-    om2 = [lift2.vector(e) for e in variables]
+    # The lifts scaled to ints: row 0 and column 0 of each bordered matrix
+    # scale by d1 and d2, and the weights undo it.
+    om1, d1 = _scaled_to_ints([lift1.vector(e) for e in variables])
+    om2, d2 = (om1, d1) if lift2 is lift1 else \
+        _scaled_to_ints([lift2.vector(e) for e in variables])
     cmat = basis.matrix()
     m = _gram_matrix(variables, cmat)
     if m is None:
-        return _linear_form(variables, [space.pair(a, b) for a, b in zip(om1, om2)])
+        qrows, dq = _scaled_to_ints(space.matrix)
+        return _linear_form(variables, [sum(qrows[mu][nu] * a[mu] * b[nu]
+                                            for mu, nu, _q in pairing)
+                                        for a, b in zip(om1, om2)], d1 * d2 * dq)
 
     def border(omegas, mu):
-        # W_mu(omega), one linear form per basis cycle.
+        # d W_mu(omega), one linear form per basis cycle.
         return [_linear_form(variables, [c * w[mu] for c, w in zip(row, omegas)])
                 for row in cmat]
 
     w1 = [border(om1, mu) for mu in range(space.dim)]
     w2 = w1 if lift2 is lift1 else [border(om2, nu) for nu in range(space.dim)]
     return bordered_det(m, [
-        (q, _linear_form(variables, [a[mu] * b[nu] for a, b in zip(om1, om2)]),
+        (q / (d1 * d2), _linear_form(variables, [a[mu] * b[nu] for a, b in zip(om1, om2)]),
          w1[mu], w2[nu])
         for mu, nu, q in pairing])
 
@@ -414,37 +403,44 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     Each forest F with parts (F_1, F_2) contributes
     ``<p(F_1), p'(F_1)>  * prod_{e not in F} Y_e``.  Conservation makes
     p(F_2) = -p(F_1) for both assignments, so the bilinear weight is the
-    same on either part and is summed over the smaller one; the diagonal
-    case reduces to ``-<p(F_1), p(F_2)>``.  Raises ValueError on
-    momenta that do not sum to zero, as the determinant route does.
+    same on either part and is read on the part of the first vertex; the
+    diagonal case reduces to ``-<p(F_1), p(F_2)>``.  Raises ValueError on
+    momenta that do not sum to zero, as the determinant route does, and
+    on disconnected input.
 
-    The sums run on ints: each assignment and the pairing matrix are
-    scaled by their common denominators d1, d2 and dq, and since phi is
-    bilinear it is divided by d1 d2 dq once at the end.
+    The search of :func:`~tropical_heights.graphs.spanning_2forests` runs
+    with the vertex momenta as union-find payloads, so each root holds
+    its part's momentum sums.  They are ints: both assignments and
+    the pairing are scaled by their common denominators d1, d2 and dq,
+    and phi, being bilinear, is divided by d1 d2 dq once at the end.
     """
     if momenta2 is None:
         momenta2 = momenta1
     if not (momenta1.is_conserved() and momenta2.is_conserved()):
         raise ValueError("momenta must sum to zero to admit a lift")
-    variables = graph.edge_ids()
-    position = {e: k for k, e in enumerate(variables)}
+    variables, vertices = graph.edge_ids(), graph.vertices
     qrows, dq = _scaled_to_ints(momenta1.space.matrix)
-    pairing = [(mu, nu, q) for mu, row in enumerate(qrows) for nu, q in enumerate(row) if q]
-    vertices = graph.vertices
-    vecs1, d1 = _scaled_to_ints([momenta1.vector(v) for v in vertices])
-    vecs2, d2 = _scaled_to_ints([momenta2.vector(v) for v in vertices])
-    rows1, rows2 = dict(zip(vertices, vecs1)), dict(zip(vertices, vecs2))
+    vecs, d1 = _scaled_to_ints([momenta1.vector(v) for v in vertices])
+    # Each payload is p, followed by p' when the assignments differ.
+    vecs2, d2 = vecs, d1
+    offset = 0
+    if momenta2 is not momenta1:
+        vecs2, d2 = _scaled_to_ints([momenta2.vector(v) for v in vertices])
+        vecs = [a + b for a, b in zip(vecs, vecs2)]
+        offset = len(qrows)
+    pairing = [(mu, offset + nu, q) for mu, row in enumerate(qrows)
+               for nu, q in enumerate(row) if q]
+    uf = _UnionFind(vertices, dict(zip(vertices, map(tuple, vecs))))
+    find, payload, first = uf.find, uf.payload, vertices[0]
+    bit = {e: 1 << k for k, e in enumerate(variables)}.__getitem__
+    full = (1 << len(variables)) - 1
     terms = {}
-    for edges, (part0, part1) in spanning_2forests(graph):
-        part = part0 if len(part0) <= len(part1) else part1
-        p1 = [sum(col) for col in zip(*(rows1[v] for v in part))]
-        p2 = [sum(col) for col in zip(*(rows2[v] for v in part))]
-        qf = sum(q * p1[mu] * p2[nu] for mu, nu, q in pairing)
+    for edges in _two_forests(graph, uf):
+        p = payload[find(first)]
+        qf = sum(q * p[mu] * p[nu] for mu, nu, q in pairing)
         if qf:
-            terms[_complement(position, edges)] = Fraction(qf, d1 * d2 * dq)
-    phi = MultiPoly.zero(variables)
-    phi.terms = terms
-    return phi
+            terms[full ^ sum(map(bit, edges))] = qf
+    return MultiPoly.packed(variables, terms, d1 * d2 * dq)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,21 @@ def test_limit_eval_nonfinite_segment_names_field(capsys, tmp_path, banana_path)
     assert len(err.splitlines()) == 1 and "'y_scale' must be finite" in err
 
 
+def test_limit_eval_overflowing_phase_frequency_names_field(capsys, tmp_path, banana_path):
+    # frequency / alpha is inf, where cos used to raise a bare domain error.
+    fixture = tmp_path / "fixture.json"
+    dump_json({"genus": 1, "dim": 1, "edge_ids": [],
+               "terms": [{"field": "omega", "coeff": [[[0.0, 1.0]]]}]}, fixture)
+    segment = tmp_path / "segment.json"
+    dump_json({"edges": {"e1": {"y_scale": 1.0},
+                         "e2": {"y_scale": 1.0, "phase_amplitude": 0.25,
+                                "phase_frequency": 1e308}}}, segment)
+    result = run(capsys, "limit", "eval", "--graph", banana_path,
+                 "--fixture", str(fixture), "--segment", str(segment))
+    _assert_one_line_input_error(result)
+    assert "edges.e2.phase_frequency" in result[2]
+
+
 def test_lab_torus_limit(capsys, tmp_path):
     family = tmp_path / "family.json"
     dump_json(
@@ -347,6 +362,23 @@ def test_lab_torus_limit(capsys, tmp_path):
     assert report["prediction"] == pytest.approx(0.125)
     assert report["rel_error"] < 1e-3
     assert report["slope"] == pytest.approx(1.0, abs=1e-3)
+
+
+def test_lab_torus_limit_straight_family_has_null_slope(capsys, tmp_path):
+    # With no vertical offset the remainder is at noise level from the
+    # first alpha on, so no slope can be fitted: null plus a flag, exit 0.
+    family = tmp_path / "family.json"
+    dump_json({"y_total": 1, "imag_offset": 0,
+               "divisor1": [{"c": 0, "momentum": [1]}, {"c": "1/2", "momentum": [-1]}],
+               "divisor2": [{"c": "1/8", "momentum": [1]}, {"c": "3/8", "momentum": [-1]}]},
+              family)
+    code, out, err = run(capsys, "lab", "torus-limit", "--family", str(family))
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+    assert set(report) == {"estimate", "prediction", "rel_error", "slope",
+                           "remainder_at_noise_floor"}
+    assert report["slope"] is None and report["remainder_at_noise_floor"] is True
+    assert report["rel_error"] < 1e-12
 
 
 def test_lab_torus_limit_extreme_length_fails_loudly(capsys, tmp_path):
@@ -455,6 +487,23 @@ def test_lab_crossratio(capsys):
     )
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "finite" in err
+
+
+def test_lab_crossratio_negative_points(capsys):
+    # Values that argparse would take for options are read as points.
+    expected = run(capsys, "lab", "sphere-crossratio", "--points", "0", "-0.001", "1", "2")
+    assert expected[0] == 0
+    assert run(capsys, "lab", "sphere-crossratio", "--points", "0", "-1e-3", "1", "2") \
+        == expected
+    # A fraction is not a complex number, whatever its sign.
+    for point in ("-1/2", "1/2"):
+        result = run(capsys, "lab", "sphere-crossratio", "--points", "0", point, "1", "2")
+        _assert_one_line_input_error(result)
+        assert f"not a complex number: '{point}'" in result[2]
+    for points in (("0", "-1", "2"), ("0", "1", "2", "3", "-4")):
+        result = run(capsys, "lab", "sphere-crossratio", "--points", *points)
+        _assert_one_line_input_error(result)
+        assert "exactly four points" in result[2]
 
 
 def test_corpus_run_cli(capsys, tmp_path):

@@ -224,12 +224,16 @@ def test_enumerations_match_brute_force():
 def test_union_find_undo_restores_components():
     rng = random.Random(5)
     items = [f"v{k}" for k in range(12)]
-    uf = _UnionFind(items)
+    weight = {x: (k, 1 - 2 * k) for k, x in enumerate(items)}
+    uf = _UnionFind(items, dict(weight))
 
     def components():
         groups = {}
         for x in items:
             groups.setdefault(uf.find(x), set()).add(x)
+        # Each root's payload is the elementwise sum over its component.
+        for root, group in groups.items():
+            assert uf.payload[root] == tuple(map(sum, zip(*(weight[x] for x in group))))
         return sorted(map(sorted, groups.values()))
 
     states = [components()]
@@ -246,3 +250,4 @@ def test_union_find_undo_restores_components():
         assert components() == states[-1]
     assert components() == [[x] for x in sorted(items)]
     assert all(rank == 0 for rank in uf.rank.values())
+    assert uf.payload == weight

@@ -40,6 +40,20 @@ def test_no_zero_terms_stored():
     assert q.terms == {}
 
 
+def test_equality_tells_monomials_apart():
+    # Y_e1^2 (2 bits per variable) and Y_e2 (1 bit) share the packed key 2.
+    a2 = MultiPoly(VARS, {(2, 0, 0): 1})
+    b = MultiPoly.variable(VARS, "e2")
+    assert a2.coeffs == b.coeffs and a2.den == b.den
+    assert a2 != b and b != a2
+    assert hash(a2) != hash(b)
+    assert len({a2, b}) == 2 and b not in {a2}
+    # Cancelling the square leaves the canonical form of Y_e2.
+    assert (a2 + b) - a2 == b
+    assert hash((a2 + b) - a2) == hash(b)
+    assert MultiPoly.packed(VARS, {2: 4}, 2) == 2 * b
+
+
 def test_arithmetic_matches_reference_eval():
     rng = random.Random(11)
     point = {v: Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for v in VARS}

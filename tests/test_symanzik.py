@@ -1,5 +1,6 @@
 """Tests for the graph polynomials and their evaluation routes."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -406,6 +407,43 @@ def test_vertex_form_matches_cycle_form():
         seen["rational"] += space is rational
         checked += 1
     assert min(seen.values()) >= 5, seen
+
+
+# sha256 prefixes of the canonical strings and float values of the four
+# routes on the seeded graphs below, as the tuple-keyed Fraction
+# representation printed them before polynomials were packed.
+RECORDED_DIGESTS = (
+    "c6c66218f09b", "c2620d0029ae", "9ea689b28114", "f1d6d7939e3c", "b7989d1238b8",
+    "398bc8091dba", "719add5eacac", "4fdbd840831a", "cb41f8f79e61", "eee541c3a7f6",
+    "eae40bc63dc3", "26b3212166fc", "14d2af416fda", "11d463bd730a", "5d2eacd4cc7d",
+    "7b7c87c929b3", "c869cb53b01d", "8e89056d8c30", "6b67ce5b3159", "9d59a71d3511",
+    "2d628a036c70", "4e21bf50564a", "8046c759de60", "dfc1186e4941", "d2e04aebb4ef",
+    "8941c11963a3", "b89efb6013a7", "5420d8f4b749", "1da4f59e8969", "e3e91214236a",
+    "9f6d8962649f", "1c38838f8935", "64e6f3c39e5d", "eb819c0602ae", "e188fbea1859",
+    "62579ab95ae4",
+)
+
+
+def test_polynomials_match_recorded_digests():
+    # Both routes of psi and phi on seeded multigraphs in E1, L4 and a
+    # rational non-diagonal pairing, quadratic and bilinear: str() and
+    # evaluate() at float lengths (as float.hex) must not move.
+    rng = random.Random(1600)
+    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+    spaces = (D1, MinkowskiSpace.lorentzian(4), rational)
+    got = []
+    for k in range(len(RECORDED_DIGESTS)):
+        space = spaces[k % 3]
+        graph = random_connected_multigraph(rng, max_edges=9, max_vertices=6)
+        mom1 = random_conserved_momenta(rng, graph, space)
+        mom2 = random_conserved_momenta(rng, graph, space) if k % 2 else mom1
+        y = random_positive_lengths(rng, graph)
+        polys = (first_symanzik_det(graph), first_symanzik_trees(graph),
+                 second_symanzik_bordered(graph, mom1, mom2),
+                 second_symanzik_forests(graph, mom1, mom2))
+        text = "\n".join(f"{p}|{float(p.evaluate(y)).hex()}" for p in polys)
+        got.append(hashlib.sha256(text.encode()).hexdigest()[:12])
+    assert tuple(got) == RECORDED_DIGESTS
 
 
 def test_ratio_methods_match_oracle():
