@@ -15,15 +15,17 @@ assumed: H equals the biextension log-norm of the translated point
 (:func:`height_via_orbit`), and H minus the tropical height
 ``2 pi phi/psi`` stays bounded along rays y = t d as t grows, provided
 the blocks are the geometric ones of a graph (:func:`graph_blocks`).
-The scan evaluates the heights of a whole t-grid as one stack of
-translated matrices, and the tropical height once per ray: phi has
-degree h+1 and psi degree h, so ``2 pi phi/psi`` at t d is t times its
-value at d.
+The scan evaluates the heights of a whole t-grid, on every ray at
+once, as one stack of translated matrices, and the tropical height once
+per ray: phi has degree h+1 and psi degree h, so ``2 pi phi/psi`` at
+t d is t times its value at d.
 
 Admissible degenerating segments move y_e to infinity like
 Y_e / (2 pi alpha') while the horizontal coordinates may oscillate;
 ``alpha' * H`` then converges to ``phi/psi`` at the segment's direction
-Y, extracted by polynomial extrapolation over a pinned schedule.
+Y, extracted by polynomial extrapolation over a pinned schedule whose
+heights are again one stack.  A stacked evaluation does each point's
+arithmetic in the order a lone one does, so it returns the same bits.
 """
 
 import cmath
@@ -33,17 +35,20 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import cycle_basis
-from .symanzik import MinkowskiSpace, momentum_lift, symanzik_ratio_eval
+from .symanzik import MinkowskiSpace, _lift_array, momentum_lift, symanzik_ratio_eval
 
 
 class EdgeParameters:
-    """Vertical coordinates y_e over a base height h0 (y_e > h0)."""
+    """Vertical coordinates y_e over a base height h0 (y_e > h0), all finite."""
 
     __slots__ = ("y", "h0")
 
     def __init__(self, y, h0=0.0):
         self.y = {str(e): float(v) for e, v in y.items()}
-        self.h0 = float(h0)
+        self.h0 = _finite_base_height(h0)
+        bad = [e for e, v in self.y.items() if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"edge coordinates must be finite: {bad}")
         bad = [e for e, v in self.y.items() if v <= self.h0]
         if bad:
             raise ValueError(f"edge coordinates must exceed the base height {self.h0}: {bad}")
@@ -53,6 +58,13 @@ class EdgeParameters:
         if missing:
             raise ValueError(f"missing vertical coordinates for edges {missing}")
         return np.array([self.y[e] - self.h0 for e in order])
+
+
+def _finite_base_height(h0):
+    h0 = float(h0)
+    if not math.isfinite(h0):
+        raise ValueError(f"base height h0 must be finite, got {h0}")
+    return h0
 
 
 class EdgeBlocks(NamedTuple):
@@ -159,29 +171,26 @@ def graph_blocks(graph, momenta1, momenta2=None, basis=None):
     ``z_e[i, nu] = -c_{e,i} omega1_{e,nu}`` and
     ``gamma_e[mu, nu] = -omega2_{e,mu} omega1_{e,nu}``.
 
-    Returns (blocks, g) with blocks a dict over edge ids.
+    Each of the four is one broadcast product over all edges of the
+    (E, g) cycle table and the (E, d) lift arrays; every edge's
+    EdgeBlocks holds views of those (E, ., .) stacks.  Returns (blocks, g)
+    with blocks a dict over edge ids.
     """
     if momenta2 is None:
         momenta2 = momenta1
     if basis is None:
         basis = cycle_basis(graph)
     g = len(basis)
-    dim = momenta1.space.dim
-    lift1 = momentum_lift(graph, momenta1)
-    lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
     edges = graph.edge_ids()
-    cmat = np.array(basis.matrix(), dtype=float).reshape(g, len(edges))
-    blocks = {}
-    for k, e in enumerate(edges):
-        c = cmat[:, k]
-        om1 = np.array([float(x) for x in lift1.vector(e)])
-        om2 = np.array([float(x) for x in lift2.vector(e)])
-        blocks[e] = EdgeBlocks(
-            mt=np.outer(c, c),
-            w=np.outer(om2, c),
-            z=-np.outer(c, om1),
-            gamma=-np.outer(om2, om1),
-        )
+    lift1 = momentum_lift(graph, momenta1)
+    om1 = _lift_array(lift1, edges)
+    om2 = om1 if momenta2 is momenta1 else _lift_array(momentum_lift(graph, momenta2), edges)
+    c = np.array(basis.matrix(), dtype=float).reshape(g, len(edges)).T
+    mt = c[:, :, None] * c[:, None, :]
+    w = om2[:, :, None] * c[:, None, :]
+    z = -(c[:, :, None] * om1[:, None, :])
+    gamma = -(om2[:, :, None] * om1[:, None, :])
+    blocks = {e: EdgeBlocks(mt[k], w[k], z[k], gamma[k]) for k, e in enumerate(edges)}
     return blocks, g
 
 
@@ -194,13 +203,15 @@ def _pairing_matrix(space, dim):
     return q
 
 
-def _accumulate(fixture, blocks, yprime, s):
+def _accumulate(fixture, blocks, yprime, comps):
     # yprime[..., k] is the offset of edge sorted(blocks)[k]; leading axes
-    # stack points.  Each point adds the blocks edge by edge, as a lone one.
-    omega0, w0, z0, rho0 = fixture.evaluate(s)
+    # stack points.  comps are the fixture's four components at the points,
+    # with leading axes that broadcast against those.  Each point adds the
+    # blocks edge by edge, as a lone one.
+    omega0, w0, z0, rho0 = comps
     lead = yprime.shape[:-1]
     g, d = fixture.genus, fixture.dim
-    a, wmat, zmat, rmat = (np.empty(lead + m.shape) for m in (omega0, w0, z0, rho0))
+    a, wmat, zmat, rmat = (np.empty(lead + m.shape[-2:]) for m in comps)
     a[...], wmat[...], zmat[...], rmat[...] = omega0.imag, w0.imag, z0.imag, rho0.imag
     for k, e in enumerate(sorted(blocks)):
         blk = blocks[e]
@@ -215,9 +226,15 @@ def _accumulate(fixture, blocks, yprime, s):
     return a, wmat, zmat, rmat
 
 
-def _heights(fixture, blocks, yprime, space=None, s=None):
-    """Heights at a stack of offset vectors (last axis over ``sorted(blocks)``)."""
-    a, wmat, zmat, rmat = _accumulate(fixture, blocks, yprime, s)
+def _heights(fixture, blocks, yprime, space=None, comps=None):
+    """Heights at a stack of offset vectors (last axis over ``sorted(blocks)``).
+
+    ``comps`` holds the fixture's components at the points, stacked on
+    the leading axes (default: the fixture at s = 0 for every point).
+    """
+    if comps is None:
+        comps = fixture.evaluate()
+    a, wmat, zmat, rmat = _accumulate(fixture, blocks, yprime, comps)
     q = _pairing_matrix(space, fixture.dim)
     try:
         np.linalg.cholesky(a)
@@ -235,7 +252,8 @@ def height_eval(fixture, blocks, params, space=None, s=None):
     momentum pairing contracted over the d x d component matrices
     (identity when omitted, the scalar d = 1 case).
     """
-    return float(_heights(fixture, blocks, params.offsets(sorted(blocks)), space, s))
+    return float(_heights(fixture, blocks, params.offsets(sorted(blocks)), space,
+                          fixture.evaluate(s)))
 
 
 def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
@@ -247,7 +265,7 @@ def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
     drop out; the equality with :func:`height_eval` is exercised by the
     tests as a consistency check between the two code paths.
     """
-    from .poincare import BiextensionPoint, log_norm
+    from .poincare import BiextensionPoint, SiegelPoint, log_norm
 
     omega0, w0, z0, rho0 = fixture.evaluate(s)
     order = sorted(blocks)
@@ -264,12 +282,14 @@ def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
         zmat = zmat + ze * blk.z
         rmat = rmat + ze * blk.gamma
     q = _pairing_matrix(space, fixture.dim)
+    # One validated period matrix serves every entry of the pairing.
+    point = SiegelPoint(omega)
     total = 0.0
     for mu in range(fixture.dim):
         for nu in range(fixture.dim):
             if q[mu, nu] == 0:
                 continue
-            pt = BiextensionPoint(omega, wmat[mu, :], zmat[:, nu], rmat[mu, nu])
+            pt = BiextensionPoint(point, wmat[mu, :], zmat[:, nu], rmat[mu, nu])
             total += q[mu, nu] * log_norm(pt)
     return float(total)
 
@@ -328,30 +348,37 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     threshold.  Blocks inconsistent with the graph (the negative
     controls) show a clean linear rate.
 
-    Each ray costs one stacked height evaluation over the whole grid and
-    one tropical height: phi/psi is homogeneous of degree 1, so the
-    tropical height at t * d is t times its value at d.  ``ts`` must hold
-    at least two finite, positive, strictly increasing values, and every
-    ray a finite positive weight on each edge; otherwise ValueError.
+    The heights of every ray over the whole grid are one stacked
+    evaluation, and each ray costs one tropical height besides:
+    phi/psi is homogeneous of degree 1, so the tropical height at t * d
+    is t times its value at d.  ``ts`` must hold at least two finite,
+    positive, strictly increasing values, ``h0`` must be finite, and
+    every ray needs a finite positive weight on each edge; all are
+    checked before any height is taken, and otherwise ValueError.
     """
     if blocks is None:
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
     if rays is None:
         rays = [{e: 1.0 for e in graph.edge_ids()}]
     ts = _scan_grid(ts)
-    h0 = float(h0)
+    h0 = _finite_base_height(h0)
     scale = max(1.0, _momentum_norm(momenta1)
                 * _momentum_norm(momenta1 if momenta2 is None else momenta2))
     order = sorted(blocks)
     edges = set(order).union(graph.edge_ids())
+    weights = [_ray_weights(direction, edges) for direction in rays]
+    # y[r, j, k] = h0 + ts[j] * weight of edge order[k] on ray r.
+    with np.errstate(over="ignore"):
+        y = h0 + ts[:, None] * np.array([[w[e] for e in order] for w in weights]
+                                        ).reshape(len(rays), 1, len(order))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("ray coordinates overflow on the t-grid")
+    if np.any(y <= h0):
+        raise ValueError(f"edge coordinates must exceed the base height {h0}")
+    heights = _heights(fixture, blocks, y - h0, space)
     reports = []
-    for direction in rays:
-        weights = _ray_weights(direction, edges)
-        y = h0 + np.outer(ts, [weights[e] for e in order])
-        if np.any(y <= h0):
-            raise ValueError(f"edge coordinates must exceed the base height {h0}")
-        h = _heights(fixture, blocks, y - h0, space)
-        rem = h - ts * tropical_height(graph, weights, momenta1, momenta2)
+    for direction, w, h in zip(rays, weights, heights):
+        rem = h - ts * tropical_height(graph, w, momenta1, momenta2)
         increments = np.abs(np.diff(rem))
         rate = (rem[-1] - rem[-2]) / (ts[-1] - ts[-2])
         bounded = bool(increments[-1] <= tol_increment * scale
@@ -407,10 +434,14 @@ class AdmissibleSegment:
         return out
 
     def vertical(self, alpha):
-        return {
-            e: spec.y_scale / (2.0 * math.pi * alpha) + spec.imag_offset
-            for e, spec in self.edges.items()
-        }
+        out = {}
+        for e, spec in self.edges.items():
+            y = spec.y_scale / (2.0 * math.pi * alpha) + spec.imag_offset
+            if not math.isfinite(y):
+                raise ValueError(f"edges.{e}.y_scale: vertical coordinate overflows "
+                                 f"at alpha = {alpha!r}, got {spec.y_scale!r}")
+            out[e] = y
+        return out
 
     def coordinates(self, alpha):
         """s_e = exp(2 pi i z_e(a)); far into the degeneration these
@@ -452,7 +483,10 @@ def limit_along_segment(graph, momenta1, momenta2, fixture, segment, blocks=None
     segment's direction Y; the tests compare against
     :func:`~tropical_heights.symanzik.symanzik_ratio_eval` there.  The
     schedule must hold at least two finite, positive, pairwise distinct
-    values; otherwise ValueError.
+    values; otherwise ValueError.  Each sample's coordinates are checked
+    as :class:`EdgeParameters`, and all the samples' heights are one
+    stacked evaluation, with the fixture's components at each sample
+    stacked alongside.
     """
     if blocks is None:
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
@@ -461,11 +495,11 @@ def limit_along_segment(graph, momenta1, momenta2, fixture, segment, blocks=None
             or len(set(alphas)) != len(alphas)):
         raise ValueError("schedule must contain at least two positive values, "
                          "all finite and pairwise distinct")
-    samples = []
-    for alpha in alphas:
-        params = EdgeParameters(segment.vertical(alpha), h0=0.0)
-        h = height_eval(fixture, blocks, params, space=space,
-                        s=segment.coordinates(alpha))
-        samples.append(alpha * h)
+    order = sorted(blocks)
+    offsets = [EdgeParameters(segment.vertical(alpha), h0=0.0).offsets(order)
+               for alpha in alphas]
+    comps = zip(*(fixture.evaluate(segment.coordinates(alpha)) for alpha in alphas))
+    heights = _heights(fixture, blocks, np.array(offsets), space, [np.array(c) for c in comps])
+    samples = [alpha * float(h) for alpha, h in zip(alphas, heights)]
     value = _extrapolate_to_zero(alphas, samples)
     return LimitReport(float(value), alphas, tuple(samples))

@@ -114,33 +114,35 @@ class MomentumAssignment:
 
     Momenta are rational D-vectors; vertices not listed carry zero.
     Conservation (the momenta sum to zero) is required, since only
-    conserved assignments admit a lift to the edges.
+    conserved assignments admit a lift to the edges.  The total is
+    summed once, on the momenta scaled to ints, when the assignment is
+    built.
     """
 
-    __slots__ = ("space", "momenta")
+    __slots__ = ("space", "momenta", "_total", "_conserved")
 
     def __init__(self, space, momenta, require_conserved=True):
         self.space = space
         self.momenta = {
             str(v): _as_fraction_vector(p, space.dim) for v, p in momenta.items()
         }
-        if require_conserved and not self.is_conserved():
+        ints, d = _scaled_to_ints(self.momenta.values())
+        sums = [sum(p[i] for p in ints) for i in range(space.dim)]
+        self._conserved = not any(sums)
+        self._total = tuple(Fraction(x, d) for x in sums)
+        if require_conserved and not self._conserved:
             raise ValueError(
-                f"conservation law violated: momenta must sum to zero, got {self.total()}"
+                f"conservation law violated: momenta must sum to zero, got {self._total}"
             )
 
     def vector(self, v):
         return self.momenta.get(v, self.space.zero())
 
     def total(self):
-        out = [Fraction(0)] * self.space.dim
-        for p in self.momenta.values():
-            for i, x in enumerate(p):
-                out[i] += x
-        return tuple(out)
+        return self._total
 
     def is_conserved(self):
-        return all(x == 0 for x in self.total())
+        return self._conserved
 
     def __repr__(self):
         return f"MomentumAssignment(D={self.space.dim}, vertices={sorted(self.momenta)})"
@@ -264,19 +266,23 @@ def momentum_lift(graph, momenta):
 
     Solves ``boundary(omega) = p`` with omega supported on the designated
     spanning tree by leaf elimination; the tree-supported solution is
-    unique, so the result is deterministic.
+    unique, so the result is deterministic.  The elimination runs on the
+    vertex momenta scaled to ints by their common denominator d, and
+    each edge vector becomes Fractions (divided by d) at the end.
     """
     if not momenta.is_conserved():
         raise ValueError("momenta must sum to zero to admit a lift")
     tree = designated_tree(graph)
-    residual = {v: list(momenta.vector(v)) for v in graph.vertices}
-    incident = {v: set() for v in graph.vertices}
+    vertices = graph.vertices
+    ints, d = _scaled_to_ints([momenta.vector(v) for v in vertices])
+    residual = dict(zip(vertices, ints))
+    incident = {v: set() for v in vertices}
     for e in tree:
         tail, head = graph.endpoints(e)
         incident[tail].add(e)
         incident[head].add(e)
     omega = {}
-    live = set(graph.vertices)
+    live = set(vertices)
     pending = sorted(v for v in live if len(incident[v]) == 1)
     while pending:
         v = pending.pop()
@@ -286,16 +292,15 @@ def momentum_lift(graph, momenta):
         tail, head = graph.endpoints(e)
         rv = residual[v]
         if v == head:
-            vec = tuple(Fraction(x) for x in rv)
+            vec = rv
             other = tail
         else:
-            vec = tuple(-Fraction(x) for x in rv)
+            vec = [-x for x in rv]
             other = head
         omega[e] = vec
         # Fold this edge's contribution at the surviving endpoint.
         sign = 1 if other == head else -1
-        for i, x in enumerate(vec):
-            residual[other][i] -= sign * x
+        residual[other] = [r - sign * x for r, x in zip(residual[other], vec)]
         incident[other].discard(e)
         incident[v].clear()
         live.discard(v)
@@ -304,8 +309,9 @@ def momentum_lift(graph, momenta):
             pending.sort()
     rest = [v for v in live]
     # Conservation forces the last residual to vanish exactly.
-    assert len(rest) == 1 and all(x == 0 for x in residual[rest[0]])
-    return MomentumLift(graph, momenta.space, omega)
+    assert len(rest) == 1 and not any(residual[rest[0]])
+    return MomentumLift(graph, momenta.space,
+                        {e: tuple(Fraction(x, d) for x in vec) for e, vec in omega.items()})
 
 
 def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=None,
@@ -461,7 +467,8 @@ def _edge_values(graph, y):
 
 def _lift_array(lift, order):
     import numpy as np
-    return np.array([[float(x) for x in lift.vector(e)] for e in order])
+    return np.array([[float(x) for x in lift.vector(e)] for e in order]).reshape(
+        len(order), lift.space.dim)
 
 
 def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur"):
@@ -492,7 +499,7 @@ def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur"):
     space = momenta1.space
     qnum = space.numeric()
     om1 = _lift_array(lift1, order)
-    om2 = _lift_array(lift2, order)
+    om2 = om1 if lift2 is lift1 else _lift_array(lift2, order)
     qterm = float(np.einsum("e,em,mn,en->", vals, om1, qnum, om2))
     h = len(basis)
     if h == 0:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from tropical_heights import (
     AdmissibleSegment,
+    cycle_basis,
     EdgeBlocks,
     EdgeParameters,
     HolomorphicFixture,
@@ -24,6 +25,7 @@ from tropical_heights import (
     limit_along_segment,
     symanzik_ratio_eval,
     first_betti,
+    momentum_lift,
     tropical_height,
 )
 from tropical_heights.asymptotics import _heights
@@ -59,6 +61,15 @@ def test_edge_parameters_validation():
         EdgeParameters({"e1": 1.0}).offsets(["e1", "e2"])
     params = EdgeParameters({"e1": 3.0, "e2": 5.0}, h0=1.0)
     assert params.offsets(["e1", "e2"]).tolist() == [2.0, 4.0]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_edge_parameters_must_be_finite(value):
+    # A NaN coordinate passes "y > h0" vacuously and used to give a NaN height.
+    with pytest.raises(ValueError, match=r"finite: \['e1'\]"):
+        EdgeParameters({"e1": value, "e2": 1.0})
+    with pytest.raises(ValueError, match="h0 must be finite"):
+        EdgeParameters({"e1": 2.0, "e2": 1.0}, h0=value)
 
 
 def test_fixture_terms_and_polydisc():
@@ -210,6 +221,21 @@ def test_bounded_remainder_negative_control():
     assert good.bounded
 
 
+@pytest.mark.parametrize("h0", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_scan_rejects_nonfinite_base_height(h0):
+    mom = banana_momenta(1)
+    fx = HolomorphicFixture.constant([[1j]])
+    with pytest.raises(ValueError, match="h0 must be finite"):
+        bounded_remainder_scan(BANANA, mom, mom, fx, h0=h0)
+
+
+def test_scan_rejects_overflowing_ray():
+    mom = banana_momenta(1)
+    fx = HolomorphicFixture.constant([[1j]])
+    with pytest.raises(ValueError, match="overflow on the t-grid"):
+        bounded_remainder_scan(BANANA, mom, mom, fx, rays=[{"e1": 1e305, "e2": 1.0}])
+
+
 def random_scan_case(rng):
     """A random graph, momenta (two sides), a generic constant fixture of
     the graph's genus and its geometric blocks."""
@@ -276,6 +302,86 @@ def test_stacked_heights_match_height_eval_bitwise():
             for j in range(4):
                 params = EdgeParameters(dict(zip(order, yprime[i, j])))
                 assert stacked[i, j] == height_eval(fx, blocks, params, space=space)
+
+
+def test_scan_over_rays_equals_single_ray_scans_bitwise():
+    rng = random.Random(2024)
+    for _ in range(15):
+        graph, space, mom1, mom2, fx, blocks = random_scan_case(rng)
+        h0 = rng.uniform(0.0, 2.0)
+        rays = [{e: rng.uniform(0.2, 3.0) for e in graph.edge_ids()}
+                for _r in range(rng.randint(1, 4))]
+        reports = bounded_remainder_scan(graph, mom1, mom2, fx, blocks=blocks, rays=rays,
+                                         space=space, h0=h0)
+        assert reports == [bounded_remainder_scan(graph, mom1, mom2, fx, blocks=blocks,
+                                                  rays=[ray], space=space, h0=h0)[0]
+                           for ray in rays]
+
+
+def test_limit_samples_equal_height_eval_bitwise():
+    # An edge-dependent fixture and a short schedule, so that the samples'
+    # coordinates s_e are far from zero and each sample has its own
+    # fixture components.
+    rng = random.Random(515)
+    for _ in range(15):
+        graph, space, mom1, mom2, fx, blocks = random_scan_case(rng)
+        edges = graph.edge_ids()
+        wavy = HolomorphicFixture(fx.genus, dim=fx.dim, edge_ids=edges)
+        nrng = np.random.default_rng(rng.randrange(2**32))
+        for field, terms in fx.terms.items():
+            shape = terms[()].shape
+            wavy.add_term(field, terms[()])
+            bump = nrng.uniform(-0.1, 0.1, shape)
+            if field == "omega":
+                bump = bump + bump.T
+            wavy.add_term(field, bump, {rng.choice(edges): 1})
+        segment = AdmissibleSegment({
+            e: SegmentEdge(y_scale=rng.uniform(0.05, 0.5),
+                           phase_amplitude=rng.uniform(0.0, 0.3),
+                           phase_frequency=rng.uniform(0.0, 3.0),
+                           imag_offset=rng.uniform(0.0, 0.2))
+            for e in edges})
+        schedule = (1e-1, 1e-2, 1e-3)
+        report = limit_along_segment(graph, mom1, mom2, wavy, segment, blocks=blocks,
+                                     space=space, schedule=schedule)
+        assert report.alphas == schedule
+        assert any(abs(v) > 1e-3 for v in segment.coordinates(schedule[0]).values())
+        for alpha, sample in zip(schedule, report.samples):
+            params = EdgeParameters(segment.vertical(alpha))
+            h = height_eval(wavy, blocks, params, space=space, s=segment.coordinates(alpha))
+            assert type(sample) is float and sample == alpha * h
+
+
+def test_graph_blocks_equal_outer_formulas_bitwise():
+    rng = random.Random(31)
+    for _ in range(20):
+        graph, _space, mom1, mom2, _fx, blocks = random_scan_case(rng)
+        edges = graph.edge_ids()
+        basis = cycle_basis(graph)
+        g = len(basis)
+        cmat = np.array(basis.matrix(), dtype=float).reshape(g, len(edges))
+        lift1, lift2 = momentum_lift(graph, mom1), momentum_lift(graph, mom2)
+        assert sorted(blocks) == sorted(edges)
+        for k, e in enumerate(edges):
+            c = cmat[:, k]
+            om1 = np.array([float(x) for x in lift1.vector(e)])
+            om2 = np.array([float(x) for x in lift2.vector(e)])
+            want = EdgeBlocks(mt=np.outer(c, c), w=np.outer(om2, c),
+                              z=-np.outer(c, om1), gamma=-np.outer(om2, om1))
+            for got, ref in zip(blocks[e], want):
+                assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_segment_vertical_overflow_names_field():
+    segment = AdmissibleSegment({"e1": {"y_scale": 1e307}, "e2": {"y_scale": 1.0}})
+    assert math.isfinite(segment.vertical(1e-2)["e1"])
+    with pytest.raises(ValueError, match=r"edges\.e1\.y_scale: vertical coordinate "
+                                         r"overflows at alpha = 0\.001"):
+        segment.vertical(1e-3)
+    mom = banana_momenta(3)
+    fx = HolomorphicFixture.constant([[1j]])
+    with pytest.raises(ValueError, match=r"edges\.e1\.y_scale"):
+        limit_along_segment(BANANA, mom, mom, fx, segment)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

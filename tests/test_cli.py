@@ -328,6 +328,21 @@ def test_limit_eval_nonfinite_segment_names_field(capsys, tmp_path, banana_path)
     assert len(err.splitlines()) == 1 and "'y_scale' must be finite" in err
 
 
+def test_limit_eval_overflowing_vertical_coordinate_names_field(capsys, tmp_path,
+                                                                banana_path):
+    # y_scale / (2 pi alpha) is inf at alpha = 1e-3; it used to reach numpy
+    # as inf, warn four times and fail only when printing non-JSON floats.
+    fixture = tmp_path / "fixture.json"
+    dump_json({"genus": 1, "dim": 1, "edge_ids": [],
+               "terms": [{"field": "omega", "coeff": [[[0.0, 1.0]]]}]}, fixture)
+    segment = tmp_path / "segment.json"
+    dump_json({"edges": {"e1": {"y_scale": 1e307}, "e2": {"y_scale": 1.0}}}, segment)
+    result = run(capsys, "limit", "eval", "--graph", banana_path,
+                 "--fixture", str(fixture), "--segment", str(segment))
+    _assert_one_line_input_error(result)
+    assert "edges.e1.y_scale: vertical coordinate overflows" in result[2]
+
+
 def test_limit_eval_overflowing_phase_frequency_names_field(capsys, tmp_path, banana_path):
     # frequency / alpha is inf, where cos used to raise a bare domain error.
     fixture = tmp_path / "fixture.json"

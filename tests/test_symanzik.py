@@ -481,6 +481,37 @@ def test_momentum_lift_boundary():
                 assert lift.vector(e) == space.zero()
 
 
+def test_momentum_lift_frozen_rational_dimension_two():
+    # Leaf elimination runs on the momenta scaled by their common
+    # denominator 12; the lift must come back as these reduced Fractions.
+    graph = Multigraph(["v1", "v2", "v3", "v4"],
+                       [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1"),
+                        ("e4", "v3", "v4"), ("e5", "v4", "v1")])
+    space = MinkowskiSpace.euclidean(2)
+    f = Fraction
+    mom = MomentumAssignment(space, {"v1": (f(1, 2), f(-1, 3)), "v2": (f(2, 3), f(1, 4)),
+                                     "v3": (f(-5, 12), f(-3, 4)), "v4": (f(-3, 4), f(5, 6))})
+    lift = momentum_lift(graph, mom)
+    assert lift.edge_vectors == {
+        "e1": (f(-1, 2), f(1, 3)), "e2": (f(-7, 6), f(1, 12)), "e3": (f(0), f(0)),
+        "e4": (f(-3, 4), f(5, 6)), "e5": (f(0), f(0)),
+    }
+    assert all(type(x) is Fraction for vec in lift.edge_vectors.values() for x in vec)
+    assert lift.boundary() == {v: mom.vector(v) for v in graph.vertices}
+
+
+def test_momentum_total_is_summed_once():
+    space = MinkowskiSpace.euclidean(2)
+    mom = MomentumAssignment(space, {"v1": ("1/2", 0), "v2": ("-1/3", 1)},
+                             require_conserved=False)
+    assert mom.total() == (Fraction(1, 6), Fraction(1))
+    assert not mom.is_conserved()
+    empty = MomentumAssignment(space, {})
+    assert empty.total() == (0, 0) and empty.is_conserved()
+    with pytest.raises(ValueError, match=r"got \(Fraction\(1, 6\), Fraction\(1, 1\)\)"):
+        MomentumAssignment(space, {"v1": ("1/2", 0), "v2": ("-1/3", 1)})
+
+
 def test_nonconserved_lift_rejected():
     mom = MomentumAssignment(
         D1, {"v1": (1,), "v2": (0,)}, require_conserved=False
