@@ -346,7 +346,9 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     momenta, so the verdict does not depend on their size, and the scale
     does not grow with t, so a drifting remainder cannot raise its own
     threshold.  Blocks inconsistent with the graph (the negative
-    controls) show a clean linear rate.
+    controls) show a clean linear rate.  The heights contract with
+    ``space``'s pairing, by default the one of ``momenta1``, which the
+    tropical height uses too.
 
     The heights of every ray over the whole grid are one stacked
     evaluation, and each ray costs one tropical height besides:
@@ -358,6 +360,8 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     """
     if blocks is None:
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
+    if space is None:
+        space = momenta1.space
     if rays is None:
         rays = [{e: 1.0 for e in graph.edge_ids()}]
     ts = _scan_grid(ts)
@@ -486,10 +490,13 @@ def limit_along_segment(graph, momenta1, momenta2, fixture, segment, blocks=None
     values; otherwise ValueError.  Each sample's coordinates are checked
     as :class:`EdgeParameters`, and all the samples' heights are one
     stacked evaluation, with the fixture's components at each sample
-    stacked alongside.
+    stacked alongside.  The heights contract with ``space``'s pairing, by
+    default the one of ``momenta1``, as phi does.
     """
     if blocks is None:
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
+    if space is None:
+        space = momenta1.space
     alphas = tuple(float(a) for a in schedule)
     if (len(alphas) < 2 or not all(math.isfinite(a) and a > 0 for a in alphas)
             or len(set(alphas)) != len(alphas)):

@@ -117,11 +117,18 @@ def _cmd_symanzik(args):
         if y is None:
             raise jsonio.SchemaError("symanzik ratio needs --y weights", ("--y",))
         yf = {e: float(v) for e, v in y.items()}
-        routes = {
-            "schur": lambda g: symanzik_ratio_eval(g, yf, momenta, method="schur"),
-            "polynomial": lambda g: symanzik_ratio_eval(g, yf, momenta,
-                                                        method="polynomial"),
-        }
+
+        def polynomial(g):
+            # The exact polynomials of the det and bordered routes, at y.
+            psi = first_symanzik_det(g)
+            phi = second_symanzik_bordered(g, momenta)
+            try:
+                return float(phi.evaluate(yf)) / float(psi.evaluate(yf))
+            except ZeroDivisionError:
+                raise ValueError("psi underflows to 0.0 at these edge weights") from None
+
+        routes = {"schur": lambda g: symanzik_ratio_eval(g, yf, momenta),
+                  "polynomial": polynomial}
         default = "schur"
 
     method = args.method or default

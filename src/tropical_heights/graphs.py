@@ -5,9 +5,10 @@ and parallel edges allowed).  Orientation is bookkeeping only: every
 quantity built downstream (Kirchhoff polynomials, momentum polynomials,
 heights) is orientation independent, and the tests check that.
 
-The designated spanning tree used by :func:`cycle_basis` and by the
-momentum lift is the greedy tree in lexicographic edge-id order, so two
-runs over the same graph always agree.
+The designated spanning tree used by :func:`cycle_basis`, the momentum
+lift and the monodromy fixtures is the greedy tree in lexicographic
+edge-id order, so two runs over the same graph always agree; all three
+read it through :func:`_rooted_tree`.
 
 Spanning trees and spanning 2-forests are the acyclic edge sets of size
 |V|-1 and |V|-2.  Each enumeration is one depth-first search over the
@@ -232,52 +233,59 @@ def first_betti(graph):
     return len(graph.edges) - len(graph.vertices) + 1
 
 
+def _rooted_tree(graph, tree):
+    """Breadth-first walk of the spanning tree ``tree`` (a set of edge ids)
+    from the smallest vertex id, over the tree edges in lexicographic order.
+
+    Returns ``(order, up, depth)``: the vertices in walk order, root first;
+    for every other vertex v, ``up[v] = (parent, edge, sign)`` with sign +1
+    when the edge runs from v to its parent and -1 when it runs from the
+    parent to v; and ``depth[v]``, the number of tree edges from the root.
+    """
+    adj = {v: [] for v in graph.vertices}
+    for eid in sorted(tree):
+        tail, head = graph.endpoints(eid)
+        adj[tail].append((head, eid, -1))
+        adj[head].append((tail, eid, +1))
+    root = min(graph.vertices)
+    order, up, depth = [root], {}, {root: 0}
+    for u in order:  # the list grows as the walk reaches new vertices
+        for w, eid, sign in adj[u]:
+            if w not in depth:
+                up[w] = (u, eid, sign)
+                depth[w] = depth[u] + 1
+                order.append(w)
+    return order, up, depth
+
+
 def cycle_basis(graph):
     """Fundamental-cycle basis for the designated spanning tree.
 
     Each non-tree edge e (in lexicographic id order) contributes one
-    cycle: coefficient +1 on e, closed up through the tree.  A loop is
-    its own fundamental cycle (the unit vector on itself).
+    cycle: coefficient +1 on e, closed up by the tree path from its head
+    to its tail, found by stepping the deeper end up the rooted tree until
+    the two ends meet.  A loop is its own fundamental cycle (the unit
+    vector on itself).
 
     Raises ValueError on disconnected input.
     """
     tree = designated_tree(graph)
-    adj = {v: [] for v in graph.vertices}
-    for eid in tree:
-        tail, head = graph.endpoints(eid)
-        adj[tail].append((head, eid, +1))
-        adj[head].append((tail, eid, -1))
-
-    def tree_path(a, b):
-        # Signed edges of the unique a -> b tree path (+1 = along orientation).
-        if a == b:
-            return []
-        prev = {a: None}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            if u == b:
-                break
-            for w, eid, sgn in adj[u]:
-                if w not in prev:
-                    prev[w] = (u, eid, sgn)
-                    stack.append(w)
-        path = []
-        v = b
-        while prev[v] is not None:
-            u, eid, sgn = prev[v]
-            path.append((eid, sgn))
-            v = u
-        path.reverse()
-        return path
-
+    _order, up, depth = _rooted_tree(graph, tree)
     cycles = []
     nontree = [e for e in graph.edge_ids() if e not in tree]
     for eid in nontree:
         tail, head = graph.endpoints(eid)
         coeffs = {eid: 1}
-        for f, sgn in tree_path(head, tail):
-            coeffs[f] = coeffs.get(f, 0) + sgn
+        # From the head's side the path climbs, so an edge counts +1 when
+        # it runs from child to parent; toward the tail it descends.
+        a, b = head, tail
+        while a != b:
+            if depth[a] >= depth[b]:
+                a, f, sign = up[a]
+                coeffs[f] = sign
+            else:
+                b, f, sign = up[b]
+                coeffs[f] = -sign
         cycles.append(CycleVector(coeffs))
     return CycleBasis(graph, tree, cycles, nontree)
 

@@ -27,7 +27,7 @@ crossing-derived momentum lifts.
 
 from fractions import Fraction
 
-from .graphs import designated_tree
+from .graphs import _rooted_tree, designated_tree
 from .symanzik import MomentumLift, MomentumAssignment, momentum_lift
 
 
@@ -317,10 +317,11 @@ def consistent_fixture(graph, basis, space, sections1, sections2, rng,
 
     Vanishing-cycle coordinates are the negatives of the fundamental
     cycle coefficients (the sign fixed by the symplectic conventions
-    above); crossing counts come from base-to-section tree paths, side 2
-    additionally winding around random basis cycles.  Marked momenta are
-    random conserved rationals.  Returns (vc, sc, p1, p2) with sections
-    placed on random vertices.
+    above); crossing counts come from the tree paths from the base point
+    (the designated tree's root, the smallest vertex id) to each section,
+    side 2 additionally winding around random basis cycles.  Marked
+    momenta are random conserved rationals.  Returns (vc, sc, p1, p2)
+    with sections placed on random vertices.
 
     Side 1 uses pure tree paths, so its crossing lift coincides with the
     tree-supported :func:`~tropical_heights.symanzik.momentum_lift` of
@@ -331,31 +332,7 @@ def consistent_fixture(graph, basis, space, sections1, sections2, rng,
     vc = VanishingCycleData(h, {
         e: tuple(-row[k] for row in cmat) for k, e in enumerate(graph.edge_ids())
     })
-    base = min(graph.vertices)
-    tree = designated_tree(graph)
-    adj = {v: [] for v in graph.vertices}
-    for eid in tree:
-        tail, head = graph.endpoints(eid)
-        adj[tail].append((head, eid, +1))
-        adj[head].append((tail, eid, -1))
-
-    def tree_chain(target):
-        # Edge coordinates of the base -> target tree path.
-        prev = {base: None}
-        stack = [base]
-        while stack:
-            u = stack.pop()
-            for wv, eid, sgn in adj[u]:
-                if wv not in prev:
-                    prev[wv] = (u, eid, sgn)
-                    stack.append(wv)
-        chain = {}
-        v = target
-        while prev[v] is not None:
-            u, eid, sgn = prev[v]
-            chain[eid] = chain.get(eid, 0) + sgn
-            v = u
-        return chain
+    _order, up, _depth = _rooted_tree(graph, designated_tree(graph))
 
     def place_sections(labels, with_detours):
         placement = {}
@@ -363,7 +340,12 @@ def consistent_fixture(graph, basis, space, sections1, sections2, rng,
         for l in labels:
             v = rng.choice(graph.vertices)
             placement[l] = v
-            chain = dict(tree_chain(v))
+            # The base -> v tree path, read upward from v: it runs from
+            # each parent to its child, so every edge's sign flips.
+            chain = {}
+            while v in up:
+                v, e, sign = up[v]
+                chain[e] = -sign
             if with_detours and h:
                 for cyc in basis.cycles:
                     k = rng.randrange(-detour_range, detour_range + 1)

@@ -38,11 +38,12 @@ product of the loops and phi = 0.  Only the numeric evaluators import
 numpy, when they are called.
 """
 
+import functools
 import math
 from fractions import Fraction
 
-from .graphs import (_UnionFind, _two_forests, boundary_matrix, cycle_basis,
-                     designated_tree, spanning_trees)
+from .graphs import (_rooted_tree, _UnionFind, _two_forests, boundary_matrix,
+                     cycle_basis, designated_tree, spanning_trees)
 from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free
 
 
@@ -265,53 +266,27 @@ def momentum_lift(graph, momenta):
     """Tree-supported lift of a conserved vertex assignment (exact).
 
     Solves ``boundary(omega) = p`` with omega supported on the designated
-    spanning tree by leaf elimination; the tree-supported solution is
-    unique, so the result is deterministic.  The elimination runs on the
-    vertex momenta scaled to ints by their common denominator d, and
-    each edge vector becomes Fractions (divided by d) at the end.
+    spanning tree; the tree-supported solution is unique, so the result
+    is deterministic.  Each tree edge carries the total momentum of the
+    subtree below it, negated when the edge runs from the subtree up to
+    its parent.  The sums run leaves first along ``graphs._rooted_tree``,
+    on the vertex momenta scaled to ints by their common denominator d,
+    and each edge vector becomes Fractions (divided by d) at the end.
     """
     if not momenta.is_conserved():
         raise ValueError("momenta must sum to zero to admit a lift")
-    tree = designated_tree(graph)
-    vertices = graph.vertices
-    ints, d = _scaled_to_ints([momenta.vector(v) for v in vertices])
-    residual = dict(zip(vertices, ints))
-    incident = {v: set() for v in vertices}
-    for e in tree:
-        tail, head = graph.endpoints(e)
-        incident[tail].add(e)
-        incident[head].add(e)
+    order, up, _depth = _rooted_tree(graph, designated_tree(graph))
+    ints, d = _scaled_to_ints([momenta.vector(v) for v in order])
+    subtree = dict(zip(order, ints))
     omega = {}
-    live = set(vertices)
-    pending = sorted(v for v in live if len(incident[v]) == 1)
-    while pending:
-        v = pending.pop()
-        if v not in live or len(incident[v]) != 1:
-            continue
-        (e,) = incident[v]
-        tail, head = graph.endpoints(e)
-        rv = residual[v]
-        if v == head:
-            vec = rv
-            other = tail
-        else:
-            vec = [-x for x in rv]
-            other = head
-        omega[e] = vec
-        # Fold this edge's contribution at the surviving endpoint.
-        sign = 1 if other == head else -1
-        residual[other] = [r - sign * x for r, x in zip(residual[other], vec)]
-        incident[other].discard(e)
-        incident[v].clear()
-        live.discard(v)
-        if other in live and len(incident[other]) == 1:
-            pending.append(other)
-            pending.sort()
-    rest = [v for v in live]
-    # Conservation forces the last residual to vanish exactly.
-    assert len(rest) == 1 and not any(residual[rest[0]])
-    return MomentumLift(graph, momenta.space,
-                        {e: tuple(Fraction(x, d) for x in vec) for e, vec in omega.items()})
+    for v in reversed(order[1:]):
+        parent, e, sign = up[v]
+        total = subtree[v]
+        omega[e] = tuple(Fraction(-sign * x, d) for x in total)
+        subtree[parent] = [a + b for a, b in zip(subtree[parent], total)]
+    # Conservation forces the root's sum, the total momentum, to vanish exactly.
+    assert not any(subtree[order[0]])
+    return MomentumLift(graph, momenta.space, omega)
 
 
 def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=None,
@@ -460,9 +435,31 @@ def _edge_values(graph, y):
     if missing:
         raise ValueError(f"missing edge weights for {missing}")
     vals = np.array([float(y[e]) for e in order])
+    bad = [e for e, v in zip(order, vals) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"edge weights must be finite: {bad}")
     if np.any(vals <= 0):
         raise ValueError("edge weights must be positive")
     return order, vals
+
+
+def _finite_ratio(route):
+    """Decorator for a numeric ``phi/psi`` route: it runs with numpy
+    overflow raising, and an overflow on the way or an inf or NaN value
+    (which a LAPACK call can return without one) becomes one ValueError,
+    with no warning."""
+    @functools.wraps(route)
+    def checked(*args, **kwargs):
+        import numpy as np
+        try:
+            with np.errstate(over="raise"):
+                value = route(*args, **kwargs)
+        except FloatingPointError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise ValueError("phi/psi overflows a float at these edge weights")
+        return value
+    return checked
 
 
 def _lift_array(lift, order):
@@ -471,26 +468,21 @@ def _lift_array(lift, order):
         len(order), lift.space.dim)
 
 
-def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur"):
-    """Numeric value of ``phi/psi`` at positive edge weights ``y``.
+@_finite_ratio
+def symanzik_ratio_eval(graph, y, momenta1, momenta2=None):
+    """Numeric value of ``phi/psi`` at positive edge weights ``y``, solving
+    the cycle Gram system directly (a Schur complement).
 
     Parameters
     ----------
     y : dict
-        Edge id to positive weight.
-    method : str
-        "schur" solves the cycle Gram system directly (default);
-        "polynomial" evaluates the exact polynomials and divides.
+        Edge id to positive, finite weight.
+
+    Raises ValueError when a weight is not finite or positive, and when
+    the value overflows a float.
     """
     if momenta2 is None:
         momenta2 = momenta1
-    if method not in ("schur", "polynomial"):
-        raise ValueError(f"unknown method {method!r} (expected 'schur' or 'polynomial')")
-    if method == "polynomial":
-        psi = first_symanzik_det(graph)
-        phi = second_symanzik_bordered(graph, momenta1, momenta2)
-        assign = {e: float(v) for e, v in y.items()}
-        return float(phi.evaluate(assign)) / float(psi.evaluate(assign))
     import numpy as np
     basis = cycle_basis(graph)
     order, vals = _edge_values(graph, y)
@@ -517,12 +509,14 @@ def symanzik_ratio_eval(graph, y, momenta1, momenta2=None, method="schur"):
     return qterm - correction
 
 
+@_finite_ratio
 def resistance_oracle(graph, y, momenta1, momenta2=None):
     """Independent Laplacian oracle for ``phi/psi``.
 
     Builds the weighted graph Laplacian ``L = B diag(1/y) B^T`` from the
     incidence matrix and returns ``sum_{mu,nu} q_{mu nu} p1^mu . L^+ p2^nu``.
     Shares nothing with the polynomial or Schur routes beyond the graph.
+    Raises ValueError as :func:`symanzik_ratio_eval` does.
     """
     import numpy as np
     if momenta2 is None:

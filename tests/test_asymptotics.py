@@ -434,6 +434,20 @@ def test_limit_along_segment_banana():
     assert len(report.samples) == 3
 
 
+def test_limit_and_scan_default_to_the_momenta_pairing():
+    # A pairing of 2 doubles phi/psi; with no space given, the heights must
+    # contract with it as well, not with the identity.
+    mom = MomentumAssignment(MinkowskiSpace([[2]]), {"v1": (3,), "v2": (-3,)})
+    fx = HolomorphicFixture.constant([[1j]])
+    want = symanzik_ratio_eval(BANANA, {"e1": 1.0, "e2": 1.0}, mom)
+    assert want == pytest.approx(9.0)
+    segment = AdmissibleSegment({"e1": {"y_scale": 1.0}, "e2": {"y_scale": 1.0}})
+    assert limit_along_segment(BANANA, mom, None, fx, segment).value == pytest.approx(
+        want, rel=1e-7)
+    (report,) = bounded_remainder_scan(BANANA, mom, None, fx)
+    assert report.bounded, report
+
+
 def test_limit_with_oscillating_phase():
     mom = banana_momenta(3)
     fx = HolomorphicFixture.constant([[1j]])

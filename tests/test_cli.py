@@ -147,6 +147,13 @@ def test_symanzik_bad_weights(capsys, triangle_path):
     )
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "finite" in err
+    # So are weights at which psi, the polynomial route's divisor, underflows.
+    code, out, err = run(
+        capsys, "symanzik", "ratio", "--graph", triangle_path, "--method", "polynomial",
+        "--y", "e1=1e-400,e2=1e-400,e3=1e-400",
+    )
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "psi underflows" in err
 
 
 def test_symanzik_wrong_method_for_subcommand(capsys, triangle_path):
@@ -311,6 +318,26 @@ def test_limit_eval(capsys, tmp_path, banana_path):
     assert len(report["samples"]) == 3
 
 
+def test_limit_eval_uses_the_bundle_pairing(capsys, tmp_path, banana_path):
+    # A pairing of 2 doubles phi/psi; the heights must contract with it too.
+    bundle = tmp_path / "banana_q2.json"
+    data = json.loads(Path(banana_path).read_text())
+    data["minkowski"] = {"dim": 1, "matrix": [[2]]}
+    dump_json(data, bundle)
+    fixture = tmp_path / "fixture.json"
+    dump_json({"genus": 1, "dim": 1, "edge_ids": [],
+               "terms": [{"field": "omega", "coeff": [[[0.0, 1.0]]]}]}, fixture)
+    segment = tmp_path / "segment.json"
+    dump_json({"edges": {"e1": {"y_scale": 1.0}, "e2": {"y_scale": 1.0}}}, segment)
+    code, out, _ = run(capsys, "symanzik", "ratio", "--graph", str(bundle),
+                       "--y", "e1=1,e2=1", "--check")
+    assert (code, out) == (0, "9.0")
+    code, out, _ = run(capsys, "limit", "eval", "--graph", str(bundle),
+                       "--fixture", str(fixture), "--segment", str(segment))
+    assert code == 0
+    assert abs(json.loads(out)["value"] - 9.0) <= 1e-6
+
+
 def test_limit_eval_nonfinite_segment_names_field(capsys, tmp_path, banana_path):
     fixture = tmp_path / "fixture.json"
     dump_json(
@@ -439,6 +466,15 @@ def _assert_one_line_input_error(result):
 def test_symanzik_ratio_out_of_range_momenta(capsys, huge_banana_path):
     _assert_one_line_input_error(run(capsys, "symanzik", "ratio", "--graph",
                                      huge_banana_path, "--y", "e1=1,e2=1"))
+
+
+def test_symanzik_ratio_overflowing_weights(capsys, banana_path):
+    # Both routes overflow at these weights: one error line, no numpy warning.
+    for extra in ((), ("--check",)):
+        result = run(capsys, "symanzik", "ratio", "--graph", banana_path,
+                     "--y", "e1=1e308,e2=1e308", *extra)
+        _assert_one_line_input_error(result)
+        assert "overflows a float" in result[2]
 
 
 def test_symanzik_second_evaluated_out_of_range_momenta(capsys, huge_banana_path):

@@ -1,5 +1,6 @@
 """Tests for local monodromy blocks and their exact consistency checks."""
 
+import hashlib
 import random
 
 import pytest
@@ -15,11 +16,12 @@ from tropical_heights import (
     consistent_fixture,
     crossing_lift,
     cycle_basis,
+    momentum_lift,
     picard_lefschetz,
     tilde_matrices,
     translation_block_check,
 )
-from tropical_heights.corpus import random_connected_multigraph
+from tropical_heights.corpus import random_connected_multigraph, random_conserved_momenta
 
 BANANA = Multigraph(["v1", "v2"], [("e1", "v1", "v2"), ("e2", "v1", "v2")])
 
@@ -226,3 +228,48 @@ def test_crossing_lift_boundary_matches_sections():
     boundary = lift.boundary()
     total = [sum(boundary[v][i] for v in graph.vertices) for i in range(space.dim)]
     assert all(x == 0 for x in total)
+
+
+# sha256 prefixes of the designated cycle basis, the momentum lift and a
+# consistent fixture on the seeded graphs below (the last a 200-vertex
+# path with chords), as the per-module tree searches printed them before
+# the three read the tree through one rooted walk.
+RECORDED_TREE_DIGESTS = (
+    "01c8ca864824", "e7576d9ec2db", "8a071e055f06", "89615472b3e5", "c183dcde3d38",
+    "66fe39b3ad28", "7a2457342913", "9bc1ac825346", "1bedcb9b6b53", "d127f87d0eb4",
+    "0a9303653b6d", "25bbd7899e8f", "9bdba62965fe", "2b760ad069d0", "2fbdd084768c",
+    "3e33241e73b3", "b1ea8a7f690d", "e6e5a714aec9", "08cf5a7d8093", "e2ab9a056a08",
+    "103680295dee", "477eb2c7070e", "e489d71a638f", "56bef87a81f0",
+)
+
+
+def path_with_chords(rng, n=200, chords=20):
+    """A path on n vertices plus random chords, edge ids shuffled so the
+    lexicographic greedy tree mixes both."""
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(chords)]
+    rng.shuffle(pairs)
+    return Multigraph([f"v{i}" for i in range(n)],
+                      [(f"e{k}", f"v{a}", f"v{b}") for k, (a, b) in enumerate(pairs)])
+
+
+def test_tree_walks_match_recorded_digests():
+    rng = random.Random(1800)
+    spaces = (MinkowskiSpace.euclidean(1), MinkowskiSpace.euclidean(2))
+    graphs = [random_connected_multigraph(rng, max_edges=14, max_vertices=10)
+              for _ in range(len(RECORDED_TREE_DIGESTS) - 1)]
+    graphs.append(path_with_chords(rng))
+    got = []
+    for k, graph in enumerate(graphs):
+        space = spaces[k % 2]
+        mom = random_conserved_momenta(rng, graph, space)
+        basis = cycle_basis(graph)
+        lift = momentum_lift(graph, mom)
+        vc, sc, p1, p2 = consistent_fixture(graph, basis, space, ["l1", "l2", "l3"],
+                                            ["l4", "l5"], rng)
+        text = "\n".join(map(str, (basis.matrix(), sorted(lift.edge_vectors.items()),
+                                   sorted(vc.coeffs.items()), sorted(sc.d1.items()),
+                                   sorted(sc.d2.items()), sorted(p1.items()),
+                                   sorted(p2.items()))))
+        got.append(hashlib.sha256(text.encode()).hexdigest()[:12])
+    assert tuple(got) == RECORDED_TREE_DIGESTS

@@ -89,11 +89,17 @@ def test_banana_second_frozen():
     assert str(bordered) == "9*Y_e1*Y_e2"
 
 
+def polynomial_ratio(graph, y, momenta1, momenta2=None):
+    """phi/psi from the exact det and bordered polynomials, evaluated at y."""
+    phi = second_symanzik_bordered(graph, momenta1, momenta2)
+    return float(phi.evaluate(y)) / float(first_symanzik_det(graph).evaluate(y))
+
+
 def test_banana_ratio_and_resistance():
     mom = banana_momenta(3)
     y = {"e1": 1.0, "e2": 1.0}
-    for method in ("schur", "polynomial"):
-        assert symanzik_ratio_eval(BANANA, y, mom, method=method) == pytest.approx(4.5)
+    assert symanzik_ratio_eval(BANANA, y, mom) == pytest.approx(4.5)
+    assert polynomial_ratio(BANANA, y, mom) == pytest.approx(4.5)
     # Parallel edges of conductance-weighted resistance 6/5 at y = (2, 3).
     y = {"e1": 2.0, "e2": 3.0}
     want = 9 * (6 / 5)
@@ -461,10 +467,26 @@ def test_ratio_methods_match_oracle():
         y = random_positive_lengths(rng, graph)
         want = resistance_oracle(graph, y, mom1, mom2)
         scale = max(1.0, abs(want))
-        for method in ("schur", "polynomial"):
-            got = symanzik_ratio_eval(graph, y, mom1, mom2, method=method)
+        for got in (symanzik_ratio_eval(graph, y, mom1, mom2),
+                    polynomial_ratio(graph, y, mom1, mom2)):
             assert math.isfinite(got)
             assert abs(got - want) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ratio_routes_reject_nonfinite_weights(bad):
+    mom = banana_momenta(3)
+    for route in (symanzik_ratio_eval, resistance_oracle):
+        with pytest.raises(ValueError, match=r"edge weights must be finite: \['e1'\]"):
+            route(BANANA, {"e1": bad, "e2": 1.0}, mom)
+
+
+def test_ratio_routes_turn_overflow_into_one_error():
+    # Warnings are errors under pytest, so a numpy overflow warning fails here.
+    mom = banana_momenta(3)
+    for route in (symanzik_ratio_eval, resistance_oracle):
+        with pytest.raises(ValueError, match="phi/psi overflows a float"):
+            route(BANANA, {"e1": 1e308, "e2": 1e308}, mom)
 
 
 def test_momentum_lift_boundary():
@@ -482,7 +504,7 @@ def test_momentum_lift_boundary():
 
 
 def test_momentum_lift_frozen_rational_dimension_two():
-    # Leaf elimination runs on the momenta scaled by their common
+    # The subtree sums run on the momenta scaled by their common
     # denominator 12; the lift must come back as these reduced Fractions.
     graph = Multigraph(["v1", "v2", "v3", "v4"],
                        [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1"),
