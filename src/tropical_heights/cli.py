@@ -51,10 +51,15 @@ def _parse_y(text, graph):
         if value <= 0:
             raise jsonio.SchemaError("edge weights must be positive", ("--y", eid))
         try:
-            float(value)
+            as_float = float(value)
         except OverflowError:
             raise jsonio.SchemaError("edge weights must be finite as floats",
                                      ("--y", eid)) from None
+        if as_float == 0.0:
+            # Every route evaluates in floats, where this weight is no
+            # longer positive.
+            raise jsonio.SchemaError("edge weights must be positive as floats",
+                                     ("--y", eid))
         out[eid] = value
     unknown = set(out) - set(graph.edge_ids())
     if unknown:
@@ -120,12 +125,15 @@ def _cmd_symanzik(args):
 
         def polynomial(g):
             # The exact polynomials of the det and bordered routes, at y.
-            psi = first_symanzik_det(g)
-            phi = second_symanzik_bordered(g, momenta)
-            try:
-                return float(phi.evaluate(yf)) / float(psi.evaluate(yf))
-            except ZeroDivisionError:
-                raise ValueError("psi underflows to 0.0 at these edge weights") from None
+            psi = float(first_symanzik_det(g).evaluate(yf))
+            phi = float(second_symanzik_bordered(g, momenta).evaluate(yf))
+            if psi == 0.0:
+                raise ValueError("psi underflows to 0.0 at these edge weights")
+            value = phi / psi
+            if not (math.isfinite(psi) and math.isfinite(value)):
+                # The Schur route's message for the same weights.
+                raise ValueError("phi/psi overflows a float at these edge weights")
+            return value
 
         routes = {"schur": lambda g: symanzik_ratio_eval(g, yf, momenta),
                   "polynomial": polynomial}

@@ -501,6 +501,19 @@ def _divisor_from_json(value, path):
     return out
 
 
+def _finite_number(value, path, name):
+    """A JSON number as a finite float; the errors name the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{name} must be a number", path)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise SchemaError(f"{name} must be finite", path)
+    return out
+
+
 def degeneration_family_from_json(data, path=()):
     from .lab import DegenerationFamily
     y_total = rational_from_json(_require(data, "y_total", path), path + ("y_total",))
@@ -514,17 +527,14 @@ def degeneration_family_from_json(data, path=()):
     kwargs = {}
     if "alphas" in data:
         alphas = _as_list(data["alphas"], path + ("alphas",))
-        for i, a in enumerate(alphas):
-            if isinstance(a, bool) or not isinstance(a, (int, float)) or a <= 0:
-                raise SchemaError("alphas must be positive numbers",
-                                  path + ("alphas", i))
-        kwargs["alphas"] = [float(a) for a in alphas]
+        kwargs["alphas"] = [_finite_number(a, path + ("alphas", i), "alphas")
+                            for i, a in enumerate(alphas)]
+        for i, a in enumerate(kwargs["alphas"]):
+            if a <= 0:
+                raise SchemaError("alphas must be positive numbers", path + ("alphas", i))
     for key in ("imag_offset", "metric_scale"):
         if key in data:
-            v = data[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaError(f"{key} must be a number", path + (key,))
-            kwargs[key] = float(v)
+            kwargs[key] = _finite_number(data[key], path + (key,), key)
     if "mode" in data:
         kwargs["mode"] = data["mode"]
     try:

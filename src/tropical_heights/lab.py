@@ -6,10 +6,10 @@ C/(Z + tau Z) the Green's function of the unit-area flat metric is
     g(z) = -log|theta1(z; tau)| + pi Im(z)^2 / Im(tau) + C(tau),
 
 normalized so that g integrates to zero against the flat measure.  The
-constant C(tau) is the closed form log|eta(tau)|; every
-:class:`TorusGreen` checks it against a quadrature (4 Gauss-Legendre
-rows, exact for the affine-in-y structure of the integrand) and raises
-when they disagree, rather than carry on with either value.  An independent
+constant C(tau) is the closed form log|eta(tau)|; every torus checks it
+against a quadrature (4 Gauss-Legendre rows, exact for the affine-in-y
+structure of the integrand) and raises when they disagree, rather than
+carry on with either value.  An independent
 2D singularity-subtracted scheme verifies the vanishing integral; since
 g(-z) = g(z) and the midpoint grid is symmetric under z -> -z, it
 evaluates half the grid's rows.  The Laplacian check takes every grid
@@ -19,17 +19,20 @@ translates after reducing Re(tau) to [-1/2, 1/2], so any tau gets the
 nearest lattice point.
 
 The theta product :func:`log_abs_theta1_frac` broadcasts over both
-fractional coordinates, so each quadrature, residual check and
-pairing's set of Green's values (:meth:`TorusGreen.values`) is a few
-array calls rather than one call per row or per point.  Those array
-functions import numpy when they are called, so the sphere's pairings,
-which need only ``math``, never load it.
+fractional coordinates and over a set of moduli, each with its own
+scalars, so each quadrature, residual check and pairing's set of Green's
+values is a few array calls rather than one call per row, point or
+torus.  Those array functions import numpy when they are called, so the
+sphere's pairings, which need only ``math``, never load it.
 
 Pairings of degree-zero divisors against these Green's functions, with
 their regularized diagonal for self-pairings, degenerate as
-Im(tau) -> infinity to the resistance pairing on a metric circle; the
-:class:`DegenerationFamily` experiment measures that limit and its
-first-order remainder.
+Im(tau) -> infinity to the resistance pairing on a metric circle;
+:func:`degeneration_experiment` measures that limit and its first-order
+remainder over a :class:`DegenerationFamily`'s schedule of tori.  It
+takes the whole schedule at once: one quadrature call checks every
+torus's constant, one theta call gives every Green's value, and the
+momenta pair on ints.
 
 Orientation convention for the four-point pairing on the sphere: the
 divisors are (z2) - (z1) and (z3) - (z4), which makes
@@ -47,7 +50,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graphs import Multigraph
-from .symanzik import MinkowskiSpace, MomentumAssignment, resistance_oracle
+from .symanzik import MinkowskiSpace, MomentumAssignment, _scaled_to_ints, resistance_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +125,8 @@ def _product_terms(im_tau):
 def log_abs_theta1_frac(x, y, tau):
     r"""log |theta1(x + y tau; tau)| for fractional coordinates, stably.
 
-    ``x`` and ``y`` broadcast together (scalars or arrays of any shape);
-    every ``y`` must lie in [0, 1).  Uses the triple product, whose
+    ``x``, ``y`` and ``tau`` broadcast together (scalars or arrays of any
+    shape); every ``y`` must lie in [0, 1).  Uses the triple product, whose
     factors all have modulus below 1 in this range, so the value never
     overflows even for Im(tau) in the thousands:
 
@@ -132,35 +135,59 @@ def log_abs_theta1_frac(x, y, tau):
 
     with w = exp(2 pi i (x + y tau)) and v = exp(2 pi i ((1-y) tau - x)),
     so that q^{n-1} v = q^n / w is assembled without dividing by a
-    possibly underflowed w.  One call evaluates a whole batch.
+    possibly underflowed w.  One call evaluates a whole batch.  Each
+    distinct modulus takes its scalars q^n and log|1 - q^n| from ``cmath``
+    and ``math`` as a lone modulus would.  The product runs to the largest
+    term count among them: a term past a modulus's own count has
+    |q^n| < 6e-19, so its factors round to 1 and it adds exactly 0.
     """
     import numpy as np
-    tau = _as_tau(tau)
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if not np.all((y >= 0.0) & (y < 1.0)):
+    if isinstance(tau, numbers.Number):
+        tau = _as_tau(tau)
+        moduli, inverse = [tau], None
+    else:
+        tau = np.asarray(tau, dtype=complex)
+        moduli, inverse = np.unique(tau, return_inverse=True)
+        moduli, inverse = [_as_tau(t) for t in moduli.tolist()], inverse.reshape(tau.shape)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not ((y >= 0.0) & (y < 1.0)).all():
         raise ValueError("fractional coordinate y must lie in [0, 1)")
+    terms = max(_product_terms(t.imag) for t in moduli)
     im = tau.imag
     w = np.exp(2j * math.pi * (x + y * tau))
     v = np.exp(2j * math.pi * ((1.0 - y) * tau - x))
     with np.errstate(divide="ignore"):
         out = -math.pi * im / 4.0 + math.pi * y * im + np.log(np.abs(1.0 - w))
-    q = cmath.exp(2j * math.pi * tau)
+    # Each modulus's q^0 .. q^terms by repeated multiplication and its
+    # log|1 - q^n|, as for a lone modulus.
+    powers, logs = [], []
+    for t in moduli:
+        q = cmath.exp(2j * math.pi * t)
+        row = [1.0 + 0j]
+        for _n in range(terms):
+            row.append(row[-1] * q)
+        powers.append(row)
+        logs.append([math.log(abs(1.0 - c)) for c in row[1:]])
+
+    def spread(rows):
+        # Per power n, the moduli's values laid over the shape of tau.
+        return [col[0] if inverse is None else np.array(col)[inverse] for col in zip(*rows)]
+
+    qn, log_qn = spread(powers), spread(logs)
     a = np.empty_like(w)
     b = np.empty_like(w)
     mod = np.empty_like(out)
-    q_prev = 1.0 + 0j
-    for _n in range(1, _product_terms(im) + 1):
-        qn = q_prev * q
-        out += math.log(abs(1.0 - qn))
-        np.multiply(w, qn, out=a)
+    for n in range(1, terms + 1):
+        out += log_qn[n - 1]
+        np.multiply(w, qn[n], out=a)
         np.subtract(1.0, a, out=a)
-        np.multiply(v, q_prev, out=b)
+        np.multiply(v, qn[n - 1], out=b)
         np.subtract(1.0, b, out=b)
         a *= b
         np.abs(a, out=mod)
         np.log(mod, out=mod)
         out += mod
-        q_prev = qn
     return out
 
 
@@ -196,6 +223,13 @@ def _unit_frac(v):
     which is the point 0.0 on the circle, so it maps to 0.0."""
     r = float(v) % 1.0
     return 0.0 if r == 1.0 else r
+
+
+def _unit_fracs(v):
+    """:func:`_unit_frac` of every entry of the float array ``v``, in place."""
+    v %= 1.0
+    v[v == 1.0] = 0.0
+    return v
 
 
 class TorusPoint:
@@ -236,12 +270,16 @@ def _min_image_distance(x, y, tau):
     the distance when Im tau is below about 0.45; the singularity model
     and the coincidence check read only distances below r0.  The nine
     translates stack on a leading axis, so one pass takes the squared
-    distances, their minimum and a single square root.
+    distances, their minimum and a single square root.  ``tau`` may be an
+    array that broadcasts with ``x`` and ``y``, one modulus per point.
     """
     import numpy as np
-    tau = complex(tau)
-    k = round(tau.real)
-    tau -= k
+    if isinstance(tau, numbers.Number):
+        tau = complex(tau)
+    else:
+        tau = np.asarray(tau, dtype=complex)
+    k = np.rint(tau.real)
+    re_tau = tau.real - k
     # v - floor(v) is v mod 1 up to mapping a tiny negative v to 1.0,
     # which the translates cover, and costs a fraction of numpy's ``%``.
     y = np.asarray(y, dtype=float)
@@ -251,7 +289,7 @@ def _min_image_distance(x, y, tau):
     steps = np.array([-1.0, 0.0, 1.0])
     dx = np.repeat(steps, 3).reshape((9,) + (1,) * x.ndim)
     dy = np.tile(steps, 3).reshape(dx.shape)
-    re = (x + y * tau.real) + (dx + dy * tau.real)
+    re = (x + y * re_tau) + (dx + dy * re_tau)
     im = y * tau.imag + dy * tau.imag
     re *= re
     im *= im
@@ -299,7 +337,8 @@ _MATCH_TOL = 1e-6
 
 
 def normalization_by_quadrature(tau):
-    """Constant C(tau) by direct quadrature of the Green's function.
+    """Constant C(tau) by direct quadrature of the Green's function,
+    checked against its closed form log|eta(tau)|.
 
     Separable scheme: 4 Gauss-Legendre rows in the vertical coordinate,
     each the mean of a periodic trapezoid in the horizontal one, whose
@@ -307,53 +346,62 @@ def normalization_by_quadrature(tau):
     Each factor log|1 - c e^{+-2 pi i x}| of the triple product has
     |c| < 1, so its x-mean is 0 by Jensen's formula and a row's mean is
     affine in y, which any rule of 2 or more nodes integrates exactly.
-    All rows go through one :func:`log_abs_theta1_frac` call.
-    :class:`TorusGreen` checks the result against log|eta(tau)| and
-    raises when they disagree.  The check sees only these x-means, so a
-    wrong factor that keeps them, like a dropped (1 - q^n w), passes it.
+    ``tau`` is one modulus or a sequence of them (giving a list); either
+    way all rows go through one :func:`log_abs_theta1_frac` call.  A gap
+    above 1e-6 from log|eta(tau)| means the numerics cannot be trusted at
+    that modulus, and raises, as does a 2 pi Im(tau) past float range.
+    The check sees only these x-means, so a wrong factor that keeps them,
+    like a dropped (1 - q^n w), passes it.
     """
     import numpy as np
-    tau = _as_tau(tau)
-    im = tau.imag
+    single = isinstance(tau, numbers.Number)
+    taus = [_as_tau(t) for t in ([tau] if single else tau)]
     # The term cap bounds Im(tau) from below, and with it the row sizes:
     # check it before they are built.
-    _product_terms(im)
+    for t in taus:
+        _product_terms(t.imag)
+        if not math.isfinite(2.0 * math.pi * t.imag):
+            raise ValueError(f"Im(tau) = {t.imag:.6g} is past float range: "
+                             f"2 pi Im(tau) overflows")
     gl_nodes, gl_weights = _gauss_legendre(4)
     ys = 0.5 * (gl_nodes + 1.0)
-    counts = [64 + int(math.ceil(6.5 / (im * min(y, 1.0 - y)))) for y in ys]
+    counts = [64 + int(math.ceil(6.5 / (t.imag * min(y, 1.0 - y)))) for t in taus for y in ys]
     xs = np.concatenate([np.arange(nx) / nx for nx in counts])
-    vals = log_abs_theta1_frac(xs, np.repeat(ys, counts), tau)
+    # One modulus per point, or the scalar tau.
+    per_point = taus[0] if single else np.repeat(np.repeat(taus, len(ys)), counts)
+    vals = log_abs_theta1_frac(xs, np.repeat(np.concatenate([ys] * len(taus)), counts),
+                               per_point)
     means = np.add.reduceat(vals, np.cumsum([0] + counts[:-1])) / counts
-    return float(np.dot(0.5 * gl_weights, means)) - math.pi * im / 3.0
+    out = []
+    for t, row_means in zip(taus, means.reshape(len(taus), len(ys))):
+        c_quad = float(np.dot(0.5 * gl_weights, row_means)) - math.pi * t.imag / 3.0
+        gap = abs(c_quad - dedekind_eta_log_abs(t))
+        if not gap <= _MATCH_TOL:
+            raise ValueError(
+                f"torus normalization quadrature disagrees with the closed form "
+                f"log|eta(tau)| by {gap:.3e} (tolerance {_MATCH_TOL:g}) at "
+                f"Im(tau) = {t.imag:.6g}"
+            )
+        out.append(c_quad)
+    return out[0] if single else out
 
 
 class TorusGreen:
     """Green's function of the unit-area flat metric on one torus.
 
-    The normalization constant is the closed form log|eta(tau)|.  At
-    construction it is checked against :func:`normalization_by_quadrature`
-    (kept as ``normalization_quadrature``); a gap above 1e-6 means the
-    numerics cannot be trusted at this modulus, and raises
-    ``ValueError``.  Below Im(tau) ~ 1e10 the gap stays far under that
-    tolerance; beyond, it is rounding noise of pi Im(tau) / 3, which may
-    or may not exceed it.
+    The normalization constant is the closed form log|eta(tau)|, which
+    :func:`normalization_by_quadrature` checks at construction (its value
+    is kept as ``normalization_quadrature``).  Below Im(tau) ~ 1e10 the gap
+    stays far under the tolerance; beyond, it is rounding noise of
+    pi Im(tau) / 3, which may or may not exceed it.
     """
 
     __slots__ = ("tau", "normalization", "normalization_quadrature")
 
     def __init__(self, tau):
         self.tau = _as_tau(tau)
-        c_quad = normalization_by_quadrature(self.tau)
-        c_eta = dedekind_eta_log_abs(self.tau)
-        gap = abs(c_quad - c_eta)
-        if not gap <= _MATCH_TOL:
-            raise ValueError(
-                f"torus normalization quadrature disagrees with the closed form "
-                f"log|eta(tau)| by {gap:.3e} (tolerance {_MATCH_TOL:g}) at "
-                f"Im(tau) = {self.tau.imag:.6g}"
-            )
-        self.normalization_quadrature = c_quad
-        self.normalization = c_eta
+        self.normalization_quadrature = normalization_by_quadrature(self.tau)
+        self.normalization = dedekind_eta_log_abs(self.tau)
 
     def _coerce_point(self, z):
         if isinstance(z, TorusPoint):
@@ -363,9 +411,7 @@ class TorusGreen:
     def value_frac(self, x, y):
         """g at fractional coordinates; ``x`` and ``y`` broadcast together
         as in :func:`log_abs_theta1_frac` (every y in [0, 1))."""
-        im = self.tau.imag
-        return (-log_abs_theta1_frac(x, y, self.tau)
-                + math.pi * y * y * im + self.normalization)
+        return _green_frac(x, y, self.tau, self.normalization)
 
     def values(self, zs, ws, min_distance=1e-12):
         """g(z - w) for paired sequences of complex or TorusPoint
@@ -375,17 +421,9 @@ class TorusGreen:
         qs = [self._coerce_point(w) for w in ws]
         if len(ps) != len(qs):
             raise ValueError("values needs as many second points as first points")
-        x = np.array([p.x for p in ps]) - np.array([q.x for q in qs])
-        y = np.array([p.y for p in ps]) - np.array([q.y for q in qs])
-        x %= 1.0
-        y %= 1.0
-        # As in _unit_frac: a difference that rounds up to 1.0 is 0.0.
-        x[x == 1.0] = 0.0
-        y[y == 1.0] = 0.0
-        if np.any(_min_image_distance(x, y, self.tau)
-                  < min_distance * max(1.0, self.tau.imag)):
-            raise ValueError("Green's function evaluated at coincident points")
-        return self.value_frac(x, y)
+        return _green_values(np.array([p.x for p in ps]) - np.array([q.x for q in qs]),
+                             np.array([p.y for p in ps]) - np.array([q.y for q in qs]),
+                             self.tau, self.normalization, min_distance)
 
     def value(self, z, w=0.0, min_distance=1e-12):
         """g(z - w) for complex or TorusPoint arguments."""
@@ -394,12 +432,7 @@ class TorusGreen:
     def regularized_diagonal(self, metric_scale=1.0):
         """Limit of g(z, w) + log d(z, w) as w -> z, in the unit-area flat
         metric scaled by ``metric_scale``."""
-        if metric_scale <= 0:
-            raise ValueError("metric scale must be positive")
-        return (-log_abs_theta1_prime_zero(self.tau)
-                - 0.5 * math.log(self.tau.imag)
-                + math.log(metric_scale)
-                + self.normalization)
+        return _regularized_diagonal(self.tau, self.normalization, metric_scale)
 
     # -- verification quadratures (independent of the normalization scheme)
 
@@ -477,6 +510,34 @@ class TorusGreen:
         return float(np.max(np.abs(lap - 2.0 * math.pi / im)))
 
 
+def _green_frac(x, y, tau, normalization):
+    """:meth:`TorusGreen.value_frac`; ``tau`` and ``normalization`` may be
+    arrays (one torus per point) that broadcast with ``x`` and ``y``."""
+    return (-log_abs_theta1_frac(x, y, tau)
+            + math.pi * y * y * tau.imag + normalization)
+
+
+def _green_values(x, y, tau, normalization, min_distance):
+    """:func:`_green_frac` at fractional differences ``x``, ``y`` (float
+    arrays, reduced mod 1 in place); raises if any pair coincides."""
+    import numpy as np
+    x, y = _unit_fracs(x), _unit_fracs(y)
+    if np.any(_min_image_distance(x, y, tau)
+              < min_distance * np.maximum(1.0, tau.imag)):
+        raise ValueError("Green's function evaluated at coincident points")
+    return _green_frac(x, y, tau, normalization)
+
+
+def _regularized_diagonal(tau, normalization, metric_scale):
+    """:meth:`TorusGreen.regularized_diagonal` on one torus."""
+    if metric_scale <= 0:
+        raise ValueError("metric scale must be positive")
+    return (-log_abs_theta1_prime_zero(tau)
+            - 0.5 * math.log(tau.imag)
+            + math.log(metric_scale)
+            + normalization)
+
+
 # ---------------------------------------------------------------------------
 # Sphere
 
@@ -518,14 +579,17 @@ def _check_conserved(momenta, label):
 
 
 def _pairing_terms(m1, m2, space):
-    """Nonzero pairings <p_i, q_j> as (i, j, float), in summation order."""
-    terms = []
-    for i, p in enumerate(m1):
-        for j, q in enumerate(m2):
-            coeff = space.pair(p, q)
-            if coeff != 0:
-                terms.append((i, j, float(coeff)))
-    return terms
+    """Nonzero pairings <p_i, q_j> as (i, j, float), in summation order:
+    the int pairing of the momenta and the Gram matrix scaled to ints, over
+    the product of their scales.  int / int rounds correctly, so each is
+    the float of the rational that ``space.pair`` gives."""
+    if any(len(p) != space.dim for p in (*m1, *m2)):
+        raise ValueError("vector dimension does not match the pairing")
+    (ints1, d1), (ints2, d2), (gram, dg) = map(_scaled_to_ints, (m1, m2, space.matrix))
+    gram_q = [[sum(g * x for g, x in zip(row, q)) for row in gram] for q in ints2]
+    pairs = [(i, j, sum(x * y for x, y in zip(p, gq)))
+             for i, p in enumerate(ints1) for j, gq in enumerate(gram_q)]
+    return [(i, j, c / (d1 * d2 * dg)) for i, j, c in pairs if c]
 
 
 def _pairing_sum(terms, points1, points2, green, metric_scale=None):
@@ -541,18 +605,20 @@ def _pairing_sum(terms, points1, points2, green, metric_scale=None):
     zs = [points1[i] for i, _j in off]
     ws = [points2[j] for _i, j in off]
     if isinstance(green, TorusGreen):
-        gs = iter(green.values(zs, ws).tolist())
+        gs = green.values(zs, ws).tolist()
     else:
         gs = map(green, zs, ws)
-    diag = None
+    diag = green.regularized_diagonal(metric_scale) if len(off) < len(terms) else None
+    return _sum_terms(terms, gs, diag)
+
+
+def _sum_terms(terms, values, diag=None):
+    """Sum of coeff * value over ``terms``, in order: the i == j terms take
+    ``diag`` when it is given, the others the next of ``values``."""
+    values = iter(values)
     total = 0.0
     for i, j, coeff in terms:
-        if self_pairing and i == j:
-            if diag is None:
-                diag = green.regularized_diagonal(metric_scale)
-            total += coeff * diag
-        else:
-            total += coeff * next(gs)
+        total += coeff * (diag if diag is not None and i == j else next(values))
     return total
 
 
@@ -712,9 +778,6 @@ class DegenerationFamily:
     def tau(self, alpha):
         return complex(0.0, self.y_total / (2.0 * math.pi * alpha) + self.imag_offset)
 
-    def _points(self, divisor, tau):
-        return [complex(ins.x) + float(ins.c) * tau for ins in divisor]
-
     def prediction(self):
         """Tropical limit: resistance pairing on the subdivided circle."""
         all_c = [ins.c for ins in self.divisor1]
@@ -768,15 +831,32 @@ def degeneration_experiment(family):
     # conservation), so they are computed once, not once per torus.
     terms = _pairing_terms([ins.momentum for ins in family.divisor1],
                            [ins.momentum for ins in second], family.space)
+    # Every torus of the schedule at once: one quadrature call checks all
+    # their constants, and one theta call takes the Green's values of every
+    # off-diagonal term (rows) on every torus (columns).
+    taus = [family.tau(alpha) for alpha in family.alphas]
+    normalization_by_quadrature(taus)
+    norms = [dedekind_eta_log_abs(tau) for tau in taus]
+    columns = np.array(taus)
+
+    def fractional(insertions):
+        # TorusPoint.from_complex of each insertion's point
+        # x + c tau (rows) on each torus (columns).
+        z = (np.array([ins.x for ins in insertions])[:, None]
+             + np.array([float(ins.c) for ins in insertions])[:, None] * columns)
+        y = z.imag / columns.imag
+        return _unit_fracs(z.real - y * columns.real), _unit_fracs(y)
+
+    off = [(family.divisor1[i], second[j]) for i, j, _c in terms
+           if not (self_mode and i == j)]
+    (x1, y1), (x2, y2) = (fractional([pair[k] for pair in off]) for k in (0, 1))
+    # min_distance as in TorusGreen.values.
+    grid = _green_values(x1 - x2, y1 - y2, columns, np.array(norms), 1e-12)
     values = []
-    for alpha in family.alphas:
-        tau = family.tau(alpha)
-        green = TorusGreen(tau)
-        pts1 = family._points(family.divisor1, tau)
-        pts2 = pts1 if self_mode else family._points(second, tau)
-        v = _pairing_sum(terms, pts1, pts2, green,
-                         metric_scale=family.metric_scale if self_mode else None)
-        values.append(alpha * v)
+    for alpha, tau, norm, gs in zip(family.alphas, taus, norms, grid.T.tolist()):
+        diag = (_regularized_diagonal(tau, norm, family.metric_scale)
+                if len(off) < len(terms) else None)
+        values.append(alpha * _sum_terms(terms, gs, diag))
     values = tuple(values)
     estimate = values[-1]
     denom = abs(pred) if abs(pred) > 1e-9 else 1.0

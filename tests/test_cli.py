@@ -147,13 +147,30 @@ def test_symanzik_bad_weights(capsys, triangle_path):
     )
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "finite" in err
-    # So are weights at which psi, the polynomial route's divisor, underflows.
+    # So are weights at which psi, the polynomial route's divisor, underflows:
+    # psi has degree 2 on three parallel edges.
+    banana3 = str(Path(triangle_path).with_name("banana3.json"))
+    dump_json({"vertices": ["v1", "v2"],
+               "edges": [{"id": f"e{k}", "tail": "v1", "head": "v2"} for k in (1, 2, 3)],
+               "markings": [{"id": "l1", "vertex": "v1", "momentum": [2]},
+                            {"id": "l2", "vertex": "v2", "momentum": [-2]}],
+               "minkowski": {"dim": 1, "signature": "euclidean"}}, banana3)
     code, out, err = run(
-        capsys, "symanzik", "ratio", "--graph", triangle_path, "--method", "polynomial",
-        "--y", "e1=1e-400,e2=1e-400,e3=1e-400",
+        capsys, "symanzik", "ratio", "--graph", banana3, "--method", "polynomial",
+        "--y", "e1=1e-200,e2=1e-200,e3=1e-200",
     )
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "psi underflows" in err
+
+
+def test_symanzik_ratio_weight_underflowing_to_zero(capsys, banana_path):
+    # 1e-400 is a positive rational but 0.0 as a float: every route and the
+    # cross-check reject it up front, naming the weight.
+    for extra in (("--method", "schur"), ("--method", "polynomial"), ("--check",)):
+        result = run(capsys, "symanzik", "ratio", "--graph", banana_path,
+                     "--y", "e1=1e-400,e2=1", *extra)
+        _assert_one_line_input_error(result)
+        assert "--y.e1: edge weights must be positive as floats" in result[2]
 
 
 def test_symanzik_wrong_method_for_subcommand(capsys, triangle_path):
@@ -477,6 +494,15 @@ def test_symanzik_ratio_overflowing_weights(capsys, banana_path):
         assert "overflows a float" in result[2]
 
 
+def test_symanzik_ratio_polynomial_route_overflow(capsys, banana_path):
+    # psi and phi overflow to inf on the exact polynomials' float route too;
+    # it names the overflow as the Schur route does.
+    result = run(capsys, "symanzik", "ratio", "--graph", banana_path,
+                 "--method", "polynomial", "--y", "e1=1e308,e2=1e308")
+    _assert_one_line_input_error(result)
+    assert "phi/psi overflows a float at these edge weights" in result[2]
+
+
 def test_symanzik_second_evaluated_out_of_range_momenta(capsys, huge_banana_path):
     _assert_one_line_input_error(run(capsys, "symanzik", "second", "--graph",
                                      huge_banana_path, "--y", "e1=1,e2=1"))
@@ -519,6 +545,39 @@ def test_lab_torus_limit_tiny_length_is_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "lab", "torus-limit", "--family", str(family))
     _assert_one_line_input_error((code, out, err))
     assert "theta product factors" in err
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("metric_scale", math.nan, "metric_scale"),
+    ("imag_offset", math.nan, "imag_offset"),
+    ("imag_offset", math.inf, "imag_offset"),
+    ("imag_offset", -math.inf, "imag_offset"),
+    ("alphas", [1e-2, math.nan], "alphas.1"),
+    ("alphas", [math.inf], "alphas.0"),
+])
+def test_lab_torus_limit_non_finite_numbers(capsys, tmp_path, field, value, where):
+    family = tmp_path / "family.json"
+    dump_json({"y_total": 1, field: value,
+               "divisor1": [{"c": 0, "momentum": [1]}, {"c": "1/2", "momentum": [-1]}],
+               "divisor2": [{"c": "1/8", "momentum": [1]}, {"c": "3/8", "momentum": [-1]}]},
+              family)
+    code, out, err = run(capsys, "lab", "torus-limit", "--family", str(family))
+    _assert_one_line_input_error((code, out, err))
+    assert f"{where}: {field} must be finite" in err
+
+
+@pytest.mark.parametrize("extra", [{"alphas": [1e-320, 1e-2]}, {"imag_offset": 1e308}])
+def test_lab_torus_limit_im_tau_past_float_range(capsys, tmp_path, extra):
+    # Im(tau) is inf, or 1e308 with 2 pi Im(tau) = inf: one error line and,
+    # under this suite's warnings-as-errors, no numpy warning on the way.
+    family = tmp_path / "family.json"
+    dump_json({"y_total": 1, **extra,
+               "divisor1": [{"c": 0, "momentum": [1]}, {"c": "1/2", "momentum": [-1]}],
+               "divisor2": [{"c": "1/8", "momentum": [1]}, {"c": "3/8", "momentum": [-1]}]},
+              family)
+    code, out, err = run(capsys, "lab", "torus-limit", "--family", str(family))
+    _assert_one_line_input_error((code, out, err))
+    assert "is past float range: 2 pi Im(tau) overflows" in err
 
 
 def test_lab_crossratio(capsys):

@@ -89,6 +89,29 @@ def test_log_abs_theta_fractional_broadcasts():
                 assert abs(grid[i, j] - want) <= 1e-13 * max(1.0, abs(want))
 
 
+def test_array_tau_matches_one_call_per_tau():
+    # Four moduli whose theta products take 136, 8, 3 and 3 factors in one
+    # call: the values, the lattice distances and the quadratures are those
+    # of one scalar call per modulus, bit for bit.
+    rng = np.random.default_rng(19)
+    taus = np.array([0.3 + 0.05j, -0.2 + 1.2j, 30j, 0.1 + 3000j])
+    x = rng.uniform(0, 1, (7, 4))
+    y = rng.uniform(0, 1, (7, 4))
+    grid = log_abs_theta1_frac(x, y, taus)
+    dist = lab._min_image_distance(x, y, taus)
+    for k, tau in enumerate(taus.tolist()):
+        assert np.array_equal(grid[:, k], log_abs_theta1_frac(x[:, k], y[:, k], tau))
+        assert np.array_equal(dist[:, k], lab._min_image_distance(x[:, k], y[:, k], tau))
+    # tau alone may carry the shape, and may repeat a modulus.  (numpy's
+    # complex exp and log take another path on one-element arrays, whose
+    # last bits can differ, so the reference has three elements too.)
+    row = log_abs_theta1_frac(0.3, 0.4, taus[[0, 1, 0]])
+    alone = log_abs_theta1_frac(np.full(3, 0.3), 0.4, taus[0])
+    assert row.shape == (3,) and row[0] == row[2] == alone[0]
+    assert normalization_by_quadrature(taus) == [normalization_by_quadrature(t)
+                                                 for t in taus.tolist()]
+
+
 def test_log_abs_theta_fractional_rejects_y_outside_unit_interval():
     for y in (np.array([0.2, 1.0]), np.array([-0.1, 0.5])):
         with pytest.raises(ValueError, match=r"\[0, 1\)"):
@@ -474,6 +497,75 @@ def test_degeneration_self_pairing_frozen():
     assert report.slope == pytest.approx(1.0, abs=1e-3)
 
 
+def _per_torus_report(family):
+    """The experiment as one TorusGreen and one _pairing_sum per torus, with
+    the momenta paired in Fractions."""
+    self_mode = family.mode == "self"
+    second = family.divisor1 if self_mode else family.divisor2
+    terms = []
+    for i, a in enumerate(family.divisor1):
+        for j, b in enumerate(second):
+            coeff = family.space.pair(a.momentum, b.momentum)
+            if coeff != 0:
+                terms.append((i, j, float(coeff)))
+    pred = family.prediction()
+    values = []
+    for alpha in family.alphas:
+        tau = family.tau(alpha)
+        pts1 = [complex(ins.x) + float(ins.c) * tau for ins in family.divisor1]
+        pts2 = [complex(ins.x) + float(ins.c) * tau for ins in second]
+        values.append(alpha * lab._pairing_sum(
+            terms, pts1, pts2, TorusGreen(tau),
+            metric_scale=family.metric_scale if self_mode else None))
+    estimate = values[-1]
+    rel_error = abs(estimate - pred) / (abs(pred) if abs(pred) > 1e-9 else 1.0)
+    diffs = np.abs(np.array(values) - pred)
+    slope = math.nan
+    if np.all(diffs > 1e-13) and len(diffs) >= 2:
+        lx = np.log(np.array(family.alphas))
+        lx = lx - lx.mean()
+        ly = np.log(diffs)
+        slope = float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+    return (estimate, pred, rel_error, slope, family.alphas, tuple(values))
+
+
+def _seeded_families(count):
+    rng = random.Random(41)
+    units = [(Fraction(3, 5), Fraction(4, 5), 0), (0, Fraction(5, 13), Fraction(12, 13)),
+             (Fraction(2, 3), Fraction(1, 3), Fraction(2, 3)), (1, 0, 0), (0, 0, 1)]
+    space4 = MinkowskiSpace.lorentzian(4)
+    families = [DegenerationFamily(**DISJOINT), DegenerationFamily(**DISJOINT, imag_offset=0.0)]
+    while len(families) < count:
+        cs = [Fraction(c, 8) for c in rng.sample(range(8), 4)]
+        xs = [round(rng.uniform(0, 1), 3) for _ in cs]
+        kw = dict(y_total=rng.choice([1, 2, 1.5]),
+                  imag_offset=rng.choice([0.5, 0.5, 0.0, 0.2]))
+        if len(families) % 2:
+            a, b = rng.randint(1, 3), rng.randint(1, 3)
+            momenta = [(a,), (-a,), (b,), (-b,)]
+            families.append(DegenerationFamily(
+                divisor1=list(zip(cs[:2], xs[:2], momenta[:2])),
+                divisor2=list(zip(cs[2:], xs[2:], momenta[2:])), **kw))
+        else:
+            s = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            u, v = (tuple(sign * c for c in rng.choice(units)) for sign in (1, -1))
+            null = [(s, *u), (s, *(-c for c in u)), (-s, *(-c for c in v)), (-s, *v)]
+            families.append(DegenerationFamily(
+                divisor1=list(zip(cs, xs, null)), space=space4,
+                metric_scale=rng.choice([1.0, 7.5]), **kw))
+    return families
+
+
+def test_experiment_matches_per_torus_reference():
+    # Disjoint pairings in dimension 1 and null self-pairings in Lorentzian
+    # dimension 4, shifted and straight, and the README family.
+    for family in _seeded_families(200):
+        got = degeneration_experiment(family)
+        want = _per_torus_report(family)
+        for name, a, b in zip(got._fields, got, want):
+            assert a == b or (name == "slope" and math.isnan(a) and math.isnan(b)), name
+
+
 def test_straight_family_converges_superpolynomially():
     report = degeneration_experiment(
         DegenerationFamily(**DISJOINT, imag_offset=0.0)
@@ -506,7 +598,6 @@ def test_degeneration_off_shell_self_pairing():
     ))
     for alpha, got, moved in zip(report.alphas, report.values, scaled.values):
         tau = family.tau(alpha)
-        z1, z2 = family._points(family.divisor1, tau)
         # Series reference: g(z1 - z2) = g(z2 - z1) by symmetry, and the
         # regularized diagonal is -log|theta1'(0)| - log(Im tau) / 2 + C.
         x = (0.1 - 0.6) % 1.0
