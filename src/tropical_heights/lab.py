@@ -23,7 +23,11 @@ fractional coordinates and over a set of moduli, each with its own
 scalars, so each quadrature, residual check and pairing's set of Green's
 values is a few array calls rather than one call per row, point or
 torus.  Those array functions import numpy when they are called, so the
-sphere's pairings, which need only ``math``, never load it.
+sphere's pairings, which need only ``math``, never load it.  One pair's
+value, :meth:`TorusGreen.value`, is a scalar ``math``/``cmath`` loop over
+the same factors instead, since at a single point numpy's per-call cost
+is most of the time.  It makes the array route's coincidence decision and
+agrees with :meth:`TorusGreen.values` up to rounding, not bit for bit.
 
 Pairings of degree-zero divisors against these Green's functions, with
 their regularized diagonal for self-pairings, degenerate as
@@ -60,8 +64,12 @@ _THETA_MAX_TERMS = 4000
 
 
 def _as_tau(tau):
-    """``tau`` as a complex number; raises unless Im(tau) > 0."""
+    """``tau`` as a complex number; raises unless Im(tau) > 0 and Re(tau)
+    is finite.  An infinite Im(tau) passes here and is refused by the
+    normalization check, whose message names the float range."""
     tau = complex(tau)
+    if math.isnan(tau.imag) or not math.isfinite(tau.real):
+        raise ValueError(f"tau must be finite, got {tau!r}")
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
     return tau
@@ -122,6 +130,16 @@ def _product_terms(im_tau):
     return terms
 
 
+def _nome_powers(tau, terms):
+    """The nome's powers q^0 .. q^terms, q = exp(2 pi i tau), by repeated
+    multiplication, and the list of log|1 - q^n| for n = 1 .. terms."""
+    q = cmath.exp(2j * math.pi * tau)
+    powers = [1.0 + 0j]
+    for _n in range(terms):
+        powers.append(powers[-1] * q)
+    return powers, [math.log(abs(1.0 - c)) for c in powers[1:]]
+
+
 def log_abs_theta1_frac(x, y, tau):
     r"""log |theta1(x + y tau; tau)| for fractional coordinates, stably.
 
@@ -159,16 +177,7 @@ def log_abs_theta1_frac(x, y, tau):
     v = np.exp(2j * math.pi * ((1.0 - y) * tau - x))
     with np.errstate(divide="ignore"):
         out = -math.pi * im / 4.0 + math.pi * y * im + np.log(np.abs(1.0 - w))
-    # Each modulus's q^0 .. q^terms by repeated multiplication and its
-    # log|1 - q^n|, as for a lone modulus.
-    powers, logs = [], []
-    for t in moduli:
-        q = cmath.exp(2j * math.pi * t)
-        row = [1.0 + 0j]
-        for _n in range(terms):
-            row.append(row[-1] * q)
-        powers.append(row)
-        logs.append([math.log(abs(1.0 - c)) for c in row[1:]])
+    powers, logs = zip(*(_nome_powers(t, terms) for t in moduli))
 
     def spread(rows):
         # Per power n, the moduli's values laid over the shape of tau.
@@ -194,24 +203,18 @@ def log_abs_theta1_frac(x, y, tau):
 def log_abs_theta1_prime_zero(tau):
     """log |theta1'(0; tau)|, stable for large Im(tau) (product form)."""
     tau = _as_tau(tau)
-    q = cmath.exp(2j * math.pi * tau)
     acc = math.log(2.0 * math.pi) - math.pi * tau.imag / 4.0
-    qn = 1.0 + 0j
-    for _n in range(1, _product_terms(tau.imag) + 1):
-        qn *= q
-        acc += 3.0 * math.log(abs(1.0 - qn))
+    for log_n in _nome_powers(tau, _product_terms(tau.imag))[1]:
+        acc += 3.0 * log_n
     return acc
 
 
 def dedekind_eta_log_abs(tau):
     """log |eta(tau)| by the product formula."""
     tau = _as_tau(tau)
-    q = cmath.exp(2j * math.pi * tau)
     acc = -math.pi * tau.imag / 12.0
-    qn = 1.0 + 0j
-    for _n in range(1, _product_terms(tau.imag) + 1):
-        qn *= q
-        acc += math.log(abs(1.0 - qn))
+    for log_n in _nome_powers(tau, _product_terms(tau.imag))[1]:
+        acc += log_n
     return acc
 
 
@@ -234,11 +237,13 @@ def _unit_fracs(v):
 
 class TorusPoint:
     """Point on the torus in fractional coordinates (x, y) in [0, 1)^2,
-    representing z = x + y tau."""
+    representing z = x + y tau; raises unless both are finite."""
 
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"torus point x + y tau must be finite, got x={x!r}, y={y!r}")
         self.x = _unit_frac(x)
         self.y = _unit_frac(y)
 
@@ -426,8 +431,13 @@ class TorusGreen:
                              self.tau, self.normalization, min_distance)
 
     def value(self, z, w=0.0, min_distance=1e-12):
-        """g(z - w) for complex or TorusPoint arguments."""
-        return float(self.values([z], [w], min_distance)[0])
+        """g(z - w) for complex or TorusPoint arguments.
+
+        One pair takes a scalar ``math``/``cmath`` loop, not the array
+        route of :meth:`values`: it makes the same coincidence decision
+        and agrees with ``values`` up to rounding, not bit for bit."""
+        p, q = self._coerce_point(z), self._coerce_point(w)
+        return _green_point(p.x - q.x, p.y - q.y, self.tau, self.normalization, min_distance)
 
     def regularized_diagonal(self, metric_scale=1.0):
         """Limit of g(z, w) + log d(z, w) as w -> z, in the unit-area flat
@@ -528,9 +538,46 @@ def _green_values(x, y, tau, normalization, min_distance):
     return _green_frac(x, y, tau, normalization)
 
 
+def _green_point(x, y, tau, normalization, min_distance):
+    """:func:`_green_values` of one pair in ``math`` and ``cmath``: at a
+    single point the array route's time is mostly numpy's per-call cost,
+    paid for each of its some 70 array operations.  The coincidence test
+    repeats :func:`_min_image_distance`'s arithmetic, so it decides alike;
+    the value agrees up to rounding (numpy's complex exp and log differ
+    from ``cmath``'s in the last bits)."""
+    x, y = _unit_frac(x), _unit_frac(y)
+    im = tau.imag
+    k = round(tau.real)
+    re_tau = tau.real - k
+    rx = x + k * y
+    rx -= math.floor(rx)
+    nearest = math.inf
+    for dx in (-1.0, 0.0, 1.0):
+        for dy in (-1.0, 0.0, 1.0):
+            re = (rx + y * re_tau) + (dx + dy * re_tau)
+            i = y * im + dy * im
+            nearest = min(nearest, re * re + i * i)
+    if math.sqrt(nearest) < min_distance * max(1.0, im):
+        raise ValueError("Green's function evaluated at coincident points")
+    if not 0.0 <= y < 1.0:
+        raise ValueError("fractional coordinate y must lie in [0, 1)")
+    terms = _product_terms(im)
+    qn, log_qn = _nome_powers(tau, terms)
+    # The factors of log_abs_theta1_frac, in its order; only |1 - w| can
+    # vanish, at a coincidence that min_distance <= 0 lets through.
+    w = cmath.exp(2j * math.pi * (x + y * tau))
+    v = cmath.exp(2j * math.pi * ((1.0 - y) * tau - x))
+    first = abs(1.0 - w)
+    out = -math.pi * im / 4.0 + math.pi * y * im + (math.log(first) if first else -math.inf)
+    for n in range(1, terms + 1):
+        out += log_qn[n - 1]
+        out += math.log(abs((1.0 - w * qn[n]) * (1.0 - v * qn[n - 1])))
+    return -out + math.pi * y * y * im + normalization
+
+
 def _regularized_diagonal(tau, normalization, metric_scale):
     """:meth:`TorusGreen.regularized_diagonal` on one torus."""
-    if metric_scale <= 0:
+    if not metric_scale > 0:
         raise ValueError("metric scale must be positive")
     return (-log_abs_theta1_prime_zero(tau)
             - 0.5 * math.log(tau.imag)
@@ -718,13 +765,21 @@ class Insertion(NamedTuple):
     momentum: tuple
 
 
+def _finite(value, name):
+    """``value`` as a float; raises, naming it, unless it is finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def _as_insertions(raw):
     out = []
     for item in raw:
         c, x, p = item
         if isinstance(p, (int, Fraction)):
             p = (p,)
-        out.append(Insertion(Fraction(c) % 1, float(x) % 1.0,
+        out.append(Insertion(Fraction(c) % 1, _finite(x, "insertion x") % 1.0,
                              tuple(Fraction(v) for v in p)))
     if not out:
         raise ValueError("a divisor needs at least one insertion")
@@ -741,7 +796,8 @@ class DegenerationFamily:
     perturbation of the vertical direction: it leaves the limit
     unchanged while making the first-order remainder visible (offset 0
     reproduces the straight family, whose remainder decays faster than
-    any power).
+    any power).  Every number must be finite; a NaN or infinite one
+    raises a ``ValueError`` that names its field.
     """
 
     __slots__ = ("y_total", "divisor1", "divisor2", "space", "alphas",
@@ -750,7 +806,7 @@ class DegenerationFamily:
     def __init__(self, y_total, divisor1, divisor2=None, space=None,
                  alphas=(1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4),
                  imag_offset=0.5, metric_scale=1.0, mode=None):
-        self.y_total = float(y_total)
+        self.y_total = _finite(y_total, "y_total")
         if self.y_total <= 0:
             raise ValueError("the family needs a positive total length")
         self.divisor1 = _as_insertions(divisor1)
@@ -768,11 +824,11 @@ class DegenerationFamily:
         _check_conserved([i.momentum for i in self.divisor1], "first divisor")
         if self.divisor2 is not None:
             _check_conserved([i.momentum for i in self.divisor2], "second divisor")
-        self.alphas = tuple(sorted((float(a) for a in alphas), reverse=True))
+        self.alphas = tuple(sorted((_finite(a, "alphas") for a in alphas), reverse=True))
         if not self.alphas or self.alphas[-1] <= 0:
             raise ValueError("alphas must be positive")
-        self.imag_offset = float(imag_offset)
-        self.metric_scale = float(metric_scale)
+        self.imag_offset = _finite(imag_offset, "imag_offset")
+        self.metric_scale = _finite(metric_scale, "metric_scale")
         self.mode = mode
 
     def tau(self, alpha):

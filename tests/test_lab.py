@@ -185,6 +185,25 @@ def test_torus_point_roundtrip():
     assert wrapped.y == pytest.approx(pt.y, abs=1e-12)
 
 
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.inf, 0.2),
+                               complex(0.1, math.inf)])
+def test_non_finite_points_raise(z):
+    # value printed NaN for the first two and blamed the y range for the third.
+    green = TorusGreen(0.3 + 1.2j)
+    for call in (lambda: green.value(z), lambda: green.values([0.1, z], [0.2, 0.3])):
+        with pytest.raises(ValueError, match="torus point x \\+ y tau must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("tau", [complex(math.nan, 1.0), complex(math.inf, 1.0),
+                                 complex(0.3, math.nan)])
+def test_tau_must_be_finite(tau):
+    # A NaN tau once failed the normalization check "by nan".
+    for fn in (TorusGreen, dedekind_eta_log_abs, log_abs_theta1_prime_zero):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            fn(tau)
+
+
 def test_torus_point_tiny_negative_wraps_to_zero():
     # -1e-17 % 1.0 rounds to 1.0, which is 0.0 on the circle.
     pt = TorusPoint(-1e-17, -1e-17)
@@ -221,13 +240,46 @@ def test_green_coincident_points_raise():
     ws = [0.3 + 0.4j, 1.25 + 0.25j, 0.2 + 0.5j]
     with pytest.raises(ValueError, match="coincident"):
         green.values(zs, ws)
+    # Just inside and just outside 1e-12 max(1, Im tau), across a lattice
+    # translate: the one-pair route and the batch decide alike.
+    for tau in (0.8j, 2.3 + 3.7j):
+        green = TorusGreen(tau)
+        limit = 1e-12 * max(1.0, tau.imag)
+        z = 0.3 + 0.6 * tau
+        for factor, coincident in ((0.99, True), (1.01, False)):
+            w = z + 1 - tau + factor * limit * (0.6 + 0.8j)
+            if coincident:
+                with pytest.raises(ValueError, match="coincident"):
+                    green.value(z, w)
+                with pytest.raises(ValueError, match="coincident"):
+                    green.values([z], [w])
+            else:
+                got = green.value(z, w)
+                assert got == pytest.approx(float(green.values([z], [w])[0]), abs=1e-12)
+
+
+def _log_abs_theta1_series(x, y, tau):
+    """log|theta1(x + y tau; tau)| by the sine series.  At tau = 0.05i the
+    series cancels to about 1e-7 of its terms and is off by up to 1e-9, so
+    a purely imaginary tau = it below 1/2 goes through the imaginary
+    transformation |theta1(z | it)| = t^(-1/2) e^(pi Im(z^2 / tau))
+    |theta1(z / tau | i / t)|, with x centred in [-1/2, 1/2], where the
+    series has one dominant term."""
+    if tau.real == 0 and tau.imag < 0.5:
+        t = tau.imag
+        x = (x + 0.5) % 1.0 - 0.5
+        return (math.log(abs(theta1(y - 1j * x / t, 1j / t)))
+                - 0.5 * math.log(t) - math.pi * (x * x / t - y * y * t))
+    return math.log(abs(theta1(x + y * tau, tau)))
 
 
 def test_green_values_match_series():
     # Independent reference: the sine series for theta1 at the reduced
     # difference z - w = x + y tau, x and y in [0, 1).
     rng = random.Random(5)
-    for tau in (0.3 + 1.2j, 0.8j, 3.7j):
+    # 2.3 + 0.7j reduces Re(tau) before the lattice scan; 0.05j takes 136
+    # product factors.
+    for tau in (0.3 + 1.2j, 0.8j, 3.7j, 2.3 + 0.7j, 0.05j):
         green = TorusGreen(tau)
         zs = [complex(rng.uniform(0, 1), 0) + rng.uniform(0.1, 0.9) * tau
               for _ in range(9)]
@@ -241,7 +293,7 @@ def test_green_values_match_series():
             q = w if isinstance(w, TorusPoint) else TorusPoint.from_complex(w, tau)
             x = (p.x - q.x) % 1.0
             y = (p.y - q.y) % 1.0
-            want = (-math.log(abs(theta1(x + y * tau, tau)))
+            want = (-_log_abs_theta1_series(x, y, tau)
                     + math.pi * (y * tau.imag) ** 2 / tau.imag
                     + dedekind_eta_log_abs(tau))
             assert g == pytest.approx(want, abs=1e-11)
@@ -633,3 +685,21 @@ def test_family_validation():
         DegenerationFamily(1.0, [(Fraction(0), 0.0, (1,))])
     with pytest.raises(ValueError, match="positive total length"):
         DegenerationFamily(0.0, DISJOINT["divisor1"], DISJOINT["divisor2"])
+    with pytest.raises(ValueError, match="insertion x must be finite"):
+        DegenerationFamily(1.0, [(0, math.nan, (1,)), (Fraction(1, 2), 0.0, (-1,))])
+    # The regularized diagonal's positivity test no longer lets NaN through.
+    with pytest.raises(ValueError, match="metric scale must be positive"):
+        TorusGreen(0.8j).regularized_diagonal(math.nan)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("y_total", math.nan), ("y_total", math.inf), ("metric_scale", math.nan),
+    ("imag_offset", math.nan), ("imag_offset", -math.inf),
+    ("alphas", (1e-2, math.nan)), ("alphas", (math.inf, 1e-3)),
+])
+def test_family_rejects_non_finite_numbers(field, value):
+    # Each of these once gave a NaN report, a "cannot convert float NaN to
+    # integer" error or, for an infinite alpha, numpy warnings.
+    kw = dict(DISJOINT, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DegenerationFamily(kw.pop("y_total"), **kw)
