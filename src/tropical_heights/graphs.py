@@ -15,7 +15,12 @@ Spanning trees and spanning 2-forests are the acyclic edge sets of size
 non-loop edges in lexicographic order that extends a single union-find
 and rolls it back when it backtracks, so an edge closing a cycle prunes
 every subset through it and the output order is that of
-``itertools.combinations``.
+``itertools.combinations``.  The search runs on vertex positions, with
+the union-find's parents and ranks in lists; its find, union and
+rollback are inline, and it yields each subset as an int mask in which
+edge k of ``edge_ids()`` is bit k, the key convention of the packed
+polynomials.  :func:`spanning_trees` and :func:`spanning_2forests`
+decode the masks into edge-id tuples.
 """
 
 from operator import add
@@ -77,13 +82,14 @@ class Multigraph:
     def components(self, edge_subset=None):
         """Vertex sets of connected components, using only ``edge_subset``
         (all edges when None).  Deterministic: sorted by smallest member."""
-        uf = _UnionFind(self.vertices)
+        index = {v: i for i, v in enumerate(self.vertices)}
+        uf = _UnionFind(len(index))
         for eid, tail, head in self.edges:
             if edge_subset is None or eid in edge_subset:
-                uf.union(tail, head)
+                uf.union(index[tail], index[head])
         groups = {}
-        for v in self.vertices:
-            groups.setdefault(uf.find(v), set()).add(v)
+        for i, v in enumerate(self.vertices):
+            groups.setdefault(uf.find(i), set()).add(v)
         return sorted((frozenset(g) for g in groups.values()), key=min)
 
     def is_connected(self, edge_subset=None):
@@ -94,24 +100,16 @@ class Multigraph:
 
 
 class _UnionFind:
-    """Union by rank with rollback: ``undo`` reverts the latest
-    successful ``union``.  ``find`` does not compress paths, which
-    rollback could not undo; union by rank keeps every tree's depth at
-    most log2 of the item count.
+    """Union by rank over the positions 0..n-1, held in two lists.
+    ``find`` does not compress paths, so the search of
+    :func:`_acyclic_subsets` can roll a union back by resetting one
+    parent; union by rank keeps every tree's depth at most log2(n)."""
 
-    With ``payload`` (a dict from each item to a tuple of ints), each
-    root's entry holds the elementwise sum over its component: ``union``
-    adds the absorbed root's sum, and ``undo`` puts back the sum it
-    replaced.
-    """
+    __slots__ = ("parent", "rank")
 
-    __slots__ = ("parent", "rank", "history", "payload")
-
-    def __init__(self, items, payload=None):
-        self.parent = {x: x for x in items}
-        self.rank = {x: 0 for x in items}
-        self.history = []
-        self.payload = payload
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.rank = [0] * n
 
     def find(self, x):
         p = self.parent
@@ -127,25 +125,9 @@ class _UnionFind:
         if rank[ra] < rank[rb]:
             ra, rb = rb, ra
         self.parent[rb] = ra
-        bumped = rank[ra] == rank[rb]
-        if bumped:
+        if rank[ra] == rank[rb]:
             rank[ra] += 1
-        payload = self.payload
-        old = None
-        if payload is not None:
-            old = payload[ra]
-            payload[ra] = tuple(map(add, old, payload[rb]))
-        self.history.append((rb, bumped, old))
         return True
-
-    def undo(self):
-        rb, bumped, old = self.history.pop()
-        ra = self.parent[rb]
-        self.parent[rb] = rb
-        if bumped:
-            self.rank[ra] -= 1
-        if old is not None:
-            self.payload[ra] = old
 
 
 class CycleVector:
@@ -215,11 +197,12 @@ def designated_tree(graph):
 
     Raises ValueError if the graph is disconnected.
     """
-    uf = _UnionFind(graph.vertices)
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    uf = _UnionFind(len(index))
     tree = []
     for eid in graph.edge_ids():
         tail, head = graph.endpoints(eid)
-        if tail != head and uf.union(tail, head):
+        if tail != head and uf.union(index[tail], index[head]):
             tree.append(eid)
     if len(tree) != len(graph.vertices) - 1:
         raise ValueError("graph is disconnected; no spanning tree exists")
@@ -309,37 +292,85 @@ def boundary_matrix(graph):
     return mat
 
 
-def _acyclic_subsets(graph, size, uf):
-    """Yield every acyclic ``size``-subset of the non-loop edges, as a
-    sorted tuple of edge ids, in the order of ``itertools.combinations``.
+def _acyclic_subsets(graph, size, uf, payload=None):
+    """Yield every acyclic ``size``-subset of the non-loop edges, as an
+    int mask in which edge k of ``graph.edge_ids()`` is bit k, in the
+    order of ``itertools.combinations``.
 
-    Depth-first search over the edges in lexicographic id order: each edge
-    is tried as included, merged into ``uf`` (a :class:`_UnionFind` over
-    the graph's vertices) and rolled back on backtracking.  An edge that
-    closes a cycle is skipped, with every subset through it.  At each
-    yield ``uf`` holds exactly the yielded subset's components.
+    Depth-first search over the edges in lexicographic id order on ``uf``,
+    a :class:`_UnionFind` over the positions of ``graph.vertices``: each
+    edge is tried as included, its endpoints' roots are merged, and the
+    merge is rolled back on backtracking by resetting the absorbed root's
+    parent (and the rank it bumped).  An edge that closes a cycle is
+    skipped, with every subset through it.  With ``payload``, a list of
+    int tuples indexed by vertex position, each root's entry holds the
+    elementwise sum over its component: a merge adds the absorbed root's
+    entry, and the rollback puts back the entry it replaced.  At each
+    yield ``uf`` and ``payload`` hold exactly the yielded subset's
+    components; when the search ends they are as they were.
     """
-    ends = [(e, *graph.endpoints(e)) for e in graph.edge_ids() if not graph.is_loop(e)]
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    ends = []
+    for k, eid in enumerate(graph.edge_ids()):
+        tail, head = graph.endpoints(eid)
+        if tail != head:
+            ends.append((1 << k, index[tail], index[head]))
+    parent, rank = uf.parent, uf.rank
     slack = len(ends) - size  # how far past its depth a choice may reach
-    at = []  # positions in ``ends`` of the chosen edges
-    chosen = []
-    i = 0
+    # Per chosen edge: its position in ``ends``, the root it absorbed,
+    # whether it bumped a rank, and the payload entry it replaced.
+    undo = []
+    mask = i = 0
     while True:
-        if len(chosen) == size:
-            yield tuple(chosen)
-        elif i <= slack + len(chosen):
-            eid, tail, head = ends[i]
-            if uf.union(tail, head):
-                at.append(i)
-                chosen.append(eid)
+        if len(undo) == size:
+            yield mask
+        elif i <= slack + len(undo):
+            bit, a, b = ends[i]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                if rank[a] < rank[b]:
+                    a, b = b, a
+                parent[b] = a
+                bumped = rank[a] == rank[b]
+                rank[a] += bumped
+                old = None
+                if payload is not None:
+                    old = payload[a]
+                    payload[a] = tuple(map(add, old, payload[b]))
+                undo.append((i, b, bumped, old))
+                mask |= bit
             i += 1
             continue
-        if not chosen:
+        if not undo:
             return
         # Backtrack: drop the latest edge and go on with the one after it.
-        i = at.pop() + 1
-        chosen.pop()
-        uf.undo()
+        i, b, bumped, old = undo.pop()
+        a = parent[b]
+        parent[b] = b
+        rank[a] -= bumped
+        if old is not None:
+            payload[a] = old
+        mask ^= ends[i][0]
+        i += 1
+
+
+def _edge_tuple(ids, mask):
+    """The ids ``ids[k]`` of the bits k set in ``mask``, in order."""
+    return tuple(e for k, e in enumerate(ids) if mask >> k & 1)
+
+
+def _tree_masks(graph, uf):
+    """The spanning trees' edge masks, from the search of
+    :func:`_acyclic_subsets` on ``uf``: a tree is an acyclic set of
+    |V|-1 edges.  Raises ValueError on disconnected input, which has no
+    spanning tree."""
+    masks = list(_acyclic_subsets(graph, len(graph.vertices) - 1, uf))
+    if not masks:  # a connected graph has at least one
+        raise ValueError("graph is disconnected; it has no spanning trees")
+    return masks
 
 
 def spanning_trees(graph):
@@ -347,26 +378,22 @@ def spanning_trees(graph):
     order.
 
     One depth-first search over the non-loop edges extends a single
-    rollback union-find (see :func:`_acyclic_subsets`): a tree is an
-    acyclic set of |V|-1 edges.  Raises ValueError on disconnected input,
-    which has no spanning tree.
+    rollback union-find (see :func:`_acyclic_subsets`).  Raises
+    ValueError on disconnected input, which has no spanning tree.
     """
-    uf = _UnionFind(graph.vertices)
-    trees = list(_acyclic_subsets(graph, len(graph.vertices) - 1, uf))
-    if not trees:  # a connected graph has at least one
-        raise ValueError("graph is disconnected; it has no spanning trees")
-    return trees
+    ids, uf = graph.edge_ids(), _UnionFind(len(graph.vertices))
+    return [_edge_tuple(ids, mask) for mask in _tree_masks(graph, uf)]
 
 
-def _two_forests(graph, uf):
-    """Iterator over the spanning 2-forests' edge sets, from the search of
-    :func:`_acyclic_subsets` on ``uf``, a union-find over the graph's
-    vertices: an acyclic set of |V|-2 edges leaves exactly two
-    components.  Raises ValueError on disconnected input."""
+def _two_forests(graph, uf, payload=None):
+    """Iterator over the spanning 2-forests' edge masks, from the search
+    of :func:`_acyclic_subsets` on ``uf`` (and ``payload``): an acyclic
+    set of |V|-2 edges leaves exactly two components.  Raises ValueError
+    on disconnected input."""
     if not graph.is_connected():
         raise ValueError("graph is disconnected; 2-forest enumeration needs connected input")
     nv = len(graph.vertices)
-    return _acyclic_subsets(graph, nv - 2, uf) if nv >= 2 else iter(())
+    return _acyclic_subsets(graph, nv - 2, uf, payload) if nv >= 2 else iter(())
 
 
 def spanning_2forests(graph):
@@ -380,13 +407,14 @@ def spanning_2forests(graph):
     and each forest's parts are read off the search's union-find.  Raises
     ValueError on disconnected input.
     """
-    vmin = min(graph.vertices)
-    vertices = frozenset(graph.vertices)
-    uf = _UnionFind(graph.vertices)
+    ids, vertices = graph.edge_ids(), graph.vertices
+    vmin = vertices.index(min(vertices))
+    everything = frozenset(vertices)
+    uf = _UnionFind(len(vertices))
     find = uf.find
     out = []
-    for edges in _two_forests(graph, uf):
+    for mask in _two_forests(graph, uf):
         root = find(vmin)
-        part0 = frozenset(v for v in graph.vertices if find(v) == root)
-        out.append((edges, (part0, vertices - part0)))
+        part0 = frozenset(v for i, v in enumerate(vertices) if find(i) == root)
+        out.append((_edge_tuple(ids, mask), (part0, everything - part0)))
     return out

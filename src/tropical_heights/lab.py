@@ -579,6 +579,8 @@ def _regularized_diagonal(tau, normalization, metric_scale):
     """:meth:`TorusGreen.regularized_diagonal` on one torus."""
     if not metric_scale > 0:
         raise ValueError("metric scale must be positive")
+    if metric_scale == math.inf:
+        raise ValueError("metric scale must be finite")
     return (-log_abs_theta1_prime_zero(tau)
             - 0.5 * math.log(tau.imag)
             + math.log(metric_scale)

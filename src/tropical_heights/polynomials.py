@@ -21,13 +21,15 @@ packed when ``coeffs``, ``den`` or ``width`` is first read.  Strings
 list terms in descending graded lexicographic order; they are output
 only, and nothing parses them back.
 
-Determinants run on the entries' int dicts: each row is scaled by the
-lcm of its entries' denominators, and each entry's keys are re-spaced
-once to a width that no minor's exponents can overflow.  A weighted sum
-of bordered determinants (:func:`bordered_det`) is added on ints under
-one denominator, and the result is re-spaced once to its canonical
-width.  Matrices above dimension 12 are rejected; for the graph
-polynomials that limit reads min(h, |V| - 1) <= 12, since
+Determinants run on the entries' int dicts, each row scaled by the lcm
+of its entries' denominators.  Width-1 entries keep width-1 keys (edge
+subsets), and the products of an entry and a minor whose keys overlap
+are summed apart, per pair of keys.  Those sums cancel on every
+Symanzik matrix, a rank-one term per edge plus constants, whose minors
+are multilinear; if one does not, or an entry is wider, the sum is
+redone on keys re-spaced to a width no minor's exponents can overflow.
+Matrices above dimension 12 are rejected; for the graph polynomials
+that limit reads min(h, |V| - 1) <= 12, since
 :mod:`~tropical_heights.symanzik` takes the smaller Kirchhoff matrix.
 """
 
@@ -403,35 +405,37 @@ def _check_dim(n):
         raise ValueError(f"determinant supported up to dimension {_DIM_LIMIT}, got {n}")
 
 
-def _det_sum(variables, dets):
+def _det_sum(variables, dets, wide=False):
     """``sum q det(rows)`` over the ``(q, rows)`` in ``dets``, exact.
 
     Row i of each matrix is scaled to ints by the lcm d_i of its entries'
     denominators, so its cofactor expansion (:func:`_det_cofactor`) is
-    d_0 ... d_{n-1} times the determinant.  No exponent of a minor
-    exceeds the sum over rows of the row's largest exponent, which is
-    below ``2**entry.width``; keys of ``width`` bits, enough for the
-    largest such sum, never carry between fields, and each entry is
-    re-spaced to them once.  The weighted determinants are added on ints
-    under one common denominator.
+    d_0 ... d_{n-1} times the determinant, and the determinants are added
+    on ints under one denominator.  Width-1 entries keep width-1 keys, and
+    the sum is redone ``wide`` if an overlap survives; wide keys get per
+    field the bits of the sum over rows of each row's largest exponent,
+    which no exponent of a minor exceeds.
     """
-    bound = max((sum(max((1 << a.width) - 1 for a in row) for row in rows)
-                 for _q, rows in dets), default=0)
-    width = max(bound.bit_length(), 1)
-    spaced = {}  # id(entry) -> its numerators on ``width``-bit keys
+    multilinear = not wide and all(a.width == 1 for _q, rows in dets for row in rows for a in row)
+    width = 1
+    if not multilinear:
+        bound = max((sum(max((1 << a.width) - 1 for a in row) for row in rows)
+                     for _q, rows in dets), default=0)
+        width = max(bound.bit_length(), 1)
 
     def ints(a, d):
-        c = spaced.get(id(a))
-        if c is None:
-            c = spaced[id(a)] = a.coeffs if a.width == width else {
-                _respace(k, a.width, width): v for k, v in a.coeffs.items()}
+        c = a.coeffs if a.width == width else {
+            _respace(k, a.width, width): v for k, v in a.coeffs.items()}
         f = d // a.den
         return c if f == 1 else {k: v * f for k, v in c.items()}
 
     scaled = []
     for q, rows in dets:
         dens = [math.lcm(*(a.den for a in row)) for row in rows]
-        det = _det_cofactor([[ints(a, d) for a in row] for row, d in zip(rows, dens)])
+        det, overlap = _det_cofactor([[ints(a, d) for a in r] for r, d in zip(rows, dens)],
+                                     multilinear)
+        if overlap:  # a minor is not multilinear
+            return _det_sum(variables, dets, wide=True)
         scaled.append((Fraction(q) / math.prod(dens), det))
     scale = math.lcm(*(w.denominator for w, _det in scaled))
     acc = {}
@@ -442,7 +446,7 @@ def _det_sum(variables, dets):
     return MultiPoly.packed(variables, {k: c for k, c in acc.items() if c}, scale, width)
 
 
-def _det_cofactor(rows):
+def _det_cofactor(rows, multilinear):
     """Laplace expansion along rows 0, 1, ..., n-1, memoized on columns.
 
     ``rows`` holds the entries as dicts from packed monomial keys to int
@@ -454,15 +458,21 @@ def _det_cofactor(rows):
     where j_0 < j_1 < ... run over S, D(empty) = 1 and det = D(all
     columns).  Each of the at most 2^n column sets is expanded once, and
     zero entries are skipped, which keeps sparse graph matrices cheap.
+    Returns ``(det, overlap)``.  With ``multilinear`` (width-1 keys), the
+    products whose keys ``ka``, ``ks`` share a bit are summed apart, per
+    ``(ka, ks)``, and ``overlap`` tells whether any such sum is nonzero;
+    if none is, every minor is multilinear and the result is exact.
     """
     n = len(rows)
     memo = {0: {0: 1}}
+    overlap = []  # the nonzero sums of overlapping products
+    check = -1 if multilinear else 0
 
     def minor(colmask):
         if colmask in memo:
             return memo[colmask]
         row = rows[n - colmask.bit_count()]
-        acc = {}
+        acc, side = {}, {}
         sign = 1
         for j in range(n):
             bit = 1 << j
@@ -473,14 +483,17 @@ def _det_cofactor(rows):
                 for ka, ca in row[j].items():
                     ca *= sign
                     for ks, cs in sub.items():
-                        k = ka + ks
-                        acc[k] = acc.get(k, 0) + ca * cs
+                        if ka & ks & check:
+                            side[ka, ks] = side.get((ka, ks), 0) + ca * cs
+                        else:
+                            acc[ka + ks] = acc.get(ka + ks, 0) + ca * cs
             sign = -sign
+        overlap.extend(filter(None, side.values()))
         acc = {k: c for k, c in acc.items() if c}
         memo[colmask] = acc
         return acc
 
-    return minor((1 << n) - 1)
+    return minor((1 << n) - 1), bool(overlap)
 
 
 def fraction_det(rows):

@@ -29,21 +29,22 @@ t_e^T`` of an integer table t_{e,i}:
 
 All four routes write :class:`~tropical_heights.polynomials.MultiPoly`'s
 packed form directly: edge k is key ``1 << k``, so a monomial is an
-edge subset, the complement is ``full ^ key``, and every matrix, border
-and corner entry is an int linear form (or constant) built in one step
-from its table.  Rational momenta and lifts are scaled to ints once, and
-the determinant weights carry the scales.  On a tree (h = 0) M is empty
-and phi is the sum of the corners; on one vertex L0 is empty, psi is the
-product of the loops and phi = 0.  Only the numeric evaluators import
-numpy, when they are called.
+edge subset, the complement is ``full ^ key`` (a tree or forest, an
+edge mask from the search, gives ``full ^ mask``), and every matrix,
+border and corner entry is an int linear form (or constant) built in
+one step from its table.  Rational momenta and lifts are scaled to ints
+once, and the determinant weights carry the scales.  On a tree (h = 0)
+M is empty and phi is the sum of the corners; on one vertex L0 is
+empty, psi is the product of the loops and phi = 0.  Only the numeric
+evaluators import numpy, when they are called.
 """
 
 import functools
 import math
 from fractions import Fraction
 
-from .graphs import (_rooted_tree, _UnionFind, _two_forests, boundary_matrix,
-                     cycle_basis, designated_tree, spanning_trees)
+from .graphs import (_rooted_tree, _tree_masks, _two_forests, _UnionFind,
+                     boundary_matrix, cycle_basis, designated_tree)
 from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free
 
 
@@ -208,11 +209,10 @@ def first_symanzik_det(graph, basis=None):
 def first_symanzik_trees(graph):
     """Kirchhoff polynomial by direct spanning-tree enumeration."""
     variables = graph.edge_ids()
-    bit = {e: 1 << k for k, e in enumerate(variables)}.__getitem__
     full = (1 << len(variables)) - 1
     # Distinct trees have distinct complements, so each monomial occurs once.
-    return MultiPoly.packed(variables, {full ^ sum(map(bit, t)): 1
-                                       for t in spanning_trees(graph)})
+    return MultiPoly.packed(variables, {full ^ mask: 1 for mask in _tree_masks(
+        graph, _UnionFind(len(graph.vertices)))})
 
 
 def _linear_form(variables, coeffs, den=1):
@@ -389,11 +389,11 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     momenta that do not sum to zero, as the determinant route does, and
     on disconnected input.
 
-    The search of :func:`~tropical_heights.graphs.spanning_2forests` runs
-    with the vertex momenta as union-find payloads, so each root holds
-    its part's momentum sums.  They are ints: both assignments and
-    the pairing are scaled by their common denominators d1, d2 and dq,
-    and phi, being bilinear, is divided by d1 d2 dq once at the end.
+    The 2-forest search runs with the vertex momenta as payloads, so
+    each root of its union-find holds its part's momentum sums.  They
+    are ints: both assignments and the pairing are scaled by their common
+    denominators d1, d2 and dq, and phi, being bilinear, is divided by
+    d1 d2 dq once at the end.
     """
     if momenta2 is None:
         momenta2 = momenta1
@@ -403,24 +403,21 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     qrows, dq = _scaled_to_ints(momenta1.space.matrix)
     vecs, d1 = _scaled_to_ints([momenta1.vector(v) for v in vertices])
     # Each payload is p, followed by p' when the assignments differ.
-    vecs2, d2 = vecs, d1
-    offset = 0
+    d2, offset = d1, 0
     if momenta2 is not momenta1:
         vecs2, d2 = _scaled_to_ints([momenta2.vector(v) for v in vertices])
         vecs = [a + b for a, b in zip(vecs, vecs2)]
         offset = len(qrows)
     pairing = [(mu, offset + nu, q) for mu, row in enumerate(qrows)
                for nu, q in enumerate(row) if q]
-    uf = _UnionFind(vertices, dict(zip(vertices, map(tuple, vecs))))
-    find, payload, first = uf.find, uf.payload, vertices[0]
-    bit = {e: 1 << k for k, e in enumerate(variables)}.__getitem__
+    uf, payload = _UnionFind(len(vertices)), list(map(tuple, vecs))
     full = (1 << len(variables)) - 1
     terms = {}
-    for edges in _two_forests(graph, uf):
-        p = payload[find(first)]
+    for mask in _two_forests(graph, uf, payload):
+        p = payload[uf.find(0)]  # the sums on the first vertex's part
         qf = sum(q * p[mu] * p[nu] for mu, nu, q in pairing)
         if qf:
-            terms[full ^ sum(map(bit, edges))] = qf
+            terms[full ^ mask] = qf
     return MultiPoly.packed(variables, terms, d1 * d2 * dq)
 
 

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, run in process (the cold-start
 checks run fresh interpreters)."""
 
+import hashlib
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 import tropical_heights
 from tropical_heights import symanzik
 from tropical_heights.cli import main
-from tropical_heights.corpus import write_bundled_corpus
+from tropical_heights.corpus import corpus_data_dir, write_bundled_corpus
 from tropical_heights.jsonio import dump_json
 
 
@@ -626,6 +627,35 @@ def test_corpus_run_cli(capsys, tmp_path):
     # Timing goes to stderr only, keeping stdout deterministic.
     assert "corpus run" in err
     assert "s" in err
+
+
+# sha256 prefixes of (exit code, stdout) of the exact-layer commands on the
+# bundled corpus: per graph, `symanzik first --method det|trees` and
+# `symanzik second --method bordered|forests`; then `corpus run` on the
+# bundled directory, whose echoed path is replaced.
+RECORDED_CLI_DIGESTS = {
+    "banana2": "8e0a89851ea0", "banana3": "6dd222edabe3", "bowtie": "9d89c6e3d0e7",
+    "dumbbell": "267ef88394ef", "house": "066e80cc1541", "k23": "9d7db886cc05",
+    "k4": "41b73ddc1226", "loop": "d5bbe6691405", "single_edge": "73e83ee5c07d",
+    "square": "6d06d0e3b3a8", "triangle": "dcc16d9e06ba", "triangle_loop": "2fecd1b2b547",
+    "corpus run": "3938569f8f59",
+}
+
+
+def test_exact_commands_match_recorded_digests(capsys):
+    def digest(results):
+        return hashlib.sha256(repr(results).encode()).hexdigest()[:12]
+
+    directory = corpus_data_dir()
+    got = {}
+    for path in sorted(directory.glob("*.json")):
+        got[path.stem] = digest([
+            run(capsys, "symanzik", which, "--method", method, "--graph", str(path))[:2]
+            for which, method in (("first", "det"), ("first", "trees"),
+                                  ("second", "bordered"), ("second", "forests"))])
+    code, out, _ = run(capsys, "corpus", "run", str(directory))
+    got["corpus run"] = digest((code, out.replace(json.dumps(str(directory)), '"<corpus>"')))
+    assert got == RECORDED_CLI_DIGESTS
 
 
 def test_corpus_run_missing_directory(capsys, tmp_path):

@@ -7,9 +7,10 @@ from itertools import combinations
 import pytest
 
 from tropical_heights.corpus import exhaustive_small_graphs, random_connected_multigraph
-from tropical_heights.graphs import (CycleVector, Multigraph, _UnionFind,
-                                     boundary_matrix, cycle_basis, designated_tree,
-                                     first_betti, spanning_2forests, spanning_trees)
+from tropical_heights.graphs import (CycleVector, Multigraph, _acyclic_subsets,
+                                     _UnionFind, boundary_matrix, cycle_basis,
+                                     designated_tree, first_betti, spanning_2forests,
+                                     spanning_trees)
 from tropical_heights.polynomials import fraction_det
 
 BANANA = Multigraph(["v1", "v2"], [("e1", "v1", "v2"), ("e2", "v1", "v2")])
@@ -221,33 +222,27 @@ def test_enumerations_match_brute_force():
         assert spanning_2forests(graph) == reference_2forests(graph)
 
 
-def test_union_find_undo_restores_components():
+def test_search_rollback_restores_union_find():
     rng = random.Random(5)
-    items = [f"v{k}" for k in range(12)]
-    weight = {x: (k, 1 - 2 * k) for k, x in enumerate(items)}
-    uf = _UnionFind(items, dict(weight))
-
-    def components():
-        groups = {}
-        for x in items:
-            groups.setdefault(uf.find(x), set()).add(x)
-        # Each root's payload is the elementwise sum over its component.
-        for root, group in groups.items():
-            assert uf.payload[root] == tuple(map(sum, zip(*(weight[x] for x in group))))
-        return sorted(map(sorted, groups.values()))
-
-    states = [components()]
-    while len(states) < len(items):
-        a, b = rng.sample(items, 2)
-        if uf.union(a, b):
-            states.append(components())
-        else:  # a refused union changes nothing and is not undone
-            assert components() == states[-1]
-    assert states[-1] == [sorted(items)]
-    while len(states) > 1:
-        uf.undo()
-        states.pop()
-        assert components() == states[-1]
-    assert components() == [[x] for x in sorted(items)]
-    assert all(rank == 0 for rank in uf.rank.values())
-    assert uf.payload == weight
+    for _ in range(30):
+        graph = random_connected_multigraph(rng, max_edges=9, max_vertices=7)
+        nv, ids = len(graph.vertices), graph.edge_ids()
+        weight = [(k, 1 - 2 * k) for k in range(nv)]
+        for size in range(nv):
+            uf, payload = _UnionFind(nv), list(weight)
+            for mask in _acyclic_subsets(graph, size, uf, payload):
+                groups = {}
+                for i in range(nv):
+                    groups.setdefault(uf.find(i), []).append(i)
+                # The union-find holds the subset's components, and each
+                # root's payload is the elementwise sum over its component.
+                parts = sorted((frozenset(graph.vertices[i] for i in g)
+                                for g in groups.values()), key=min)
+                assert parts == graph.components(
+                    {e for k, e in enumerate(ids) if mask >> k & 1})
+                for root, group in groups.items():
+                    assert payload[root] == tuple(map(sum, zip(*(weight[i] for i in group))))
+            # Exhausted, the search has rolled every merge back.
+            assert uf.parent == list(range(nv))
+            assert uf.rank == [0] * nv
+            assert payload == weight

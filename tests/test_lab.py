@@ -687,9 +687,11 @@ def test_family_validation():
         DegenerationFamily(0.0, DISJOINT["divisor1"], DISJOINT["divisor2"])
     with pytest.raises(ValueError, match="insertion x must be finite"):
         DegenerationFamily(1.0, [(0, math.nan, (1,)), (Fraction(1, 2), 0.0, (-1,))])
-    # The regularized diagonal's positivity test no longer lets NaN through.
+    # The regularized diagonal's scale tests no longer let NaN or +inf through.
     with pytest.raises(ValueError, match="metric scale must be positive"):
         TorusGreen(0.8j).regularized_diagonal(math.nan)
+    with pytest.raises(ValueError, match="metric scale must be finite"):
+        TorusGreen(0.8j).regularized_diagonal(math.inf)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from tropical_heights import polynomials, symanzik
+from tropical_heights.corpus import random_connected_multigraph, random_conserved_momenta
+from tropical_heights.graphs import cycle_basis
 from tropical_heights.polynomials import (MultiPoly, RingMatrix, bordered_det,
                                           det_fraction_free, fraction_det)
+from tropical_heights.symanzik import MinkowskiSpace
 
 VARS = ("e1", "e2", "e3")
 
@@ -195,6 +199,68 @@ def test_det_fraction_free_zero_and_identity():
     one = MultiPoly.constant(variables, 1)
     assert det_fraction_free([[zero]]).is_zero()
     assert det_fraction_free([[one, zero], [zero, one]]) == one
+
+
+def wide_calls(monkeypatch):
+    """Record, per ``_det_sum`` call, whether it is the wide redo."""
+    calls = []
+    real = polynomials._det_sum
+
+    def spy(variables, dets, wide=False):
+        calls.append(wide)
+        return real(variables, dets, wide)
+
+    monkeypatch.setattr(polynomials, "_det_sum", spy)
+    return calls
+
+
+def test_width_one_kernel_falls_back_when_not_multilinear(monkeypatch):
+    # Width-1 entries whose determinants square a variable: the width-1
+    # pass finds an overlap that does not cancel, and the sum is redone wide.
+    calls = wide_calls(monkeypatch)
+    y1, y2, y3 = (MultiPoly.variable(VARS, v) for v in VARS)
+    zero = MultiPoly.zero(VARS)
+    for rows in ([[y1, zero], [zero, y1]], [[y3, zero], [zero, Fraction(1, 3) * y3]]):
+        calls.clear()
+        assert det_fraction_free(rows) == det_reference(rows)
+        assert calls == [False, True]
+    # Only the second of two bordered matrices overlaps; the whole sum is redone.
+    matrix = [[y1]]
+    borders = [(Fraction(1, 2), y2, [zero], [zero]), (3, y1 + y3, [y2], [y2])]
+    want = MultiPoly.zero(VARS)
+    for q, corner, row, column in borders:
+        want = want + q * det_reference([[corner, *row]] + [[c, *r] for c, r in
+                                                            zip(column, matrix)])
+    calls.clear()
+    assert bordered_det(RingMatrix(matrix), borders) == want
+    assert calls == [False, True]
+    assert want.width == 2
+
+
+def test_width_one_kernel_never_falls_back_on_symanzik_matrices(monkeypatch):
+    # Every Symanzik matrix is a rank-one term per edge plus constants, so
+    # its minors are multilinear: the cycle and vertex forms, plain and
+    # bordered, quadratic and bilinear, all stay on width-1 keys.
+    calls = wide_calls(monkeypatch)
+    rng = random.Random(21)
+    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+    spaces = (MinkowskiSpace.euclidean(1), MinkowskiSpace.lorentzian(4), rational)
+    forms = []
+    for k in range(60):
+        graph = random_connected_multigraph(rng, max_edges=9, max_vertices=6)
+        mom1, mom2 = (random_conserved_momenta(rng, graph, spaces[k % 3]) for _ in range(2))
+        basis = cycle_basis(graph)
+        psi = symanzik.first_symanzik_trees(graph)
+        assert symanzik.first_symanzik_det(graph) == psi
+        assert symanzik.first_symanzik_det(graph, basis=basis) == psi
+        for other in (mom1, mom2):
+            phi = symanzik.second_symanzik_forests(graph, mom1, other)
+            assert symanzik.second_symanzik_bordered(graph, mom1, other) == phi
+            assert symanzik.second_symanzik_bordered(graph, mom1, other, basis=basis) == phi
+        if len(basis):  # with h = 0 neither form has a determinant
+            forms.append(symanzik._vertex_form(graph))
+    assert forms.count(True) >= 10 and forms.count(False) >= 10
+    assert calls and not any(calls)
 
 
 def test_det_dimension_limit():
