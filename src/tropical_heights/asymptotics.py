@@ -16,9 +16,9 @@ assumed: H equals the biextension log-norm of the translated point
 ``2 pi phi/psi`` stays bounded along rays y = t d as t grows, provided
 the blocks are the geometric ones of a graph (:func:`graph_blocks`).
 The scan evaluates the heights of a whole t-grid, on every ray at
-once, as one stack of translated matrices, and the tropical height once
-per ray: phi has degree h+1 and psi degree h, so ``2 pi phi/psi`` at
-t d is t times its value at d.
+once, as one stack of translated matrices, and every ray's tropical
+height at t = 1 in one stacked Schur solve: phi has degree h+1 and psi
+degree h, so ``2 pi phi/psi`` at t d is t times its value at d.
 
 Admissible degenerating segments move y_e to infinity like
 Y_e / (2 pi alpha') while the horizontal coordinates may oscillate;
@@ -34,8 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import cycle_basis
-from .symanzik import MinkowskiSpace, _lift_array, momentum_lift, symanzik_ratio_eval
+from .symanzik import MinkowskiSpace, _numeric_tables, symanzik_ratio_eval
 
 
 class EdgeParameters:
@@ -125,15 +124,12 @@ class HolomorphicFixture:
         """Fixture with constant components; shapes inferred from omega0."""
         omega0 = np.atleast_2d(np.asarray(omega0, dtype=complex))
         g = omega0.shape[0]
+        w0 = None if w0 is None else np.asarray(w0, dtype=complex)
         if dim is None:
-            if w0 is not None:
-                w0a = np.asarray(w0, dtype=complex)
-                dim = 1 if w0a.ndim <= 1 else w0a.shape[0]
-            else:
-                dim = 1
+            dim = 1 if w0 is None or w0.ndim <= 1 else w0.shape[0]
         fx = cls(g, dim=dim)
         fx.add_term("omega", omega0)
-        fx.add_term("w", np.zeros((dim, g)) if w0 is None else np.asarray(w0, dtype=complex))
+        fx.add_term("w", np.zeros((dim, g)) if w0 is None else w0)
         fx.add_term("z", np.zeros((g, dim)) if z0 is None else np.asarray(z0, dtype=complex))
         fx.add_term("rho", rho0)
         return fx
@@ -143,10 +139,7 @@ class HolomorphicFixture:
 
         Raises ValueError outside the polydisc |s_e| <= 1/2.
         """
-        point = [complex(0)] * len(self.edge_ids)
-        if s:
-            for i, e in enumerate(self.edge_ids):
-                point[i] = complex(s.get(e, 0))
+        point = [complex(s.get(e, 0)) if s else 0j for e in self.edge_ids]
         bad = [e for e, v in zip(self.edge_ids, point) if abs(v) > 0.5 + 1e-12]
         if bad:
             raise ValueError(f"fixture evaluated outside its polydisc (|s_e| > 1/2) at {bad}")
@@ -163,7 +156,7 @@ class HolomorphicFixture:
         return tuple(out)
 
 
-def graph_blocks(graph, momenta1, momenta2=None, basis=None):
+def graph_blocks(graph, momenta1, momenta2=None):
     """Geometric translation blocks of a graph with external momenta.
 
     Built from the cycle basis coefficients and the momentum lifts:
@@ -172,26 +165,18 @@ def graph_blocks(graph, momenta1, momenta2=None, basis=None):
     ``gamma_e[mu, nu] = -omega2_{e,mu} omega1_{e,nu}``.
 
     Each of the four is one broadcast product over all edges of the
-    (E, g) cycle table and the (E, d) lift arrays; every edge's
-    EdgeBlocks holds views of those (E, ., .) stacks.  Returns (blocks, g)
-    with blocks a dict over edge ids.
+    (E, g) cycle table and the (E, d) lift arrays that the Schur route
+    solves with; every edge's EdgeBlocks holds views of those (E, ., .)
+    stacks.  Returns (blocks, g) with blocks a dict over edge ids.
     """
-    if momenta2 is None:
-        momenta2 = momenta1
-    if basis is None:
-        basis = cycle_basis(graph)
-    g = len(basis)
-    edges = graph.edge_ids()
-    lift1 = momentum_lift(graph, momenta1)
-    om1 = _lift_array(lift1, edges)
-    om2 = om1 if momenta2 is momenta1 else _lift_array(momentum_lift(graph, momenta2), edges)
-    c = np.array(basis.matrix(), dtype=float).reshape(g, len(edges)).T
+    edges, cmat, om1, om2 = _numeric_tables(graph, momenta1, momenta2)
+    c = cmat.T
     mt = c[:, :, None] * c[:, None, :]
     w = om2[:, :, None] * c[:, None, :]
     z = -(c[:, :, None] * om1[:, None, :])
     gamma = -(om2[:, :, None] * om1[:, None, :])
     blocks = {e: EdgeBlocks(mt[k], w[k], z[k], gamma[k]) for k, e in enumerate(edges)}
-    return blocks, g
+    return blocks, len(cmat)
 
 
 def _pairing_matrix(space, dim):
@@ -351,12 +336,12 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     tropical height uses too.
 
     The heights of every ray over the whole grid are one stacked
-    evaluation, and each ray costs one tropical height besides:
-    phi/psi is homogeneous of degree 1, so the tropical height at t * d
-    is t times its value at d.  ``ts`` must hold at least two finite,
-    positive, strictly increasing values, ``h0`` must be finite, and
-    every ray needs a finite positive weight on each edge; all are
-    checked before any height is taken, and otherwise ValueError.
+    evaluation, and their tropical heights, on the graph and never on
+    ``blocks``, one stacked Schur solve: phi/psi is homogeneous of degree
+    1, so the tropical height at t * d is t times its value at d.  ``ts``
+    must hold at least two finite, positive, strictly increasing values,
+    ``h0`` must be finite, and every ray needs a finite positive weight on
+    each edge, all checked before any height is taken (else ValueError).
     """
     if blocks is None:
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
@@ -380,9 +365,10 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     if np.any(y <= h0):
         raise ValueError(f"edge coordinates must exceed the base height {h0}")
     heights = _heights(fixture, blocks, y - h0, space)
+    ratios = symanzik_ratio_eval(graph, weights, momenta1, momenta2)
     reports = []
-    for direction, w, h in zip(rays, weights, heights):
-        rem = h - ts * tropical_height(graph, w, momenta1, momenta2)
+    for direction, ratio, h in zip(rays, ratios, heights):
+        rem = h - ts * (2.0 * math.pi * ratio)
         increments = np.abs(np.diff(rem))
         rate = (rem[-1] - rem[-2]) / (ts[-1] - ts[-2])
         bounded = bool(increments[-1] <= tol_increment * scale

@@ -6,8 +6,9 @@ ratio evaluator), ``curve`` (stability and dimension counts),
 ``limit`` (degenerating-segment extrapolation), ``lab`` (torus/sphere
 experiments), and ``corpus`` (directory sweeps).
 
-Exit codes: 0 on success, 1 when a requested numerical check fails,
-2 on malformed input (schema violations, bad flags, validator errors).
+Exit codes: 0 on success, 1 when a numerical check fails (a requested
+one, or a segment limit that misses phi/psi), 2 on malformed input
+(schema violations, bad flags, validator errors).
 Reports are deterministic: JSON with sorted keys, no timings on stdout.
 """
 
@@ -25,6 +26,8 @@ from . import jsonio
 
 CHECK_FAIL = 1
 INPUT_ERROR = 2
+# Largest relative gap between a segment limit and phi/psi (criterion 6).
+LIMIT_TOL = 1e-6
 
 
 def _emit(obj):
@@ -247,11 +250,23 @@ def _cmd_poincare(args):
 
 def _cmd_limit(args):
     from .asymptotics import limit_along_segment
+    from .symanzik import symanzik_ratio_eval
     bundle = jsonio.load_graph_bundle(args.graph)
     fixture = jsonio.holomorphic_fixture_from_json(jsonio.load_json(args.fixture))
     segment = jsonio.segment_from_json(jsonio.load_json(args.segment))
     momenta = _require_momenta(bundle, "limit eval")
     report = limit_along_segment(bundle.graph, momenta, None, fixture, segment)
+    # The schedule is fixed, so a fixture large against Y / (2 pi alpha)
+    # leaves every sample short of the limit phi/psi at the segment's Y:
+    # an extrapolant that misses it (relative gap, absolute at 0) is no result.
+    want = symanzik_ratio_eval(bundle.graph, {e: spec.y_scale for e, spec in
+                                              segment.edges.items()}, momenta)
+    gap = abs(report.value - want) / (abs(want) or 1.0)
+    if not gap <= LIMIT_TOL:
+        print(f"check failed: extrapolant {report.value!r} misses phi/psi {want!r} at the "
+              f"segment's y_scale by relative gap {gap:.3g} > {LIMIT_TOL:g}; the fixed "
+              f"schedule does not reach the limit", file=sys.stderr)
+        return CHECK_FAIL
     _emit({"value": report.value,
            "alphas": list(report.alphas),
            "samples": list(report.samples)})

@@ -41,6 +41,7 @@ evaluators import numpy, when they are called.
 
 import functools
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .graphs import (_rooted_tree, _tree_masks, _two_forests, _UnionFind,
@@ -262,17 +263,9 @@ class MomentumLift:
         return f"MomentumLift(support={nz})"
 
 
-def momentum_lift(graph, momenta):
-    """Tree-supported lift of a conserved vertex assignment (exact).
-
-    Solves ``boundary(omega) = p`` with omega supported on the designated
-    spanning tree; the tree-supported solution is unique, so the result
-    is deterministic.  Each tree edge carries the total momentum of the
-    subtree below it, negated when the edge runs from the subtree up to
-    its parent.  The sums run leaves first along ``graphs._rooted_tree``,
-    on the vertex momenta scaled to ints by their common denominator d,
-    and each edge vector becomes Fractions (divided by d) at the end.
-    """
+def _int_lift(graph, momenta):
+    """``(omega, d)``: :func:`momentum_lift` times the common denominator
+    d of the vertex momenta, as int lists on the tree edges."""
     if not momenta.is_conserved():
         raise ValueError("momenta must sum to zero to admit a lift")
     order, up, _depth = _rooted_tree(graph, designated_tree(graph))
@@ -282,11 +275,26 @@ def momentum_lift(graph, momenta):
     for v in reversed(order[1:]):
         parent, e, sign = up[v]
         total = subtree[v]
-        omega[e] = tuple(Fraction(-sign * x, d) for x in total)
+        omega[e] = [-sign * x for x in total]
         subtree[parent] = [a + b for a, b in zip(subtree[parent], total)]
     # Conservation forces the root's sum, the total momentum, to vanish exactly.
     assert not any(subtree[order[0]])
-    return MomentumLift(graph, momenta.space, omega)
+    return omega, d
+
+
+def momentum_lift(graph, momenta):
+    """Tree-supported lift of a conserved vertex assignment (exact).
+
+    Solves ``boundary(omega) = p`` with omega supported on the designated
+    spanning tree; the tree-supported solution is unique, so the result
+    is deterministic.  Each tree edge carries the total momentum of the
+    subtree below it, negated when the edge runs from the subtree up to
+    its parent.  The sums run leaves first along ``graphs._rooted_tree``,
+    on ints (``_int_lift``), divided by their common denominator d at the end.
+    """
+    omega, d = _int_lift(graph, momenta)
+    return MomentumLift(graph, momenta.space, {e: [Fraction(x, d) for x in v]
+                                               for e, v in omega.items()})
 
 
 def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=None,
@@ -425,26 +433,24 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
 # Numeric evaluation
 
 
-def _edge_values(graph, y):
-    import numpy as np
-    order = graph.edge_ids()
+def _edge_values(order, y):
     missing = [e for e in order if e not in y]
     if missing:
         raise ValueError(f"missing edge weights for {missing}")
-    vals = np.array([float(y[e]) for e in order])
+    vals = [float(y[e]) for e in order]
     bad = [e for e, v in zip(order, vals) if not math.isfinite(v)]
     if bad:
         raise ValueError(f"edge weights must be finite: {bad}")
-    if np.any(vals <= 0):
+    if any(v <= 0 for v in vals):
         raise ValueError("edge weights must be positive")
-    return order, vals
+    return vals
 
 
 def _finite_ratio(route):
     """Decorator for a numeric ``phi/psi`` route: it runs with numpy
     overflow raising, and an overflow on the way or an inf or NaN value
-    (which a LAPACK call can return without one) becomes one ValueError,
-    with no warning."""
+    (which a LAPACK call can return without one), in a lone value or in
+    any entry of a list of them, becomes one ValueError, with no warning."""
     @functools.wraps(route)
     def checked(*args, **kwargs):
         import numpy as np
@@ -453,16 +459,30 @@ def _finite_ratio(route):
                 value = route(*args, **kwargs)
         except FloatingPointError:
             value = math.nan
-        if not math.isfinite(value):
+        if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
             raise ValueError("phi/psi overflows a float at these edge weights")
         return value
     return checked
 
 
-def _lift_array(lift, order):
+def _numeric_tables(graph, momenta1, momenta2=None):
+    """``(order, cmat, om1, om2)``: the edge order, ``cycle_basis(graph).matrix()``
+    as an (h, E) float array and the (E, d) float lifts (one array when
+    ``momenta2`` is None or ``momenta1``), each entry ``x / d`` of the int
+    lift, which Python rounds correctly, as ``float(Fraction(x, d))``."""
     import numpy as np
-    return np.array([[float(x) for x in lift.vector(e)] for e in order]).reshape(
-        len(order), lift.space.dim)
+    order = graph.edge_ids()
+    rows = cycle_basis(graph).matrix()
+
+    def lift(momenta):
+        omega, d = _int_lift(graph, momenta)
+        zero = [0] * momenta.space.dim
+        return np.array([[x / d for x in omega.get(e, zero)] for e in order]).reshape(
+            len(order), momenta.space.dim)
+
+    om1 = lift(momenta1)
+    om2 = om1 if momenta2 is None or momenta2 is momenta1 else lift(momenta2)
+    return order, np.array(rows, dtype=float).reshape(len(rows), len(order)), om1, om2
 
 
 @_finite_ratio
@@ -472,38 +492,32 @@ def symanzik_ratio_eval(graph, y, momenta1, momenta2=None):
 
     Parameters
     ----------
-    y : dict
-        Edge id to positive, finite weight.
+    y : dict or sequence of dicts
+        Edge id to positive, finite weight.  One dict gives a float; a
+        sequence gives a list, one value per dict with the bits of its own
+        call, from one table build and one stacked Schur solve.
 
     Raises ValueError when a weight is not finite or positive, and when
-    the value overflows a float.
+    a value overflows a float.
     """
-    if momenta2 is None:
-        momenta2 = momenta1
     import numpy as np
-    basis = cycle_basis(graph)
-    order, vals = _edge_values(graph, y)
-    lift1 = momentum_lift(graph, momenta1)
-    lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
-    space = momenta1.space
-    qnum = space.numeric()
-    om1 = _lift_array(lift1, order)
-    om2 = om1 if lift2 is lift1 else _lift_array(lift2, order)
-    qterm = float(np.einsum("e,em,mn,en->", vals, om1, qnum, om2))
-    h = len(basis)
-    if h == 0:
-        return qterm
-    cmat = np.array(basis.matrix(), dtype=float)
-    m = (cmat * vals) @ cmat.T
-    w1 = (cmat * vals) @ om1
-    w2 = (cmat * vals) @ om2
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("cycle Gram matrix is not positive definite at these weights") from exc
-    sol = np.linalg.solve(chol.T, np.linalg.solve(chol, w1))
-    correction = float(np.einsum("im,mn,in->", w2, qnum, sol))
-    return qterm - correction
+    order, cmat, om1, om2 = _numeric_tables(graph, momenta1, momenta2)
+    single = isinstance(y, Mapping)
+    ys = [y] if single else list(y)
+    vals = np.array([_edge_values(order, w) for w in ys]).reshape(len(ys), len(order))
+    qnum = momenta1.space.numeric()
+    ratios = np.einsum("re,em,mn,en->r", vals, om1, qnum, om2)
+    if len(cmat):
+        scaled = cmat * vals[:, None, :]
+        w1 = scaled @ om1
+        w2 = w1 if om2 is om1 else scaled @ om2
+        try:
+            chol = np.linalg.cholesky(scaled @ cmat.T)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("cycle Gram matrix is not positive definite at these weights") from exc
+        sol = np.linalg.solve(np.swapaxes(chol, 1, 2), np.linalg.solve(chol, w1))
+        ratios = ratios - np.einsum("rim,mn,rin->r", w2, qnum, sol)
+    return float(ratios[0]) if single else ratios.tolist()
 
 
 @_finite_ratio
@@ -518,7 +532,7 @@ def resistance_oracle(graph, y, momenta1, momenta2=None):
     import numpy as np
     if momenta2 is None:
         momenta2 = momenta1
-    order, vals = _edge_values(graph, y)
+    vals = np.array(_edge_values(graph.edge_ids(), y))
     b = np.array(boundary_matrix(graph), dtype=float)
     lap = (b / vals) @ b.T
     vorder = sorted(graph.vertices)

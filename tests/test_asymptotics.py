@@ -318,6 +318,30 @@ def test_scan_over_rays_equals_single_ray_scans_bitwise():
                            for ray in rays]
 
 
+def test_scan_builds_the_cycle_basis_once(monkeypatch):
+    # Every ray's tropical height comes from one table build, however many
+    # rays there are; a per-ray rebuild would count one basis per ray.
+    import sys
+    from tropical_heights import graphs
+    original, calls = graphs.cycle_basis, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropical_heights") and vars(module).get("cycle_basis") is original:
+            monkeypatch.setattr(module, "cycle_basis", counting)
+    rng = random.Random(8)
+    graph, space, mom1, mom2, fx, blocks = random_scan_case(rng)
+    for count in (1, 5):
+        rays = [{e: rng.uniform(0.2, 3.0) for e in graph.edge_ids()} for _r in range(count)]
+        calls.clear()
+        reports = bounded_remainder_scan(graph, mom1, mom2, fx, blocks=blocks, rays=rays,
+                                         space=space)
+        assert len(reports) == count and len(calls) == 1
+
+
 def test_limit_samples_equal_height_eval_bitwise():
     # An edge-dependent fixture and a short schedule, so that the samples'
     # coordinates s_e are far from zero and each sample has its own

@@ -336,6 +336,32 @@ def test_limit_eval(capsys, tmp_path, banana_path):
     assert len(report["samples"]) == 3
 
 
+@pytest.mark.parametrize("c, extrapolant", [
+    (1.0, None), (10.0, "4.500102616703613"), (1e8, "8.999841009323289")])
+def test_limit_eval_fails_when_the_schedule_misses_the_limit(capsys, tmp_path, banana_path,
+                                                            c, extrapolant):
+    # The README segment with omega = i c: the samples depend on alpha c
+    # alone, so the fixed schedule stops short of phi/psi = 4.5 once c is
+    # large; the README's c = 1 (gap 3e-8) still prints its value.
+    fixture = tmp_path / "fixture.json"
+    dump_json({"genus": 1, "dim": 1, "edge_ids": [],
+               "terms": [{"field": "omega", "coeff": [[[0.0, c]]]}]}, fixture)
+    segment = tmp_path / "segment.json"
+    dump_json({"edges": {"e1": {"y_scale": 1.0},
+                         "e2": {"y_scale": 1.0, "phase_amplitude": 0.25,
+                                "phase_frequency": 3.0}}}, segment)
+    code, out, err = run(capsys, "limit", "eval", "--graph", banana_path,
+                         "--fixture", str(fixture), "--segment", str(segment))
+    if extrapolant is None:
+        assert (code, err) == (0, "")
+        assert out == ('{"alphas": [0.01, 0.001, 0.0001], "samples": [4.637065625781395, '
+                       '4.514092892812626, 4.501413272701401], "value": 4.500000134812338}')
+        return
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert f"extrapolant {extrapolant} misses phi/psi 4.5" in err and "relative gap" in err
+
+
 def test_limit_eval_uses_the_bundle_pairing(capsys, tmp_path, banana_path):
     # A pairing of 2 doubles phi/psi; the heights must contract with it too.
     bundle = tmp_path / "banana_q2.json"

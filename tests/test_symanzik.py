@@ -489,6 +489,67 @@ def test_ratio_routes_turn_overflow_into_one_error():
             route(BANANA, {"e1": 1e308, "e2": 1e308}, mom)
 
 
+OFF_DIAGONAL = MinkowskiSpace([[2, Fraction(1, 3), 0], [Fraction(1, 3), -1, Fraction(5, 7)],
+                               [0, Fraction(5, 7), 3]])
+
+
+def ratio_cases(seed, count):
+    """(graph, mom1, mom2) over random multigraphs (trees and loops among
+    them) with the quadratic and the bilinear form, on diagonal and
+    non-diagonal pairings; large numerators over 3 make the lift's float
+    rounding matter."""
+    rng = random.Random(seed)
+    spaces = (D1, MinkowskiSpace.lorentzian(4), OFF_DIAGONAL)
+    cases = [(EDGE, banana_momenta(3), None), (LOOP, MomentumAssignment(D1, {}), None)]
+    while len(cases) < count:
+        graph = random_connected_multigraph(rng, max_edges=8, max_vertices=6)
+        space = rng.choice(spaces)
+        mom1 = random_conserved_momenta(rng, graph, space, magnitude=rng.choice((5, 10**30)))
+        mom2 = random_conserved_momenta(rng, graph, space) if rng.random() < 0.5 else None
+        cases.append((graph, mom1, mom2))
+    return cases
+
+
+def test_ratio_sequence_matches_single_calls_bitwise():
+    rng = random.Random(5)
+    shapes = set()
+    for graph, mom1, mom2 in ratio_cases(17, 80):
+        ys = [{e: 10.0 ** rng.uniform(-3, 6) for e in graph.edge_ids()}
+              for _ in range(rng.randint(1, 5))]
+        got = symanzik_ratio_eval(graph, ys, mom1, mom2)
+        want = [symanzik_ratio_eval(graph, y, mom1, mom2) for y in ys]
+        assert type(got) is list and [v.hex() for v in got] == [v.hex() for v in want]
+        assert symanzik_ratio_eval(graph, tuple(ys), mom1, mom2) == got
+        shapes.add((first_betti(graph) == 0, any(t == h for _e, t, h in graph.edges),
+                    mom2 is not None))
+    assert shapes >= {(True, False, False), (False, True, False), (False, False, True)}
+    assert symanzik_ratio_eval(BANANA, [], banana_momenta(3)) == []
+
+
+def test_numeric_lift_is_the_float_of_the_exact_lift():
+    import numpy as np
+    from tropical_heights.symanzik import _numeric_tables
+    for graph, mom1, mom2 in ratio_cases(23, 60):
+        order, cmat, om1, om2 = _numeric_tables(graph, mom1, mom2)
+        assert order == graph.edge_ids()
+        assert cmat.tobytes() == np.array(cycle_basis(graph).matrix(), dtype=float).reshape(
+            first_betti(graph), len(order)).tobytes()
+        assert (om2 is om1) == (mom2 is None)
+        for got, mom in ((om1, mom1), (om2, mom2 or mom1)):
+            lift = momentum_lift(graph, mom)
+            want = np.array([[float(x) for x in lift.vector(e)] for e in order])
+            assert got.tobytes() == want.reshape(len(order), mom.space.dim).tobytes()
+
+
+def test_ratio_sequence_with_one_overflowing_row_raises():
+    mom = banana_momenta(3)
+    rows = [{"e1": 1.0, "e2": 2.0}, {"e1": 1e308, "e2": 1e308}, {"e1": 3.0, "e2": 1.0}]
+    with pytest.raises(ValueError, match="phi/psi overflows a float at these edge weights"):
+        symanzik_ratio_eval(BANANA, rows, mom)
+    with pytest.raises(ValueError, match=r"edge weights must be finite: \['e2'\]"):
+        symanzik_ratio_eval(BANANA, [rows[0], {"e1": 1.0, "e2": math.inf}], mom)
+
+
 def test_momentum_lift_boundary():
     rng = random.Random(77)
     space = MinkowskiSpace.euclidean(3)
