@@ -35,8 +35,9 @@ Im(tau) -> infinity to the resistance pairing on a metric circle;
 :func:`degeneration_experiment` measures that limit and its first-order
 remainder over a :class:`DegenerationFamily`'s schedule of tori.  It
 takes the whole schedule at once: one quadrature call checks every
-torus's constant, one theta call gives every Green's value, and the
-momenta pair on ints.
+torus's constant, once per schedule and process in a bounded cache keyed
+on the moduli, one theta call gives every Green's value, and the momenta
+pair on ints.
 
 Orientation convention for the four-point pairing on the sphere: the
 divisors are (z2) - (z1) and (z3) - (z4), which makes
@@ -352,9 +353,12 @@ def normalization_by_quadrature(tau):
     |c| < 1, so its x-mean is 0 by Jensen's formula and a row's mean is
     affine in y, which any rule of 2 or more nodes integrates exactly.
     ``tau`` is one modulus or a sequence of them (giving a list); either
-    way all rows go through one :func:`log_abs_theta1_frac` call.  A gap
-    above 1e-6 from log|eta(tau)| means the numerics cannot be trusted at
-    that modulus, and raises, as does a 2 pi Im(tau) past float range.
+    way all rows go through one :func:`log_abs_theta1_frac` call.  Each
+    :class:`TorusGreen` runs it at construction, while
+    :func:`degeneration_experiment` runs it once per schedule and process,
+    in a bounded cache keyed on the schedule's moduli.  A gap above 1e-6
+    from log|eta(tau)| means the numerics cannot be trusted at that
+    modulus, and raises, as does a 2 pi Im(tau) past float range.
     The check sees only these x-means, so a wrong factor that keeps them,
     like a dropped (1 - q^n w), passes it.
     """
@@ -442,7 +446,8 @@ class TorusGreen:
     def regularized_diagonal(self, metric_scale=1.0):
         """Limit of g(z, w) + log d(z, w) as w -> z, in the unit-area flat
         metric scaled by ``metric_scale``."""
-        return _regularized_diagonal(self.tau, self.normalization, metric_scale)
+        return _regularized_diagonal(self.tau, self.normalization,
+                                     log_abs_theta1_prime_zero(self.tau), metric_scale)
 
     # -- verification quadratures (independent of the normalization scheme)
 
@@ -575,13 +580,14 @@ def _green_point(x, y, tau, normalization, min_distance):
     return -out + math.pi * y * y * im + normalization
 
 
-def _regularized_diagonal(tau, normalization, metric_scale):
-    """:meth:`TorusGreen.regularized_diagonal` on one torus."""
+def _regularized_diagonal(tau, normalization, log_theta1_prime, metric_scale):
+    """:meth:`TorusGreen.regularized_diagonal` on one torus, given its
+    log|eta(tau)| and log|theta1'(0; tau)|."""
     if not metric_scale > 0:
         raise ValueError("metric scale must be positive")
     if metric_scale == math.inf:
         raise ValueError("metric scale must be finite")
-    return (-log_abs_theta1_prime_zero(tau)
+    return (-log_theta1_prime
             - 0.5 * math.log(tau.imag)
             + math.log(metric_scale)
             + normalization)
@@ -872,6 +878,22 @@ class ExperimentReport(NamedTuple):
     values: tuple
 
 
+# Schedules whose constants one process keeps.  A schedule is a family's
+# (y_total, imag_offset, alphas); entries are two short tuples each.
+_SCHEDULE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _schedule_constants(taus):
+    """log|eta(tau)| and log|theta1'(0; tau)| of each modulus in the tuple
+    ``taus``, as two tuples, once one :func:`normalization_by_quadrature`
+    call has checked every constant.  A failed check raises and is not
+    cached, so it raises again on the next call."""
+    normalization_by_quadrature(taus)
+    return (tuple(dedekind_eta_log_abs(t) for t in taus),
+            tuple(log_abs_theta1_prime_zero(t) for t in taus))
+
+
 def degeneration_experiment(family):
     """Run the scan a' -> a' * pairing(tau(a')) and compare to the
     tropical prediction.
@@ -879,7 +901,10 @@ def degeneration_experiment(family):
     The slope is the log-log rate of |scaled pairing - prediction| over
     the schedule: 1.0 for the generic linear remainder (NaN when the
     remainder is already at noise level, as happens for the straight
-    family).
+    family).  The torus constants depend on the schedule alone, so one
+    quadrature call checks a schedule's constants once per process, in a
+    bounded cache keyed on its moduli.  A family whose tori never
+    degenerate, y_total / (2 pi min(alphas)) <= |imag_offset|, raises.
     """
     import numpy as np
     pred = family.prediction()
@@ -889,12 +914,17 @@ def degeneration_experiment(family):
     # conservation), so they are computed once, not once per torus.
     terms = _pairing_terms([ins.momentum for ins in family.divisor1],
                            [ins.momentum for ins in second], family.space)
-    # Every torus of the schedule at once: one quadrature call checks all
-    # their constants, and one theta call takes the Green's values of every
-    # off-diagonal term (rows) on every torus (columns).
-    taus = [family.tau(alpha) for alpha in family.alphas]
-    normalization_by_quadrature(taus)
-    norms = [dedekind_eta_log_abs(tau) for tau in taus]
+    # Every torus of the schedule at once: its constants come checked from
+    # the schedule cache, and one theta call takes the Green's values of
+    # every off-diagonal term (rows) on every torus (columns).
+    taus = tuple(family.tau(alpha) for alpha in family.alphas)
+    norms, log_theta1_primes = _schedule_constants(taus)
+    degenerating = family.y_total / (2.0 * math.pi * family.alphas[-1])
+    if not degenerating > abs(family.imag_offset):
+        raise ValueError(
+            f"the family never degenerates: y_total / (2 pi min(alphas)) = "
+            f"{degenerating:.6g} does not exceed |imag_offset| = "
+            f"{abs(family.imag_offset):.6g}")
     columns = np.array(taus)
 
     def fractional(insertions):
@@ -911,8 +941,9 @@ def degeneration_experiment(family):
     # min_distance as in TorusGreen.values.
     grid = _green_values(x1 - x2, y1 - y2, columns, np.array(norms), 1e-12)
     values = []
-    for alpha, tau, norm, gs in zip(family.alphas, taus, norms, grid.T.tolist()):
-        diag = (_regularized_diagonal(tau, norm, family.metric_scale)
+    for alpha, tau, norm, lt1p, gs in zip(family.alphas, taus, norms, log_theta1_primes,
+                                          grid.T.tolist()):
+        diag = (_regularized_diagonal(tau, norm, lt1p, family.metric_scale)
                 if len(off) < len(terms) else None)
         values.append(alpha * _sum_terms(terms, gs, diag))
     values = tuple(values)

@@ -264,8 +264,9 @@ class MomentumLift:
 
 
 def _int_lift(graph, momenta):
-    """``(omega, d)``: :func:`momentum_lift` times the common denominator
-    d of the vertex momenta, as int lists on the tree edges."""
+    """``(rows, d)``: :func:`momentum_lift` times the common denominator
+    d of the vertex momenta, as one int list per edge of
+    ``graph.edge_ids()``, zero off the tree."""
     if not momenta.is_conserved():
         raise ValueError("momenta must sum to zero to admit a lift")
     order, up, _depth = _rooted_tree(graph, designated_tree(graph))
@@ -279,7 +280,8 @@ def _int_lift(graph, momenta):
         subtree[parent] = [a + b for a, b in zip(subtree[parent], total)]
     # Conservation forces the root's sum, the total momentum, to vanish exactly.
     assert not any(subtree[order[0]])
-    return omega, d
+    zero = [0] * momenta.space.dim
+    return [omega.get(e, zero) for e in graph.edge_ids()], d
 
 
 def momentum_lift(graph, momenta):
@@ -292,9 +294,9 @@ def momentum_lift(graph, momenta):
     its parent.  The sums run leaves first along ``graphs._rooted_tree``,
     on ints (``_int_lift``), divided by their common denominator d at the end.
     """
-    omega, d = _int_lift(graph, momenta)
+    rows, d = _int_lift(graph, momenta)
     return MomentumLift(graph, momenta.space, {e: [Fraction(x, d) for x in v]
-                                               for e, v in omega.items()})
+                                               for e, v in zip(graph.edge_ids(), rows)})
 
 
 def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=None,
@@ -356,15 +358,18 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
             for mu, nu, q in pairing]))
     if basis is None:
         basis = cycle_basis(graph)
-    if lift1 is None:
-        lift1 = momentum_lift(graph, momenta1)
-    if lift2 is None:
-        lift2 = momentum_lift(graph, momenta2) if momenta2 is not momenta1 else lift1
-    # The lifts scaled to ints: row 0 and column 0 of each bordered matrix
-    # scale by d1 and d2, and the weights undo it.
-    om1, d1 = _scaled_to_ints([lift1.vector(e) for e in variables])
-    om2, d2 = (om1, d1) if lift2 is lift1 else \
-        _scaled_to_ints([lift2.vector(e) for e in variables])
+
+    def int_lift(lift, momenta):
+        # A lift passed in is scaled to ints; else the int walk gives them.
+        if lift is None:
+            return _int_lift(graph, momenta)
+        return _scaled_to_ints([lift.vector(e) for e in variables])
+
+    # The lifts as ints: row 0 and column 0 of each bordered matrix scale
+    # by d1 and d2, and the weights undo it.
+    same = lift2 is lift1 if lift2 is not None else momenta2 is momenta1
+    om1, d1 = int_lift(lift1, momenta1)
+    om2, d2 = (om1, d1) if same else int_lift(lift2, momenta2)
     cmat = basis.matrix()
     m = _gram_matrix(variables, cmat)
     if m is None:
@@ -379,7 +384,7 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
                 for row in cmat]
 
     w1 = [border(om1, mu) for mu in range(space.dim)]
-    w2 = w1 if lift2 is lift1 else [border(om2, nu) for nu in range(space.dim)]
+    w2 = w1 if same else [border(om2, nu) for nu in range(space.dim)]
     return bordered_det(m, [
         (q / (d1 * d2), _linear_form(variables, [a[mu] * b[nu] for a, b in zip(om1, om2)]),
          w1[mu], w2[nu])
@@ -475,9 +480,8 @@ def _numeric_tables(graph, momenta1, momenta2=None):
     rows = cycle_basis(graph).matrix()
 
     def lift(momenta):
-        omega, d = _int_lift(graph, momenta)
-        zero = [0] * momenta.space.dim
-        return np.array([[x / d for x in omega.get(e, zero)] for e in order]).reshape(
+        ints, d = _int_lift(graph, momenta)
+        return np.array([[x / d for x in row] for row in ints]).reshape(
             len(order), momenta.space.dim)
 
     om1 = lift(momenta1)

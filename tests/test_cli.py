@@ -574,6 +574,16 @@ def test_lab_torus_limit_tiny_length_is_input_error(capsys, tmp_path):
     assert "theta product factors" in err
 
 
+def test_lab_torus_limit_never_degenerating_family_is_input_error(capsys, tmp_path):
+    # y_total / (2 pi min(alphas)) = 1.6e-297 against the offset 0.5: Im(tau)
+    # stays near 0.5, so no estimate or rel_error would mean anything.
+    family = _torus_family(tmp_path, 1e-300, "1")
+    result = run(capsys, "lab", "torus-limit", "--family", family)
+    _assert_one_line_input_error(result)
+    assert "never degenerates" in result[2]
+    assert "y_total" in result[2] and "imag_offset" in result[2]
+
+
 @pytest.mark.parametrize("field, value, where", [
     ("metric_scale", math.nan, "metric_scale"),
     ("imag_offset", math.nan, "imag_offset"),
@@ -682,6 +692,42 @@ def test_exact_commands_match_recorded_digests(capsys):
     code, out, _ = run(capsys, "corpus", "run", str(directory))
     got["corpus run"] = digest((code, out.replace(json.dumps(str(directory)), '"<corpus>"')))
     assert got == RECORDED_CLI_DIGESTS
+
+
+_README_DIVISORS = {
+    "divisor1": [{"c": 0, "momentum": [1]}, {"c": "1/2", "momentum": [-1]}],
+    "divisor2": [{"c": "1/8", "momentum": [1]}, {"c": "3/8", "momentum": [-1]}],
+}
+TORUS_LIMIT_FAMILIES = {
+    "readme": {"y_total": 1, **_README_DIVISORS},
+    "straight": {"y_total": 1, "imag_offset": 0, **_README_DIVISORS},
+    # Two null momenta and one off-shell one, so the regularized diagonal
+    # and its metric scale enter the pairing.
+    "lorentzian self": {
+        "y_total": 2, "metric_scale": 7.5, "minkowski": {"dim": 4, "signature": "lorentzian"},
+        "divisor1": [{"c": 0, "x": 0.25, "momentum": [1, 0, 0, 1]},
+                     {"c": "1/4", "momentum": [1, 0, 0, -1]},
+                     {"c": "5/8", "x": 0.5, "momentum": [-2, 0, 0, 0]}]},
+    "y_total 1e300": {"y_total": 1e300, **_README_DIVISORS},
+    "imag_offset 1e308": {"y_total": 1, "imag_offset": 1e308, **_README_DIVISORS},
+}
+# sha256 prefixes of (exit code, stdout, stderr) of `lab torus-limit` on the
+# families above.  The numeric outputs pin numpy 2.4.6's float bits: another
+# numpy may round the theta products differently and change a digest.
+RECORDED_TORUS_LIMIT_DIGESTS = {
+    "readme": "8a04504534d4", "straight": "c85be8426f7d", "lorentzian self": "70052a241eb6",
+    "y_total 1e300": "24c22d9ed76f", "imag_offset 1e308": "cd70fe242c72",
+}
+
+
+def test_torus_limit_matches_recorded_digests(capsys, tmp_path):
+    got = {}
+    for name, data in TORUS_LIMIT_FAMILIES.items():
+        family = tmp_path / "family.json"
+        dump_json(data, family)
+        got[name] = hashlib.sha256(repr(run(capsys, "lab", "torus-limit", "--family",
+                                            str(family))).encode()).hexdigest()[:12]
+    assert got == RECORDED_TORUS_LIMIT_DIGESTS
 
 
 def test_corpus_run_missing_directory(capsys, tmp_path):

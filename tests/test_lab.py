@@ -618,6 +618,46 @@ def test_experiment_matches_per_torus_reference():
             assert a == b or (name == "slope" and math.isnan(a) and math.isnan(b)), name
 
 
+def test_schedule_constants_are_checked_once_per_schedule():
+    # Two families with other divisors on one schedule (y_total 1, offset
+    # 0.5, the default alphas); the second is a self-pairing, so it reads
+    # the cached log|theta1'(0)| too.
+    families = [DegenerationFamily(**DISJOINT),
+                DegenerationFamily(1.0, [(Fraction(0), 0.1, (1,)), (Fraction(1, 3), 0.6, (-1,))])]
+    lab._schedule_constants.cache_clear()
+    for family in families:
+        got = degeneration_experiment(family)
+        want = _per_torus_report(family)
+        for name, a, b in zip(got._fields, got, want):
+            assert a == b or (name == "slope" and math.isnan(a) and math.isnan(b)), name
+    info = lab._schedule_constants.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    maxsize = lab._schedule_constants.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and maxsize > 0
+
+
+def test_schedule_check_failure_is_not_cached(monkeypatch):
+    # Moduli 0.64i and 0.80i, where dropping the sum of log|1 - q^n| from
+    # the theta product moves the quadrature by 6.6e-3 or more.
+    family = DegenerationFamily(**DISJOINT, imag_offset=0.0, alphas=(0.25, 0.2))
+    exact = lab.log_abs_theta1_frac
+
+    # A schedule's quadrature passes one modulus per point.
+    q_sum = np.vectorize(lambda t: dedekind_eta_log_abs(t) + math.pi * t.imag / 12.0,
+                         otypes=[float])
+
+    def no_q_factors(x, y, tau):
+        return exact(x, y, tau) - q_sum(tau)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lab, "log_abs_theta1_frac", no_q_factors)
+        lab._schedule_constants.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="disagrees with the closed form"):
+                degeneration_experiment(family)
+    assert degeneration_experiment(family).prediction == pytest.approx(0.125)
+
+
 def test_straight_family_converges_superpolynomially():
     report = degeneration_experiment(
         DegenerationFamily(**DISJOINT, imag_offset=0.0)
