@@ -375,7 +375,8 @@ def build_parser():
     p_run = corpus_sub.add_parser("run", help="cross-method agreement sweep")
     p_run.add_argument("directory")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: TROPICAL_HEIGHTS_THREADS or 8)")
+                       help="worker cap (default: TROPICAL_HEIGHTS_THREADS, else the "
+                            "CPU count, at most 8)")
     p_run.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -6,10 +6,10 @@ C/(Z + tau Z) the Green's function of the unit-area flat metric is
     g(z) = -log|theta1(z; tau)| + pi Im(z)^2 / Im(tau) + C(tau),
 
 normalized so that g integrates to zero against the flat measure.  The
-constant C(tau) is the closed form log|eta(tau)|; every torus checks it
-against a quadrature (4 Gauss-Legendre rows, exact for the affine-in-y
-structure of the integrand) and raises when they disagree, rather than
-carry on with either value.  An independent
+constant C(tau) is the closed form log|eta(tau)|, which every torus takes
+from the eta product.  :func:`normalization_by_quadrature` checks it on
+demand against a quadrature (4 Gauss-Legendre rows, exact for the
+affine-in-y structure of the integrand), and an independent
 2D singularity-subtracted scheme verifies the vanishing integral; since
 g(-z) = g(z) and the midpoint grid is symmetric under z -> -z, it
 evaluates half the grid's rows.  The Laplacian check takes every grid
@@ -34,10 +34,10 @@ their regularized diagonal for self-pairings, degenerate as
 Im(tau) -> infinity to the resistance pairing on a metric circle;
 :func:`degeneration_experiment` measures that limit and its first-order
 remainder over a :class:`DegenerationFamily`'s schedule of tori.  It
-takes the whole schedule at once: one quadrature call checks every
-torus's constant, once per schedule and process in a bounded cache keyed
-on the moduli, one theta call gives every Green's value, and the momenta
-pair on ints.
+takes the whole schedule at once: each torus's constants are closed
+forms, one theta call gives every Green's value, and the momenta pair on
+ints.  Every torus, alone or in a schedule, needs 1.68e-3 < Im(tau) <= 1e10
+(:func:`_checked_tau`).
 
 Orientation convention for the four-point pairing on the sphere: the
 divisors are (z2) - (z1) and (z3) - (z4), which makes
@@ -62,12 +62,15 @@ from .symanzik import MinkowskiSpace, MomentumAssignment, _scaled_to_ints, resis
 # Theta functions
 
 _THETA_MAX_TERMS = 4000
+# Largest ratio of a sine series' biggest term to its sum that theta1 and
+# theta1_prime_zero accept; it leaves about 2e-12 relative error.
+_MAX_CANCELLATION = 1e4
 
 
 def _as_tau(tau):
     """``tau`` as a complex number; raises unless Im(tau) > 0 and Re(tau)
-    is finite.  An infinite Im(tau) passes here and is refused by the
-    normalization check, whose message names the float range."""
+    is finite.  An infinite Im(tau) passes here and is refused by
+    :func:`_checked_tau`, whose message names the float range."""
     tau = complex(tau)
     if math.isnan(tau.imag) or not math.isfinite(tau.real):
         raise ValueError(f"tau must be finite, got {tau!r}")
@@ -84,13 +87,13 @@ def theta1(z, tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
         theta1(z | tau) = 2 sum_{n >= 0} (-1)^n q^{(2n+1)^2/8} sin((2n+1) pi z)
 
     with the nome q = exp(2 pi i tau), truncated adaptively.  Raises if
-    Im(tau) <= 0 or if the term cap is hit before convergence (extreme
-    |Im z| / Im tau ratios).
+    Im(tau) <= 0, if the term cap is hit before convergence (extreme
+    |Im z| / Im tau ratios), or if the terms cancel (small Im tau).
     """
     tau = _as_tau(tau)
     z = complex(z)
     acc = 0j
-    scale = 1.0
+    peak = 0.0
     for n in range(max_terms):
         k = 2 * n + 1
         # q^{k^2/8} sin(k pi z), with the exponential assembled once to
@@ -100,24 +103,36 @@ def theta1(z, tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
         acc += term
         bound = math.exp(-math.pi * tau.imag * k * k / 4.0
                          + k * math.pi * abs(z.imag))
-        scale = max(scale, abs(term))
-        if bound <= tol * scale and n >= 2:
-            return acc
+        peak = max(peak, abs(term))
+        if bound <= tol * max(1.0, peak) and n >= 2:
+            return _uncancelled(acc, peak)
     raise ValueError("theta series did not converge within the term cap; "
                      "reduce |Im z| or increase max_terms")
 
 
 def theta1_prime_zero(tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
-    """d/dz theta1(z; tau) at z = 0, by the differentiated sine series."""
+    """d/dz theta1(z; tau) at z = 0, by the differentiated sine series;
+    raises as :func:`theta1` does."""
     tau = _as_tau(tau)
     acc = 0j
+    peak = 0.0
     for n in range(max_terms):
         k = 2 * n + 1
         term = 2.0 * math.pi * k * (-1) ** n * cmath.exp(1j * math.pi * tau * k * k / 4.0)
         acc += term
+        peak = max(peak, abs(term))
         if abs(term) <= tol * max(1.0, abs(acc)) and n >= 2:
-            return acc
+            return _uncancelled(acc, peak)
     raise ValueError("theta derivative series did not converge within the term cap")
+
+
+def _uncancelled(acc, peak):
+    """``acc``, a sine series' sum, whose largest term has modulus ``peak``;
+    raises if they cancel past _MAX_CANCELLATION (all-zero terms do not)."""
+    if peak > _MAX_CANCELLATION * abs(acc):
+        raise ValueError(f"theta series cancels: its largest term {peak:.3g} exceeds its "
+                         f"sum {abs(acc):.3g} by more than {_MAX_CANCELLATION:g}")
+    return acc
 
 
 def _product_terms(im_tau):
@@ -338,13 +353,29 @@ def _gauss_legendre(nodes):
     return gl_nodes, gl_weights
 
 
-# Largest gap |quadrature - log|eta(tau)|| that TorusGreen accepts.
+# Largest gap |quadrature - log|eta(tau)|| that normalization_by_quadrature accepts.
 _MATCH_TOL = 1e-6
 
 
+def _checked_tau(tau):
+    """``tau`` as by :func:`_as_tau`, for a torus of the lab: raises unless
+    1.68e-3 < Im(tau) <= 1e10, the theta product's term cap and the point
+    past which the Green's terms of size pi Im(tau) round to errors above
+    1e-6.  A 2 pi Im(tau) past float range has its own message."""
+    tau = _as_tau(tau)
+    _product_terms(tau.imag)
+    if not math.isfinite(2.0 * math.pi * tau.imag):
+        raise ValueError(f"Im(tau) = {tau.imag:.6g} is past float range: "
+                         f"2 pi Im(tau) overflows")
+    if tau.imag > 1e10:
+        raise ValueError(f"Im(tau) = {tau.imag:.6g} is above 1e10, where the Green's "
+                         f"function rounds to errors above {_MATCH_TOL:g}")
+    return tau
+
+
 def normalization_by_quadrature(tau):
-    """Constant C(tau) by direct quadrature of the Green's function,
-    checked against its closed form log|eta(tau)|.
+    """Constant C(tau) of one torus by direct quadrature of the Green's
+    function, checked against its closed form log|eta(tau)|.
 
     Separable scheme: 4 Gauss-Legendre rows in the vertical coordinate,
     each the mean of a periodic trapezoid in the horizontal one, whose
@@ -352,64 +383,45 @@ def normalization_by_quadrature(tau):
     Each factor log|1 - c e^{+-2 pi i x}| of the triple product has
     |c| < 1, so its x-mean is 0 by Jensen's formula and a row's mean is
     affine in y, which any rule of 2 or more nodes integrates exactly.
-    ``tau`` is one modulus or a sequence of them (giving a list); either
-    way all rows go through one :func:`log_abs_theta1_frac` call.  Each
-    :class:`TorusGreen` runs it at construction, while
-    :func:`degeneration_experiment` runs it once per schedule and process,
-    in a bounded cache keyed on the schedule's moduli.  A gap above 1e-6
-    from log|eta(tau)| means the numerics cannot be trusted at that
-    modulus, and raises, as does a 2 pi Im(tau) past float range.
-    The check sees only these x-means, so a wrong factor that keeps them,
-    like a dropped (1 - q^n w), passes it.
+    All rows go through one :func:`log_abs_theta1_frac` call.  Like
+    :meth:`TorusGreen.integral_residual`, it is an on-demand check, which
+    no torus runs.  A gap above 1e-6 from log|eta(tau)| raises, as does a
+    modulus that :func:`_checked_tau` refuses (the term cap also bounds
+    the row sizes).  The check sees only these x-means, so a wrong factor
+    that keeps them, like a dropped (1 - q^n w), passes it.
     """
     import numpy as np
-    single = isinstance(tau, numbers.Number)
-    taus = [_as_tau(t) for t in ([tau] if single else tau)]
-    # The term cap bounds Im(tau) from below, and with it the row sizes:
-    # check it before they are built.
-    for t in taus:
-        _product_terms(t.imag)
-        if not math.isfinite(2.0 * math.pi * t.imag):
-            raise ValueError(f"Im(tau) = {t.imag:.6g} is past float range: "
-                             f"2 pi Im(tau) overflows")
+    tau = _checked_tau(tau)
     gl_nodes, gl_weights = _gauss_legendre(4)
     ys = 0.5 * (gl_nodes + 1.0)
-    counts = [64 + int(math.ceil(6.5 / (t.imag * min(y, 1.0 - y)))) for t in taus for y in ys]
+    counts = [64 + int(math.ceil(6.5 / (tau.imag * min(y, 1.0 - y)))) for y in ys]
     xs = np.concatenate([np.arange(nx) / nx for nx in counts])
-    # One modulus per point, or the scalar tau.
-    per_point = taus[0] if single else np.repeat(np.repeat(taus, len(ys)), counts)
-    vals = log_abs_theta1_frac(xs, np.repeat(np.concatenate([ys] * len(taus)), counts),
-                               per_point)
+    vals = log_abs_theta1_frac(xs, np.repeat(ys, counts), tau)
     means = np.add.reduceat(vals, np.cumsum([0] + counts[:-1])) / counts
-    out = []
-    for t, row_means in zip(taus, means.reshape(len(taus), len(ys))):
-        c_quad = float(np.dot(0.5 * gl_weights, row_means)) - math.pi * t.imag / 3.0
-        gap = abs(c_quad - dedekind_eta_log_abs(t))
-        if not gap <= _MATCH_TOL:
-            raise ValueError(
-                f"torus normalization quadrature disagrees with the closed form "
-                f"log|eta(tau)| by {gap:.3e} (tolerance {_MATCH_TOL:g}) at "
-                f"Im(tau) = {t.imag:.6g}"
-            )
-        out.append(c_quad)
-    return out[0] if single else out
+    c_quad = float(np.dot(0.5 * gl_weights, means)) - math.pi * tau.imag / 3.0
+    gap = abs(c_quad - dedekind_eta_log_abs(tau))
+    if not gap <= _MATCH_TOL:
+        raise ValueError(
+            f"torus normalization quadrature disagrees with the closed form "
+            f"log|eta(tau)| by {gap:.3e} (tolerance {_MATCH_TOL:g}) at "
+            f"Im(tau) = {tau.imag:.6g}"
+        )
+    return c_quad
 
 
 class TorusGreen:
     """Green's function of the unit-area flat metric on one torus.
 
-    The normalization constant is the closed form log|eta(tau)|, which
-    :func:`normalization_by_quadrature` checks at construction (its value
-    is kept as ``normalization_quadrature``).  Below Im(tau) ~ 1e10 the gap
-    stays far under the tolerance; beyond, it is rounding noise of
-    pi Im(tau) / 3, which may or may not exceed it.
+    The normalization constant is the closed form log|eta(tau)|, from the
+    eta product; :func:`normalization_by_quadrature` and
+    :meth:`integral_residual` check it on demand.  The modulus needs
+    1.68e-3 < Im(tau) <= 1e10 (:func:`_checked_tau`).
     """
 
-    __slots__ = ("tau", "normalization", "normalization_quadrature")
+    __slots__ = ("tau", "normalization")
 
     def __init__(self, tau):
-        self.tau = _as_tau(tau)
-        self.normalization_quadrature = normalization_by_quadrature(self.tau)
+        self.tau = _checked_tau(tau)
         self.normalization = dedekind_eta_log_abs(self.tau)
 
     def _coerce_point(self, z):
@@ -517,10 +529,7 @@ class TorusGreen:
         stencil = z + np.array([[0.0], [h], [-h], [1j * h], [-1j * h]])
         pts_y = stencil.imag / im
         pts_x = stencil.real - pts_y * tau.real
-        pts_y %= 1.0
-        # As in _unit_frac: a tiny negative y rounds up to 1.0, which is 0.0.
-        pts_y[pts_y == 1.0] = 0.0
-        g = self.value_frac(pts_x % 1.0, pts_y)
+        g = self.value_frac(pts_x % 1.0, _unit_fracs(pts_y))
         lap = (g[1] + g[2] + g[3] + g[4] - 4.0 * g[0]) / (h * h)
         return float(np.max(np.abs(lap - 2.0 * math.pi / im)))
 
@@ -805,7 +814,9 @@ class DegenerationFamily:
     unchanged while making the first-order remainder visible (offset 0
     reproduces the straight family, whose remainder decays faster than
     any power).  Every number must be finite; a NaN or infinite one
-    raises a ``ValueError`` that names its field.
+    raises a ``ValueError`` that names its field, as do fewer than two
+    pairwise distinct ``alphas`` (no slope can be fitted) and a
+    ``metric_scale`` that is not positive.
     """
 
     __slots__ = ("y_total", "divisor1", "divisor2", "space", "alphas",
@@ -833,10 +844,15 @@ class DegenerationFamily:
         if self.divisor2 is not None:
             _check_conserved([i.momentum for i in self.divisor2], "second divisor")
         self.alphas = tuple(sorted((_finite(a, "alphas") for a in alphas), reverse=True))
-        if not self.alphas or self.alphas[-1] <= 0:
+        if len(self.alphas) < 2 or len(set(self.alphas)) < len(self.alphas):
+            raise ValueError(f"alphas must hold at least two pairwise distinct values, "
+                             f"got {list(self.alphas)}")
+        if self.alphas[-1] <= 0:
             raise ValueError("alphas must be positive")
         self.imag_offset = _finite(imag_offset, "imag_offset")
         self.metric_scale = _finite(metric_scale, "metric_scale")
+        if self.metric_scale <= 0:
+            raise ValueError(f"metric_scale must be positive, got {self.metric_scale!r}")
         self.mode = mode
 
     def tau(self, alpha):
@@ -878,22 +894,6 @@ class ExperimentReport(NamedTuple):
     values: tuple
 
 
-# Schedules whose constants one process keeps.  A schedule is a family's
-# (y_total, imag_offset, alphas); entries are two short tuples each.
-_SCHEDULE_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
-def _schedule_constants(taus):
-    """log|eta(tau)| and log|theta1'(0; tau)| of each modulus in the tuple
-    ``taus``, as two tuples, once one :func:`normalization_by_quadrature`
-    call has checked every constant.  A failed check raises and is not
-    cached, so it raises again on the next call."""
-    normalization_by_quadrature(taus)
-    return (tuple(dedekind_eta_log_abs(t) for t in taus),
-            tuple(log_abs_theta1_prime_zero(t) for t in taus))
-
-
 def degeneration_experiment(family):
     """Run the scan a' -> a' * pairing(tau(a')) and compare to the
     tropical prediction.
@@ -901,10 +901,11 @@ def degeneration_experiment(family):
     The slope is the log-log rate of |scaled pairing - prediction| over
     the schedule: 1.0 for the generic linear remainder (NaN when the
     remainder is already at noise level, as happens for the straight
-    family).  The torus constants depend on the schedule alone, so one
-    quadrature call checks a schedule's constants once per process, in a
-    bounded cache keyed on its moduli.  A family whose tori never
-    degenerate, y_total / (2 pi min(alphas)) <= |imag_offset|, raises.
+    family).  Each torus takes its constants in closed form:
+    log|eta(tau)|, and log|theta1'(0; tau)| where a diagonal term needs
+    it; no quadrature runs.  A modulus that :class:`TorusGreen` would
+    refuse raises, and so does a family whose tori never degenerate,
+    y_total / (2 pi min(alphas)) <= |imag_offset|.
     """
     import numpy as np
     pred = family.prediction()
@@ -914,17 +915,16 @@ def degeneration_experiment(family):
     # conservation), so they are computed once, not once per torus.
     terms = _pairing_terms([ins.momentum for ins in family.divisor1],
                            [ins.momentum for ins in second], family.space)
-    # Every torus of the schedule at once: its constants come checked from
-    # the schedule cache, and one theta call takes the Green's values of
-    # every off-diagonal term (rows) on every torus (columns).
-    taus = tuple(family.tau(alpha) for alpha in family.alphas)
-    norms, log_theta1_primes = _schedule_constants(taus)
+    # Every torus of the schedule at once: one theta call takes the Green's
+    # values of every off-diagonal term (rows) on every torus (columns).
+    taus = [_checked_tau(family.tau(alpha)) for alpha in family.alphas]
     degenerating = family.y_total / (2.0 * math.pi * family.alphas[-1])
     if not degenerating > abs(family.imag_offset):
         raise ValueError(
             f"the family never degenerates: y_total / (2 pi min(alphas)) = "
             f"{degenerating:.6g} does not exceed |imag_offset| = "
             f"{abs(family.imag_offset):.6g}")
+    norms = [dedekind_eta_log_abs(tau) for tau in taus]
     columns = np.array(taus)
 
     def fractional(insertions):
@@ -941,9 +941,9 @@ def degeneration_experiment(family):
     # min_distance as in TorusGreen.values.
     grid = _green_values(x1 - x2, y1 - y2, columns, np.array(norms), 1e-12)
     values = []
-    for alpha, tau, norm, lt1p, gs in zip(family.alphas, taus, norms, log_theta1_primes,
-                                          grid.T.tolist()):
-        diag = (_regularized_diagonal(tau, norm, lt1p, family.metric_scale)
+    for alpha, tau, norm, gs in zip(family.alphas, taus, norms, grid.T.tolist()):
+        diag = (_regularized_diagonal(tau, norm, log_abs_theta1_prime_zero(tau),
+                                      family.metric_scale)
                 if len(off) < len(terms) else None)
         values.append(alpha * _sum_terms(terms, gs, diag))
     values = tuple(values)
@@ -951,12 +951,11 @@ def degeneration_experiment(family):
     denom = abs(pred) if abs(pred) > 1e-9 else 1.0
     rel_error = abs(estimate - pred) / denom
     diffs = np.abs(np.array(values) - pred)
-    if np.all(diffs > 1e-13) and len(diffs) >= 2:
+    slope = math.nan
+    if np.all(diffs > 1e-13):
         lx = np.log(np.array(family.alphas))
+        lx -= lx.mean()
         ly = np.log(diffs)
-        lx = lx - lx.mean()
         slope = float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
-    else:
-        slope = float("nan")
     return ExperimentReport(float(estimate), float(pred), float(rel_error), slope,
                             family.alphas, values)

@@ -603,6 +603,21 @@ def test_lab_torus_limit_non_finite_numbers(capsys, tmp_path, field, value, wher
     assert f"{where}: {field} must be finite" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alphas", [0.01, 0.01], "alphas must hold at least two pairwise distinct values"),
+    ("alphas", [0.01], "alphas must hold at least two pairwise distinct values"),
+    ("metric_scale", 0, "metric_scale must be positive"),
+])
+def test_lab_torus_limit_unfittable_schedule(capsys, tmp_path, field, value, message):
+    # Each once exited 0: a repeated or lone alpha with a numpy warning and a
+    # false "remainder_at_noise_floor", a zero scale in a disjoint pairing.
+    family = tmp_path / "family.json"
+    dump_json({"y_total": 1, field: value, **_README_DIVISORS}, family)
+    result = run(capsys, "lab", "torus-limit", "--family", str(family))
+    _assert_one_line_input_error(result)
+    assert message in result[2]
+
+
 @pytest.mark.parametrize("extra", [{"alphas": [1e-320, 1e-2]}, {"imag_offset": 1e308}])
 def test_lab_torus_limit_im_tau_past_float_range(capsys, tmp_path, extra):
     # Im(tau) is inf, or 1e308 with 2 pi Im(tau) = inf: one error line and,
@@ -716,7 +731,7 @@ TORUS_LIMIT_FAMILIES = {
 # numpy may round the theta products differently and change a digest.
 RECORDED_TORUS_LIMIT_DIGESTS = {
     "readme": "8a04504534d4", "straight": "c85be8426f7d", "lorentzian self": "70052a241eb6",
-    "y_total 1e300": "24c22d9ed76f", "imag_offset 1e308": "cd70fe242c72",
+    "y_total 1e300": "06d7161b70aa", "imag_offset 1e308": "cd70fe242c72",
 }
 
 
@@ -728,6 +743,97 @@ def test_torus_limit_matches_recorded_digests(capsys, tmp_path):
         got[name] = hashlib.sha256(repr(run(capsys, "lab", "torus-limit", "--family",
                                             str(family))).encode()).hexdigest()[:12]
     assert got == RECORDED_TORUS_LIMIT_DIGESTS
+
+
+_BANANA = {
+    "vertices": ["v1", "v2"],
+    "edges": [{"id": "e1", "tail": "v1", "head": "v2"},
+              {"id": "e2", "tail": "v1", "head": "v2"}],
+    "markings": [{"id": "l1", "vertex": "v1", "momentum": [3]},
+                 {"id": "l2", "vertex": "v2", "momentum": [-3]}],
+    "minkowski": {"dim": 1, "signature": "euclidean"},
+}
+_POINT = {"omega": [[[0.0, 1.0]]], "w": [[0.25, 0.0]], "z": [[0.0, 0.5]], "rho": [0.0, 0.5]}
+# The README's inputs, and the bad inputs that must exit 2 with one error line.
+README_FILES = {
+    "banana.json": _BANANA,
+    "banana_matrix.json": {**_BANANA, "minkowski": {"dim": 1, "matrix": [[2]]}},
+    "mono.json": {"edges": {"e1": {"c": [1], "d1": {"l1": 1}, "d2": {"l2": 1}},
+                            "e2": {"c": [-1], "d1": {}, "d2": {}}},
+                  "sections1": ["l1"], "sections2": ["l2"]},
+    "point.json": _POINT,
+    "fixture.json": {"genus": 1, "dim": 1, "edge_ids": [],
+                     "terms": [{"field": "omega", "coeff": [[[0.0, 1.0]]]}]},
+    "segment.json": {"edges": {"e1": {"y_scale": 1.0},
+                               "e2": {"y_scale": 1.0, "phase_amplitude": 0.25,
+                                      "phase_frequency": 3.0}}},
+    "point_nan.json": {**_POINT, "omega": [[[math.nan, 1.0]]]},
+    "unconserved.json": {"y_total": 1,
+                         "divisor1": [{"c": 0, "momentum": [1]}, {"c": "1/2", "momentum": [-2]}],
+                         "divisor2": _README_DIVISORS["divisor2"]},
+    "mono_genus2.json": {"edges": {"e1": {"c": [1, 0], "d1": {}, "d2": {}},
+                                   "e2": {"c": [-1, 0], "d1": {}, "d2": {}}},
+                         "sections1": [], "sections2": []},
+}
+README_COMMANDS = {
+    "symanzik first": ["symanzik", "first", "--graph", "banana.json"],
+    "symanzik second": ["symanzik", "second", "--graph", "banana.json", "--check"],
+    "limit eval": ["limit", "eval", "--graph", "banana.json", "--fixture", "fixture.json",
+                   "--segment", "segment.json"],
+    "limit eval matrix": ["limit", "eval", "--graph", "banana_matrix.json",
+                          "--fixture", "fixture.json", "--segment", "segment.json"],
+    "poincare norm": ["poincare", "norm", "--point", "point.json"],
+    "sphere-crossratio": ["lab", "sphere-crossratio", "--points", "0", "1", "2", "4"],
+    "symanzik ratio": ["symanzik", "ratio", "--graph", "banana.json", "--y", "e1=1,e2=1",
+                       "--check"],
+    "curve stability": ["curve", "stability", "--graph", "banana.json"],
+    "curve dimensions": ["curve", "dimensions", "--graph", "banana.json"],
+    "monodromy check": ["monodromy", "check", "--graph", "banana.json",
+                        "--fixture", "mono.json"],
+    "missing file": ["symanzik", "first", "--graph", "missing.json"],
+    "broken json": ["symanzik", "first", "--graph", "broken.json"],
+    "ratio without y": ["symanzik", "ratio", "--graph", "banana.json"],
+    "bordered first": ["symanzik", "first", "--graph", "banana.json", "--method", "bordered"],
+    "unconserved family": ["lab", "torus-limit", "--family", "unconserved.json"],
+    "monodromy genus 2": ["monodromy", "check", "--graph", "banana.json",
+                          "--fixture", "mono_genus2.json"],
+    "crossratio nan": ["lab", "sphere-crossratio", "--points", "0", "1", "2", "nan"],
+    "poincare nan": ["poincare", "norm", "--point", "point_nan.json"],
+    "ratio overflow": ["symanzik", "ratio", "--graph", "<corpus>/banana3.json",
+                       "--y", "e1=1e400,e2=1,e3=1"],
+}
+# sha256 prefixes of (exit code, stdout, stderr) of the commands above, with
+# the input directory and the corpus directory replaced in every string.  The
+# numeric outputs pin numpy 2.4.6's float bits, as above.
+RECORDED_README_DIGESTS = {
+    "symanzik first": "61d2859c284b", "symanzik second": "a2e6322444f6",
+    "limit eval": "6ca3e3861233", "limit eval matrix": "f761dee07e53",
+    "poincare norm": "9e02a3c239e0", "sphere-crossratio": "783a6aaba79b",
+    "symanzik ratio": "47a8561cdd72", "curve stability": "4c78b7de2f97",
+    "curve dimensions": "370fce327272", "monodromy check": "89a0aa9c797b",
+    "missing file": "cdb95507eb83", "broken json": "99abdb992b93",
+    "ratio without y": "cf6e7de4eff6", "bordered first": "40c369db8492",
+    "unconserved family": "3c0eed70343f", "monodromy genus 2": "81f84618838f",
+    "crossratio nan": "bc2c61e607ad", "poincare nan": "ca981c158b17",
+    "ratio overflow": "acb45450fa1c",
+}
+
+
+def test_readme_commands_match_recorded_digests(capsys, tmp_path):
+    for name, data in README_FILES.items():
+        dump_json(data, tmp_path / name)
+    (tmp_path / "broken.json").write_text('{"vertices": ["v1", ', encoding="utf-8")
+    corpus = str(corpus_data_dir())
+    files = set(README_FILES) | {"broken.json", "missing.json"}
+    got = {}
+    for name, argv in README_COMMANDS.items():
+        argv = [str(tmp_path / a) if a in files else a.replace("<corpus>", corpus)
+                for a in argv]
+        result = run(capsys, *argv)
+        result = tuple(r.replace(str(tmp_path), "<tmp>").replace(corpus, "<corpus>")
+                       if isinstance(r, str) else r for r in result)
+        got[name] = hashlib.sha256(repr(result).encode()).hexdigest()[:12]
+    assert got == RECORDED_README_DIGESTS
 
 
 def test_corpus_run_missing_directory(capsys, tmp_path):

@@ -55,6 +55,18 @@ def test_theta_prime_is_eta_cubed():
         assert product == pytest.approx(eta_form, abs=1e-12)
 
 
+def test_theta_series_refuses_cancellation():
+    # At tau = 0.01i terms of order 1 cancel to 3e-10 at z = 0.3 + 0.005i,
+    # and theta1'(0) to 1.6e-14: the sums would be rounding noise.
+    with pytest.raises(ValueError, match="theta series cancels"):
+        theta1(0.3 + 0.5 * 0.01j, 0.01j)
+    with pytest.raises(ValueError, match="theta series cancels"):
+        theta1_prime_zero(0.01j)
+    # All-zero terms are no cancellation, and a small z keeps its digits.
+    assert theta1(0, 0.01j) == 0
+    assert theta1(1e-8, 0.8j) == pytest.approx(1e-8 * theta1_prime_zero(0.8j), rel=1e-12)
+
+
 def test_log_abs_theta_fractional_matches_series():
     rng = random.Random(9)
     for tau in TAUS:
@@ -91,8 +103,8 @@ def test_log_abs_theta_fractional_broadcasts():
 
 def test_array_tau_matches_one_call_per_tau():
     # Four moduli whose theta products take 136, 8, 3 and 3 factors in one
-    # call: the values, the lattice distances and the quadratures are those
-    # of one scalar call per modulus, bit for bit.
+    # call: the values and the lattice distances are those of one scalar
+    # call per modulus, bit for bit.
     rng = np.random.default_rng(19)
     taus = np.array([0.3 + 0.05j, -0.2 + 1.2j, 30j, 0.1 + 3000j])
     x = rng.uniform(0, 1, (7, 4))
@@ -108,8 +120,6 @@ def test_array_tau_matches_one_call_per_tau():
     row = log_abs_theta1_frac(0.3, 0.4, taus[[0, 1, 0]])
     alone = log_abs_theta1_frac(np.full(3, 0.3), 0.4, taus[0])
     assert row.shape == (3,) and row[0] == row[2] == alone[0]
-    assert normalization_by_quadrature(taus) == [normalization_by_quadrature(t)
-                                                 for t in taus.tolist()]
 
 
 def test_log_abs_theta_fractional_rejects_y_outside_unit_interval():
@@ -126,7 +136,6 @@ def test_normalization_matches_eta_expression():
         assert quad == pytest.approx(eta_form, abs=5e-13)
         green = TorusGreen(tau)
         assert green.normalization == pytest.approx(eta_form, abs=1e-15)
-        assert green.normalization_quadrature == pytest.approx(quad, abs=1e-15)
     # The degeneration experiments' moduli, |C(tau)| up to ~830.
     for tau in (32.3j, 1007j, 3184j, 1e5j):
         quad = normalization_by_quadrature(tau)
@@ -136,10 +145,10 @@ def test_normalization_matches_eta_expression():
 
 
 def test_normalization_mismatch_raises(monkeypatch):
-    # At Im(tau) = 1e300 the quadrature is off by ~1e284: pi Im(tau) / 3
-    # has no digits left for C(tau).
-    with pytest.raises(ValueError, match=r"Im\(tau\) = 1e\+300"):
-        TorusGreen(1e300j)
+    # At Im(tau) = 1e300, pi Im(tau) / 3 would have no digits left for C(tau).
+    for fn in (TorusGreen, normalization_by_quadrature):
+        with pytest.raises(ValueError, match=r"Im\(tau\) = 1e\+300"):
+            fn(1e300j)
     # A corrupted theta product fails the check at an ordinary modulus:
     # without the sum of log|1 - q^n| (off by 6.6e-3 at tau = 0.8i), and
     # with the quasi-period pi y Im(tau) squared in y (off by 0.42).
@@ -156,7 +165,20 @@ def test_normalization_mismatch_raises(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(lab, "log_abs_theta1_frac", corrupted)
             with pytest.raises(ValueError, match="disagrees with the closed form"):
-                TorusGreen(0.8j)
+                normalization_by_quadrature(0.8j)
+            # No torus runs the quadrature: it takes the closed form.
+            assert TorusGreen(0.8j).normalization == dedekind_eta_log_abs(0.8j)
+
+
+@pytest.mark.parametrize("re_tau", [0.0, 0.37])
+def test_im_tau_gate_is_deterministic(re_tau):
+    # Up to 1e10 a torus is taken; above, every modulus is refused.
+    assert TorusGreen(complex(re_tau, 1e10)).normalization == \
+        dedekind_eta_log_abs(complex(re_tau, 1e10))
+    for im in (1.78e10, 3.16e11, 1e12):
+        for fn in (TorusGreen, normalization_by_quadrature):
+            with pytest.raises(ValueError, match=r"Im\(tau\) = .* is above 1e10"):
+                fn(complex(re_tau, im))
 
 
 def test_small_im_tau_hits_the_term_cap():
@@ -618,46 +640,6 @@ def test_experiment_matches_per_torus_reference():
             assert a == b or (name == "slope" and math.isnan(a) and math.isnan(b)), name
 
 
-def test_schedule_constants_are_checked_once_per_schedule():
-    # Two families with other divisors on one schedule (y_total 1, offset
-    # 0.5, the default alphas); the second is a self-pairing, so it reads
-    # the cached log|theta1'(0)| too.
-    families = [DegenerationFamily(**DISJOINT),
-                DegenerationFamily(1.0, [(Fraction(0), 0.1, (1,)), (Fraction(1, 3), 0.6, (-1,))])]
-    lab._schedule_constants.cache_clear()
-    for family in families:
-        got = degeneration_experiment(family)
-        want = _per_torus_report(family)
-        for name, a, b in zip(got._fields, got, want):
-            assert a == b or (name == "slope" and math.isnan(a) and math.isnan(b)), name
-    info = lab._schedule_constants.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    maxsize = lab._schedule_constants.cache_parameters()["maxsize"]
-    assert isinstance(maxsize, int) and maxsize > 0
-
-
-def test_schedule_check_failure_is_not_cached(monkeypatch):
-    # Moduli 0.64i and 0.80i, where dropping the sum of log|1 - q^n| from
-    # the theta product moves the quadrature by 6.6e-3 or more.
-    family = DegenerationFamily(**DISJOINT, imag_offset=0.0, alphas=(0.25, 0.2))
-    exact = lab.log_abs_theta1_frac
-
-    # A schedule's quadrature passes one modulus per point.
-    q_sum = np.vectorize(lambda t: dedekind_eta_log_abs(t) + math.pi * t.imag / 12.0,
-                         otypes=[float])
-
-    def no_q_factors(x, y, tau):
-        return exact(x, y, tau) - q_sum(tau)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(lab, "log_abs_theta1_frac", no_q_factors)
-        lab._schedule_constants.cache_clear()
-        for _ in range(2):
-            with pytest.raises(ValueError, match="disagrees with the closed form"):
-                degeneration_experiment(family)
-    assert degeneration_experiment(family).prediction == pytest.approx(0.125)
-
-
 def test_straight_family_converges_superpolynomially():
     report = degeneration_experiment(
         DegenerationFamily(**DISJOINT, imag_offset=0.0)
@@ -727,6 +709,14 @@ def test_family_validation():
         DegenerationFamily(0.0, DISJOINT["divisor1"], DISJOINT["divisor2"])
     with pytest.raises(ValueError, match="insertion x must be finite"):
         DegenerationFamily(1.0, [(0, math.nan, (1,)), (Fraction(1, 2), 0.0, (-1,))])
+    # No slope can be fitted through fewer than two distinct alphas; the
+    # metric scale must be positive in either mode.
+    for alphas in ((0.01,), (0.01, 0.01), (0.01, 0.001, 0.01), ()):
+        with pytest.raises(ValueError, match="alphas must hold at least two pairwise distinct"):
+            DegenerationFamily(**dict(DISJOINT, alphas=alphas))
+    for scale in (0.0, -1.0):
+        with pytest.raises(ValueError, match="metric_scale must be positive"):
+            DegenerationFamily(**dict(DISJOINT, metric_scale=scale))
     # The regularized diagonal's scale tests no longer let NaN or +inf through.
     with pytest.raises(ValueError, match="metric scale must be positive"):
         TorusGreen(0.8j).regularized_diagonal(math.nan)
