@@ -319,14 +319,14 @@ def _ray_weights(direction, edges):
 
 
 def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays=None,
-                           ts=None, space=None, h0=0.0, tol_increment=1e-4, tol_rate=1e-6):
+                           ts=None, space=None, h0=0.0):
     """Scan ``height - tropical height`` along rays y = t * direction.
 
     For each ray the remainder is sampled on a geometric t-grid (default
     up to 1e4); the report records its sup, the final Cauchy increment
-    and a terminal linear growth rate.  ``bounded`` holds when the
-    increments die out and the rate is negligible, both measured against
-    ``tol * max(1, |p1| |p2|)`` with |p| the Euclidean norm of all of a
+    and a terminal linear growth rate.  ``bounded`` holds when the final
+    increment is at most 1e-4 and the rate at most 1e-6, both times
+    ``max(1, |p1| |p2|)`` with |p| the Euclidean norm of all of a
     divisor's momentum components.  The remainder is bilinear in the
     momenta, so the verdict does not depend on their size, and the scale
     does not grow with t, so a drifting remainder cannot raise its own
@@ -371,8 +371,7 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
         rem = h - ts * (2.0 * math.pi * ratio)
         increments = np.abs(np.diff(rem))
         rate = (rem[-1] - rem[-2]) / (ts[-1] - ts[-2])
-        bounded = bool(increments[-1] <= tol_increment * scale
-                       and abs(rate) <= tol_rate * scale)
+        bounded = bool(increments[-1] <= 1e-4 * scale and abs(rate) <= 1e-6 * scale)
         reports.append(RayReport(dict(direction), float(np.max(np.abs(rem))),
                                  float(increments[-1]), float(rate), bounded))
     return reports

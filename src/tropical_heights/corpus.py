@@ -45,24 +45,6 @@ def _canonical_key(n_vertices, pairs):
     return n_vertices, best
 
 
-def _is_connected_pairs(n_vertices, pairs):
-    if n_vertices == 1:
-        return True
-    adj = {i: set() for i in range(n_vertices)}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n_vertices
-
-
 def _pairs_to_graph(n_vertices, pairs):
     vertices = [f"v{i + 1}" for i in range(n_vertices)]
     edges = [(f"e{k + 1}", f"v{a + 1}", f"v{b + 1}")
@@ -86,13 +68,14 @@ def exhaustive_small_graphs(max_edges=4):
                 touched = {v for pair in combo for v in pair}
                 if len(touched) != nv:
                     continue
-                if not _is_connected_pairs(nv, combo):
+                graph = _pairs_to_graph(nv, combo)
+                if not graph.is_connected():
                     continue
                 key = _canonical_key(nv, combo)
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(_pairs_to_graph(nv, list(combo)))
+                out.append(graph)
     return out
 
 

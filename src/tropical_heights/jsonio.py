@@ -1,6 +1,8 @@
 """JSON schemas for graphs, fixtures, and experiment configurations.
 
-Conventions shared by every schema here:
+The module reads every schema; :func:`graph_bundle_to_json` is its one
+writer, with which the bundled corpus is written.  Conventions shared by
+every schema here:
 
 * rationals are JSON integers or strings like ``"3/2"`` (decimal strings
   are read exactly; floats are read via their shortest decimal form);
@@ -106,17 +108,8 @@ def complex_from_json(value, path=()):
     return out
 
 
-def complex_to_json(value):
-    value = complex(value)
-    return [value.real, value.imag]
-
-
 def complex_vector_from_json(value, path=()):
     return [complex_from_json(x, path + (i,)) for i, x in enumerate(_as_list(value, path))]
-
-
-def complex_vector_to_json(vec):
-    return [complex_to_json(x) for x in vec]
 
 
 def complex_matrix_from_json(value, path=()):
@@ -127,10 +120,6 @@ def complex_matrix_from_json(value, path=()):
     if any(len(row) != len(out[0]) for row in out):
         raise SchemaError("matrix rows must all have the same length", path)
     return out
-
-
-def complex_matrix_to_json(mat):
-    return [complex_vector_to_json(row) for row in mat]
 
 
 def rational_vector_from_json(value, path=()):
@@ -360,19 +349,6 @@ def monodromy_fixture_from_json(data, path=()):
     return vc, sc
 
 
-def monodromy_fixture_to_json(vc, sc):
-    edges = {}
-    for eid in vc.edges():
-        edges[eid] = {
-            "c": list(vc.vector(eid)),
-            "d1": dict(sc.crossings(eid, 1)),
-            "d2": dict(sc.crossings(eid, 2)),
-        }
-    return {"edges": edges,
-            "sections1": list(sc.sections1),
-            "sections2": list(sc.sections2)}
-
-
 # ---------------------------------------------------------------------------
 # Biextension points
 
@@ -386,15 +362,6 @@ def biextension_point_from_json(data, path=()):
         return BiextensionPoint(omega, w, z, rho)
     except ValueError as exc:
         raise SchemaError(str(exc), path) from None
-
-
-def biextension_point_to_json(point):
-    return {
-        "omega": complex_matrix_to_json(point.omega.tolist()),
-        "w": complex_vector_to_json(point.w.tolist()),
-        "z": complex_vector_to_json(point.z.tolist()),
-        "rho": complex_to_json(point.rho),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +396,6 @@ def holomorphic_fixture_from_json(data, path=()):
     return fx
 
 
-def holomorphic_fixture_to_json(fixture):
-    terms = []
-    for field in fixture._FIELDS:
-        for key in sorted(fixture.terms[field]):
-            coeff = fixture.terms[field][key]
-            entry = {"field": field, "coeff": complex_matrix_to_json(coeff.tolist())}
-            exponents = {e: k for e, k in zip(fixture.edge_ids, key) if k}
-            if exponents:
-                entry["exponents"] = exponents
-            terms.append(entry)
-    return {"genus": fixture.genus, "dim": fixture.dim,
-            "edge_ids": list(fixture.edge_ids), "terms": terms}
-
-
 def segment_from_json(data, path=()):
     from .asymptotics import AdmissibleSegment, SegmentEdge
     known = set(SegmentEdge._fields)
@@ -459,29 +412,12 @@ def segment_from_json(data, path=()):
             raise SchemaError(f"unknown segment fields {sorted(unknown)}", epath)
         if "y_scale" not in entry:
             raise SchemaError("missing required field 'y_scale'", epath)
-        fields = {}
-        for k, v in entry.items():
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise SchemaError(f"field {k!r} must be a number", epath + (k,))
-            fields[k] = float(v)
-        parsed[eid] = SegmentEdge(**fields)
+        parsed[eid] = SegmentEdge(**{k: _finite_number(v, epath + (k,), f"field {k!r}")
+                                     for k, v in entry.items()})
     try:
         return AdmissibleSegment(parsed)
     except ValueError as exc:
         raise SchemaError(str(exc), path) from None
-
-
-def segment_to_json(segment):
-    out = {}
-    for eid, spec in sorted(segment.edges.items()):
-        entry = {"y_scale": spec.y_scale}
-        for field in ("phase_amplitude", "phase_frequency", "phase_offset",
-                      "imag_offset"):
-            value = getattr(spec, field)
-            if value:
-                entry[field] = value
-        out[eid] = entry
-    return {"edges": out}
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +428,10 @@ def _divisor_from_json(value, path):
     for i, ins in enumerate(_as_list(value, path)):
         ipath = path + (i,)
         c = rational_from_json(_require(ins, "c", ipath), ipath + ("c",))
-        x = ins.get("x", 0)
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SchemaError("x must be a number", ipath + ("x",))
+        x = _finite_number(ins.get("x", 0), ipath + ("x",), "x")
         momentum = rational_vector_from_json(_require(ins, "momentum", ipath),
                                              ipath + ("momentum",))
-        out.append((c, float(x), momentum))
+        out.append((c, x, momentum))
     return out
 
 
@@ -517,6 +451,10 @@ def _finite_number(value, path, name):
 def degeneration_family_from_json(data, path=()):
     from .lab import DegenerationFamily
     y_total = rational_from_json(_require(data, "y_total", path), path + ("y_total",))
+    try:
+        y_total = float(y_total)
+    except OverflowError:
+        raise SchemaError("y_total must be finite as a float", path + ("y_total",)) from None
     divisor1 = _divisor_from_json(_require(data, "divisor1", path), path + ("divisor1",))
     divisor2 = None
     if data.get("divisor2") is not None:
@@ -538,25 +476,7 @@ def degeneration_family_from_json(data, path=()):
     if "mode" in data:
         kwargs["mode"] = data["mode"]
     try:
-        return DegenerationFamily(float(y_total), divisor1, divisor2, space=space,
+        return DegenerationFamily(y_total, divisor1, divisor2, space=space,
                                   **kwargs)
     except ValueError as exc:
         raise SchemaError(str(exc), path) from None
-
-
-def degeneration_family_to_json(family):
-    def divisor(insertions):
-        return [{"c": rational_to_json(ins.c), "x": ins.x,
-                 "momentum": [rational_to_json(p) for p in ins.momentum]}
-                for ins in insertions]
-
-    data = {"y_total": family.y_total,
-            "divisor1": divisor(family.divisor1),
-            "mode": family.mode,
-            "alphas": list(family.alphas),
-            "imag_offset": family.imag_offset,
-            "metric_scale": family.metric_scale,
-            "minkowski": minkowski_to_json(family.space)}
-    if family.divisor2 is not None:
-        data["divisor2"] = divisor(family.divisor2)
-    return data

@@ -434,9 +434,10 @@ class TorusGreen:
         as in :func:`log_abs_theta1_frac` (every y in [0, 1))."""
         return _green_frac(x, y, self.tau, self.normalization)
 
-    def values(self, zs, ws, min_distance=1e-12):
+    def values(self, zs, ws):
         """g(z - w) for paired sequences of complex or TorusPoint
-        arguments, as one float array; raises if any pair coincides."""
+        arguments, as one float array; raises if any pair coincides, that
+        is lies within ``_MIN_DISTANCE * max(1, Im(tau))`` of the lattice."""
         import numpy as np
         ps = [self._coerce_point(z) for z in zs]
         qs = [self._coerce_point(w) for w in ws]
@@ -444,16 +445,17 @@ class TorusGreen:
             raise ValueError("values needs as many second points as first points")
         return _green_values(np.array([p.x for p in ps]) - np.array([q.x for q in qs]),
                              np.array([p.y for p in ps]) - np.array([q.y for q in qs]),
-                             self.tau, self.normalization, min_distance)
+                             self.tau, self.normalization)
 
-    def value(self, z, w=0.0, min_distance=1e-12):
-        """g(z - w) for complex or TorusPoint arguments.
+    def value(self, z, w=0.0):
+        """g(z - w) for complex or TorusPoint arguments; raises at a
+        coincidence as :meth:`values` does.
 
         One pair takes a scalar ``math``/``cmath`` loop, not the array
         route of :meth:`values`: it makes the same coincidence decision
         and agrees with ``values`` up to rounding, not bit for bit."""
         p, q = self._coerce_point(z), self._coerce_point(w)
-        return _green_point(p.x - q.x, p.y - q.y, self.tau, self.normalization, min_distance)
+        return _green_point(p.x - q.x, p.y - q.y, self.tau, self.normalization)
 
     def regularized_diagonal(self, metric_scale=1.0):
         """Limit of g(z, w) + log d(z, w) as w -> z, in the unit-area flat
@@ -541,18 +543,23 @@ def _green_frac(x, y, tau, normalization):
             + math.pi * y * y * tau.imag + normalization)
 
 
-def _green_values(x, y, tau, normalization, min_distance):
+# Smallest distance from the lattice, relative to max(1, Im(tau)), at which
+# the Green's function is evaluated; nearer pairs count as coincident.
+_MIN_DISTANCE = 1e-12
+
+
+def _green_values(x, y, tau, normalization):
     """:func:`_green_frac` at fractional differences ``x``, ``y`` (float
     arrays, reduced mod 1 in place); raises if any pair coincides."""
     import numpy as np
     x, y = _unit_fracs(x), _unit_fracs(y)
     if np.any(_min_image_distance(x, y, tau)
-              < min_distance * np.maximum(1.0, tau.imag)):
+              < _MIN_DISTANCE * np.maximum(1.0, tau.imag)):
         raise ValueError("Green's function evaluated at coincident points")
     return _green_frac(x, y, tau, normalization)
 
 
-def _green_point(x, y, tau, normalization, min_distance):
+def _green_point(x, y, tau, normalization):
     """:func:`_green_values` of one pair in ``math`` and ``cmath``: at a
     single point the array route's time is mostly numpy's per-call cost,
     paid for each of its some 70 array operations.  The coincidence test
@@ -571,18 +578,16 @@ def _green_point(x, y, tau, normalization, min_distance):
             re = (rx + y * re_tau) + (dx + dy * re_tau)
             i = y * im + dy * im
             nearest = min(nearest, re * re + i * i)
-    if math.sqrt(nearest) < min_distance * max(1.0, im):
+    if math.sqrt(nearest) < _MIN_DISTANCE * max(1.0, im):
         raise ValueError("Green's function evaluated at coincident points")
     if not 0.0 <= y < 1.0:
         raise ValueError("fractional coordinate y must lie in [0, 1)")
     terms = _product_terms(im)
     qn, log_qn = _nome_powers(tau, terms)
-    # The factors of log_abs_theta1_frac, in its order; only |1 - w| can
-    # vanish, at a coincidence that min_distance <= 0 lets through.
+    # The factors of log_abs_theta1_frac, in its order.
     w = cmath.exp(2j * math.pi * (x + y * tau))
     v = cmath.exp(2j * math.pi * ((1.0 - y) * tau - x))
-    first = abs(1.0 - w)
-    out = -math.pi * im / 4.0 + math.pi * y * im + (math.log(first) if first else -math.inf)
+    out = -math.pi * im / 4.0 + math.pi * y * im + math.log(abs(1.0 - w))
     for n in range(1, terms + 1):
         out += log_qn[n - 1]
         out += math.log(abs((1.0 - w * qn[n]) * (1.0 - v * qn[n - 1])))
@@ -815,8 +820,9 @@ class DegenerationFamily:
     reproduces the straight family, whose remainder decays faster than
     any power).  Every number must be finite; a NaN or infinite one
     raises a ``ValueError`` that names its field, as do fewer than two
-    pairwise distinct ``alphas`` (no slope can be fitted) and a
-    ``metric_scale`` that is not positive.
+    ``alphas`` with pairwise distinct logarithms (no slope can be
+    fitted), an ``imag_offset`` that leaves Im(tau) <= 0 at the largest
+    alpha, and a ``metric_scale`` that is not positive.
     """
 
     __slots__ = ("y_total", "divisor1", "divisor2", "space", "alphas",
@@ -844,12 +850,19 @@ class DegenerationFamily:
         if self.divisor2 is not None:
             _check_conserved([i.momentum for i in self.divisor2], "second divisor")
         self.alphas = tuple(sorted((_finite(a, "alphas") for a in alphas), reverse=True))
+        distinct = "alphas must hold at least two pairwise distinct values"
         if len(self.alphas) < 2 or len(set(self.alphas)) < len(self.alphas):
-            raise ValueError(f"alphas must hold at least two pairwise distinct values, "
-                             f"got {list(self.alphas)}")
+            raise ValueError(f"{distinct}, got {list(self.alphas)}")
         if self.alphas[-1] <= 0:
             raise ValueError("alphas must be positive")
+        # The slope is fitted in log(alpha): distinct floats with one
+        # logarithm would divide 0 by 0.
+        if len({math.log(a) for a in self.alphas}) < len(self.alphas):
+            raise ValueError(f"{distinct} of log(alpha), got {list(self.alphas)}")
         self.imag_offset = _finite(imag_offset, "imag_offset")
+        if not self.tau(self.alphas[0]).imag > 0:
+            raise ValueError(f"imag_offset = {self.imag_offset!r} puts Im(tau) at or "
+                             f"below 0 at the largest alpha {self.alphas[0]!r}")
         self.metric_scale = _finite(metric_scale, "metric_scale")
         if self.metric_scale <= 0:
             raise ValueError(f"metric_scale must be positive, got {self.metric_scale!r}")
@@ -938,8 +951,7 @@ def degeneration_experiment(family):
     off = [(family.divisor1[i], second[j]) for i, j, _c in terms
            if not (self_mode and i == j)]
     (x1, y1), (x2, y2) = (fractional([pair[k] for pair in off]) for k in (0, 1))
-    # min_distance as in TorusGreen.values.
-    grid = _green_values(x1 - x2, y1 - y2, columns, np.array(norms), 1e-12)
+    grid = _green_values(x1 - x2, y1 - y2, columns, np.array(norms))
     values = []
     for alpha, tau, norm, gs in zip(family.alphas, taus, norms, grid.T.tolist()):
         diag = (_regularized_diagonal(tau, norm, log_abs_theta1_prime_zero(tau),

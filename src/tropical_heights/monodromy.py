@@ -311,17 +311,17 @@ def translation_block_check(basis, vc, sc, p1, p2, space, lift1=None, lift2=None
     return BlockCheckReport(not failures, failures)
 
 
-def consistent_fixture(graph, basis, space, sections1, sections2, rng,
-                       detour_range=2, momentum_range=6):
+def consistent_fixture(graph, basis, space, sections1, sections2, rng):
     """Random crossing data consistent with the graph's cycle geometry.
 
     Vanishing-cycle coordinates are the negatives of the fundamental
     cycle coefficients (the sign fixed by the symplectic conventions
     above); crossing counts come from the tree paths from the base point
     (the designated tree's root, the smallest vertex id) to each section,
-    side 2 additionally winding around random basis cycles.  Marked
-    momenta are random conserved rationals.  Returns (vc, sc, p1, p2)
-    with sections placed on random vertices.
+    side 2 additionally winding -2 to 2 times around each basis cycle.
+    Marked momenta are random conserved integers, components in [-6, 6]
+    but for the last section's, which balances the others.  Returns
+    (vc, sc, p1, p2) with sections placed on random vertices.
 
     Side 1 uses pure tree paths, so its crossing lift coincides with the
     tree-supported :func:`~tropical_heights.symanzik.momentum_lift` of
@@ -348,7 +348,7 @@ def consistent_fixture(graph, basis, space, sections1, sections2, rng,
                 chain[e] = -sign
             if with_detours and h:
                 for cyc in basis.cycles:
-                    k = rng.randrange(-detour_range, detour_range + 1)
+                    k = rng.randrange(-2, 3)
                     if k:
                         for e, coef in cyc.coeffs.items():
                             chain[e] = chain.get(e, 0) + k * coef
@@ -359,7 +359,7 @@ def consistent_fixture(graph, basis, space, sections1, sections2, rng,
         ps = {}
         total = [Fraction(0)] * space.dim
         for l in labels[:-1]:
-            vec = tuple(Fraction(rng.randrange(-momentum_range, momentum_range + 1))
+            vec = tuple(Fraction(rng.randrange(-6, 7))
                         for _ in range(space.dim))
             ps[l] = vec
             for i, x in enumerate(vec):

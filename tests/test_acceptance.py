@@ -176,8 +176,7 @@ def test_criterion_05_bounded_remainder_with_negative_control():
     for graph, genus, rays in cases:
         mom = MomentumAssignment(D1, {"v1": (1,), "v2": (-1,)})
         fx = HolomorphicFixture.constant(np.eye(genus) * 1j)
-        reports = bounded_remainder_scan(graph, mom, mom, fx, rays=rays,
-                                         tol_increment=tol_increment)
+        reports = bounded_remainder_scan(graph, mom, mom, fx, rays=rays)
         for rep in reports:
             assert rep.bounded, f"remainder unbounded on ray {rep.direction}: {rep}"
             assert rep.final_increment <= tol_increment

@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -390,13 +392,17 @@ def test_limit_eval_nonfinite_segment_names_field(capsys, tmp_path, banana_path)
         fixture,
     )
     segment = tmp_path / "segment.json"
-    segment.write_text('{"edges": {"e1": {"y_scale": NaN}, "e2": {"y_scale": 1.0}}}')
-    code, out, err = run(
-        capsys, "limit", "eval", "--graph", banana_path,
-        "--fixture", str(fixture), "--segment", str(segment),
-    )
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and "'y_scale' must be finite" in err
+    # An integer past the float range once raised a bare OverflowError.
+    for y_scale in ("NaN", "1" + "0" * 400):
+        segment.write_text('{"edges": {"e1": {"y_scale": %s}, "e2": {"y_scale": 1.0}}}'
+                           % y_scale)
+        code, out, err = run(
+            capsys, "limit", "eval", "--graph", banana_path,
+            "--fixture", str(fixture), "--segment", str(segment),
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and "edges.e1.y_scale:" in err
+        assert "'y_scale' must be finite" in err
 
 
 def test_limit_eval_overflowing_vertical_coordinate_names_field(capsys, tmp_path,
@@ -591,6 +597,8 @@ def test_lab_torus_limit_never_degenerating_family_is_input_error(capsys, tmp_pa
     ("imag_offset", -math.inf, "imag_offset"),
     ("alphas", [1e-2, math.nan], "alphas.1"),
     ("alphas", [math.inf], "alphas.0"),
+    # Past the float range as an exact rational: once a bare OverflowError.
+    pytest.param("y_total", 10 ** 400, "y_total", id="y_total-10**400-y_total"),
 ])
 def test_lab_torus_limit_non_finite_numbers(capsys, tmp_path, field, value, where):
     family = tmp_path / "family.json"
@@ -607,15 +615,32 @@ def test_lab_torus_limit_non_finite_numbers(capsys, tmp_path, field, value, wher
     ("alphas", [0.01, 0.01], "alphas must hold at least two pairwise distinct values"),
     ("alphas", [0.01], "alphas must hold at least two pairwise distinct values"),
     ("metric_scale", 0, "metric_scale must be positive"),
+    ("alphas", [0.01, 0.010000000000000002],
+     "alphas must hold at least two pairwise distinct values"),
+    ("imag_offset", -1e300, "imag_offset = -1e+300 puts Im(tau) at or below 0"),
 ])
 def test_lab_torus_limit_unfittable_schedule(capsys, tmp_path, field, value, message):
-    # Each once exited 0: a repeated or lone alpha with a numpy warning and a
-    # false "remainder_at_noise_floor", a zero scale in a disjoint pairing.
+    # Each but the last once exited 0: a repeated or lone alpha, or two with
+    # one logarithm, with a numpy warning and a false
+    # "remainder_at_noise_floor"; a zero scale in a disjoint pairing.  The
+    # offset that leaves no torus in the upper half-plane exited 2 with a
+    # message that named no field.
     family = tmp_path / "family.json"
     dump_json({"y_total": 1, field: value, **_README_DIVISORS}, family)
     result = run(capsys, "lab", "torus-limit", "--family", str(family))
     _assert_one_line_input_error(result)
     assert message in result[2]
+
+
+def test_lab_torus_limit_overflowing_x_names_field(capsys, tmp_path):
+    # Once a bare "int too large to convert to float".
+    family = tmp_path / "family.json"
+    dump_json({"y_total": 1, "divisor2": _README_DIVISORS["divisor2"],
+               "divisor1": [{"c": 0, "x": 10 ** 400, "momentum": [1]},
+                            {"c": "1/2", "momentum": [-1]}]}, family)
+    result = run(capsys, "lab", "torus-limit", "--family", str(family))
+    _assert_one_line_input_error(result)
+    assert "divisor1.0.x: x must be finite" in result[2]
 
 
 @pytest.mark.parametrize("extra", [{"alphas": [1e-320, 1e-2]}, {"imag_offset": 1e308}])
@@ -680,32 +705,60 @@ def test_corpus_run_cli(capsys, tmp_path):
     assert "s" in err
 
 
+def digest(result, replace=()):
+    """sha256 prefix of ``repr(result)``; each (old, new) pair of
+    ``replace`` is first applied, in order, to every string of the tuple
+    ``result``, to take machine-dependent paths out."""
+    for old, new in replace:
+        result = tuple(r.replace(old, new) if isinstance(r, str) else r for r in result)
+    return hashlib.sha256(repr(result).encode()).hexdigest()[:12]
+
+
 # sha256 prefixes of (exit code, stdout) of the exact-layer commands on the
 # bundled corpus: per graph, `symanzik first --method det|trees` and
 # `symanzik second --method bordered|forests`; then `corpus run` on the
-# bundled directory, whose echoed path is replaced.
+# bundled directory, whose echoed path is replaced.  "<graph> y" is
+# `symanzik first --check` at every edge length 1, and "<graph> ratio" is
+# `symanzik ratio --check` at lengths drawn from one seeded random.Random,
+# on the graphs whose markings carry momenta.
 RECORDED_CLI_DIGESTS = {
     "banana2": "8e0a89851ea0", "banana3": "6dd222edabe3", "bowtie": "9d89c6e3d0e7",
     "dumbbell": "267ef88394ef", "house": "066e80cc1541", "k23": "9d7db886cc05",
     "k4": "41b73ddc1226", "loop": "d5bbe6691405", "single_edge": "73e83ee5c07d",
     "square": "6d06d0e3b3a8", "triangle": "dcc16d9e06ba", "triangle_loop": "2fecd1b2b547",
     "corpus run": "3938569f8f59",
+    "banana2 y": "db5c9682d4ff", "banana3 y": "64128352366b", "bowtie y": "db11382bd6fb",
+    "dumbbell y": "233ed893da3e", "house y": "2c95a66e32c6", "k23 y": "d6145d572a87",
+    "k4 y": "054789044096", "loop y": "233ed893da3e", "single_edge y": "233ed893da3e",
+    "square y": "6575788f702c", "triangle y": "64128352366b",
+    "triangle_loop y": "64128352366b",
+    "banana2 ratio": "ee86459b6cd9", "banana3 ratio": "40008a899ffa",
+    "bowtie ratio": "6ab4f136377b", "k23 ratio": "e843eb4cd16f",
+    "triangle ratio": "444be8442386",
 }
 
 
 def test_exact_commands_match_recorded_digests(capsys):
-    def digest(results):
-        return hashlib.sha256(repr(results).encode()).hexdigest()[:12]
-
     directory = corpus_data_dir()
+    rng = random.Random(6)
     got = {}
     for path in sorted(directory.glob("*.json")):
         got[path.stem] = digest([
             run(capsys, "symanzik", which, "--method", method, "--graph", str(path))[:2]
             for which, method in (("first", "det"), ("first", "trees"),
                                   ("second", "bordered"), ("second", "forests"))])
+        data = json.loads(path.read_text(encoding="utf-8"))
+        edges = [e["id"] for e in data["edges"]]
+        got[path.stem + " y"] = digest(run(
+            capsys, "symanzik", "first", "--check", "--graph", str(path),
+            "--y", ",".join(f"{e}=1" for e in edges))[:2])
+        if any(m.get("momentum") for m in data.get("markings", [])):
+            lengths = ",".join(f"{e}={round(rng.uniform(0.25, 4.0), 6)!r}" for e in edges)
+            got[path.stem + " ratio"] = digest(run(
+                capsys, "symanzik", "ratio", "--check", "--graph", str(path),
+                "--y", lengths)[:2])
     code, out, _ = run(capsys, "corpus", "run", str(directory))
-    got["corpus run"] = digest((code, out.replace(json.dumps(str(directory)), '"<corpus>"')))
+    got["corpus run"] = digest((code, out), [(json.dumps(str(directory)), '"<corpus>"')])
     assert got == RECORDED_CLI_DIGESTS
 
 
@@ -726,12 +779,45 @@ TORUS_LIMIT_FAMILIES = {
     "y_total 1e300": {"y_total": 1e300, **_README_DIVISORS},
     "imag_offset 1e308": {"y_total": 1, "imag_offset": 1e308, **_README_DIVISORS},
 }
+
+
+def _seeded_torus_family(seed):
+    """A family of the torus-lab benchmark's shape, drawn from random.Random(seed):
+    even seeds pair two disjoint divisors in Euclidean dimension 1, odd
+    seeds self-pair four null momenta (E, +-E n) and (-E, +-E m) in
+    Lorentzian dimension 4.  Every insertion has a nonzero x."""
+    rng = random.Random(seed)
+    cs = [f"{k}/16" for k in rng.sample(range(16), 4)]
+    if seed % 2 == 0:
+        a, b = rng.randint(1, 3), rng.randint(1, 3) * rng.choice((1, -1))
+        momenta = [[a], [-a], [b], [-b]]
+        space = {"dim": 1, "signature": "euclidean"}
+    else:
+        energy = Fraction(rng.randint(1, 3))
+        units = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (Fraction(3, 5), Fraction(4, 5), 0),
+                 (0, Fraction(3, 5), Fraction(-4, 5))]
+        n, m = rng.sample(units, 2)
+        momenta = [[str(s * energy)] + [str(t * energy * u) for u in unit]
+                   for s, t, unit in ((1, 1, n), (1, -1, n), (-1, 1, m), (-1, -1, m))]
+        space = {"dim": 4, "signature": "lorentzian"}
+    divisor = [{"c": c, "x": round(rng.uniform(0.05, 0.95), 6), "momentum": p}
+               for c, p in zip(cs, momenta)]
+    if seed % 2 == 0:
+        return {"y_total": 2, "minkowski": space,
+                "divisor1": divisor[:2], "divisor2": divisor[2:]}
+    return {"y_total": 2, "minkowski": space, "divisor1": divisor}
+
+
+TORUS_LIMIT_FAMILIES.update({f"seeded {seed}": _seeded_torus_family(seed)
+                             for seed in range(1, 7)})
 # sha256 prefixes of (exit code, stdout, stderr) of `lab torus-limit` on the
 # families above.  The numeric outputs pin numpy 2.4.6's float bits: another
 # numpy may round the theta products differently and change a digest.
 RECORDED_TORUS_LIMIT_DIGESTS = {
     "readme": "8a04504534d4", "straight": "c85be8426f7d", "lorentzian self": "70052a241eb6",
     "y_total 1e300": "06d7161b70aa", "imag_offset 1e308": "cd70fe242c72",
+    "seeded 1": "614b317e788d", "seeded 2": "fd57915083c4", "seeded 3": "fbf0e8ebe88b",
+    "seeded 4": "2180cea4c13b", "seeded 5": "5f3a569c23ee", "seeded 6": "912a6c29ab4d",
 }
 
 
@@ -740,8 +826,7 @@ def test_torus_limit_matches_recorded_digests(capsys, tmp_path):
     for name, data in TORUS_LIMIT_FAMILIES.items():
         family = tmp_path / "family.json"
         dump_json(data, family)
-        got[name] = hashlib.sha256(repr(run(capsys, "lab", "torus-limit", "--family",
-                                            str(family))).encode()).hexdigest()[:12]
+        got[name] = digest(run(capsys, "lab", "torus-limit", "--family", str(family)))
     assert got == RECORDED_TORUS_LIMIT_DIGESTS
 
 
@@ -829,10 +914,8 @@ def test_readme_commands_match_recorded_digests(capsys, tmp_path):
     for name, argv in README_COMMANDS.items():
         argv = [str(tmp_path / a) if a in files else a.replace("<corpus>", corpus)
                 for a in argv]
-        result = run(capsys, *argv)
-        result = tuple(r.replace(str(tmp_path), "<tmp>").replace(corpus, "<corpus>")
-                       if isinstance(r, str) else r for r in result)
-        got[name] = hashlib.sha256(repr(result).encode()).hexdigest()[:12]
+        got[name] = digest(run(capsys, *argv),
+                           [(str(tmp_path), "<tmp>"), (corpus, "<corpus>")])
     assert got == RECORDED_README_DIGESTS
 
 

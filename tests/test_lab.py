@@ -709,14 +709,18 @@ def test_family_validation():
         DegenerationFamily(0.0, DISJOINT["divisor1"], DISJOINT["divisor2"])
     with pytest.raises(ValueError, match="insertion x must be finite"):
         DegenerationFamily(1.0, [(0, math.nan, (1,)), (Fraction(1, 2), 0.0, (-1,))])
-    # No slope can be fitted through fewer than two distinct alphas; the
-    # metric scale must be positive in either mode.
-    for alphas in ((0.01,), (0.01, 0.01), (0.01, 0.001, 0.01), ()):
+    # No slope can be fitted through fewer than two alphas with distinct
+    # logarithms; the metric scale must be positive in either mode.
+    for alphas in ((0.01,), (0.01, 0.01), (0.01, 0.001, 0.01), (),
+                   (0.01, 0.010000000000000002)):
         with pytest.raises(ValueError, match="alphas must hold at least two pairwise distinct"):
             DegenerationFamily(**dict(DISJOINT, alphas=alphas))
     for scale in (0.0, -1.0):
         with pytest.raises(ValueError, match="metric_scale must be positive"):
             DegenerationFamily(**dict(DISJOINT, metric_scale=scale))
+    # Im(tau) is smallest at the largest alpha; no torus lies below the real axis.
+    with pytest.raises(ValueError, match=r"imag_offset = -1e\+300 puts Im\(tau\) at or below"):
+        DegenerationFamily(**dict(DISJOINT, imag_offset=-1e300))
     # The regularized diagonal's scale tests no longer let NaN or +inf through.
     with pytest.raises(ValueError, match="metric scale must be positive"):
         TorusGreen(0.8j).regularized_diagonal(math.nan)
