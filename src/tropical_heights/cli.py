@@ -127,15 +127,31 @@ def _cmd_symanzik(args):
         yf = {e: float(v) for e, v in y.items()}
 
         def polynomial(g):
-            # The exact polynomials of the det and bordered routes, at y.
-            psi = float(first_symanzik_det(g).evaluate(yf))
-            phi = float(second_symanzik_bordered(g, momenta).evaluate(yf))
-            if psi == 0.0:
-                raise ValueError("psi underflows to 0.0 at these edge weights")
-            value = phi / psi
-            if not (math.isfinite(psi) and math.isfinite(value)):
+            # The exact polynomials of the det and bordered routes. phi/psi is
+            # homogeneous of degree 1, so it is evaluated in floats at y / 2^k,
+            # with the largest weight in [1/2, 1), and scaled back by 2^k:
+            # exact in floats while every product of up to deg(phi) scaled
+            # weights is a normal float. Weights spread wider than that are
+            # evaluated on their exact values, and the quotient rounded once.
+            psi_poly = first_symanzik_det(g)
+            phi_poly = second_symanzik_bordered(g, momenta)
+            k = math.frexp(max(yf.values()))[1]
+            ys = {e: math.ldexp(v, -k) for e, v in yf.items()}
+            low = math.frexp(min(yf.values()))[1] - 1 - k  # 2^low <= min(ys)
+            try:
+                if low * (psi_poly.degree() + 1) > -1000:
+                    phi = phi_poly.evaluate(ys)
+                    value = math.ldexp(phi / psi_poly.evaluate(ys), k)
+                else:
+                    phi = phi_poly.evaluate(y)
+                    value = float(phi / psi_poly.evaluate(y))
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
                 # The Schur route's message for the same weights.
                 raise ValueError("phi/psi overflows a float at these edge weights")
+            if value == 0.0 and phi != 0:
+                raise ValueError("phi/psi underflows a float at these edge weights")
             return value
 
         routes = {"schur": lambda g: symanzik_ratio_eval(g, yf, momenta),

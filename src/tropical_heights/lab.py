@@ -820,9 +820,10 @@ class DegenerationFamily:
     reproduces the straight family, whose remainder decays faster than
     any power).  Every number must be finite; a NaN or infinite one
     raises a ``ValueError`` that names its field, as do fewer than two
-    ``alphas`` with pairwise distinct logarithms (no slope can be
-    fitted), an ``imag_offset`` that leaves Im(tau) <= 0 at the largest
-    alpha, and a ``metric_scale`` that is not positive.
+    ``alphas`` whose logarithms are pairwise at least sqrt(eps) max(1,
+    |log alpha|) apart (no slope can be fitted above rounding), an
+    ``imag_offset`` that leaves Im(tau) <= 0 at the largest alpha, and a
+    ``metric_scale`` that is not positive.
     """
 
     __slots__ = ("y_total", "divisor1", "divisor2", "space", "alphas",
@@ -855,10 +856,13 @@ class DegenerationFamily:
             raise ValueError(f"{distinct}, got {list(self.alphas)}")
         if self.alphas[-1] <= 0:
             raise ValueError("alphas must be positive")
-        # The slope is fitted in log(alpha): distinct floats with one
-        # logarithm would divide 0 by 0.
-        if len({math.log(a) for a in self.alphas}) < len(self.alphas):
-            raise ValueError(f"{distinct} of log(alpha), got {list(self.alphas)}")
+        # The slope is fitted in log(alpha): logarithms closer than
+        # sqrt(eps) max(1, |log alpha|) fit it through rounding noise.
+        logs = [math.log(a) for a in self.alphas]
+        if any(a - b < math.sqrt(math.ulp(1.0)) * max(1.0, abs(a), abs(b))
+               for a, b in zip(logs, logs[1:])):
+            raise ValueError(f"{distinct} of log(alpha), at least sqrt(eps) * "
+                             f"max(1, |log(alpha)|) apart, got {list(self.alphas)}")
         self.imag_offset = _finite(imag_offset, "imag_offset")
         if not self.tau(self.alphas[0]).imag > 0:
             raise ValueError(f"imag_offset = {self.imag_offset!r} puts Im(tau) at or "

@@ -22,15 +22,21 @@ list terms in descending graded lexicographic order; they are output
 only, and nothing parses them back.
 
 Determinants run on the entries' int dicts, each row scaled by the lcm
-of its entries' denominators.  Width-1 entries keep width-1 keys (edge
-subsets), and the products of an entry and a minor whose keys overlap
-are summed apart, per pair of keys.  Those sums cancel on every
-Symanzik matrix, a rank-one term per edge plus constants, whose minors
-are multilinear; if one does not, or an entry is wider, the sum is
-redone on keys re-spaced to a width no minor's exponents can overflow.
-Matrices above dimension 12 are rejected; for the graph polynomials
-that limit reads min(h, |V| - 1) <= 12, since
-:mod:`~tropical_heights.symanzik` takes the smaller Kirchhoff matrix.
+of its entries' denominators, as a cofactor expansion memoized on column
+sets.  The bordered determinants ``det [[corner, row], [column, M]]`` of
+one matrix M share it: one memo holds M's minors and the column sets
+that keep a border column, one family per distinct column; each top row
+then costs n more products, and as a determinant is linear in its top
+row the corners enter once, as ``(sum q corner) det M``.  Width-1
+entries keep width-1 keys (edge subsets), and the products of an entry
+and a minor whose keys overlap are summed apart, per pair of keys.
+Those sums cancel on every Symanzik matrix, a rank-one term per edge
+plus constants, whose minors are multilinear; if one does not, or an
+entry is wider, the whole sum is redone on keys re-spaced to a width no
+minor's exponents can overflow.  Matrices above dimension 12 are
+rejected; for the graph polynomials that limit reads min(h, |V| - 1) <=
+12, since :mod:`~tropical_heights.symanzik` takes the smaller Kirchhoff
+matrix.
 """
 
 import math
@@ -382,22 +388,22 @@ def det_fraction_free(matrix):
     if not isinstance(matrix, RingMatrix):
         matrix = RingMatrix(matrix)
     _check_dim(matrix.n)
-    return _det_sum(matrix.variables, [(1, matrix.rows)])
+    return _det_sum(matrix, None)
 
 
 def bordered_det(matrix, borders):
     """Exact ``sum q * det [[corner, row^T], [column, matrix]]`` over the
     ``(q, corner, row, column)`` in ``borders``, for a RingMatrix.
 
-    Each bordered matrix has size n + 1 and goes through the same integer
-    cofactor expansion as :func:`det_fraction_free`; the weighted sum is
-    taken on ints too.  The dimension limit applies to ``matrix``, so
-    every matrix with a determinant has bordered ones.
+    All of them share one integer cofactor expansion
+    (:func:`_det_cofactor`): one memo of ``matrix``'s minors, one family
+    of column sets per distinct ``column``, n more products for each
+    ``row``, and the corners once, as ``(sum q corner) det(matrix)``.
+    The dimension limit applies to ``matrix``, so every matrix with a
+    determinant has bordered ones.
     """
     _check_dim(matrix.n)
-    return _det_sum(matrix.variables, [
-        (q, [[corner, *row]] + [[c, *r] for c, r in zip(column, matrix.rows)])
-        for q, corner, row, column in borders])
+    return _det_sum(matrix, borders)
 
 
 def _check_dim(n):
@@ -405,95 +411,111 @@ def _check_dim(n):
         raise ValueError(f"determinant supported up to dimension {_DIM_LIMIT}, got {n}")
 
 
-def _det_sum(variables, dets, wide=False):
-    """``sum q det(rows)`` over the ``(q, rows)`` in ``dets``, exact.
+def _det_sum(matrix, borders, wide=False):
+    """:func:`bordered_det`, or ``det(matrix)`` when ``borders`` is None.
 
-    Row i of each matrix is scaled to ints by the lcm d_i of its entries'
-    denominators, so its cofactor expansion (:func:`_det_cofactor`) is
-    d_0 ... d_{n-1} times the determinant, and the determinants are added
-    on ints under one denominator.  Width-1 entries keep width-1 keys, and
-    the sum is redone ``wide`` if an overlap survives; wide keys get per
-    field the bits of the sum over rows of each row's largest exponent,
-    which no exponent of a minor exceeds.
+    Row i of ``matrix`` and entry i of every distinct column are scaled to
+    ints by the lcm s_i of their denominators; a border's top row by the
+    lcm t of its own, times the int q D / t for a common multiple D of the
+    denominators of every q / t; the top rows of one column are summed.
+    The expansion is D s_0 ... s_{n-1} times the result.  Width-1 entries keep
+    width-1 keys, and the sum is redone ``wide`` if an overlap survives;
+    wide keys get per field the bits of the sum over rows of each row's
+    largest exponent, which no exponent of a minor exceeds.
     """
-    multilinear = not wide and all(a.width == 1 for _q, rows in dets for row in rows for a in row)
-    width = 1
-    if not multilinear:
-        bound = max((sum(max((1 << a.width) - 1 for a in row) for row in rows)
-                     for _q, rows in dets), default=0)
-        width = max(bound.bit_length(), 1)
+    n, families, heads = matrix.n, {}, []  # distinct column -> index; (index, q, top row)
+    for q, corner, row, column in borders or ():
+        heads.append((families.setdefault(tuple(column), len(families)), Fraction(q),
+                     [a._packed_form() for a in (*row, corner)]))
+    # Entries as (coeffs, den, width); line i is row i of M, then entry i of each column.
+    lines = [[a._packed_form() for a in (*r, *(c[i] for c in families))]
+             for i, r in enumerate(matrix.rows)]
+    # The widest entry of each line, then of every top row (0 without borders).
+    widths = [max(w for *_cd, w in line) for line in lines] + [
+        max((w for *_f, top in heads for *_cd, w in top), default=0)]
+    multilinear = not wide and max(widths) == 1
+    width = 1 if multilinear else max(sum((1 << w) - 1 for w in widths).bit_length(), 1)
 
-    def ints(a, d):
-        c = a.coeffs if a.width == width else {
-            _respace(k, a.width, width): v for k, v in a.coeffs.items()}
-        f = d // a.den
+    def ints(entry, d, f=1):
+        c, den, w = entry
+        if w != width:
+            c = {_respace(k, w, width): v for k, v in c.items()}
+        f *= d // den
         return c if f == 1 else {k: v * f for k, v in c.items()}
 
-    scaled = []
-    for q, rows in dets:
-        dens = [math.lcm(*(a.den for a in row)) for row in rows]
-        det, overlap = _det_cofactor([[ints(a, d) for a in r] for r, d in zip(rows, dens)],
-                                     multilinear)
-        if overlap:  # a minor is not multilinear
-            return _det_sum(variables, dets, wide=True)
-        scaled.append((Fraction(q) / math.prod(dens), det))
-    scale = math.lcm(*(w.denominator for w, _det in scaled))
-    acc = {}
-    for w, det in scaled:
-        w = w.numerator * (scale // w.denominator)
-        for k, c in det.items():
-            acc[k] = acc.get(k, 0) + w * c
-    return MultiPoly.packed(variables, {k: c for k, c in acc.items() if c}, scale, width)
+    dens = [math.lcm(*(den for _c, den, _w in line)) for line in lines]
+    tdens = [q.denominator * math.lcm(*(den for _c, den, _w in top)) for _f, q, top in heads]
+    scale = math.lcm(*tdens)
+    # Row f sums the top rows of column f, and entry n of row 0 all corners.
+    top_rows = [[{} for _ in range(n + len(families))] for _ in families]
+    for (f, q, top), t in zip(heads, tdens):
+        for target, entry in zip([*top_rows[f][:n], top_rows[0][n]], top):
+            for k, v in ints(entry, t // q.denominator, q.numerator * (scale // t)).items():
+                target[k] = target.get(k, 0) + v
+    det, overlap = _det_cofactor(
+        [[ints(a, d) for a in line] for line, d in zip(lines, dens)],
+        None if borders is None else [[{k: v for k, v in a.items() if v} for a in row]
+                                      for row in top_rows], multilinear)
+    if overlap:  # a minor is not multilinear
+        return _det_sum(matrix, borders, wide=True)
+    return MultiPoly.packed(matrix.variables, det, scale * math.prod(dens), width)
 
 
-def _det_cofactor(rows, multilinear):
-    """Laplace expansion along rows 0, 1, ..., n-1, memoized on columns.
+def _det_cofactor(rows, tops, multilinear):
+    """Laplace expansion along rows, memoized on column sets, of det M
+    (``tops`` None) or of ``sum_f det [[c_f, tops[f]], [column f, M]]``.
 
-    ``rows`` holds the entries as dicts from packed monomial keys to int
-    coefficients.  The minor on rows i..n-1 and a column set S with
-    |S| = n - i is
-
-        D(S) = sum_k (-1)^k a_{i,j_k} D(S - {j_k}),
-
-    where j_0 < j_1 < ... run over S, D(empty) = 1 and det = D(all
-    columns).  Each of the at most 2^n column sets is expanded once, and
-    zero entries are skipped, which keeps sparse graph matrices cheap.
-    Returns ``(det, overlap)``.  With ``multilinear`` (width-1 keys), the
-    products whose keys ``ka``, ``ks`` share a bit are summed apart, per
-    ``(ka, ks)``, and ``overlap`` tells whether any such sum is nonzero;
-    if none is, every minor is multilinear and the result is exact.
+    Line i of ``rows`` is row i of M, then entry i of each border column
+    (column n + f is border f), as dicts from packed monomial keys to int
+    coefficients.  The minor on rows i..n-1 and a column set S, |S| =
+    n - i, with at most one border column, is D(S) = sum_k (-1)^k
+    a_{i,j_k} D(S - {j_k}) over j_0 < j_1 < ... in S, D(empty) = 1.  One
+    memo holds them all, so every border shares M's minors; zero entries
+    are skipped.  ``tops[f]`` is expanded on columns 0..n-1 and n + f with
+    sign (-1)^n, which moves the border column first; every corner is
+    entry n of ``tops[0]``.  Returns ``(det, overlap)``.  With
+    ``multilinear`` (width-1 keys), the products whose keys ``ka``, ``ks``
+    share a bit are summed apart, per expansion and ``(ka, ks)``, and
+    ``overlap`` tells whether any such sum is nonzero; if none is, every
+    minor is multilinear and the result is exact.
     """
     n = len(rows)
     memo = {0: {0: 1}}
     overlap = []  # the nonzero sums of overlapping products
     check = -1 if multilinear else 0
 
-    def minor(colmask):
-        if colmask in memo:
-            return memo[colmask]
-        row = rows[n - colmask.bit_count()]
-        acc, side = {}, {}
-        sign = 1
-        for j in range(n):
+    def expand(acc, side, row, colmask, sign):
+        for j, a in enumerate(row):
             bit = 1 << j
             if not colmask & bit:
                 continue
-            if row[j]:
-                sub = minor(colmask ^ bit)
-                for ka, ca in row[j].items():
+            if a:
+                sub = memo.get(colmask ^ bit)
+                if sub is None:
+                    sub = memo[colmask ^ bit] = close(
+                        *expand({}, {}, rows[n + 1 - colmask.bit_count()], colmask ^ bit, 1))
+                for ka, ca in a.items():
                     ca *= sign
+                    kc = ka & check
                     for ks, cs in sub.items():
-                        if ka & ks & check:
+                        if kc & ks:
                             side[ka, ks] = side.get((ka, ks), 0) + ca * cs
                         else:
-                            acc[ka + ks] = acc.get(ka + ks, 0) + ca * cs
+                            k = ka + ks
+                            acc[k] = acc.get(k, 0) + ca * cs
             sign = -sign
-        overlap.extend(filter(None, side.values()))
-        acc = {k: c for k, c in acc.items() if c}
-        memo[colmask] = acc
-        return acc
+        return acc, side
 
-    return minor((1 << n) - 1), bool(overlap)
+    def close(acc, side):
+        overlap.extend(filter(None, side.values()))
+        return {k: c for k, c in acc.items() if c}
+
+    full, acc, side = (1 << n) - 1, {}, {}
+    if tops is None:
+        expand(acc, side, rows[0], full, 1)
+    for f, top in enumerate(tops or ()):
+        expand(acc, side, top, full | 1 << (n + f), (-1) ** n)
+    return close(acc, side), bool(overlap)
 
 
 def fraction_det(rows):

@@ -306,8 +306,8 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
     It is taken from the smaller Kirchhoff matrix, as in
     :func:`first_symanzik_det`; a ``basis``, ``lift1`` or ``lift2``
     selects the cycle form.  The sums run over the nonzero entries
-    ``q_{mu nu}`` of the pairing, one determinant of size n + 1 each,
-    and go through one :func:`~tropical_heights.polynomials.bordered_det`.
+    ``q_{mu nu}`` of the pairing, and go through one
+    :func:`~tropical_heights.polynomials.bordered_det`, which shares M's minors.
 
     Cycle form: the cycle Gram matrix M is bordered by the row
     ``W_mu(omega1)``, the column ``W_nu(omega2)`` and the corner

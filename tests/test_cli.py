@@ -130,7 +130,18 @@ def test_symanzik_ratio_requires_y(capsys, triangle_path):
     assert "--y" in err
 
 
-def test_symanzik_bad_weights(capsys, triangle_path):
+@pytest.fixture()
+def banana3_path(tmp_path):
+    path = tmp_path / "banana3.json"
+    dump_json({"vertices": ["v1", "v2"],
+               "edges": [{"id": f"e{k}", "tail": "v1", "head": "v2"} for k in (1, 2, 3)],
+               "markings": [{"id": "l1", "vertex": "v1", "momentum": [2]},
+                            {"id": "l2", "vertex": "v2", "momentum": [-2]}],
+               "minkowski": {"dim": 1, "signature": "euclidean"}}, path)
+    return str(path)
+
+
+def test_symanzik_bad_weights(capsys, triangle_path, banana3_path):
     code, _out, err = run(
         capsys, "symanzik", "ratio", "--graph", triangle_path,
         "--y", "e1=1,e2=1",
@@ -150,20 +161,65 @@ def test_symanzik_bad_weights(capsys, triangle_path):
     )
     assert (code, out) == (2, "")
     assert err.count("\n") == 1 and "finite" in err
-    # So are weights at which psi, the polynomial route's divisor, underflows:
-    # psi has degree 2 on three parallel edges.
-    banana3 = str(Path(triangle_path).with_name("banana3.json"))
+    # psi, the polynomial route's divisor, has degree 2 on three parallel
+    # edges: at 1e-200 its float value underflows unless the weights are scaled.
+    values = []
+    for method in ("polynomial", "schur"):
+        code, out, _err = run(capsys, "symanzik", "ratio", "--graph", banana3_path,
+                              "--method", method, "--y", "e1=1e-200,e2=1e-200,e3=1e-200")
+        assert code == 0
+        values.append(float(out))
+    assert values[1] > 0 and abs(values[0] - values[1]) <= 1e-9 * values[1]
+
+
+@pytest.mark.parametrize("weight, want", [
+    ("1e-160", "4.5e-160"), ("1e-170", "4.5e-170"),
+    ("1e-200", "4.4999999999999996e-200"), ("1e170", "4.5e+170"),
+])
+def test_symanzik_ratio_polynomial_route_far_from_one(capsys, banana_path, weight, want):
+    # phi (degree 2) underflowed at 1e-170 and 1e-200, where the route printed
+    # 0.0 with exit 0, and overflowed at 1e170 (exit 2); it now evaluates at
+    # y / 2^k and scales the quotient back by 2^k.
+    y = f"e1={weight},e2={weight}"
+    assert run(capsys, "symanzik", "ratio", "--graph", banana_path, "--method",
+               "polynomial", "--y", y) == (0, want, "")
+    code, out, _err = run(capsys, "symanzik", "ratio", "--graph", banana_path, "--y", y)
+    assert code == 0 and abs(float(out) - float(want)) <= 1e-9 * float(want)
+    if weight == "1e-200":
+        assert run(capsys, "symanzik", "ratio", "--graph", banana_path, "--y", y,
+                   "--check") == (0, want, "")
+
+
+@pytest.mark.parametrize("graph, y, want", [
+    ("banana", "e1=1e300,e2=1e-300", "9e-300"),
+    ("banana3", "e1=1e160,e2=1e-160,e3=1e-160", "2e-160"),
+    ("banana3", "e1=1e300,e2=1e-300,e3=1e-300", "2e-300"),
+])
+def test_symanzik_ratio_polynomial_route_wide_spread(capsys, banana_path, banana3_path,
+                                                     graph, y, want):
+    # Weights spread too widely for one power-of-two scale: the route evaluates
+    # the exact weights and rounds phi/psi once, to the nearest float of
+    # 9 y1 y2 / (y1 + y2) on the banana and 4 / (1/y1 + 1/y2 + 1/y3) on banana3.
+    path = banana_path if graph == "banana" else banana3_path
+    assert run(capsys, "symanzik", "ratio", "--graph", path, "--method",
+               "polynomial", "--y", y) == (0, want, "")
+
+
+def test_symanzik_ratio_polynomial_route_underflow(capsys, tmp_path):
+    # phi/psi = y1 y2 / (y1 + y2) / 10^6 is positive but below the smallest
+    # float at these weights: exit 2 instead of 0.0, on the scaled float path
+    # (equal weights) and on the exact one (weights spread widely).
+    path = tmp_path / "tiny.json"
     dump_json({"vertices": ["v1", "v2"],
-               "edges": [{"id": f"e{k}", "tail": "v1", "head": "v2"} for k in (1, 2, 3)],
-               "markings": [{"id": "l1", "vertex": "v1", "momentum": [2]},
-                            {"id": "l2", "vertex": "v2", "momentum": [-2]}],
-               "minkowski": {"dim": 1, "signature": "euclidean"}}, banana3)
-    code, out, err = run(
-        capsys, "symanzik", "ratio", "--graph", banana3, "--method", "polynomial",
-        "--y", "e1=1e-200,e2=1e-200,e3=1e-200",
-    )
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "psi underflows" in err
+               "edges": [{"id": f"e{k}", "tail": "v1", "head": "v2"} for k in (1, 2)],
+               "markings": [{"id": "l1", "vertex": "v1", "momentum": ["1/1000"]},
+                            {"id": "l2", "vertex": "v2", "momentum": ["-1/1000"]}],
+               "minkowski": {"dim": 1, "signature": "euclidean"}}, path)
+    for y in ("e1=1e-320,e2=1e-320", "e1=1e300,e2=1e-320"):
+        result = run(capsys, "symanzik", "ratio", "--graph", str(path),
+                     "--method", "polynomial", "--y", y)
+        _assert_one_line_input_error(result)
+        assert "phi/psi underflows a float at these edge weights" in result[2]
 
 
 def test_symanzik_ratio_weight_underflowing_to_zero(capsys, banana_path):
@@ -617,6 +673,10 @@ def test_lab_torus_limit_non_finite_numbers(capsys, tmp_path, field, value, wher
     ("metric_scale", 0, "metric_scale must be positive"),
     ("alphas", [0.01, 0.010000000000000002],
      "alphas must hold at least two pairwise distinct values"),
+    # Logarithms 8.9e-16 apart: once a slope of -8.0 fitted through rounding.
+    ("alphas", [0.01, 0.01000000000000001],
+     "alphas must hold at least two pairwise distinct values of log(alpha), "
+     "at least sqrt(eps) * max(1, |log(alpha)|) apart"),
     ("imag_offset", -1e300, "imag_offset = -1e+300 puts Im(tau) at or below 0"),
 ])
 def test_lab_torus_limit_unfittable_schedule(capsys, tmp_path, field, value, message):

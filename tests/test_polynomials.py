@@ -146,23 +146,45 @@ def rand_entry(rng, variables=VARS):
     return p
 
 
+def bordered_reference(rows, borders):
+    want = MultiPoly.zero(rows[0][0].variables)
+    for q, corner, row, column in borders:
+        want = want + q * det_reference([[corner, *row]] + [[c, *r] for c, r in zip(column, rows)])
+    return want
+
+
 def test_integer_kernel_matches_leibniz():
     rng = random.Random(2024)
+    y1 = MultiPoly.variable(VARS, "e1")
     for n in (1, 2, 3, 4, 5):
         for _ in range(6):
             rows = [[rand_entry(rng) for _ in range(n)] for _ in range(n)]
             assert det_fraction_free(rows) == det_reference(rows)
             # Up to three borders with rational weights, summed under one
             # common denominator.
-            borders, want = [], MultiPoly.zero(VARS)
+            borders = []
             for _ in range(rng.randint(1, 3)):
                 q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
                 corner, *border = [rand_entry(rng) for _ in range(2 * n + 1)]
-                row, column = border[:n], border[n:]
-                borders.append((q, corner, row, column))
-                bordered = [[corner, *row]] + [[c, *r] for c, r in zip(column, rows)]
-                want = want + q * det_reference(bordered)
-            assert bordered_det(RingMatrix(rows), borders) == want
+                borders.append((q, corner, border[:n], border[n:]))
+            assert bordered_det(RingMatrix(rows), borders) == bordered_reference(rows, borders)
+            if n == 5:  # the Leibniz reference takes 6! terms per bordered matrix
+                continue
+            # Borders that share one column (the same list, or an equal
+            # one), whose entries have denominators the matrix lacks.
+            column = [rand_entry(rng) + Fraction(rng.randint(1, 5), rng.choice((3, 7))) * y1
+                      for _ in range(n)]
+            shared = [(Fraction(rng.randint(1, 5), rng.randint(1, 4)), rand_entry(rng),
+                       [rand_entry(rng) for _ in range(n)], col)
+                      for col in (column, column, list(column))]
+            assert bordered_det(RingMatrix(rows), shared) == bordered_reference(rows, shared)
+            # Corners that sum to zero: 2 c - 3 (2/3 c) = 0.
+            corner = rand_entry(rng) + y1
+            _q, _corner, row, column = borders[0]
+            cancel = [(2, corner, row, column),
+                      (-3, Fraction(2, 3) * corner, [rand_entry(rng) for _ in range(n)],
+                       [rand_entry(rng) for _ in range(n)])]
+            assert bordered_det(RingMatrix(rows), cancel) == bordered_reference(rows, cancel)
 
 
 def test_integer_kernel_exponents_past_four_bits():
@@ -206,9 +228,9 @@ def wide_calls(monkeypatch):
     calls = []
     real = polynomials._det_sum
 
-    def spy(variables, dets, wide=False):
+    def spy(matrix, borders, wide=False):
         calls.append(wide)
-        return real(variables, dets, wide)
+        return real(matrix, borders, wide)
 
     monkeypatch.setattr(polynomials, "_det_sum", spy)
     return calls
@@ -261,6 +283,37 @@ def test_width_one_kernel_never_falls_back_on_symanzik_matrices(monkeypatch):
             forms.append(symanzik._vertex_form(graph))
     assert forms.count(True) >= 10 and forms.count(False) >= 10
     assert calls and not any(calls)
+
+
+def test_bordered_det_is_the_sum_of_its_single_border_calls(monkeypatch):
+    # One call over d borders shares M's minors, one family of column sets
+    # per distinct column and a single corner sum; on the Symanzik routes'
+    # own borders it prints as the sum of d one-border calls.
+    seen = []
+    real = polynomials.bordered_det
+    monkeypatch.setattr(symanzik, "bordered_det",
+                        lambda matrix, borders: seen.append((matrix, borders)) or
+                        real(matrix, borders))
+    rng = random.Random(26)
+    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+    spaces = (MinkowskiSpace.euclidean(1), MinkowskiSpace.lorentzian(4), rational)
+    forms = []
+    for k in range(45):
+        graph = random_connected_multigraph(rng, max_edges=9, max_vertices=6)
+        mom1, mom2 = (random_conserved_momenta(rng, graph, spaces[k % 3]) for _ in range(2))
+        basis = cycle_basis(graph)
+        for other in (mom1, mom2):  # quadratic, then bilinear
+            for extra in ({}, {"basis": basis}):  # the smaller form, then the cycle form
+                count = len(seen)
+                symanzik.second_symanzik_bordered(graph, mom1, other, **extra)
+                if len(seen) > count:
+                    forms.append((k % 3, not extra and symanzik._vertex_form(graph)))
+    for matrix, borders in seen:
+        parts = MultiPoly.zero(matrix.variables)
+        for border in borders:
+            parts = parts + real(matrix, [border])
+        assert str(real(matrix, borders)) == str(parts)
+    assert {(k, vertex) for k in range(3) for vertex in (True, False)} <= set(forms)
 
 
 def test_det_dimension_limit():
