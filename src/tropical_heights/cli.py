@@ -169,8 +169,8 @@ def _cmd_symanzik(args):
         names = sorted(results)
         first_result = results[names[0]]
         if args.which == "ratio":
-            scale = max(1.0, *(abs(v) for v in results.values()))
-            agree = all(abs(results[n] - first_result) <= 1e-9 * scale
+            agree = all(abs(results[n] - first_result)
+                        <= 1e-9 * max(abs(results[n]), abs(first_result))
                         for n in names[1:])
         else:
             agree = all(results[n] == first_result for n in names[1:])

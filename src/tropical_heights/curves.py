@@ -104,7 +104,7 @@ def arithmetic_genus(curve):
     return first_betti(curve.graph) + sum(curve.genus.values())
 
 
-def restrict_momenta(curve, require_conserved=True):
+def restrict_momenta(curve):
     """Push marking momenta down to a vertex assignment (sums per vertex)."""
     if curve.space is None:
         raise ValueError("curve has no momentum space; nothing to restrict")
@@ -116,8 +116,7 @@ def restrict_momenta(curve, require_conserved=True):
         acc = sums.setdefault(m.vertex, [Fraction(0)] * dim)
         for i, x in enumerate(m.momentum):
             acc[i] += Fraction(x)
-    momenta = {v: tuple(acc) for v, acc in sums.items()}
-    return MomentumAssignment(curve.space, momenta, require_conserved=require_conserved)
+    return MomentumAssignment(curve.space, sums)
 
 
 class DeformationDimensions(NamedTuple):

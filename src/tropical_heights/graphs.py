@@ -8,7 +8,7 @@ heights) is orientation independent, and the tests check that.
 The designated spanning tree used by :func:`cycle_basis`, the momentum
 lift and the monodromy fixtures is the greedy tree in lexicographic
 edge-id order, so two runs over the same graph always agree; all three
-read it through :func:`_rooted_tree`.
+read it through one walk, :func:`_tree_walk`.
 
 Spanning trees and spanning 2-forests are the acyclic edge sets of size
 |V|-1 and |V|-2.  Each enumeration is one depth-first search over the
@@ -168,16 +168,18 @@ class CycleBasis:
     """Integral basis of the cycle lattice H_1(G; Z).
 
     ``cycles[i]`` is the fundamental cycle of the i-th non-tree edge in
-    lexicographic order, with coefficient +1 on that edge.
+    lexicographic order, with coefficient +1 on that edge.  ``walk`` is
+    the :func:`_tree_walk` of a basis that :func:`cycle_basis` built, else None.
     """
 
-    __slots__ = ("graph", "tree", "cycles", "nontree_edges")
+    __slots__ = ("graph", "tree", "cycles", "nontree_edges", "walk")
 
     def __init__(self, graph, tree, cycles, nontree_edges):
         self.graph = graph
         self.tree = tree
         self.cycles = list(cycles)
         self.nontree_edges = tuple(nontree_edges)
+        self.walk = None
 
     def __len__(self):
         return len(self.cycles)
@@ -197,16 +199,7 @@ def designated_tree(graph):
 
     Raises ValueError if the graph is disconnected.
     """
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    uf = _UnionFind(len(index))
-    tree = []
-    for eid in graph.edge_ids():
-        tail, head = graph.endpoints(eid)
-        if tail != head and uf.union(index[tail], index[head]):
-            tree.append(eid)
-    if len(tree) != len(graph.vertices) - 1:
-        raise ValueError("graph is disconnected; no spanning tree exists")
-    return frozenset(tree)
+    return _tree_walk(graph)[0]
 
 
 def first_betti(graph):
@@ -216,20 +209,28 @@ def first_betti(graph):
     return len(graph.edges) - len(graph.vertices) + 1
 
 
-def _rooted_tree(graph, tree):
-    """Breadth-first walk of the spanning tree ``tree`` (a set of edge ids)
-    from the smallest vertex id, over the tree edges in lexicographic order.
+def _tree_walk(graph):
+    """The designated spanning tree, greedy in lexicographic edge order,
+    and its breadth-first walk from the smallest vertex id over the tree
+    edges in that order.  Raises ValueError if the graph is disconnected.
 
-    Returns ``(order, up, depth)``: the vertices in walk order, root first;
-    for every other vertex v, ``up[v] = (parent, edge, sign)`` with sign +1
-    when the edge runs from v to its parent and -1 when it runs from the
-    parent to v; and ``depth[v]``, the number of tree edges from the root.
+    Returns ``(tree, order, up, depth)``: the tree's edge ids; the vertices
+    in walk order, root first; ``up[v] = (parent, edge, sign)`` for every
+    other vertex v, with sign +1 when the edge runs from v to its parent
+    and -1 when it runs from the parent to v; and ``depth[v]``, the number
+    of tree edges from the root.
     """
-    adj = {v: [] for v in graph.vertices}
-    for eid in sorted(tree):
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    uf = _UnionFind(len(index))
+    tree, adj = [], {v: [] for v in graph.vertices}
+    for eid in graph.edge_ids():
         tail, head = graph.endpoints(eid)
-        adj[tail].append((head, eid, -1))
-        adj[head].append((tail, eid, +1))
+        if tail != head and uf.union(index[tail], index[head]):
+            tree.append(eid)
+            adj[tail].append((head, eid, -1))
+            adj[head].append((tail, eid, +1))
+    if len(tree) != len(graph.vertices) - 1:
+        raise ValueError("graph is disconnected; no spanning tree exists")
     root = min(graph.vertices)
     order, up, depth = [root], {}, {root: 0}
     for u in order:  # the list grows as the walk reaches new vertices
@@ -238,7 +239,7 @@ def _rooted_tree(graph, tree):
                 up[w] = (u, eid, sign)
                 depth[w] = depth[u] + 1
                 order.append(w)
-    return order, up, depth
+    return frozenset(tree), order, up, depth
 
 
 def cycle_basis(graph):
@@ -252,8 +253,7 @@ def cycle_basis(graph):
 
     Raises ValueError on disconnected input.
     """
-    tree = designated_tree(graph)
-    _order, up, depth = _rooted_tree(graph, tree)
+    tree, _order, up, depth = walk = _tree_walk(graph)
     cycles = []
     nontree = [e for e in graph.edge_ids() if e not in tree]
     for eid in nontree:
@@ -270,7 +270,9 @@ def cycle_basis(graph):
                 b, f, sign = up[b]
                 coeffs[f] = -sign
         cycles.append(CycleVector(coeffs))
-    return CycleBasis(graph, tree, cycles, nontree)
+    basis = CycleBasis(graph, tree, cycles, nontree)
+    basis.walk = walk
+    return basis
 
 
 def boundary_matrix(graph):

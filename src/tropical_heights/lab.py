@@ -649,12 +649,13 @@ def _check_conserved(momenta, label):
 
 def _pairing_terms(m1, m2, space):
     """Nonzero pairings <p_i, q_j> as (i, j, float), in summation order:
-    the int pairing of the momenta and the Gram matrix scaled to ints, over
-    the product of their scales.  int / int rounds correctly, so each is
-    the float of the rational that ``space.pair`` gives."""
+    the int pairing of the momenta scaled to ints, by the space's int
+    Gram matrix, over the product of their scales.  int / int rounds
+    correctly, so each is the float of the rational ``space.pair`` gives."""
     if any(len(p) != space.dim for p in (*m1, *m2)):
         raise ValueError("vector dimension does not match the pairing")
-    (ints1, d1), (ints2, d2), (gram, dg) = map(_scaled_to_ints, (m1, m2, space.matrix))
+    (ints1, d1), (ints2, d2) = map(_scaled_to_ints, (m1, m2))
+    gram, dg = space._ints
     gram_q = [[sum(g * x for g, x in zip(row, q)) for row in gram] for q in ints2]
     pairs = [(i, j, sum(x * y for x, y in zip(p, gq)))
              for i, p in enumerate(ints1) for j, gq in enumerate(gram_q)]

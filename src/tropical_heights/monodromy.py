@@ -27,7 +27,7 @@ crossing-derived momentum lifts.
 
 from fractions import Fraction
 
-from .graphs import _rooted_tree, designated_tree
+from .graphs import _tree_walk
 from .symanzik import MomentumLift, MomentumAssignment, momentum_lift
 
 
@@ -259,7 +259,7 @@ class BlockCheckReport:
         return f"BlockCheckReport(failures={self.failures!r})"
 
 
-def translation_block_check(basis, vc, sc, p1, p2, space, lift1=None, lift2=None):
+def translation_block_check(basis, vc, sc, p1, p2, space):
     """Exact check that crossing blocks reproduce the polynomial border data.
 
     For every edge e of the graph underlying ``basis`` the three
@@ -270,17 +270,15 @@ def translation_block_check(basis, vc, sc, p1, p2, space, lift1=None, lift2=None
     * ``p2 Gamma_e p1^T = -<omega1_e, omega2_e>`` in the momentum pairing,
 
     where W_e(omega)_i = c^gr_{e,i} omega_e over the graph cycle basis and
-    omega1/omega2 default to the crossing-derived lifts.  Returns a report
-    whose ``failures`` list localizes any violated identity.
+    omega1/omega2 are the crossing-derived lifts.  Returns a report whose
+    ``failures`` list localizes any violated identity.
     """
     graph = basis.graph
     dim = space.dim
     pm1 = _scalarize(p1, sc.sections1, dim)
     pm2 = _scalarize(p2, sc.sections2, dim)
-    if lift1 is None:
-        lift1 = crossing_lift(graph, sc, 1, pm1, space)
-    if lift2 is None:
-        lift2 = crossing_lift(graph, sc, 2, pm2, space)
+    lift1 = crossing_lift(graph, sc, 1, pm1, space)
+    lift2 = crossing_lift(graph, sc, 2, pm2, space)
     h = len(basis)
     if vc.genus < h:
         raise ValueError(f"vanishing-cycle genus {vc.genus} is below the graph's h = {h}")
@@ -332,7 +330,7 @@ def consistent_fixture(graph, basis, space, sections1, sections2, rng):
     vc = VanishingCycleData(h, {
         e: tuple(-row[k] for row in cmat) for k, e in enumerate(graph.edge_ids())
     })
-    _order, up, _depth = _rooted_tree(graph, designated_tree(graph))
+    _tree, _order, up, _depth = _tree_walk(graph)
 
     def place_sections(labels, with_detours):
         placement = {}

@@ -32,11 +32,13 @@ packed form directly: edge k is key ``1 << k``, so a monomial is an
 edge subset, the complement is ``full ^ key`` (a tree or forest, an
 edge mask from the search, gives ``full ^ mask``), and every matrix,
 border and corner entry is an int linear form (or constant) built in
-one step from its table.  Rational momenta and lifts are scaled to ints
-once, and the determinant weights carry the scales.  On a tree (h = 0)
-M is empty and phi is the sum of the corners; on one vertex L0 is
-empty, psi is the product of the loops and phi = 0.  Only the numeric
-evaluators import numpy, when they are called.
+one step from its table.  Each int table is built once: the momenta of
+a :class:`MomentumAssignment` and the pairing of a :class:`MinkowskiSpace`
+times their common denominators, which the determinant weights carry,
+and a cycle basis with the lifts from one walk of the designated tree.
+On a tree (h = 0) M is empty and phi is the sum of the corners; on one
+vertex L0 is empty, psi is the product of the loops and phi = 0.  Only
+the numeric evaluators import numpy, when they are called.
 """
 
 import functools
@@ -44,8 +46,8 @@ import math
 from collections.abc import Mapping
 from fractions import Fraction
 
-from .graphs import (_rooted_tree, _tree_masks, _two_forests, _UnionFind,
-                     boundary_matrix, cycle_basis, designated_tree)
+from .graphs import (_tree_masks, _tree_walk, _two_forests, _UnionFind, boundary_matrix,
+                     cycle_basis)
 from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free
 
 
@@ -62,10 +64,11 @@ class MinkowskiSpace:
     Parameters
     ----------
     matrix : sequence of sequences
-        Symmetric D x D Gram matrix of the pairing, rational entries.
+        Symmetric D x D Gram matrix of the pairing, rational entries,
+        kept also as ints times their common denominator.
     """
 
-    __slots__ = ("dim", "matrix")
+    __slots__ = ("dim", "matrix", "_ints")
 
     def __init__(self, matrix):
         rows = [tuple(Fraction(x) for x in r) for r in matrix]
@@ -78,6 +81,7 @@ class MinkowskiSpace:
                     raise ValueError("pairing matrix must be symmetric")
         self.dim = d
         self.matrix = tuple(rows)
+        self._ints = _scaled_to_ints(rows)
 
     @classmethod
     def euclidean(cls, dim):
@@ -113,39 +117,39 @@ class MinkowskiSpace:
 
 
 class MomentumAssignment:
-    """External momenta attached to the vertices of a graph.
+    """Conserved external momenta attached to the vertices of a graph.
 
-    Momenta are rational D-vectors; vertices not listed carry zero.
-    Conservation (the momenta sum to zero) is required, since only
-    conserved assignments admit a lift to the edges.  The total is
-    summed once, on the momenta scaled to ints, when the assignment is
-    built.
+    Momenta are rational D-vectors; vertices not listed carry zero.  They
+    must sum to zero: only then do they lift to the edges and is
+    p(F_2) = -p(F_1) on every 2-forest.  They are scaled to ints once, by
+    the common denominator d of their entries, for the check and for
+    every route to read.
     """
 
-    __slots__ = ("space", "momenta", "_total", "_conserved")
+    __slots__ = ("space", "momenta", "_ints", "_den")
 
-    def __init__(self, space, momenta, require_conserved=True):
+    def __init__(self, space, momenta):
         self.space = space
-        self.momenta = {
-            str(v): _as_fraction_vector(p, space.dim) for v, p in momenta.items()
-        }
+        self.momenta = {str(v): _as_fraction_vector(p, space.dim) for v, p in momenta.items()}
         ints, d = _scaled_to_ints(self.momenta.values())
         sums = [sum(p[i] for p in ints) for i in range(space.dim)]
-        self._conserved = not any(sums)
-        self._total = tuple(Fraction(x, d) for x in sums)
-        if require_conserved and not self._conserved:
-            raise ValueError(
-                f"conservation law violated: momenta must sum to zero, got {self._total}"
-            )
+        if any(sums):
+            raise ValueError("conservation law violated: momenta must sum to zero, "
+                             f"got {tuple(Fraction(x, d) for x in sums)}")
+        self._ints, self._den = dict(zip(self.momenta, ints)), d
 
     def vector(self, v):
         return self.momenta.get(v, self.space.zero())
 
-    def total(self):
-        return self._total
-
-    def is_conserved(self):
-        return self._conserved
+    def _int_rows(self, graph):
+        """``(rows, d)``: ``rows[v]`` is d times the momentum at vertex v of
+        ``graph``, an int list (zero where none is listed).  Raises
+        ValueError when a momentum sits on a vertex that ``graph`` lacks."""
+        extra = sorted(set(self._ints).difference(graph.vertices))
+        if extra:
+            raise ValueError(f"momenta on vertices the graph lacks: {extra}")
+        zero = [0] * self.space.dim
+        return {v: self._ints.get(v, zero) for v in graph.vertices}, self._den
 
     def __repr__(self):
         return f"MomentumAssignment(D={self.space.dim}, vertices={sorted(self.momenta)})"
@@ -169,16 +173,24 @@ def _gram_matrix(variables, table):
     return RingMatrix(rows)
 
 
-def _vertex_form(graph):
-    """True when the reduced Laplacian (|V| - 1 square) is smaller than
-    the cycle Gram matrix (h x h).  Raises ValueError on disconnected
-    input, which has no spanning tree."""
-    nv = len(graph.vertices)
-    if nv - 1 >= len(graph.edges) - nv + 1:
-        return False
-    if not graph.is_connected():
-        raise ValueError("graph is disconnected; no spanning tree exists")
-    return True
+def _kirchhoff(graph, basis=None, cycle=False):
+    """``(basis, table, m)``: the smaller Kirchhoff matrix m, the Gram
+    matrix of the int table ``table`` (None when it is empty).
+
+    The reduced Laplacian (|V| - 1 square), with ``basis`` None, when it
+    is smaller than h x h and neither ``basis`` nor ``cycle`` asks for the
+    cycle form; else the cycle Gram matrix of ``basis`` (:func:`cycle_basis`
+    when None).  Raises ValueError on disconnected input.
+    """
+    variables, nv = graph.edge_ids(), len(graph.vertices)
+    if basis is None and not cycle and nv - 1 < len(variables) - nv + 1:
+        if not graph.is_connected():
+            raise ValueError("graph is disconnected; no spanning tree exists")
+        table = boundary_matrix(graph)[1:]
+    else:
+        basis = cycle_basis(graph) if basis is None else basis
+        table = basis.matrix()
+    return basis, table, _gram_matrix(variables, table)
 
 
 def _complement(p):
@@ -196,15 +208,9 @@ def first_symanzik_det(graph, basis=None):
     the reduced Laplacian L0; otherwise ``psi = det M`` for the cycle Gram
     matrix M of ``basis`` (the designated cycle basis when None).
     """
-    variables = graph.edge_ids()
-    vertex = basis is None and _vertex_form(graph)
-    if vertex:
-        table = boundary_matrix(graph)[1:]
-    else:
-        table = (cycle_basis(graph) if basis is None else basis).matrix()
-    m = _gram_matrix(variables, table)
-    psi = MultiPoly.constant(variables, 1) if m is None else det_fraction_free(m)
-    return _complement(psi) if vertex else psi
+    basis, _table, m = _kirchhoff(graph, basis)
+    psi = MultiPoly.constant(graph.edge_ids(), 1) if m is None else det_fraction_free(m)
+    return _complement(psi) if basis is None else psi
 
 
 def first_symanzik_trees(graph):
@@ -263,23 +269,18 @@ class MomentumLift:
         return f"MomentumLift(support={nz})"
 
 
-def _int_lift(graph, momenta):
-    """``(rows, d)``: :func:`momentum_lift` times the common denominator
-    d of the vertex momenta, as one int list per edge of
-    ``graph.edge_ids()``, zero off the tree."""
-    if not momenta.is_conserved():
-        raise ValueError("momenta must sum to zero to admit a lift")
-    order, up, _depth = _rooted_tree(graph, designated_tree(graph))
-    ints, d = _scaled_to_ints([momenta.vector(v) for v in order])
-    subtree = dict(zip(order, ints))
+def _int_lift(graph, momenta, walk=None):
+    """``(rows, d)``: :func:`momentum_lift` times the momenta's common
+    denominator d, one int list per edge of ``graph.edge_ids()``, zero off
+    the tree, along ``walk`` (``graphs._tree_walk(graph)``, walked if None)."""
+    _tree, order, up, _depth = _tree_walk(graph) if walk is None else walk
+    subtree, d = momenta._int_rows(graph)
     omega = {}
     for v in reversed(order[1:]):
         parent, e, sign = up[v]
         total = subtree[v]
         omega[e] = [-sign * x for x in total]
         subtree[parent] = [a + b for a, b in zip(subtree[parent], total)]
-    # Conservation forces the root's sum, the total momentum, to vanish exactly.
-    assert not any(subtree[order[0]])
     zero = [0] * momenta.space.dim
     return [omega.get(e, zero) for e in graph.edge_ids()], d
 
@@ -291,8 +292,8 @@ def momentum_lift(graph, momenta):
     spanning tree; the tree-supported solution is unique, so the result
     is deterministic.  Each tree edge carries the total momentum of the
     subtree below it, negated when the edge runs from the subtree up to
-    its parent.  The sums run leaves first along ``graphs._rooted_tree``,
-    on ints (``_int_lift``), divided by their common denominator d at the end.
+    its parent.  The sums run leaves first along ``graphs._tree_walk`` on
+    the assignment's ints (``_int_lift``), divided by d at the end.
     """
     rows, d = _int_lift(graph, momenta)
     return MomentumLift(graph, momenta.space, {e: [Fraction(x, d) for x in v]
@@ -305,9 +306,10 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
 
     It is taken from the smaller Kirchhoff matrix, as in
     :func:`first_symanzik_det`; a ``basis``, ``lift1`` or ``lift2``
-    selects the cycle form.  The sums run over the nonzero entries
-    ``q_{mu nu}`` of the pairing, and go through one
-    :func:`~tropical_heights.polynomials.bordered_det`, which shares M's minors.
+    selects the cycle form, whose basis and lifts share one tree walk.
+    The sums run over the nonzero entries ``q_{mu nu}`` of the pairing,
+    and go through one :func:`~tropical_heights.polynomials.bordered_det`,
+    which shares M's minors.
 
     Cycle form: the cycle Gram matrix M is bordered by the row
     ``W_mu(omega1)``, the column ``W_nu(omega2)`` and the corner
@@ -337,32 +339,28 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
     variables = graph.edge_ids()
     pairing = [(mu, nu, q) for mu, qrow in enumerate(space.matrix)
                for nu, q in enumerate(qrow) if q]
-    if basis is None and lift1 is None and lift2 is None and _vertex_form(graph):
-        if not (momenta1.is_conserved() and momenta2.is_conserved()):
-            raise ValueError("momenta must sum to zero to admit a lift")
-        lap = _gram_matrix(variables, boundary_matrix(graph)[1:])
-        if lap is None:
-            return MultiPoly.zero(variables)
-        rest = sorted(graph.vertices)[1:]
-        p1, d1 = _scaled_to_ints([momenta1.vector(v) for v in rest])
-        p2, d2 = _scaled_to_ints([momenta2.vector(v) for v in rest])
+    basis, cmat, m = _kirchhoff(graph, basis, lift1 is not None or lift2 is not None)
+    if basis is None:
+        (p1, d1), (p2, d2) = momenta1._int_rows(graph), momenta2._int_rows(graph)
         zero = MultiPoly.zero(variables)
+        if m is None:
+            return zero
+        rest = sorted(graph.vertices)[1:]
 
-        def momentum_border(vectors, mu):
+        def momentum_border(rows, mu):
             # d P_mu, constant: coordinate mu of the scaled momentum at each vertex of L0.
-            return [MultiPoly.packed(variables, {0: p[mu]} if p[mu] else {}) for p in vectors]
+            return [MultiPoly.packed(variables, {0: rows[v][mu]} if rows[v][mu] else {})
+                    for v in rest]
 
         # The sign of phi and the scales d1 d2 go into the weights.
-        return _complement(bordered_det(lap, [
+        return _complement(bordered_det(m, [
             (-q / (d1 * d2), zero, momentum_border(p1, mu), momentum_border(p2, nu))
             for mu, nu, q in pairing]))
-    if basis is None:
-        basis = cycle_basis(graph)
 
     def int_lift(lift, momenta):
-        # A lift passed in is scaled to ints; else the int walk gives them.
+        # A lift passed in is scaled to ints; else the basis's tree walk gives them.
         if lift is None:
-            return _int_lift(graph, momenta)
+            return _int_lift(graph, momenta, basis.walk)
         return _scaled_to_ints([lift.vector(e) for e in variables])
 
     # The lifts as ints: row 0 and column 0 of each bordered matrix scale
@@ -370,10 +368,8 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
     same = lift2 is lift1 if lift2 is not None else momenta2 is momenta1
     om1, d1 = int_lift(lift1, momenta1)
     om2, d2 = (om1, d1) if same else int_lift(lift2, momenta2)
-    cmat = basis.matrix()
-    m = _gram_matrix(variables, cmat)
     if m is None:
-        qrows, dq = _scaled_to_ints(space.matrix)
+        qrows, dq = space._ints
         return _linear_form(variables, [sum(qrows[mu][nu] * a[mu] * b[nu]
                                             for mu, nu, _q in pairing)
                                         for a, b in zip(om1, om2)], d1 * d2 * dq)
@@ -399,27 +395,25 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     p(F_2) = -p(F_1) for both assignments, so the bilinear weight is the
     same on either part and is read on the part of the first vertex; the
     diagonal case reduces to ``-<p(F_1), p(F_2)>``.  Raises ValueError on
-    momenta that do not sum to zero, as the determinant route does, and
-    on disconnected input.
+    disconnected input.
 
     The 2-forest search runs with the vertex momenta as payloads, so
     each root of its union-find holds its part's momentum sums.  They
-    are ints: both assignments and the pairing are scaled by their common
-    denominators d1, d2 and dq, and phi, being bilinear, is divided by
-    d1 d2 dq once at the end.
+    are ints: the assignments' and the pairing's int tables, scaled by
+    their common denominators d1, d2 and dq, and phi, being bilinear, is
+    divided by d1 d2 dq once at the end.
     """
     if momenta2 is None:
         momenta2 = momenta1
-    if not (momenta1.is_conserved() and momenta2.is_conserved()):
-        raise ValueError("momenta must sum to zero to admit a lift")
     variables, vertices = graph.edge_ids(), graph.vertices
-    qrows, dq = _scaled_to_ints(momenta1.space.matrix)
-    vecs, d1 = _scaled_to_ints([momenta1.vector(v) for v in vertices])
+    qrows, dq = momenta1.space._ints
+    rows, d1 = momenta1._int_rows(graph)
+    vecs = [rows[v] for v in vertices]
     # Each payload is p, followed by p' when the assignments differ.
     d2, offset = d1, 0
     if momenta2 is not momenta1:
-        vecs2, d2 = _scaled_to_ints([momenta2.vector(v) for v in vertices])
-        vecs = [a + b for a, b in zip(vecs, vecs2)]
+        rows2, d2 = momenta2._int_rows(graph)
+        vecs = [a + rows2[v] for a, v in zip(vecs, vertices)]
         offset = len(qrows)
     pairing = [(mu, offset + nu, q) for mu, row in enumerate(qrows)
                for nu, q in enumerate(row) if q]
@@ -472,15 +466,16 @@ def _finite_ratio(route):
 
 def _numeric_tables(graph, momenta1, momenta2=None):
     """``(order, cmat, om1, om2)``: the edge order, ``cycle_basis(graph).matrix()``
-    as an (h, E) float array and the (E, d) float lifts (one array when
-    ``momenta2`` is None or ``momenta1``), each entry ``x / d`` of the int
-    lift, which Python rounds correctly, as ``float(Fraction(x, d))``."""
+    as an (h, E) float array and the (E, d) float lifts along the basis's
+    tree walk (one array when ``momenta2`` is None or ``momenta1``), each
+    entry ``x / d`` of the int lift, rounded correctly by Python."""
     import numpy as np
     order = graph.edge_ids()
-    rows = cycle_basis(graph).matrix()
+    basis = cycle_basis(graph)
+    rows = basis.matrix()
 
     def lift(momenta):
-        ints, d = _int_lift(graph, momenta)
+        ints, d = _int_lift(graph, momenta, basis.walk)
         return np.array([[x / d for x in row] for row in ints]).reshape(
             len(order), momenta.space.dim)
 
@@ -530,8 +525,9 @@ def resistance_oracle(graph, y, momenta1, momenta2=None):
 
     Builds the weighted graph Laplacian ``L = B diag(1/y) B^T`` from the
     incidence matrix and returns ``sum_{mu,nu} q_{mu nu} p1^mu . L^+ p2^nu``.
-    Shares nothing with the polynomial or Schur routes beyond the graph.
-    Raises ValueError as :func:`symanzik_ratio_eval` does.
+    Shares nothing with the polynomial or Schur routes beyond the graph
+    and the assignments' int momenta.  Raises ValueError as
+    :func:`symanzik_ratio_eval` does, and on momenta off the graph.
     """
     import numpy as np
     if momenta2 is None:
@@ -542,8 +538,9 @@ def resistance_oracle(graph, y, momenta1, momenta2=None):
     vorder = sorted(graph.vertices)
     nv = len(vorder)
     space = momenta1.space
-    p1 = np.array([[float(x) for x in momenta1.vector(v)] for v in vorder])
-    p2 = np.array([[float(x) for x in momenta2.vector(v)] for v in vorder])
+    # x / d rounds correctly, so each entry is the float of the rational momentum.
+    p1, p2 = (np.array([[x / d for x in rows[v]] for v in vorder])
+              for rows, d in (momenta1._int_rows(graph), momenta2._int_rows(graph)))
     if nv == 1:
         return 0.0
     red = lap[1:, 1:]

@@ -222,6 +222,18 @@ def test_symanzik_ratio_polynomial_route_underflow(capsys, tmp_path):
         assert "phi/psi underflows a float at these edge weights" in result[2]
 
 
+@pytest.mark.parametrize("y", ["e1=1,e2=1e-12", "e1=1,e2=1e-16", "e1=1e300,e2=1e-300"])
+def test_symanzik_ratio_check_is_relative_at_small_values(capsys, banana_path, y):
+    # The Schur route loses phi/psi = 9 y1 y2 / (y1 + y2) to cancellation at
+    # these weights (relative error 9e-5 at the first, 0.0 at the others).
+    # The check is relative at every magnitude, so it sees the disagreement.
+    code, out, _err = run(capsys, "symanzik", "ratio", "--graph", banana_path, "--y", y,
+                          "--check")
+    report = json.loads(out)
+    assert code == 1 and report["agree"] is False
+    assert set(report["results"]) == {"polynomial", "schur"}
+
+
 def test_symanzik_ratio_weight_underflowing_to_zero(capsys, banana_path):
     # 1e-400 is a positive rational but 0.0 as a float: every route and the
     # cross-check reject it up front, naming the weight.

@@ -584,33 +584,61 @@ def test_momentum_lift_frozen_rational_dimension_two():
 
 
 def test_momentum_total_is_summed_once():
+    # The total is summed once, on the ints, and named when it is not zero.
     space = MinkowskiSpace.euclidean(2)
-    mom = MomentumAssignment(space, {"v1": ("1/2", 0), "v2": ("-1/3", 1)},
-                             require_conserved=False)
-    assert mom.total() == (Fraction(1, 6), Fraction(1))
-    assert not mom.is_conserved()
-    empty = MomentumAssignment(space, {})
-    assert empty.total() == (0, 0) and empty.is_conserved()
     with pytest.raises(ValueError, match=r"got \(Fraction\(1, 6\), Fraction\(1, 1\)\)"):
         MomentumAssignment(space, {"v1": ("1/2", 0), "v2": ("-1/3", 1)})
+    empty = MomentumAssignment(space, {})
+    assert momentum_lift(BANANA, empty).edge_vectors == {"e1": (0, 0), "e2": (0, 0)}
 
 
-def test_nonconserved_lift_rejected():
-    mom = MomentumAssignment(
-        D1, {"v1": (1,), "v2": (0,)}, require_conserved=False
-    )
-    with pytest.raises(ValueError):
-        momentum_lift(BANANA, mom)
-    # The vertex form (h = 2 > |V| - 1 = 1) needs no lift but still rejects them.
-    with pytest.raises(ValueError, match="sum to zero"):
-        second_symanzik_bordered(banana_graph(3), mom)
-    # The forest route rejects them too: without conservation a forest's
-    # weight would depend on which of its two parts is summed.
-    triangle_mom = MomentumAssignment(
-        D1, {"v1": (1,), "v2": (2,), "v3": (0,)}, require_conserved=False
-    )
+def test_momenta_off_the_graph_are_rejected_by_every_route():
+    # Every route reads the momenta through one check, so none of them
+    # drops a momentum that sits off the graph.
+    mom = MomentumAssignment(D1, {"v1": (1,), "v9": (-1,)})
     conserved = MomentumAssignment(D1, {"v1": (1,), "v2": (-1,)})
-    for args in ((TRIANGLE, triangle_mom), (BANANA, mom), (BANANA, conserved, mom),
-                 (BANANA, mom, conserved)):
-        with pytest.raises(ValueError, match="sum to zero"):
-            second_symanzik_forests(*args)
+    banana3 = banana_graph(3)  # the vertex form: |V| - 1 = 1 < h = 2
+    y = {"e1": 1.0, "e2": 2.0}
+    routes = [
+        lambda: momentum_lift(BANANA, mom),
+        lambda: second_symanzik_bordered(BANANA, mom),
+        lambda: second_symanzik_bordered(BANANA, conserved, mom),
+        lambda: second_symanzik_bordered(banana3, mom),
+        lambda: second_symanzik_bordered(LOOP, mom),  # the vertex form, L0 empty
+        lambda: second_symanzik_forests(BANANA, mom),
+        lambda: second_symanzik_forests(BANANA, conserved, mom),
+        lambda: symanzik_ratio_eval(BANANA, y, mom),
+        lambda: resistance_oracle(BANANA, y, mom),
+        lambda: resistance_oracle(BANANA, y, conserved, mom),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match=r"momenta on vertices the graph lacks: \['v9'\]"):
+            route()
+
+
+def test_cycle_form_walks_the_tree_once(monkeypatch):
+    # The cycle basis and the lifts of one call share one walk of the
+    # designated tree, quadratic or bilinear.
+    import sys
+    from tropical_heights import graphs
+    original, calls = graphs._tree_walk, []
+
+    def counting(graph):
+        calls.append(graph)
+        return original(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropical_heights") and vars(module).get("_tree_walk") is original:
+            monkeypatch.setattr(module, "_tree_walk", counting)
+    rng = random.Random(27)
+    space = MinkowskiSpace.lorentzian(2)
+    for graph in (TRIANGLE, complete_graph(4), BANANA):
+        m1, m2 = (random_conserved_momenta(rng, graph, space) for _ in range(2))
+        y = {e: rng.uniform(0.5, 2.0) for e in graph.edge_ids()}
+        for momenta in ((m1,), (m1, m2)):
+            calls.clear()
+            second_symanzik_bordered(graph, *momenta)
+            assert len(calls) == 1
+            calls.clear()
+            symanzik_ratio_eval(graph, y, *momenta)
+            assert len(calls) == 1
