@@ -103,7 +103,7 @@ def _require_momenta(bundle, flag_context):
 # symanzik
 
 def _cmd_symanzik(args):
-    from .symanzik import (first_symanzik_det, first_symanzik_trees,
+    from .symanzik import (_psi_phi, first_symanzik_det, first_symanzik_trees,
                            second_symanzik_bordered, second_symanzik_forests,
                            symanzik_ratio_eval)
     bundle = jsonio.load_graph_bundle(args.graph)
@@ -127,14 +127,14 @@ def _cmd_symanzik(args):
         yf = {e: float(v) for e, v in y.items()}
 
         def polynomial(g):
-            # The exact polynomials of the det and bordered routes. phi/psi is
+            # The exact polynomials of the det and bordered routes, from one
+            # Kirchhoff matrix and one cofactor expansion. phi/psi is
             # homogeneous of degree 1, so it is evaluated in floats at y / 2^k,
             # with the largest weight in [1/2, 1), and scaled back by 2^k:
             # exact in floats while every product of up to deg(phi) scaled
             # weights is a normal float. Weights spread wider than that are
             # evaluated on their exact values, and the quotient rounded once.
-            psi_poly = first_symanzik_det(g)
-            phi_poly = second_symanzik_bordered(g, momenta)
+            psi_poly, phi_poly = _psi_phi(g, momenta)
             k = math.frexp(max(yf.values()))[1]
             ys = {e: math.ldexp(v, -k) for e, v in yf.items()}
             low = math.frexp(min(yf.values()))[1] - 1 - k  # 2^low <= min(ys)
@@ -178,7 +178,7 @@ def _cmd_symanzik(args):
             _emit({"agree": False,
                    "results": {n: _render(results[n], y) for n in names}})
             return CHECK_FAIL
-        value = first_result
+        value = results[method]
     else:
         value = routes[method](graph)
     _emit(_render(value, y))

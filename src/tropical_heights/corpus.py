@@ -25,9 +25,9 @@ from pathlib import Path
 from .graphs import Multigraph
 from .jsonio import (SchemaError, graph_bundle_from_json, graph_bundle_to_json,
                      load_json)
-from .symanzik import (MinkowskiSpace, MomentumAssignment,
+from .symanzik import (MinkowskiSpace, MomentumAssignment, _psi_phi,
                        first_symanzik_det, first_symanzik_trees,
-                       second_symanzik_bordered, second_symanzik_forests)
+                       second_symanzik_forests)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +131,20 @@ def check_bundle(bundle):
 
     Returns ``(checks, failures)`` where ``checks`` maps check names to
     "pass"/"fail"/"skipped" and ``failures`` lists human-readable
-    mismatch details.
+    mismatch details.  With momenta, the determinant and bordered
+    polynomials come from one Kirchhoff matrix and one cofactor memo
+    (``symanzik._psi_phi``); each is still checked against its own
+    enumeration, psi against the trees and phi against the 2-forests.
     """
     checks = {}
     failures = []
     graph = bundle.graph
 
-    by_det = first_symanzik_det(graph)
+    momenta = bundle.momentum_assignment()
+    if momenta is None:
+        by_det = first_symanzik_det(graph)
+    else:
+        by_det, by_bordered = _psi_phi(graph, momenta)
     by_trees = first_symanzik_trees(graph)
     if by_det == by_trees:
         checks["first_det_vs_trees"] = "pass"
@@ -145,11 +152,9 @@ def check_bundle(bundle):
         checks["first_det_vs_trees"] = "fail"
         failures.append(f"first polynomial mismatch: det={by_det} trees={by_trees}")
 
-    momenta = bundle.momentum_assignment()
     if momenta is None:
         checks["second_bordered_vs_forests"] = "skipped"
     else:
-        by_bordered = second_symanzik_bordered(graph, momenta)
         by_forests = second_symanzik_forests(graph, momenta)
         if by_bordered == by_forests:
             checks["second_bordered_vs_forests"] = "pass"

@@ -27,16 +27,17 @@ sets.  The bordered determinants ``det [[corner, row], [column, M]]`` of
 one matrix M share it: one memo holds M's minors and the column sets
 that keep a border column, one family per distinct column; each top row
 then costs n more products, and as a determinant is linear in its top
-row the corners enter once, as ``(sum q corner) det M``.  Width-1
-entries keep width-1 keys (edge subsets), and the products of an entry
-and a minor whose keys overlap are summed apart, per pair of keys.
-Those sums cancel on every Symanzik matrix, a rank-one term per edge
-plus constants, whose minors are multilinear; if one does not, or an
-entry is wider, the whole sum is redone on keys re-spaced to a width no
-minor's exponents can overflow.  Matrices above dimension 12 are
-rejected; for the graph polynomials that limit reads min(h, |V| - 1) <=
-12, since :mod:`~tropical_heights.symanzik` takes the smaller Kirchhoff
-matrix.
+row the corners enter once, as ``(sum q corner) det M``.  det M itself
+comes back from the same memo, so psi and phi of one Kirchhoff matrix
+share one expansion.  Width-1 entries keep width-1 keys (edge subsets),
+and the products of an entry and a minor whose keys overlap are summed
+apart, per pair of keys.  Those sums cancel on every Symanzik matrix, a
+rank-one term per edge plus constants, whose minors are multilinear; if
+one does not, or an entry is wider, the whole sum is redone on keys
+re-spaced to a width no minor's exponents can overflow.  Matrices above
+dimension 12 are rejected; for the graph polynomials that limit reads
+min(h, |V| - 1) <= 12, since :mod:`~tropical_heights.symanzik` takes the
+smaller Kirchhoff matrix.
 """
 
 import math
@@ -388,19 +389,19 @@ def det_fraction_free(matrix):
     if not isinstance(matrix, RingMatrix):
         matrix = RingMatrix(matrix)
     _check_dim(matrix.n)
-    return _det_sum(matrix, None)
+    return _det_sum(matrix, None)[0]
 
 
 def bordered_det(matrix, borders):
-    """Exact ``sum q * det [[corner, row^T], [column, matrix]]`` over the
-    ``(q, corner, row, column)`` in ``borders``, for a RingMatrix.
+    """Exact ``(det(matrix), sum q * det [[corner, row^T], [column, matrix]])``
+    over the ``(q, corner, row, column)`` in ``borders``, for a RingMatrix.
 
     All of them share one integer cofactor expansion
     (:func:`_det_cofactor`): one memo of ``matrix``'s minors, one family
     of column sets per distinct ``column``, n more products for each
-    ``row``, and the corners once, as ``(sum q corner) det(matrix)``.
-    The dimension limit applies to ``matrix``, so every matrix with a
-    determinant has bordered ones.
+    ``row``, and the corners once, as ``(sum q corner) det(matrix)``;
+    det(matrix) is read from the same memo.  The dimension limit applies
+    to ``matrix``, so every matrix with a determinant has bordered ones.
     """
     _check_dim(matrix.n)
     return _det_sum(matrix, borders)
@@ -412,16 +413,17 @@ def _check_dim(n):
 
 
 def _det_sum(matrix, borders, wide=False):
-    """:func:`bordered_det`, or ``det(matrix)`` when ``borders`` is None.
+    """:func:`bordered_det`; the sum is 0 when ``borders`` is None.
 
     Row i of ``matrix`` and entry i of every distinct column are scaled to
     ints by the lcm s_i of their denominators; a border's top row by the
     lcm t of its own, times the int q D / t for a common multiple D of the
     denominators of every q / t; the top rows of one column are summed.
-    The expansion is D s_0 ... s_{n-1} times the result.  Width-1 entries keep
-    width-1 keys, and the sum is redone ``wide`` if an overlap survives;
-    wide keys get per field the bits of the sum over rows of each row's
-    largest exponent, which no exponent of a minor exceeds.
+    The expansion is D s_0 ... s_{n-1} times the sum and s_0 ... s_{n-1}
+    times det(matrix).  Width-1 entries keep width-1 keys, and both are
+    redone ``wide`` if an overlap survives; wide keys get per field the
+    bits of the sum over rows of each row's largest exponent, which no
+    exponent of a minor exceeds.
     """
     n, families, heads = matrix.n, {}, []  # distinct column -> index; (index, q, top row)
     for q, corner, row, column in borders or ():
@@ -452,18 +454,19 @@ def _det_sum(matrix, borders, wide=False):
         for target, entry in zip([*top_rows[f][:n], top_rows[0][n]], top):
             for k, v in ints(entry, t // q.denominator, q.numerator * (scale // t)).items():
                 target[k] = target.get(k, 0) + v
-    det, overlap = _det_cofactor(
+    det, total, overlap = _det_cofactor(
         [[ints(a, d) for a in line] for line, d in zip(lines, dens)],
-        None if borders is None else [[{k: v for k, v in a.items() if v} for a in row]
-                                      for row in top_rows], multilinear)
+        [[{k: v for k, v in a.items() if v} for a in row] for row in top_rows], multilinear)
     if overlap:  # a minor is not multilinear
         return _det_sum(matrix, borders, wide=True)
-    return MultiPoly.packed(matrix.variables, det, scale * math.prod(dens), width)
+    den = math.prod(dens)
+    return (MultiPoly.packed(matrix.variables, det, den, width),
+            MultiPoly.packed(matrix.variables, total, scale * den, width))
 
 
 def _det_cofactor(rows, tops, multilinear):
     """Laplace expansion along rows, memoized on column sets, of det M
-    (``tops`` None) or of ``sum_f det [[c_f, tops[f]], [column f, M]]``.
+    and of ``sum_f det [[c_f, tops[f]], [column f, M]]``.
 
     Line i of ``rows`` is row i of M, then entry i of each border column
     (column n + f is border f), as dicts from packed monomial keys to int
@@ -473,7 +476,9 @@ def _det_cofactor(rows, tops, multilinear):
     memo holds them all, so every border shares M's minors; zero entries
     are skipped.  ``tops[f]`` is expanded on columns 0..n-1 and n + f with
     sign (-1)^n, which moves the border column first; every corner is
-    entry n of ``tops[0]``.  Returns ``(det, overlap)``.  With
+    entry n of ``tops[0]``.  det M is the memo's full column set, which a
+    nonzero corner fills; else one more expansion of row 0 over the same
+    memo.  Returns ``(det M, sum, overlap)``.  With
     ``multilinear`` (width-1 keys), the products whose keys ``ka``, ``ks``
     share a bit are summed apart, per expansion and ``(ka, ks)``, and
     ``overlap`` tells whether any such sum is nonzero; if none is, every
@@ -511,11 +516,12 @@ def _det_cofactor(rows, tops, multilinear):
         return {k: c for k, c in acc.items() if c}
 
     full, acc, side = (1 << n) - 1, {}, {}
-    if tops is None:
-        expand(acc, side, rows[0], full, 1)
-    for f, top in enumerate(tops or ()):
+    for f, top in enumerate(tops):
         expand(acc, side, top, full | 1 << (n + f), (-1) ** n)
-    return close(acc, side), bool(overlap)
+    total = close(acc, side)
+    if full not in memo:  # no corner reached det M
+        memo[full] = close(*expand({}, {}, rows[0], full, 1))
+    return memo[full], total, bool(overlap)
 
 
 def fraction_det(rows):

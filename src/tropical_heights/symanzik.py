@@ -309,7 +309,7 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
     selects the cycle form, whose basis and lifts share one tree walk.
     The sums run over the nonzero entries ``q_{mu nu}`` of the pairing,
     and go through one :func:`~tropical_heights.polynomials.bordered_det`,
-    which shares M's minors.
+    which shares M's minors and returns psi from the same memo.
 
     Cycle form: the cycle Gram matrix M is bordered by the row
     ``W_mu(omega1)``, the column ``W_nu(omega2)`` and the corner
@@ -331,6 +331,12 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
     this is the usual quadratic momentum polynomial; with both given it
     is the symmetric bilinear version.
     """
+    return _psi_phi(graph, momenta1, momenta2, basis, lift1, lift2)[1]
+
+
+def _psi_phi(graph, momenta1, momenta2=None, basis=None, lift1=None, lift2=None):
+    """``(psi, phi)`` of :func:`second_symanzik_bordered`'s Kirchhoff
+    matrix: psi as :func:`first_symanzik_det` reads it, from phi's memo."""
     if momenta2 is None:
         momenta2 = momenta1
     space = momenta1.space
@@ -340,11 +346,11 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
     pairing = [(mu, nu, q) for mu, qrow in enumerate(space.matrix)
                for nu, q in enumerate(qrow) if q]
     basis, cmat, m = _kirchhoff(graph, basis, lift1 is not None or lift2 is not None)
+    one, zero = MultiPoly.constant(variables, 1), MultiPoly.zero(variables)
     if basis is None:
         (p1, d1), (p2, d2) = momenta1._int_rows(graph), momenta2._int_rows(graph)
-        zero = MultiPoly.zero(variables)
-        if m is None:
-            return zero
+        if m is None:  # one vertex: psi is the product of the loops
+            return _complement(one), zero
         rest = sorted(graph.vertices)[1:]
 
         def momentum_border(rows, mu):
@@ -353,14 +359,15 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
                     for v in rest]
 
         # The sign of phi and the scales d1 d2 go into the weights.
-        return _complement(bordered_det(m, [
+        return tuple(map(_complement, bordered_det(m, [
             (-q / (d1 * d2), zero, momentum_border(p1, mu), momentum_border(p2, nu))
-            for mu, nu, q in pairing]))
+            for mu, nu, q in pairing])))
+    walk = basis.walk or _tree_walk(graph)  # one walk for both lifts on any basis
 
     def int_lift(lift, momenta):
-        # A lift passed in is scaled to ints; else the basis's tree walk gives them.
+        # A lift passed in is scaled to ints; else the tree walk gives them.
         if lift is None:
-            return _int_lift(graph, momenta, basis.walk)
+            return _int_lift(graph, momenta, walk)
         return _scaled_to_ints([lift.vector(e) for e in variables])
 
     # The lifts as ints: row 0 and column 0 of each bordered matrix scale
@@ -370,9 +377,9 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
     om2, d2 = (om1, d1) if same else int_lift(lift2, momenta2)
     if m is None:
         qrows, dq = space._ints
-        return _linear_form(variables, [sum(qrows[mu][nu] * a[mu] * b[nu]
-                                            for mu, nu, _q in pairing)
-                                        for a, b in zip(om1, om2)], d1 * d2 * dq)
+        return one, _linear_form(variables, [sum(qrows[mu][nu] * a[mu] * b[nu]
+                                                 for mu, nu, _q in pairing)
+                                             for a, b in zip(om1, om2)], d1 * d2 * dq)
 
     def border(omegas, mu):
         # d W_mu(omega), one linear form per basis cycle.

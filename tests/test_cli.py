@@ -186,8 +186,22 @@ def test_symanzik_ratio_polynomial_route_far_from_one(capsys, banana_path, weigh
     code, out, _err = run(capsys, "symanzik", "ratio", "--graph", banana_path, "--y", y)
     assert code == 0 and abs(float(out) - float(want)) <= 1e-9 * float(want)
     if weight == "1e-200":
-        assert run(capsys, "symanzik", "ratio", "--graph", banana_path, "--y", y,
-                   "--check") == (0, want, "")
+        assert run(capsys, "symanzik", "ratio", "--graph", banana_path, "--method",
+                   "polynomial", "--y", y, "--check") == (0, want, "")
+
+
+def test_symanzik_ratio_check_prints_the_selected_route(capsys, banana_path):
+    # Under --check both routes run, and the one --method selects (by default
+    # schur) is printed, as without --check; the two differ in the last bit here.
+    y = "e1=1e-200,e2=1e-200"
+    printed = {}
+    for method in ((), ("--method", "schur"), ("--method", "polynomial")):
+        args = ("symanzik", "ratio", "--graph", banana_path, *method, "--y", y)
+        code, out, err = run(capsys, *args, "--check")
+        assert (code, err) == (0, "") and run(capsys, *args) == (0, out, "")
+        printed[method[1:]] = out
+    assert printed == {(): "4.5e-200", ("schur",): "4.5e-200",
+                       ("polynomial",): "4.4999999999999996e-200"}
 
 
 @pytest.mark.parametrize("graph, y, want", [
@@ -444,7 +458,7 @@ def test_limit_eval_uses_the_bundle_pairing(capsys, tmp_path, banana_path):
     segment = tmp_path / "segment.json"
     dump_json({"edges": {"e1": {"y_scale": 1.0}, "e2": {"y_scale": 1.0}}}, segment)
     code, out, _ = run(capsys, "symanzik", "ratio", "--graph", str(bundle),
-                       "--y", "e1=1,e2=1", "--check")
+                       "--method", "polynomial", "--y", "e1=1,e2=1", "--check")
     assert (code, out) == (0, "9.0")
     code, out, _ = run(capsys, "limit", "eval", "--graph", str(bundle),
                        "--fixture", str(fixture), "--segment", str(segment))
@@ -806,7 +820,7 @@ RECORDED_CLI_DIGESTS = {
     "triangle_loop y": "64128352366b",
     "banana2 ratio": "ee86459b6cd9", "banana3 ratio": "40008a899ffa",
     "bowtie ratio": "6ab4f136377b", "k23 ratio": "e843eb4cd16f",
-    "triangle ratio": "444be8442386",
+    "triangle ratio": "3fa8ce583934",
 }
 
 
@@ -966,7 +980,7 @@ RECORDED_README_DIGESTS = {
     "symanzik first": "61d2859c284b", "symanzik second": "a2e6322444f6",
     "limit eval": "6ca3e3861233", "limit eval matrix": "f761dee07e53",
     "poincare norm": "9e02a3c239e0", "sphere-crossratio": "783a6aaba79b",
-    "symanzik ratio": "47a8561cdd72", "curve stability": "4c78b7de2f97",
+    "symanzik ratio": "9f0f35d9c92d", "curve stability": "4c78b7de2f97",
     "curve dimensions": "370fce327272", "monodromy check": "89a0aa9c797b",
     "missing file": "cdb95507eb83", "broken json": "99abdb992b93",
     "ratio without y": "cf6e7de4eff6", "bordered first": "40c369db8492",

@@ -616,9 +616,9 @@ def test_momenta_off_the_graph_are_rejected_by_every_route():
             route()
 
 
-def test_cycle_form_walks_the_tree_once(monkeypatch):
-    # The cycle basis and the lifts of one call share one walk of the
-    # designated tree, quadratic or bilinear.
+def tree_walks(monkeypatch):
+    """Record the graph of every ``graphs._tree_walk`` call, under every
+    name the package holds it by."""
     import sys
     from tropical_heights import graphs
     original, calls = graphs._tree_walk, []
@@ -630,6 +630,13 @@ def test_cycle_form_walks_the_tree_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("tropical_heights") and vars(module).get("_tree_walk") is original:
             monkeypatch.setattr(module, "_tree_walk", counting)
+    return calls
+
+
+def test_cycle_form_walks_the_tree_once(monkeypatch):
+    # The cycle basis and the lifts of one call share one walk of the
+    # designated tree, quadratic or bilinear.
+    calls = tree_walks(monkeypatch)
     rng = random.Random(27)
     space = MinkowskiSpace.lorentzian(2)
     for graph in (TRIANGLE, complete_graph(4), BANANA):
@@ -642,3 +649,43 @@ def test_cycle_form_walks_the_tree_once(monkeypatch):
             calls.clear()
             symanzik_ratio_eval(graph, y, *momenta)
             assert len(calls) == 1
+
+
+def test_caller_built_basis_walks_the_tree_once(monkeypatch):
+    # A basis built by the caller carries no walk; the call walks the tree
+    # once and both lifts of a bilinear call read that walk.
+    calls = tree_walks(monkeypatch)
+    rng = random.Random(28)
+    space = MinkowskiSpace.lorentzian(2)
+    m1, m2 = (random_conserved_momenta(rng, TRIANGLE, space) for _ in range(2))
+    designated = cycle_basis(TRIANGLE)
+    basis = CycleBasis(TRIANGLE, designated.tree, designated.cycles, designated.nontree_edges)
+    calls.clear()
+    phi = second_symanzik_bordered(TRIANGLE, m1, m2, basis=basis)
+    assert basis.walk is None and calls == [TRIANGLE]
+    assert phi == second_symanzik_forests(TRIANGLE, m1, m2)
+
+
+def test_psi_phi_pair_matches_each_route():
+    # psi and phi from one Kirchhoff matrix and one cofactor memo: psi prints
+    # as first_symanzik_det does, phi equals the bordered and forest routes,
+    # on one-vertex graphs (all loops), trees and both Kirchhoff forms.
+    from tropical_heights.symanzik import _kirchhoff, _psi_phi
+    rng = random.Random(2028)
+    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+    spaces = (MinkowskiSpace.euclidean(1), MinkowskiSpace.lorentzian(4), rational)
+    kinds = set()
+    for k in range(60):
+        graph = random_connected_multigraph(rng, max_edges=8, max_vertices=6)
+        mom1, mom2 = (random_conserved_momenta(rng, graph, spaces[k % 3]) for _ in range(2))
+        psi = str(first_symanzik_det(graph))
+        for other in (None, mom2):  # quadratic, then bilinear
+            pair = _psi_phi(graph, mom1, other)
+            assert str(pair[0]) == psi
+            assert pair[1] == second_symanzik_bordered(graph, mom1, other)
+            assert pair[1] == second_symanzik_forests(graph, mom1, other)
+        kinds.add("one vertex" if len(graph.vertices) == 1 else
+                  "tree" if first_betti(graph) == 0 else
+                  "vertex form" if _kirchhoff(graph)[0] is None else "cycle form")
+    assert kinds == {"one vertex", "tree", "vertex form", "cycle form"}
+
