@@ -1,31 +1,33 @@
 r"""Height evaluation near the tropical limit.
 
-The objects here put the pieces together: a holomorphic fixture
-(Omega0(s), W0(s), Z0(s), rho0(s)) describing the bounded part of a
-period map on a polydisc, per-edge translation blocks (mt_e, w_e, z_e,
-gamma_e) describing the nilpotent directions, and vertical coordinates
-y_e.  The archimedean height of the family point is
+A holomorphic fixture gives the bounded part of a period map on a
+polydisc as one (g+d)-square period matrix P0(s) = [[Omega0, Z0], [W0,
+rho0]]; each edge has one translation block N_e = [[mt_e, z_e], [w_e,
+gamma_e]] for its nilpotent direction, and P moves as P0 + sum z_e N_e.
+At vertical coordinates y_e (y'_e = y_e - h0) the archimedean height is
 
     H = sum_{mu nu} q_{mu nu} [ -2 pi Im(rho)_{mu nu}
-        + 2 pi (Im W (Im Omega)^-1 Im Z)_{mu nu} ]
+        + 2 pi (Im W (Im Omega)^-1 Im Z)_{mu nu} ],
 
-with Omega = Omega0 + sum y'_e mt_e and likewise for the other three
-components (y'_e = y_e - h0).  Two facts are checked by the tests, not
-assumed: H equals the biextension log-norm of the translated point
+minus the Schur complement of Im Omega in Im P = Im P0 + sum y'_e N_e,
+paired with q.  A graph's blocks (:func:`graph_blocks`) are rank one,
+N_e = u_e v_e^T.  Two facts are checked by the tests, not assumed: H
+equals the biextension log-norm of the translated point
 (:func:`height_via_orbit`), and H minus the tropical height
 ``2 pi phi/psi`` stays bounded along rays y = t d as t grows, provided
-the blocks are the geometric ones of a graph (:func:`graph_blocks`).
-The scan evaluates the heights of a whole t-grid, on every ray at
-once, as one stack of translated matrices, and every ray's tropical
-height at t = 1 in one stacked Schur solve: phi has degree h+1 and psi
-degree h, so ``2 pi phi/psi`` at t d is t times its value at d.
+the blocks are the geometric ones.  The scan evaluates the heights of a
+whole t-grid, on every ray at once, as one stack of translated matrices,
+and every ray's tropical height at t = 1 in one stacked Schur solve: phi
+has degree h+1 and psi degree h, so ``2 pi phi/psi`` at t d is t times
+its value at d.
 
 Admissible degenerating segments move y_e to infinity like
 Y_e / (2 pi alpha') while the horizontal coordinates may oscillate;
 ``alpha' * H`` then converges to ``phi/psi`` at the segment's direction
 Y, extracted by polynomial extrapolation over a pinned schedule whose
-heights are again one stack.  A stacked evaluation does each point's
-arithmetic in the order a lone one does, so it returns the same bits.
+heights are again one stack.  Every route adds the N_e to P edge by edge
+in ``sorted(blocks)`` order, so a stacked evaluation does each point's
+arithmetic in the order a lone one does and returns the same bits.
 """
 
 import cmath
@@ -67,12 +69,21 @@ def _finite_base_height(h0):
 
 
 class EdgeBlocks(NamedTuple):
-    """Translation data of one edge: (g,g), (d,g), (g,d), (d,d) arrays."""
+    """Translation data of one edge: the quadrants of N_e = [[mt, z], [w, gamma]].
+
+    mt, w, z and gamma are (g,g), (d,g), (g,d) and (d,d) arrays; N_e moves
+    the period matrix as P -> P + z_e N_e.
+    """
 
     mt: np.ndarray
     w: np.ndarray
     z: np.ndarray
     gamma: np.ndarray
+
+
+def _quadrants(p, g):
+    # Views (Omega, W, Z, rho) of P = [[Omega, Z], [W, rho]]; leading axes stack.
+    return p[..., :g, :g], p[..., g:, :g], p[..., :g, g:], p[..., g:, g:]
 
 
 class HolomorphicFixture:
@@ -81,7 +92,8 @@ class HolomorphicFixture:
     Each component is a finite sum of monomials in the edge coordinates
     s_e with complex matrix coefficients; shapes are (g, g) for omega,
     (d, g) for w, (g, d) for z and (d, d) for rho, where d is the
-    momentum dimension (1 for scalar heights).
+    momentum dimension (1 for scalar heights).  Together they are the
+    quadrants of one (g+d)-square period matrix P = [[omega, z], [w, rho]].
     """
 
     __slots__ = ("genus", "dim", "edge_ids", "terms")
@@ -102,12 +114,17 @@ class HolomorphicFixture:
         """Add ``coeff * prod s_e^k_e`` to one component.
 
         ``exponents`` maps edge ids to non-negative powers; omit it for
-        the constant term.  Scalars are accepted for 1 x 1 shapes.
+        the constant term.  A matrix must have the field's exact shape;
+        scalars are accepted for 1 x 1 shapes and vectors of the right length.
         """
         if field not in self._FIELDS:
             raise ValueError(f"unknown fixture field {field!r}")
         shape = self._shape(field)
-        coeff = np.asarray(coeff, dtype=complex).reshape(shape)
+        coeff = np.asarray(coeff, dtype=complex)
+        if (coeff.ndim > 1 and coeff.shape != shape) or coeff.size != shape[0] * shape[1]:
+            raise ValueError(f"fixture field {field!r} needs a coefficient of shape {shape}, "
+                             f"got {coeff.shape}")
+        coeff = coeff.reshape(shape)
         exponents = dict(exponents or {})
         for e in exponents:
             if e not in self.edge_ids:
@@ -134,49 +151,52 @@ class HolomorphicFixture:
         fx.add_term("rho", rho0)
         return fx
 
-    def evaluate(self, s=None):
-        """Component values at s (dict edge id -> complex, default 0).
-
-        Raises ValueError outside the polydisc |s_e| <= 1/2.
-        """
+    def _periods(self, s=None):
+        # P at s, a fresh array: each field's terms add, in that field's own
+        # order, into its quadrant.
         point = [complex(s.get(e, 0)) if s else 0j for e in self.edge_ids]
         bad = [e for e, v in zip(self.edge_ids, point) if abs(v) > 0.5 + 1e-12]
         if bad:
             raise ValueError(f"fixture evaluated outside its polydisc (|s_e| > 1/2) at {bad}")
-        out = []
-        for field in self._FIELDS:
-            acc = np.zeros(self._shape(field), dtype=complex)
+        p = np.zeros((self.genus + self.dim,) * 2, dtype=complex)
+        for field, quadrant in zip(self._FIELDS, _quadrants(p, self.genus)):
             for key, coeff in self.terms[field].items():
                 mono = 1.0 + 0j
                 for v, k in zip(point, key):
                     if k:
                         mono *= v ** k
-                acc = acc + mono * coeff
-            out.append(acc)
-        return tuple(out)
+                quadrant += mono * coeff
+        return p
+
+    def evaluate(self, s=None):
+        """Component values (omega, w, z, rho) at s (dict edge id -> complex,
+        default 0), as views of one period matrix P.
+
+        Raises ValueError outside the polydisc |s_e| <= 1/2.
+        """
+        return _quadrants(self._periods(s), self.genus)
 
 
 def graph_blocks(graph, momenta1, momenta2=None):
     """Geometric translation blocks of a graph with external momenta.
 
-    Built from the cycle basis coefficients and the momentum lifts:
-    ``mt_e = c_e c_e^T``, ``w_e[mu, i] = c_{e,i} omega2_{e,mu}``,
+    Built from the cycle basis coefficients c_e and the momentum lifts:
+    N_e = u_e v_e^T with u_e = (c_e, omega2_e) and v_e = (c_e, -omega1_e),
+    so ``mt_e = c_e c_e^T``, ``w_e[mu, i] = c_{e,i} omega2_{e,mu}``,
     ``z_e[i, nu] = -c_{e,i} omega1_{e,nu}`` and
     ``gamma_e[mu, nu] = -omega2_{e,mu} omega1_{e,nu}``.
 
-    Each of the four is one broadcast product over all edges of the
-    (E, g) cycle table and the (E, d) lift arrays that the Schur route
-    solves with; every edge's EdgeBlocks holds views of those (E, ., .)
-    stacks.  Returns (blocks, g) with blocks a dict over edge ids.
+    The (E, g+d, g+d) stack of the N_e is one broadcast outer product of
+    the (E, g) cycle table and the (E, d) lift arrays that the Schur route
+    solves with; every edge's EdgeBlocks holds views of its quadrants.
+    Returns (blocks, g) with blocks a dict over edge ids.
     """
     edges, cmat, om1, om2 = _numeric_tables(graph, momenta1, momenta2)
-    c = cmat.T
-    mt = c[:, :, None] * c[:, None, :]
-    w = om2[:, :, None] * c[:, None, :]
-    z = -(c[:, :, None] * om1[:, None, :])
-    gamma = -(om2[:, :, None] * om1[:, None, :])
-    blocks = {e: EdgeBlocks(mt[k], w[k], z[k], gamma[k]) for k, e in enumerate(edges)}
-    return blocks, len(cmat)
+    g = len(cmat)
+    u = np.concatenate((cmat.T, om2), axis=1)
+    v = np.concatenate((cmat.T, -om1), axis=1)
+    stack = u[:, :, None] * v[:, None, :]
+    return {e: EdgeBlocks(*_quadrants(stack[k], g)) for k, e in enumerate(edges)}, g
 
 
 def _pairing_matrix(space, dim):
@@ -188,38 +208,43 @@ def _pairing_matrix(space, dim):
     return q
 
 
-def _accumulate(fixture, blocks, yprime, comps):
-    # yprime[..., k] is the offset of edge sorted(blocks)[k]; leading axes
-    # stack points.  comps are the fixture's four components at the points,
-    # with leading axes that broadcast against those.  Each point adds the
-    # blocks edge by edge, as a lone one.
-    omega0, w0, z0, rho0 = comps
-    lead = yprime.shape[:-1]
+def _block_stack(fixture, blocks):
+    # (E, g+d, g+d) stack of the N_e over sorted(blocks).  Each quadrant's
+    # shape is checked first: numpy would broadcast a 1 x 1 block into it.
     g, d = fixture.genus, fixture.dim
-    a, wmat, zmat, rmat = (np.empty(lead + m.shape[-2:]) for m in comps)
-    a[...], wmat[...], zmat[...], rmat[...] = omega0.imag, w0.imag, z0.imag, rho0.imag
-    for k, e in enumerate(sorted(blocks)):
+    want = ((g, g), (d, g), (g, d), (d, d))
+    order = sorted(blocks)
+    for e in order:
         blk = blocks[e]
-        yp = yprime[..., k, None, None]
-        a += yp * blk.mt
-        wmat += yp * blk.w
-        zmat += yp * blk.z
-        rmat += yp * blk.gamma
-    if (a.shape[-2:] != (g, g) or wmat.shape[-2:] != (d, g)
-            or zmat.shape[-2:] != (g, d) or rmat.shape[-2:] != (d, d)):
-        raise ValueError("block shapes do not match the fixture's (genus, dim)")
-    return a, wmat, zmat, rmat
+        if (blk.mt.shape, blk.w.shape, blk.z.shape, blk.gamma.shape) != want:
+            raise ValueError(f"fixture genus {g}, dim {d} needs blocks of shapes {want}; edge "
+                             f"{e!r} has {tuple(b.shape for b in blk)}")
+    stack = np.empty((len(order), g + d, g + d))
+    for quadrant, parts in zip(_quadrants(stack, g), zip(*(blocks[e] for e in order))):
+        quadrant[...] = parts
+    return stack
 
 
-def _heights(fixture, blocks, yprime, space=None, comps=None):
+def _translate(periods, steps):
+    # periods + steps[..., 0, :, :] + steps[..., 1, :, :] + ..., added edge
+    # by edge in that order; periods' leading axes broadcast against the steps'.
+    p = np.empty(steps.shape[:-3] + steps.shape[-2:], dtype=steps.dtype)
+    p[...] = periods
+    for k in range(steps.shape[-3]):
+        p += steps[..., k, :, :]
+    return p
+
+
+def _heights(fixture, blocks, yprime, space=None, periods=None):
     """Heights at a stack of offset vectors (last axis over ``sorted(blocks)``).
 
-    ``comps`` holds the fixture's components at the points, stacked on
-    the leading axes (default: the fixture at s = 0 for every point).
+    ``periods`` holds the fixture's period matrix P at the points, stacked
+    on the leading axes (default: P at s = 0 for every point).
     """
-    if comps is None:
-        comps = fixture.evaluate()
-    a, wmat, zmat, rmat = _accumulate(fixture, blocks, yprime, comps)
+    if periods is None:
+        periods = fixture._periods()
+    p = _translate(periods.imag, yprime[..., None, None] * _block_stack(fixture, blocks))
+    a, wmat, zmat, rmat = _quadrants(p, fixture.genus)
     q = _pairing_matrix(space, fixture.dim)
     try:
         np.linalg.cholesky(a)
@@ -238,34 +263,31 @@ def height_eval(fixture, blocks, params, space=None, s=None):
     (identity when omitted, the scalar d = 1 case).
     """
     return float(_heights(fixture, blocks, params.offsets(sorted(blocks)), space,
-                          fixture.evaluate(s)))
+                          fixture._periods(s)))
 
 
 def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
     """Same height through the nilpotent orbit and the biextension norm.
 
-    Translates the fixture point by ``exp(sum z_e N_e)`` with
-    ``z_e = x_e + i y'_e`` (x from ``phases``, default 0) and sums the
-    component log-norms against the pairing.  Horizontal phases provably
-    drop out; the equality with :func:`height_eval` is exercised by the
-    tests as a consistency check between the two code paths.
+    Translates the fixture's period matrix to ``P + sum z_e N_e`` with
+    ``z_e = x_e + i y'_e`` (x from ``phases``, default 0; each must be
+    finite and on an edge of ``blocks``, else ValueError) and sums the
+    log-norms of its (Omega, W row, Z column, rho entry) points against
+    the pairing.  Horizontal phases provably drop out; the equality with
+    :func:`height_eval` is exercised by the tests as a consistency check
+    between the two code paths.
     """
     from .poincare import BiextensionPoint, SiegelPoint, log_norm
 
-    omega0, w0, z0, rho0 = fixture.evaluate(s)
+    phases = phases or {}
+    bad = sorted(e for e, x in phases.items() if e not in blocks or not math.isfinite(x))
+    if bad:
+        raise ValueError(f"phases must be finite and on edges of the blocks: {bad}")
     order = sorted(blocks)
-    yprime = params.offsets(order)
-    omega = omega0.astype(complex).copy()
-    wmat = w0.astype(complex).copy()
-    zmat = z0.astype(complex).copy()
-    rmat = rho0.astype(complex).copy()
-    for yp, e in zip(yprime, order):
-        blk = blocks[e]
-        ze = (0.0 if phases is None else float(phases.get(e, 0.0))) + 1j * yp
-        omega = omega + ze * blk.mt
-        wmat = wmat + ze * blk.w
-        zmat = zmat + ze * blk.z
-        rmat = rmat + ze * blk.gamma
+    ze = [float(phases.get(e, 0.0)) + 1j * yp for e, yp in zip(order, params.offsets(order))]
+    steps = np.array(ze, dtype=complex)[:, None, None] * _block_stack(fixture, blocks)
+    p = _translate(fixture._periods(s), steps)
+    omega, wmat, zmat, rmat = _quadrants(p, fixture.genus)
     q = _pairing_matrix(space, fixture.dim)
     # One validated period matrix serves every entry of the pairing.
     point = SiegelPoint(omega)
@@ -365,16 +387,14 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     if np.any(y <= h0):
         raise ValueError(f"edge coordinates must exceed the base height {h0}")
     heights = _heights(fixture, blocks, y - h0, space)
-    ratios = symanzik_ratio_eval(graph, weights, momenta1, momenta2)
-    reports = []
-    for direction, ratio, h in zip(rays, ratios, heights):
-        rem = h - ts * (2.0 * math.pi * ratio)
-        increments = np.abs(np.diff(rem))
-        rate = (rem[-1] - rem[-2]) / (ts[-1] - ts[-2])
-        bounded = bool(increments[-1] <= 1e-4 * scale and abs(rate) <= 1e-6 * scale)
-        reports.append(RayReport(dict(direction), float(np.max(np.abs(rem))),
-                                 float(increments[-1]), float(rate), bounded))
-    return reports
+    ratios = np.array(symanzik_ratio_eval(graph, weights, momenta1, momenta2))
+    rem = heights - ts * (2.0 * math.pi * ratios)[:, None]
+    finals = np.abs(rem[:, -1] - rem[:, -2])
+    rates = (rem[:, -1] - rem[:, -2]) / (ts[-1] - ts[-2])
+    return [RayReport(dict(direction), float(sup), float(final), float(rate),
+                      bool(final <= 1e-4 * scale and abs(rate) <= 1e-6 * scale))
+            for direction, sup, final, rate in zip(rays, np.max(np.abs(rem), axis=1), finals,
+                                                    rates)]
 
 
 class SegmentEdge(NamedTuple):
@@ -490,8 +510,8 @@ def limit_along_segment(graph, momenta1, momenta2, fixture, segment, blocks=None
     order = sorted(blocks)
     offsets = [EdgeParameters(segment.vertical(alpha), h0=0.0).offsets(order)
                for alpha in alphas]
-    comps = zip(*(fixture.evaluate(segment.coordinates(alpha)) for alpha in alphas))
-    heights = _heights(fixture, blocks, np.array(offsets), space, [np.array(c) for c in comps])
+    periods = np.array([fixture._periods(segment.coordinates(alpha)) for alpha in alphas])
+    heights = _heights(fixture, blocks, np.array(offsets), space, periods)
     samples = [alpha * float(h) for alpha, h in zip(alphas, heights)]
     value = _extrapolate_to_zero(alphas, samples)
     return LimitReport(float(value), alphas, tuple(samples))

@@ -266,11 +266,16 @@ def _cmd_poincare(args):
 
 def _cmd_limit(args):
     from .asymptotics import limit_along_segment
+    from .graphs import first_betti
     from .symanzik import symanzik_ratio_eval
     bundle = jsonio.load_graph_bundle(args.graph)
     fixture = jsonio.holomorphic_fixture_from_json(jsonio.load_json(args.fixture))
     segment = jsonio.segment_from_json(jsonio.load_json(args.segment))
     momenta = _require_momenta(bundle, "limit eval")
+    h = first_betti(bundle.graph)
+    if fixture.genus != h:
+        raise jsonio.SchemaError(
+            f"fixture genus {fixture.genus} != graph first Betti number {h}", ("genus",))
     report = limit_along_segment(bundle.graph, momenta, None, fixture, segment)
     # The schedule is fixed, so a fixture large against Y / (2 pi alpha)
     # leaves every sample short of the limit phi/psi at the segment's Y:

@@ -90,6 +90,52 @@ def test_fixture_terms_and_polydisc():
         fx.add_term("sigma", [[1.0]])
 
 
+def test_fixture_coefficients_must_have_the_field_shape():
+    fx = HolomorphicFixture(2, dim=1)
+    # A 2 x 1 coefficient for the 1 x 2 field w was silently transposed.
+    with pytest.raises(ValueError, match=r"field 'w' needs a coefficient of shape "
+                                         r"\(1, 2\), got \(2, 1\)"):
+        fx.add_term("w", [[1.0], [2.0]])
+    # A 1 x 2 omega at genus 1 failed inside numpy's reshape.
+    with pytest.raises(ValueError, match=r"field 'omega' needs a coefficient of shape "
+                                         r"\(1, 1\), got \(1, 2\)"):
+        HolomorphicFixture(1).add_term("omega", [[1j, 0.0]])
+    # Scalars for 1 x 1 fields and the constant fixture's vectors still work.
+    fx.add_term("rho", 0.5j)
+    assert fx.evaluate()[3].tolist() == [[0.5j]]
+    const = HolomorphicFixture.constant(np.eye(2) * 1j, w0=[1.0, 2.0], z0=[3.0, 4.0])
+    _omega, w, z, _rho = const.evaluate()
+    assert w.tolist() == [[1.0, 2.0]] and z.tolist() == [[3.0], [4.0]]
+
+
+def test_fixture_evaluate_sums_each_field_in_its_own_order_bitwise():
+    # Each field's monomials, in that field's insertion order, summed as
+    # acc = acc + mono * coeff; the fields list the monomials in different
+    # orders, so summing all four in one shared order would move bits.
+    rng = random.Random(77)
+    nrng = np.random.default_rng(77)
+    edges = ("e1", "e2", "e3")
+    monomials = [{}, {"e1": 1}, {"e2": 2}, {"e1": 1, "e3": 1}, {"e3": 3}, {"e2": 1, "e3": 2}]
+    for _ in range(40):
+        g, d = rng.randint(1, 3), rng.randint(1, 2)
+        fx = HolomorphicFixture(g, dim=d, edge_ids=edges)
+        for field in HolomorphicFixture._FIELDS:
+            shape = fx._shape(field)
+            for exps in rng.sample(monomials, rng.randint(3, len(monomials))):
+                fx.add_term(field, nrng.normal(size=shape) + 1j * nrng.normal(size=shape), exps)
+        point = {e: complex(*nrng.uniform(-0.35, 0.35, 2)) for e in edges}
+        got = fx.evaluate(point)
+        for field, value in zip(HolomorphicFixture._FIELDS, got):
+            acc = np.zeros(fx._shape(field), dtype=complex)
+            for key, coeff in fx.terms[field].items():
+                mono = 1.0 + 0j
+                for v, k in zip((point[e] for e in edges), key):
+                    if k:
+                        mono *= v ** k
+                acc = acc + mono * coeff
+            assert value.shape == acc.shape and value.tobytes() == acc.tobytes()
+
+
 def test_height_eval_frozen_scalar():
     # One edge, unit mt: H = 2 pi (y^2 w z / (1 + y) - y gamma).
     fx = HolomorphicFixture.constant([[1j]])
@@ -155,6 +201,34 @@ def test_orbit_route_matches_direct_eval():
             phases={"e1": rng.uniform(-3, 3), "e2": rng.uniform(-3, 3)},
         )
         assert phased == pytest.approx(direct, rel=1e-11, abs=1e-11)
+
+
+@pytest.mark.parametrize("phases, bad", [({"e1": math.nan}, "e1"), ({"e2": math.inf}, "e2"),
+                                         ({"e1": 0.1, "e9": 0.2}, "e9")])
+def test_orbit_phases_must_be_finite_and_on_block_edges(phases, bad):
+    # A NaN phase warned and then failed as a singular period matrix; a
+    # phase on an edge without blocks was silently ignored.
+    blocks, _g = graph_blocks(BANANA, banana_momenta(3))
+    params = EdgeParameters({"e1": 2.0, "e2": 3.0})
+    with pytest.raises(ValueError, match=rf"phases must be finite and on edges of the "
+                                         rf"blocks: \['{bad}'\]"):
+        height_via_orbit(HolomorphicFixture.constant([[1j]]), blocks, params, phases=phases)
+
+
+@pytest.mark.parametrize("genus, size", [(2, 1), (1, 2)])
+def test_block_shapes_must_match_the_fixture(genus, size):
+    # Numpy broadcasts 1 x 1 blocks into a 2 x 2 period matrix, so a
+    # genus-2 fixture on the banana's genus-1 blocks once gave a height.
+    blocks = {e: EdgeBlocks(np.eye(size), np.ones((1, size)), np.ones((size, 1)),
+                            np.ones((1, 1))) for e in ("e1", "e2")}
+    fx = HolomorphicFixture.constant(np.eye(genus) * 1j)
+    params = EdgeParameters({"e1": 2.0, "e2": 3.0})
+    match = rf"fixture genus {genus}, dim 1 needs blocks of shapes .*; edge 'e1' has"
+    for route in (height_eval, height_via_orbit):
+        with pytest.raises(ValueError, match=match):
+            route(fx, blocks, params)
+    with pytest.raises(ValueError, match=match):
+        bounded_remainder_scan(BANANA, banana_momenta(3), None, fx, blocks=blocks)
 
 
 def test_height_minus_tropical_banana_closed_form():
@@ -394,6 +468,43 @@ def test_graph_blocks_equal_outer_formulas_bitwise():
                               z=-np.outer(c, om1), gamma=-np.outer(om2, om1))
             for got, ref in zip(blocks[e], want):
                 assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+def test_hand_built_blocks_give_the_graph_blocks_heights_bitwise():
+    # graph_blocks' EdgeBlocks are views of one (E, g+d, g+d) stack; blocks
+    # built edge by edge from the outer formulas, as independent arrays,
+    # must give every route the same bits.
+    rng = random.Random(606)
+    cases = (random_scan_case(rng) for _ in range(40))
+    # The orbit route needs a period matrix of genus at least 1.
+    for graph, space, mom1, mom2, fx, blocks in [c for c in cases if c[4].genus][:12]:
+        edges = graph.edge_ids()
+        basis = cycle_basis(graph)
+        cmat = np.array(basis.matrix(), dtype=float).reshape(len(basis), len(edges))
+        lift1, lift2 = momentum_lift(graph, mom1), momentum_lift(graph, mom2)
+        built = {}
+        for k, e in enumerate(edges):
+            c = cmat[:, k].copy()
+            om1 = np.array([float(x) for x in lift1.vector(e)])
+            om2 = np.array([float(x) for x in lift2.vector(e)])
+            built[e] = EdgeBlocks(mt=np.outer(c, c), w=np.outer(om2, c),
+                                  z=-np.outer(c, om1), gamma=-np.outer(om2, om1))
+        params = EdgeParameters({e: rng.uniform(0.5, 50.0) for e in edges})
+        phases = {e: rng.uniform(-1.0, 1.0) for e in edges}
+        rays = [{e: rng.uniform(0.2, 3.0) for e in edges} for _r in range(2)]
+        segment = AdmissibleSegment({e: SegmentEdge(y_scale=rng.uniform(0.05, 0.5))
+                                     for e in edges})
+        got = {}
+        for name, blk in (("views", blocks), ("built", built)):
+            got[name] = (
+                height_eval(fx, blk, params, space=space),
+                height_via_orbit(fx, blk, params, space=space, phases=phases),
+                bounded_remainder_scan(graph, mom1, mom2, fx, blocks=blk, rays=rays,
+                                       space=space),
+                limit_along_segment(graph, mom1, mom2, fx, segment, blocks=blk,
+                                    space=space).samples,
+            )
+        assert repr(got["views"]) == repr(got["built"])
 
 
 def test_segment_vertical_overflow_names_field():

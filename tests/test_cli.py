@@ -1,7 +1,9 @@
 """End-to-end tests of the command line, run in process (the cold-start
 checks run fresh interpreters)."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,12 +15,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropical_heights
 from tropical_heights import symanzik
 from tropical_heights.cli import main
-from tropical_heights.corpus import corpus_data_dir, write_bundled_corpus
-from tropical_heights.jsonio import dump_json
+from tropical_heights.corpus import (corpus_data_dir, random_conserved_momenta,
+                                     random_connected_multigraph, write_bundled_corpus)
+from tropical_heights.curves import Marking
+from tropical_heights.jsonio import dump_json, graph_bundle_to_json
 
 
 @pytest.fixture()
@@ -515,6 +521,60 @@ def test_limit_eval_overflowing_phase_frequency_names_field(capsys, tmp_path, ba
                  "--fixture", str(fixture), "--segment", str(segment))
     _assert_one_line_input_error(result)
     assert "edges.e2.phase_frequency" in result[2]
+
+
+@pytest.mark.parametrize("graph, fixture, genus, h", [
+    # Numpy once broadcast the banana's 1 x 1 blocks into this genus-2
+    # period matrix and printed a value with exit 0.
+    ("banana", {"genus": 2, "dim": 1, "edge_ids": [],
+                "terms": [{"field": "omega", "coeff": [[[0, 1], [0, 0]], [[0, 0], [0, 1]]]}]},
+     2, 1),
+    # ... and refused this one with its own broadcasting message.
+    ("banana3", {"genus": 1, "dim": 1, "edge_ids": [],
+                 "terms": [{"field": "omega", "coeff": [[[0.0, 1.0]]]}]}, 1, 2),
+])
+def test_limit_eval_fixture_genus_must_be_the_first_betti_number(capsys, tmp_path, banana_path,
+                                                                 graph, fixture, genus, h):
+    graph_path = banana_path if graph == "banana" else str(corpus_data_dir() / "banana3.json")
+    dump_json(fixture, tmp_path / "fixture.json")
+    edges = ("e1", "e2") if graph == "banana" else ("e1", "e2", "e3")
+    dump_json({"edges": {e: {"y_scale": 1.0} for e in edges}}, tmp_path / "segment.json")
+    result = run(capsys, "limit", "eval", "--graph", graph_path, "--fixture",
+                 str(tmp_path / "fixture.json"), "--segment", str(tmp_path / "segment.json"))
+    _assert_one_line_input_error(result)
+    assert f"fixture genus {genus} != graph first Betti number {h}" in result[2]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), lorentzian=st.booleans(),
+       j=st.sampled_from((-30, -7, 3, 25)))
+def test_polynomial_ratio_is_homogeneous_through_the_cli(tmp_path_factory, seed, lorentzian,
+                                                         j):
+    # phi/psi has degree 1 in the weights, and scaling every weight by 2^j
+    # is exact, so the polynomial route's value scales by exactly 2^j.
+    rng = random.Random(seed)
+    graph = random_connected_multigraph(rng)
+    space = (symanzik.MinkowskiSpace.lorentzian(4) if lorentzian
+             else symanzik.MinkowskiSpace.euclidean(1))
+    momenta = random_conserved_momenta(rng, graph, space)
+    markings = [Marking(f"l{v}", v, p) for v, p in sorted(momenta.momenta.items())]
+    path = tmp_path_factory.mktemp("ratio") / "graph.json"
+    dump_json(graph_bundle_to_json(graph, markings=markings, space=space), path)
+    weights = {e: Fraction(math.ldexp(rng.random() + 0.5, rng.randint(-40, 40)))
+               for e in graph.edge_ids()}
+    values = []
+    for scale in (Fraction(1), Fraction(2) ** j):
+        y = ",".join(f"{e}={w * scale}" for e, w in weights.items())
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(["symanzik", "ratio", "--method", "polynomial", "--graph", str(path),
+                         "--y", y])
+        assert code == 0
+        values.append(float(out.getvalue()))
+    value, scaled = values
+    if value == 0.0:
+        assert scaled == 0.0
+    elif sys.float_info.min <= min(abs(value), abs(scaled)):
+        assert math.ldexp(value, j) == scaled
 
 
 def test_lab_torus_limit(capsys, tmp_path):
