@@ -137,8 +137,9 @@ class HolomorphicFixture:
         return self
 
     @classmethod
-    def constant(cls, omega0, w0=None, z0=None, rho0=0.0, dim=None):
-        """Fixture with constant components; shapes inferred from omega0."""
+    def constant(cls, omega0, w0=None, z0=None, rho0=None, dim=None):
+        """Fixture with constant components; shapes inferred from omega0,
+        each omitted component zero."""
         omega0 = np.atleast_2d(np.asarray(omega0, dtype=complex))
         g = omega0.shape[0]
         w0 = None if w0 is None else np.asarray(w0, dtype=complex)
@@ -148,7 +149,7 @@ class HolomorphicFixture:
         fx.add_term("omega", omega0)
         fx.add_term("w", np.zeros((dim, g)) if w0 is None else w0)
         fx.add_term("z", np.zeros((g, dim)) if z0 is None else np.asarray(z0, dtype=complex))
-        fx.add_term("rho", rho0)
+        fx.add_term("rho", np.zeros((dim, dim)) if rho0 is None else rho0)
         return fx
 
     def _periods(self, s=None):
@@ -455,8 +456,11 @@ class AdmissibleSegment:
     def coordinates(self, alpha):
         """s_e = exp(2 pi i z_e(a)); far into the degeneration these
         underflow to exact zero, which is the intended limit point."""
+        return self._coordinates(alpha, self.vertical(alpha))
+
+    def _coordinates(self, alpha, ys):
+        # The coordinates at alpha from its verticals ys = self.vertical(alpha).
         xs = self.phases(alpha)
-        ys = self.vertical(alpha)
         return {
             e: cmath.exp(2j * math.pi * (xs[e] + 1j * ys[e]))
             for e in self.edges
@@ -508,9 +512,12 @@ def limit_along_segment(graph, momenta1, momenta2, fixture, segment, blocks=None
         raise ValueError("schedule must contain at least two positive values, "
                          "all finite and pairwise distinct")
     order = sorted(blocks)
-    offsets = [EdgeParameters(segment.vertical(alpha), h0=0.0).offsets(order)
-               for alpha in alphas]
-    periods = np.array([fixture._periods(segment.coordinates(alpha)) for alpha in alphas])
+    verticals, offsets = [], []
+    for alpha in alphas:
+        verticals.append(segment.vertical(alpha))
+        offsets.append(EdgeParameters(verticals[-1], h0=0.0).offsets(order))
+    periods = np.array([fixture._periods(segment._coordinates(alpha, ys))
+                        for alpha, ys in zip(alphas, verticals)])
     heights = _heights(fixture, blocks, np.array(offsets), space, periods)
     samples = [alpha * float(h) for alpha, h in zip(alphas, heights)]
     value = _extrapolate_to_zero(alphas, samples)

@@ -325,7 +325,7 @@ def _cmd_lab_crossratio(args):
 def _cmd_corpus(args):
     from .corpus import corpus_run
     t0 = time.monotonic()
-    report = corpus_run(args.directory, threads=args.threads)
+    report = corpus_run(args.directory)
     print(f"corpus run: {report['summary']['total']} graphs in "
           f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
     _emit(report)
@@ -395,9 +395,6 @@ def build_parser():
     corpus_sub = p_corpus.add_subparsers(dest="corpus_command", required=True)
     p_run = corpus_sub.add_parser("run", help="cross-method agreement sweep")
     p_run.add_argument("directory")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker cap (default: TROPICAL_HEIGHTS_THREADS, else the "
-                            "CPU count, at most 8)")
     p_run.set_defaults(func=_cmd_corpus)
 
     return parser

@@ -7,9 +7,13 @@ Three sources of graphs:
   included);
 * :func:`random_connected_multigraph` — seeded random graphs built from
   a random spanning tree plus extra edges;
-* the bundled JSON corpus under ``data/corpus/`` (see
-  :func:`bundled_corpus`), whose files may carry ``golden`` strings of
-  expected canonical polynomials.
+* the bundled JSON corpus of twelve graph bundles under
+  ``data/corpus/`` (see :func:`corpus_data_dir`).  Its files are the
+  only copy of the corpus; some carry ``golden`` strings of expected
+  canonical polynomials, frozen from hand-computable cases: trees have
+  first polynomial 1, cycles sum their edge variables, block products
+  multiply, and the two-vertex banana pairings follow from the single
+  separating forest.
 
 :func:`corpus_run` sweeps a directory of graph bundles, checks the two
 first-polynomial routes against each other (and the two second-polynomial
@@ -23,9 +27,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .graphs import Multigraph
-from .jsonio import (SchemaError, graph_bundle_from_json, graph_bundle_to_json,
-                     load_json)
-from .symanzik import (MinkowskiSpace, MomentumAssignment, _psi_phi,
+from .jsonio import SchemaError, graph_bundle_from_json, load_json
+from .symanzik import (MomentumAssignment, _psi_phi,
                        first_symanzik_det, first_symanzik_trees,
                        second_symanzik_forests)
 
@@ -193,15 +196,6 @@ def check_bundle(bundle):
 
 def _worker_count(threads=None):
     if threads is None:
-        env = os.environ.get("TROPICAL_HEIGHTS_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"TROPICAL_HEIGHTS_THREADS must be an integer, got {env!r}"
-                ) from None
-    if threads is None:
         threads = min(8, os.cpu_count() or 1)
     if threads < 1:
         raise ValueError("thread count must be at least 1")
@@ -257,103 +251,7 @@ def corpus_run(directory, threads=None):
 # ---------------------------------------------------------------------------
 # Bundled corpus
 
-def _bundle(name, vertices, edges, markings=None, space=None, golden=None):
-    graph = Multigraph([v for v, _g in vertices] if isinstance(vertices[0], tuple)
-                       else vertices, edges)
-    genus = None
-    if vertices and isinstance(vertices[0], tuple):
-        genus = {v: g for v, g in vertices if g}
-    from .curves import Marking
-    marks = []
-    if markings:
-        marks = [Marking(mid, v, tuple(Fraction(x) for x in p))
-                 for mid, v, p in markings]
-    extra = {"golden": golden} if golden else None
-    return name, graph_bundle_to_json(graph, genus=genus, markings=marks,
-                                      space=space, extra=extra)
-
-
-def bundled_corpus():
-    """The twelve bundled graph bundles as (name, json-data) pairs.
-
-    Golden strings are frozen from hand-computable cases: trees have
-    first polynomial 1, cycles sum their edge variables, block products
-    multiply, and the two-vertex banana pairings follow from the
-    single separating forest.
-    """
-    e1 = MinkowskiSpace.euclidean(1)
-    e2 = MinkowskiSpace.euclidean(2)
-    l4 = MinkowskiSpace.lorentzian(4)
-    items = [
-        _bundle("single_edge", ["v1", "v2"],
-                [("e1", "v1", "v2")],
-                golden={"first": "1"}),
-        _bundle("loop", ["v1"],
-                [("e1", "v1", "v1")],
-                golden={"first": "Y_e1"}),
-        _bundle("banana2", ["v1", "v2"],
-                [("e1", "v1", "v2"), ("e2", "v2", "v1")],
-                markings=[("l1", "v1", (3,)), ("l2", "v2", (-3,))], space=e1,
-                golden={"first": "Y_e1 + Y_e2", "second": "9*Y_e1*Y_e2"}),
-        _bundle("banana3", ["v1", "v2"],
-                [("e1", "v1", "v2"), ("e2", "v1", "v2"), ("e3", "v2", "v1")],
-                markings=[("l1", "v1", (2,)), ("l2", "v2", (-2,))], space=e1,
-                golden={"first": "Y_e1*Y_e2 + Y_e1*Y_e3 + Y_e2*Y_e3",
-                        "second": "4*Y_e1*Y_e2*Y_e3"}),
-        _bundle("triangle", ["v1", "v2", "v3"],
-                [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1")],
-                markings=[("l1", "v1", (1, 0)), ("l2", "v2", (0, 1)),
-                          ("l3", "v3", (-1, -1))], space=e2,
-                golden={"first": "Y_e1 + Y_e2 + Y_e3"}),
-        _bundle("square", ["v1", "v2", "v3", "v4"],
-                [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v4"),
-                 ("e4", "v4", "v1")],
-                golden={"first": "Y_e1 + Y_e2 + Y_e3 + Y_e4"}),
-        _bundle("k4", ["v1", "v2", "v3", "v4"],
-                [("e1", "v1", "v2"), ("e2", "v1", "v3"), ("e3", "v1", "v4"),
-                 ("e4", "v2", "v3"), ("e5", "v2", "v4"), ("e6", "v3", "v4")]),
-        _bundle("triangle_loop", ["v1", "v2", "v3"],
-                [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v1"),
-                 ("e4", "v1", "v1")],
-                golden={"first": "Y_e1*Y_e4 + Y_e2*Y_e4 + Y_e3*Y_e4"}),
-        _bundle("dumbbell", ["v1", "v2"],
-                [("e1", "v1", "v1"), ("e2", "v1", "v2"), ("e3", "v2", "v2")],
-                golden={"first": "Y_e1*Y_e3"}),
-        _bundle("k23", ["a1", "a2", "b1", "b2", "b3"],
-                [("e1", "a1", "b1"), ("e2", "a1", "b2"), ("e3", "a1", "b3"),
-                 ("e4", "a2", "b1"), ("e5", "a2", "b2"), ("e6", "a2", "b3")],
-                markings=[("l1", "a1", (1, 1)), ("l2", "a2", (-1, 1)),
-                          ("l3", "b2", (0, -2))], space=e2),
-        _bundle("house", ["v1", "v2", "v3", "v4", "v5"],
-                [("e1", "v1", "v2"), ("e2", "v2", "v3"), ("e3", "v3", "v4"),
-                 ("e4", "v4", "v5"), ("e5", "v5", "v1"), ("e6", "v2", "v5")]),
-        _bundle("bowtie", [("c", 0), ("a1", 1), ("a2", 0), ("b1", 0), ("b2", 0)],
-                [("e1", "c", "a1"), ("e2", "a1", "a2"), ("e3", "a2", "c"),
-                 ("e4", "c", "b1"), ("e5", "b1", "b2"), ("e6", "b2", "c")],
-                markings=[("l1", "a1", (1, 0, 0, 1)), ("l2", "a2", (-1, 0, 0, -1)),
-                          ("l3", "b1", (0, 1, 1, 0)), ("l4", "b2", (0, -1, -1, 0))],
-                space=l4,
-                golden={"first": "Y_e1*Y_e4 + Y_e1*Y_e5 + Y_e1*Y_e6 + "
-                                 "Y_e2*Y_e4 + Y_e2*Y_e5 + Y_e2*Y_e6 + "
-                                 "Y_e3*Y_e4 + Y_e3*Y_e5 + Y_e3*Y_e6"}),
-    ]
-    return items
-
-
 def corpus_data_dir():
     """Path of the bundled corpus directory inside the package."""
     from importlib import resources
     return Path(resources.files("tropical_heights") / "data" / "corpus")
-
-
-def write_bundled_corpus(directory=None):
-    """Write the bundled corpus JSON files; returns the paths written."""
-    from .jsonio import dump_json
-    directory = Path(directory) if directory is not None else corpus_data_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, data in bundled_corpus():
-        path = directory / f"{name}.json"
-        dump_json(data, path)
-        paths.append(path)
-    return paths

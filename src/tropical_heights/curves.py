@@ -10,8 +10,6 @@ count for deformations of the curve.
 
 from typing import NamedTuple
 
-from fractions import Fraction
-
 from .graphs import first_betti
 from .symanzik import MomentumAssignment
 
@@ -108,15 +106,8 @@ def restrict_momenta(curve):
     """Push marking momenta down to a vertex assignment (sums per vertex)."""
     if curve.space is None:
         raise ValueError("curve has no momentum space; nothing to restrict")
-    dim = curve.space.dim
-    sums = {}
-    for m in curve.markings:
-        if not m.momentum:
-            continue
-        acc = sums.setdefault(m.vertex, [Fraction(0)] * dim)
-        for i, x in enumerate(m.momentum):
-            acc[i] += Fraction(x)
-    return MomentumAssignment(curve.space, sums)
+    return MomentumAssignment(curve.space,
+                              ((m.vertex, m.momentum) for m in curve.markings if m.momentum))
 
 
 class DeformationDimensions(NamedTuple):

@@ -1,8 +1,8 @@
 """JSON schemas for graphs, fixtures, and experiment configurations.
 
 The module reads every schema; :func:`graph_bundle_to_json` is its one
-writer, with which the bundled corpus is written.  Conventions shared by
-every schema here:
+writer, the inverse of :func:`graph_bundle_from_json`.  Conventions
+shared by every schema here:
 
 * rationals are JSON integers or strings like ``"3/2"`` (decimal strings
   are read exactly; floats are read via their shortest decimal form);

@@ -884,17 +884,8 @@ class DegenerationFamily:
         graph, lengths, vertex_of = build_cycle_graph(all_c, Fraction(self.y_total))
 
         def assignment(divisor):
-            acc = {}
-            for ins in divisor:
-                v = vertex_of[ins.c]
-                cur = acc.get(v)
-                if cur is None:
-                    acc[v] = list(ins.momentum)
-                else:
-                    for i, x in enumerate(ins.momentum):
-                        cur[i] += x
             return MomentumAssignment(self.space,
-                                      {v: tuple(p) for v, p in acc.items()})
+                                      ((vertex_of[ins.c], ins.momentum) for ins in divisor))
 
         m1 = assignment(self.divisor1)
         m2 = assignment(self.divisor2) if self.divisor2 is not None else m1

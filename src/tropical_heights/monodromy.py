@@ -375,12 +375,7 @@ def consistent_fixture(graph, basis, space, sections1, sections2, rng):
 
     # Sanity check: side-1 crossing lift equals the tree-supported lift of
     # the pushed-down vertex momenta (unique tree-supported solution).
-    vertex1 = {}
-    for l, v in placement1.items():
-        acc = vertex1.setdefault(v, [Fraction(0)] * space.dim)
-        for i, x in enumerate(p1[l]):
-            acc[i] += x
-    assignment = MomentumAssignment(space, {v: tuple(a) for v, a in vertex1.items()})
+    assignment = MomentumAssignment(space, ((v, p1[l]) for l, v in placement1.items()))
     tree_lift = momentum_lift(graph, assignment)
     cross = crossing_lift(graph, sc, 1, p1, space)
     assert all(tree_lift.vector(e) == cross.vector(e) for e in graph.edge_ids())

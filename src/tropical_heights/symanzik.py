@@ -68,7 +68,7 @@ class MinkowskiSpace:
         kept also as ints times their common denominator.
     """
 
-    __slots__ = ("dim", "matrix", "_ints")
+    __slots__ = ("dim", "matrix", "_ints", "_numeric")
 
     def __init__(self, matrix):
         rows = [tuple(Fraction(x) for x in r) for r in matrix]
@@ -82,6 +82,7 @@ class MinkowskiSpace:
         self.dim = d
         self.matrix = tuple(rows)
         self._ints = _scaled_to_ints(rows)
+        self._numeric = None
 
     @classmethod
     def euclidean(cls, dim):
@@ -109,8 +110,12 @@ class MinkowskiSpace:
         return (Fraction(0),) * self.dim
 
     def numeric(self):
-        import numpy as np
-        return np.array([[float(x) for x in r] for r in self.matrix])
+        """The pairing as a read-only float array, built on first call."""
+        if self._numeric is None:
+            import numpy as np
+            self._numeric = np.array([[float(x) for x in r] for r in self.matrix])
+            self._numeric.setflags(write=False)
+        return self._numeric
 
     def __repr__(self):
         return f"MinkowskiSpace(dim={self.dim})"
@@ -119,18 +124,25 @@ class MinkowskiSpace:
 class MomentumAssignment:
     """Conserved external momenta attached to the vertices of a graph.
 
-    Momenta are rational D-vectors; vertices not listed carry zero.  They
-    must sum to zero: only then do they lift to the edges and is
-    p(F_2) = -p(F_1) on every 2-forest.  They are scaled to ints once, by
-    the common denominator d of their entries, for the check and for
-    every route to read.
+    Momenta are rational D-vectors, given as a dict from vertex to vector
+    or as an iterable of ``(vertex, vector)`` pairs, whose vectors on one
+    vertex are summed exactly, in the order each vertex first occurs:
+    marking momenta pushed down to the components they lie on.  Vertices
+    not listed carry zero.  They must sum to zero: only then do they lift
+    to the edges and is p(F_2) = -p(F_1) on every 2-forest.  They are
+    scaled to ints once, by the common denominator d of their entries,
+    for the check and for every route to read.
     """
 
     __slots__ = ("space", "momenta", "_ints", "_den")
 
     def __init__(self, space, momenta):
         self.space = space
-        self.momenta = {str(v): _as_fraction_vector(p, space.dim) for v, p in momenta.items()}
+        self.momenta = {}
+        for v, p in (momenta.items() if hasattr(momenta, "items") else momenta):
+            v, p = str(v), _as_fraction_vector(p, space.dim)
+            acc = self.momenta.get(v)
+            self.momenta[v] = p if acc is None else tuple(a + b for a, b in zip(acc, p))
         ints, d = _scaled_to_ints(self.momenta.values())
         sums = [sum(p[i] for p in ints) for i in range(space.dim)]
         if any(sums):

@@ -617,6 +617,10 @@ def test_limit_triangle_momentum_dimension_two():
     )
     segment = AdmissibleSegment({e: {"y_scale": 1.0} for e in ("e1", "e2", "e3")})
     report = limit_along_segment(TRIANGLE, mom, mom, fx, segment, space=space)
+    # Without rho0 the constant fixture's rho is the (2, 2) zero matrix:
+    # the same heights, bit for bit.
+    default = HolomorphicFixture.constant([[1j]], dim=2)
+    assert limit_along_segment(TRIANGLE, mom, mom, default, segment, space=space) == report
     want = symanzik_ratio_eval(
         TRIANGLE, {"e1": 1.0, "e2": 1.0, "e3": 1.0}, mom
     )

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,7 +23,7 @@ import tropical_heights
 from tropical_heights import symanzik
 from tropical_heights.cli import main
 from tropical_heights.corpus import (corpus_data_dir, random_conserved_momenta,
-                                     random_connected_multigraph, write_bundled_corpus)
+                                     random_connected_multigraph)
 from tropical_heights.curves import Marking
 from tropical_heights.jsonio import dump_json, graph_bundle_to_json
 
@@ -841,7 +842,7 @@ def test_lab_crossratio_negative_points(capsys):
 
 def test_corpus_run_cli(capsys, tmp_path):
     corpus_dir = tmp_path / "corpus"
-    write_bundled_corpus(corpus_dir)
+    shutil.copytree(corpus_data_dir(), corpus_dir)
     code, out, err = run(capsys, "corpus", "run", str(corpus_dir))
     assert code == 0
     report = json.loads(out)
@@ -1168,7 +1169,7 @@ def test_exact_subcommands_do_not_load_numpy(tmp_path, banana_path):
                          "e2": {"c": [-1], "d1": {}, "d2": {}}},
                "sections1": ["l1"], "sections2": ["l2"]}, fixture)
     corpus = tmp_path / "corpus"
-    write_bundled_corpus(corpus)
+    shutil.copytree(corpus_data_dir(), corpus)
     cases = [
         (("symanzik", "first", "--graph", banana_path), 0),
         (("symanzik", "second", "--graph", banana_path), 0),

@@ -2,6 +2,7 @@
 
 import json
 import random
+import shutil
 
 import pytest
 
@@ -14,20 +15,16 @@ from tropical_heights import (
     second_symanzik_forests,
 )
 from tropical_heights.corpus import (
-    bundled_corpus,
-    check_bundle,
     corpus_data_dir,
     corpus_run,
     exhaustive_small_graphs,
     random_connected_multigraph,
     random_conserved_momenta,
     random_positive_lengths,
-    write_bundled_corpus,
 )
 from tropical_heights.jsonio import (
     dump_json,
     dumps_canonical,
-    graph_bundle_from_json,
 )
 from tropical_heights import MinkowskiSpace
 
@@ -65,25 +62,16 @@ def test_random_generators_are_seeded_and_valid():
         assert all(v > 0 for v in lengths.values())
 
 
-def test_bundled_corpus_contents():
-    pairs = bundled_corpus()
-    names = [name for name, _data in pairs]
-    assert len(names) == 12
-    assert len(set(names)) == 12
-    for name, data in pairs:
-        bundle = graph_bundle_from_json(data)
-        checks, failures = check_bundle(bundle)
-        assert not failures, (name, failures)
-        assert checks["first_det_vs_trees"] == "pass"
+BUNDLED = ("banana2", "banana3", "bowtie", "dumbbell", "house", "k23", "k4", "loop",
+           "single_edge", "square", "triangle", "triangle_loop")
 
 
-def test_bundled_files_match_generator():
+def test_bundled_files_are_the_twelve_canonical_bundles():
     directory = corpus_data_dir()
-    files = sorted(p.name for p in directory.glob("*.json"))
-    assert files == sorted(f"{name}.json" for name, _ in bundled_corpus())
-    for name, data in bundled_corpus():
-        on_disk = (directory / f"{name}.json").read_text()
-        assert on_disk == dumps_canonical(data)
+    assert sorted(p.name for p in directory.iterdir()) == [f"{n}.json" for n in BUNDLED]
+    for name in BUNDLED:
+        text = (directory / f"{name}.json").read_text()
+        assert text == dumps_canonical(json.loads(text)), name
 
 
 def test_corpus_run_bundled_directory():
@@ -103,7 +91,7 @@ def test_corpus_run_deterministic_across_threads():
 
 
 def test_corpus_run_reports_bad_golden(tmp_path):
-    write_bundled_corpus(tmp_path)
+    shutil.copytree(corpus_data_dir(), tmp_path, dirs_exist_ok=True)
     target = tmp_path / "banana2.json"
     data = json.loads(target.read_text())
     data["golden"]["first"] = "Y_e1 - Y_e2"

@@ -1,10 +1,13 @@
 """Tests for stable curves, stability, and deformation counts."""
 
+from fractions import Fraction
+
 import pytest
 
 from tropical_heights import (
     Marking,
     MinkowskiSpace,
+    MomentumAssignment,
     Multigraph,
     StableCurve,
     arithmetic_genus,
@@ -82,6 +85,15 @@ def test_restrict_momenta_sums_per_vertex():
     mom = restrict_momenta(curve)
     assert mom.vector("v1") == (1, 1)
     assert mom.vector("v2") == (-1, -1)
+    # (vertex, momentum) pairs with a repeated vertex: summed exactly, in
+    # first-occurrence order, the same assignment as the dict of sums.
+    pairs = [("v2", (Fraction(-1, 3), 0)), ("v1", (1, Fraction(1, 2))),
+             ("v2", (Fraction(-2, 3), -1)), ("v1", (0, Fraction(1, 2)))]
+    by_pairs = MomentumAssignment(space, pairs)
+    by_sums = MomentumAssignment(space, {"v2": (-1, -1), "v1": (1, 1)})
+    assert list(by_pairs.momenta.items()) == list(by_sums.momenta.items())
+    assert list(by_pairs._ints.items()) == list(by_sums._ints.items())
+    assert by_pairs._den == by_sums._den
 
 
 def test_restrict_momenta_conservation_gate():
