@@ -14,9 +14,9 @@ affine-in-y structure of the integrand), and an independent
 g(-z) = g(z) and the midpoint grid is symmetric under z -> -z, it
 evaluates half the grid's rows.  The Laplacian check takes every grid
 point's five-point stencil in one stacked call.  Distances to the
-lattice, which both checks and the coincidence test read, scan nine
-translates after reducing Re(tau) to [-1/2, 1/2], so any tau gets the
-nearest lattice point.
+lattice, which both checks and the coincidence test read, scan the nine
+translates as three rows of three after reducing Re(tau) to [-1/2, 1/2],
+so any tau gets the nearest lattice point.
 
 The theta product :func:`log_abs_theta1_frac` broadcasts over both
 fractional coordinates and over a set of moduli, each with its own
@@ -71,7 +71,10 @@ def _as_tau(tau):
     """``tau`` as a complex number; raises unless Im(tau) > 0 and Re(tau)
     is finite.  An infinite Im(tau) passes here and is refused by
     :func:`_checked_tau`, whose message names the float range."""
-    tau = complex(tau)
+    try:
+        tau = complex(tau)
+    except OverflowError:
+        raise ValueError("tau must be finite, got a value past float range") from None
     if math.isnan(tau.imag) or not math.isfinite(tau.real):
         raise ValueError(f"tau must be finite, got {tau!r}")
     if tau.imag <= 0:
@@ -136,14 +139,21 @@ def _uncancelled(acc, peak):
 
 
 def _product_terms(im_tau):
-    """Number of q-power factors needed for absolute error ~1e-18; raises
-    above ``_THETA_MAX_TERMS``, i.e. for Im(tau) below about 1.68e-3."""
-    terms = 2 + int(math.ceil(6.7 / im_tau))
-    if terms > _THETA_MAX_TERMS:
+    """Number N = 1 + floor(5.96 / Im tau) of q-power factors a triple
+    product takes: the first N with |q|^N < 2^-54, as 54 ln 2 / 2 pi =
+    5.9572, with a 1.7 % margin for rounding in q^n and in |w|, |v| <= 1.
+    Every factor past the N-th is 1 - c with |c| < 2^-54, so a product of
+    them is 1 + i t with |t| < 2^-53: its modulus rounds to exactly 1.0
+    and its log to 0, and stopping at N keeps every bit.
+
+    Raises where 2 + ceil(6.7 / Im tau) exceeds ``_THETA_MAX_TERMS``,
+    i.e. for Im(tau) below about 1.68e-3."""
+    capped = 2 + int(math.ceil(6.7 / im_tau))
+    if capped > _THETA_MAX_TERMS:
         raise ValueError(
-            f"Im(tau) = {im_tau:.3g} needs {terms} theta product factors, "
+            f"Im(tau) = {im_tau:.3g} needs {capped} theta product factors, "
             f"above the cap of {_THETA_MAX_TERMS}")
-    return terms
+    return 1 + int(5.96 / im_tau)
 
 
 def _nome_powers(tau, terms):
@@ -173,7 +183,8 @@ def log_abs_theta1_frac(x, y, tau):
     distinct modulus takes its scalars q^n and log|1 - q^n| from ``cmath``
     and ``math`` as a lone modulus would.  The product runs to the largest
     term count among them: a term past a modulus's own count has
-    |q^n| < 6e-19, so its factors round to 1 and it adds exactly 0.
+    |q^n|, |q^(n-1)| < 2^-54, so its factors round to 1 and it adds
+    exactly 0 (:func:`_product_terms`).
     """
     import numpy as np
     if isinstance(tau, numbers.Number):
@@ -228,8 +239,13 @@ def log_abs_theta1_prime_zero(tau):
 def dedekind_eta_log_abs(tau):
     """log |eta(tau)| by the product formula."""
     tau = _as_tau(tau)
+    return _log_abs_eta(tau, _nome_powers(tau, _product_terms(tau.imag))[1])
+
+
+def _log_abs_eta(tau, log_qn):
+    """:func:`dedekind_eta_log_abs` from the nome table's log|1 - q^n|."""
     acc = -math.pi * tau.imag / 12.0
-    for log_n in _nome_powers(tau, _product_terms(tau.imag))[1]:
+    for log_n in log_qn:
         acc += log_n
     return acc
 
@@ -251,6 +267,14 @@ def _unit_fracs(v):
     return v
 
 
+def _as_float(value, name):
+    """``value`` as a float; an integer past float range raises, naming it."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got a value past float range") from None
+
+
 class TorusPoint:
     """Point on the torus in fractional coordinates (x, y) in [0, 1)^2,
     representing z = x + y tau; raises unless both are finite."""
@@ -258,6 +282,7 @@ class TorusPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
+        x, y = _as_float(x, "torus point x"), _as_float(y, "torus point y")
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError(f"torus point x + y tau must be finite, got x={x!r}, y={y!r}")
         self.x = _unit_frac(x)
@@ -290,9 +315,11 @@ def _min_image_distance(x, y, tau):
     one of the nine translates.  Beyond r0 the result can overestimate
     the distance when Im tau is below about 0.45; the singularity model
     and the coincidence check read only distances below r0.  The nine
-    translates stack on a leading axis, so one pass takes the squared
-    distances, their minimum and a single square root.  ``tau`` may be an
-    array that broadcasts with ``x`` and ``y``, one modulus per point.
+    translates run as three rows of three into buffers of the input's
+    size: each row squares its imaginary parts once, each translate adds
+    its squared real parts into a running minimum, and one square root
+    ends the scan.  ``tau`` may be an array that broadcasts with ``x`` and
+    ``y``, one modulus per point.
     """
     import numpy as np
     if isinstance(tau, numbers.Number):
@@ -307,15 +334,23 @@ def _min_image_distance(x, y, tau):
     y = y - np.floor(y)
     x = np.asarray(x, dtype=float) + k * y
     x = x - np.floor(x)
-    steps = np.array([-1.0, 0.0, 1.0])
-    dx = np.repeat(steps, 3).reshape((9,) + (1,) * x.ndim)
-    dy = np.tile(steps, 3).reshape(dx.shape)
-    re = (x + y * re_tau) + (dx + dy * re_tau)
-    im = y * tau.imag + dy * tau.imag
-    re *= re
-    im *= im
-    re += im
-    return np.sqrt(re.min(axis=0))
+    im = tau.imag
+    # Translate (dx, dy) is at (x + y re_tau) + (dx + dy re_tau), y im + dy im.
+    base_re = x + y * re_tau
+    base_im = y * im
+    re = np.empty_like(base_re)
+    im2 = np.empty_like(base_im)
+    nearest = np.full_like(base_re, math.inf)
+    for dy in (-1.0, 0.0, 1.0):
+        np.add(base_im, dy * im, out=im2)
+        im2 *= im2
+        shift = dy * re_tau
+        for dx in (-1.0, 0.0, 1.0):
+            np.add(base_re, dx + shift, out=re)
+            re *= re
+            re += im2
+            np.minimum(nearest, re, out=nearest)
+    return np.sqrt(nearest)
 
 
 def _grid_size(n):
@@ -414,15 +449,17 @@ class TorusGreen:
 
     The normalization constant is the closed form log|eta(tau)|, from the
     eta product; :func:`normalization_by_quadrature` and
-    :meth:`integral_residual` check it on demand.  The modulus needs
-    1.68e-3 < Im(tau) <= 1e10 (:func:`_checked_tau`).
+    :meth:`integral_residual` check it on demand.  The eta product's nome
+    table (q^n and log|1 - q^n|) is kept for :meth:`value`.  The modulus
+    needs 1.68e-3 < Im(tau) <= 1e10 (:func:`_checked_tau`).
     """
 
-    __slots__ = ("tau", "normalization")
+    __slots__ = ("tau", "normalization", "_nome")
 
     def __init__(self, tau):
         self.tau = _checked_tau(tau)
-        self.normalization = dedekind_eta_log_abs(self.tau)
+        self._nome = _nome_powers(self.tau, _product_terms(self.tau.imag))
+        self.normalization = _log_abs_eta(self.tau, self._nome[1])
 
     def _coerce_point(self, z):
         if isinstance(z, TorusPoint):
@@ -455,7 +492,7 @@ class TorusGreen:
         route of :meth:`values`: it makes the same coincidence decision
         and agrees with ``values`` up to rounding, not bit for bit."""
         p, q = self._coerce_point(z), self._coerce_point(w)
-        return _green_point(p.x - q.x, p.y - q.y, self.tau, self.normalization)
+        return _green_point(p.x - q.x, p.y - q.y, self.tau, self.normalization, self._nome)
 
     def regularized_diagonal(self, metric_scale=1.0):
         """Limit of g(z, w) + log d(z, w) as w -> z, in the unit-area flat
@@ -559,13 +596,14 @@ def _green_values(x, y, tau, normalization):
     return _green_frac(x, y, tau, normalization)
 
 
-def _green_point(x, y, tau, normalization):
-    """:func:`_green_values` of one pair in ``math`` and ``cmath``: at a
-    single point the array route's time is mostly numpy's per-call cost,
-    paid for each of its some 70 array operations.  The coincidence test
-    repeats :func:`_min_image_distance`'s arithmetic, so it decides alike;
-    the value agrees up to rounding (numpy's complex exp and log differ
-    from ``cmath``'s in the last bits)."""
+def _green_point(x, y, tau, normalization, nome):
+    """:func:`_green_values` of one pair in ``math`` and ``cmath``, with the
+    torus's nome table ``nome`` from :func:`_nome_powers`: at a single
+    point the array route's time is mostly numpy's per-call cost, paid for
+    each of its dozens of array operations.  The coincidence test repeats
+    :func:`_min_image_distance`'s arithmetic, so it decides alike; the
+    value agrees up to rounding (numpy's complex exp and log differ from
+    ``cmath``'s in the last bits)."""
     x, y = _unit_frac(x), _unit_frac(y)
     im = tau.imag
     k = round(tau.real)
@@ -582,13 +620,12 @@ def _green_point(x, y, tau, normalization):
         raise ValueError("Green's function evaluated at coincident points")
     if not 0.0 <= y < 1.0:
         raise ValueError("fractional coordinate y must lie in [0, 1)")
-    terms = _product_terms(im)
-    qn, log_qn = _nome_powers(tau, terms)
+    qn, log_qn = nome
     # The factors of log_abs_theta1_frac, in its order.
     w = cmath.exp(2j * math.pi * (x + y * tau))
     v = cmath.exp(2j * math.pi * ((1.0 - y) * tau - x))
     out = -math.pi * im / 4.0 + math.pi * y * im + math.log(abs(1.0 - w))
-    for n in range(1, terms + 1):
+    for n in range(1, len(log_qn) + 1):
         out += log_qn[n - 1]
         out += math.log(abs((1.0 - w * qn[n]) * (1.0 - v * qn[n - 1])))
     return -out + math.pi * y * y * im + normalization
@@ -790,7 +827,7 @@ class Insertion(NamedTuple):
 
 def _finite(value, name):
     """``value`` as a float; raises, naming it, unless it is finite."""
-    value = float(value)
+    value = _as_float(value, name)
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

@@ -102,7 +102,7 @@ def test_log_abs_theta_fractional_broadcasts():
 
 
 def test_array_tau_matches_one_call_per_tau():
-    # Four moduli whose theta products take 136, 8, 3 and 3 factors in one
+    # Four moduli whose theta products take 120, 5, 1 and 1 factors in one
     # call: the values and the lattice distances are those of one scalar
     # call per modulus, bit for bit.
     rng = np.random.default_rng(19)
@@ -195,6 +195,98 @@ def test_small_im_tau_hits_the_term_cap():
             fn(-1j)
 
 
+def _long_nome(tau, terms):
+    """q^0 .. q^terms and log|1 - q^n| as the lab builds them."""
+    q = cmath.exp(2j * math.pi * tau)
+    powers = [1.0 + 0j]
+    for _n in range(terms):
+        powers.append(powers[-1] * q)
+    return powers, [math.log(abs(1.0 - c)) for c in powers[1:]]
+
+
+def _long_terms(im_tau):
+    """The factor count of an absolute error ~1e-18, 2 + ceil(6.7 / Im tau)."""
+    return 2 + math.ceil(6.7 / im_tau)
+
+
+def _long_theta_frac(x, y, tau):
+    """log_abs_theta1_frac's triple product in the same operations, run to
+    the largest 2 + ceil(6.7 / Im tau) among the moduli."""
+    if isinstance(tau, complex):
+        moduli, inverse = [tau], None
+    else:
+        moduli, inverse = np.unique(tau, return_inverse=True)
+        moduli, inverse = moduli.tolist(), inverse.reshape(tau.shape)
+    terms = max(_long_terms(t.imag) for t in moduli)
+    tables = [_long_nome(t, terms) for t in moduli]
+
+    def column(k, n):
+        col = [table[k][n] for table in tables]
+        return col[0] if inverse is None else np.array(col)[inverse]
+
+    im = tau.imag
+    w = np.exp(2j * math.pi * (x + y * tau))
+    v = np.exp(2j * math.pi * ((1.0 - y) * tau - x))
+    with np.errstate(divide="ignore"):
+        out = -math.pi * im / 4.0 + math.pi * y * im + np.log(np.abs(1.0 - w))
+    for n in range(1, terms + 1):
+        out += column(1, n - 1)
+        a = 1.0 - w * column(0, n)
+        a *= 1.0 - v * column(0, n - 1)
+        out += np.log(np.abs(a))
+    return out
+
+
+def _long_green_value(green, z, w):
+    """TorusGreen.value's scalar product run to 2 + ceil(6.7 / Im tau)."""
+    tau = green.tau
+    p, q = TorusPoint.from_complex(z, tau), TorusPoint.from_complex(w, tau)
+    x, y = lab._unit_frac(p.x - q.x), lab._unit_frac(p.y - q.y)
+    qn, log_qn = _long_nome(tau, _long_terms(tau.imag))
+    wz = cmath.exp(2j * math.pi * (x + y * tau))
+    vz = cmath.exp(2j * math.pi * ((1.0 - y) * tau - x))
+    out = -math.pi * tau.imag / 4.0 + math.pi * y * tau.imag + math.log(abs(1.0 - wz))
+    for n in range(1, len(log_qn) + 1):
+        out += log_qn[n - 1]
+        out += math.log(abs((1.0 - wz * qn[n]) * (1.0 - vz * qn[n - 1])))
+    return -out + math.pi * y * y * tau.imag + green.normalization
+
+
+SHORT_PRODUCT_IMS = (1.7e-3, 2e-3, 0.05, 0.3, 0.45, 1.2, 5.96, 6.0, 32.3, 3183.0, 1e9)
+
+
+def test_product_stops_where_factors_round_to_one():
+    # Every factor past 1 + floor(5.96 / Im tau) rounds to 1, so the
+    # products keep each bit of the 2 + ceil(6.7 / Im tau) factors of an
+    # absolute error ~1e-18.
+    rng = np.random.default_rng(31)
+    x = np.concatenate([[0.0, 0.25, 0.9], rng.uniform(0, 1, 13)])
+    y = np.concatenate([[0.0, 1.0 - 1e-16, 0.5], rng.uniform(0, 1, 13)])
+    taus = [complex(re, im) for im in SHORT_PRODUCT_IMS for re in (0.0, 0.37, 2.3)]
+    for tau in taus:
+        got = log_abs_theta1_frac(x, y, tau)
+        assert got.tobytes() == _long_theta_frac(x, y, tau).tobytes(), tau
+        long_logs = _long_nome(tau, _long_terms(tau.imag))[1]
+        eta = -math.pi * tau.imag / 12.0
+        prime = math.log(2.0 * math.pi) - math.pi * tau.imag / 4.0
+        for log_n in long_logs:
+            eta += log_n
+            prime += 3.0 * log_n
+        assert dedekind_eta_log_abs(tau).hex() == eta.hex()
+        assert log_abs_theta1_prime_zero(tau).hex() == prime.hex()
+        green = TorusGreen(tau)
+        for k in range(4):
+            z, w = complex(x[k], 0) + y[k] * tau, complex(x[-k - 1], 0) + y[-k - 1] * tau
+            assert green.value(z, w).hex() == _long_green_value(green, z, w).hex()
+    # One call over every modulus, each point with its own: the batch runs
+    # to the largest count among them.
+    batch = np.array([taus[k] for k in rng.integers(0, len(taus), 64)])
+    bx, by = rng.uniform(0, 1, 64), rng.uniform(0, 1, 64)
+    by[:2] = 0.0, 1.0 - 1e-16
+    got = log_abs_theta1_frac(bx, by, batch)
+    assert got.tobytes() == _long_theta_frac(bx, by, batch).tobytes()
+
+
 def test_torus_point_roundtrip():
     tau = 0.3 + 1.2j
     pt = TorusPoint.from_complex(0.7 + 0.4 * tau, tau)
@@ -218,12 +310,22 @@ def test_non_finite_points_raise(z):
 
 
 @pytest.mark.parametrize("tau", [complex(math.nan, 1.0), complex(math.inf, 1.0),
-                                 complex(0.3, math.nan)])
+                                 complex(0.3, math.nan),
+                                 pytest.param(10 ** 400, id="int-past-float-range")])
 def test_tau_must_be_finite(tau):
-    # A NaN tau once failed the normalization check "by nan".
+    # A NaN tau once failed the normalization check "by nan", and an int
+    # past float range raised a bare OverflowError.
     for fn in (TorusGreen, dedekind_eta_log_abs, log_abs_theta1_prime_zero):
         with pytest.raises(ValueError, match="tau must be finite"):
             fn(tau)
+
+
+@pytest.mark.parametrize("x, y, name", [(10 ** 400, 0.5, "x"), (0.5, -10 ** 400, "y")],
+                         ids=["x", "y"])
+def test_torus_point_past_float_range_is_value_error(x, y, name):
+    # An int past float range once raised a bare OverflowError.
+    with pytest.raises(ValueError, match=f"torus point {name} must be finite, got a value past"):
+        TorusPoint(x, y)
 
 
 def test_torus_point_tiny_negative_wraps_to_zero():
@@ -299,7 +401,7 @@ def test_green_values_match_series():
     # Independent reference: the sine series for theta1 at the reduced
     # difference z - w = x + y tau, x and y in [0, 1).
     rng = random.Random(5)
-    # 2.3 + 0.7j reduces Re(tau) before the lattice scan; 0.05j takes 136
+    # 2.3 + 0.7j reduces Re(tau) before the lattice scan; 0.05j takes 120
     # product factors.
     for tau in (0.3 + 1.2j, 0.8j, 3.7j, 2.3 + 0.7j, 0.05j):
         green = TorusGreen(tau)
@@ -421,6 +523,56 @@ def test_min_image_distance_matches_brute_force_below_r0():
         assert below[:20].all()
         assert np.max(np.abs(got[below] - brute[below])) <= 1e-12
         assert (got >= brute - 1e-12).all()
+
+
+def _stacked_min_image_distance(x, y, tau):
+    """The lattice distance with the nine translates stacked on a leading
+    axis: one squared-distance array, its minimum and one square root."""
+    tau = complex(tau) if isinstance(tau, complex) else np.asarray(tau, dtype=complex)
+    k = np.rint(tau.real)
+    re_tau = tau.real - k
+    y = np.asarray(y, dtype=float)
+    y = y - np.floor(y)
+    x = np.asarray(x, dtype=float) + k * y
+    x = x - np.floor(x)
+    steps = np.array([-1.0, 0.0, 1.0])
+    dx = np.repeat(steps, 3).reshape((9,) + (1,) * x.ndim)
+    dy = np.tile(steps, 3).reshape(dx.shape)
+    re = (x + y * re_tau) + (dx + dy * re_tau)
+    im = y * tau.imag + dy * tau.imag
+    re *= re
+    im *= im
+    re += im
+    return np.sqrt(re.min(axis=0))
+
+
+def test_min_image_distance_matches_stacked_translates():
+    # Three rows of three translates take each distance in the same
+    # operations as the stack, so they agree bit for bit.
+    rng = np.random.default_rng(15)
+    taus = (0.3 + 1.2j, 0.8j, -0.41 + 0.05j, 2.3 + 0.7j, -3.6 + 0.3j, 0.5 + 0.45j, 1.7 + 4.0j)
+
+    def grid(n, rows):
+        g = (np.arange(n) + 0.5) / n
+        return np.meshgrid(g[:rows], g, indexing="ij")
+
+    inputs = [grid(96, 48), grid(14, 14),
+              (rng.uniform(-2, 3, 300), rng.uniform(-1, 2, 300)),
+              (np.array([0.0, 1e-17, 1.0 - 1e-16]), np.array([0.0, 1.0 - 1e-16, 0.5]))]
+    for x, y in inputs:
+        for tau in taus:
+            got = lab._min_image_distance(x, y, tau)
+            assert got.tobytes() == _stacked_min_image_distance(x, y, tau).tobytes(), tau
+        per_point = np.array(taus)[rng.integers(0, len(taus), np.shape(x))]
+        got = lab._min_image_distance(x, y, per_point)
+        assert got.tobytes() == _stacked_min_image_distance(x, y, per_point).tobytes()
+    # A scalar point, and one column of moduli against a row of points.
+    assert lab._min_image_distance(0.3, 0.7, taus[2]) == \
+        _stacked_min_image_distance(0.3, 0.7, taus[2])
+    x, y = inputs[2]
+    column = np.array(taus)[:, None]
+    assert lab._min_image_distance(x[None, :], y[None, :], column).tobytes() == \
+        _stacked_min_image_distance(x[None, :], y[None, :], column).tobytes()
 
 
 def test_integral_residual_with_large_real_part():
@@ -707,8 +859,9 @@ def test_family_validation():
         DegenerationFamily(1.0, [(Fraction(0), 0.0, (1,))])
     with pytest.raises(ValueError, match="positive total length"):
         DegenerationFamily(0.0, DISJOINT["divisor1"], DISJOINT["divisor2"])
-    with pytest.raises(ValueError, match="insertion x must be finite"):
-        DegenerationFamily(1.0, [(0, math.nan, (1,)), (Fraction(1, 2), 0.0, (-1,))])
+    for x in (math.nan, 10 ** 400):
+        with pytest.raises(ValueError, match="insertion x must be finite"):
+            DegenerationFamily(1.0, [(0, x, (1,)), (Fraction(1, 2), 0.0, (-1,))])
     # No slope can be fitted through fewer than two alphas with distinct
     # logarithms; the metric scale must be positive in either mode.
     for alphas in ((0.01,), (0.01, 0.01), (0.01, 0.001, 0.01), (),
@@ -732,10 +885,14 @@ def test_family_validation():
     ("y_total", math.nan), ("y_total", math.inf), ("metric_scale", math.nan),
     ("imag_offset", math.nan), ("imag_offset", -math.inf),
     ("alphas", (1e-2, math.nan)), ("alphas", (math.inf, 1e-3)),
-])
+    ("y_total", 10 ** 400), ("metric_scale", 10 ** 400), ("imag_offset", 10 ** 400),
+    ("alphas", (10 ** 400, 1e-3)),
+], ids=lambda v: "10**400" if isinstance(v, int) else None)
 def test_family_rejects_non_finite_numbers(field, value):
     # Each of these once gave a NaN report, a "cannot convert float NaN to
-    # integer" error or, for an infinite alpha, numpy warnings.
+    # integer" error or, for an infinite alpha, numpy warnings; an int past
+    # float range raised a bare OverflowError.
     kw = dict(DISJOINT, **{field: value})
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         DegenerationFamily(kw.pop("y_total"), **kw)
+
