@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symanzik import MinkowskiSpace, _numeric_tables, symanzik_ratio_eval
+from .symanzik import (MinkowskiSpace, _finite_float, _integer, _numeric_tables,
+                       symanzik_ratio_eval)
 
 
 class EdgeParameters:
@@ -45,11 +46,8 @@ class EdgeParameters:
     __slots__ = ("y", "h0")
 
     def __init__(self, y, h0=0.0):
-        self.y = {str(e): float(v) for e, v in y.items()}
-        self.h0 = _finite_base_height(h0)
-        bad = [e for e, v in self.y.items() if not math.isfinite(v)]
-        if bad:
-            raise ValueError(f"edge coordinates must be finite: {bad}")
+        self.y = {str(e): _finite_float(v, "y", e) for e, v in y.items()}
+        self.h0 = _finite_float(h0, "h0")
         bad = [e for e, v in self.y.items() if v <= self.h0]
         if bad:
             raise ValueError(f"edge coordinates must exceed the base height {self.h0}: {bad}")
@@ -59,13 +57,6 @@ class EdgeParameters:
         if missing:
             raise ValueError(f"missing vertical coordinates for edges {missing}")
         return np.array([self.y[e] - self.h0 for e in order])
-
-
-def _finite_base_height(h0):
-    h0 = float(h0)
-    if not math.isfinite(h0):
-        raise ValueError(f"base height h0 must be finite, got {h0}")
-    return h0
 
 
 class EdgeBlocks(NamedTuple):
@@ -94,6 +85,8 @@ class HolomorphicFixture:
     (d, g) for w, (g, d) for z and (d, d) for rho, where d is the
     momentum dimension (1 for scalar heights).  Together they are the
     quadrants of one (g+d)-square period matrix P = [[omega, z], [w, rho]].
+    The genus g is a non-negative int (0 on a tree), the dimension d a
+    positive one.
     """
 
     __slots__ = ("genus", "dim", "edge_ids", "terms")
@@ -101,8 +94,8 @@ class HolomorphicFixture:
     _FIELDS = ("omega", "w", "z", "rho")
 
     def __init__(self, genus, dim=1, edge_ids=()):
-        self.genus = int(genus)
-        self.dim = int(dim)
+        self.genus = _integer(genus, "genus", low=0)
+        self.dim = _integer(dim, "dim", low=1)
         self.edge_ids = tuple(str(e) for e in edge_ids)
         self.terms = {f: {} for f in self._FIELDS}
 
@@ -126,12 +119,11 @@ class HolomorphicFixture:
                              f"got {coeff.shape}")
         coeff = coeff.reshape(shape)
         exponents = dict(exponents or {})
-        for e in exponents:
+        for e, k in exponents.items():
             if e not in self.edge_ids:
                 raise ValueError(f"fixture term uses unknown edge {e!r}")
-        key = tuple(int(exponents.get(e, 0)) for e in self.edge_ids)
-        if any(k < 0 for k in key):
-            raise ValueError("negative exponents are not allowed")
+            _integer(k, "exponents", e, low=0)
+        key = tuple(exponents.get(e, 0) for e in self.edge_ids)
         slot = self.terms[field]
         slot[key] = slot.get(key, np.zeros(shape, dtype=complex)) + coeff
         return self
@@ -373,7 +365,7 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
     if rays is None:
         rays = [{e: 1.0 for e in graph.edge_ids()}]
     ts = _scan_grid(ts)
-    h0 = _finite_base_height(h0)
+    h0 = _finite_float(h0, "h0")
     scale = max(1.0, _momentum_norm(momenta1)
                 * _momentum_norm(momenta1 if momenta2 is None else momenta2))
     order = sorted(blocks)
@@ -413,7 +405,9 @@ class AdmissibleSegment:
 
     The horizontal part x_e(a) = offset + amplitude * cos(frequency / a)
     may oscillate as a -> 0; the vertical part goes to +infinity like
-    Y_e / (2 pi a) with Y_e > 0, up to the bounded shift eta_e.
+    Y_e / (2 pi a) with Y_e > 0, up to the bounded shift eta_e.  ``edges``
+    maps each edge id to a SegmentEdge or a dict of its fields, which
+    needs ``y_scale``; every field must be finite.
     """
 
     __slots__ = ("edges",)
@@ -421,16 +415,19 @@ class AdmissibleSegment:
     def __init__(self, edges):
         norm = {}
         for e, spec in edges.items():
-            spec = spec if isinstance(spec, SegmentEdge) else SegmentEdge(**spec)
-            for field, value in spec._asdict().items():
-                if not math.isfinite(value):
-                    raise ValueError(f"segment edge {e!r} field {field!r} must be finite, "
-                                     f"got {value}")
+            spec = spec._asdict() if isinstance(spec, SegmentEdge) else dict(spec)
+            unknown = sorted(set(spec) - set(SegmentEdge._fields))
+            if unknown:
+                raise ValueError(f"edges.{e} has unknown segment fields {unknown}")
+            if "y_scale" not in spec:
+                raise ValueError(f"edges.{e} is missing the field 'y_scale'")
+            spec = SegmentEdge(**{k: _finite_float(v, "edges", e, k) for k, v in spec.items()})
             if spec.y_scale <= 0:
-                raise ValueError(f"segment edge {e!r} needs a positive vertical scale")
+                raise ValueError(f"edges.{e}.y_scale must be a positive vertical scale, "
+                                 f"got {spec.y_scale!r}")
             norm[str(e)] = spec
         if not norm:
-            raise ValueError("segment needs at least one edge")
+            raise ValueError("edges must hold at least one edge")
         self.edges = norm
 
     def phases(self, alpha):

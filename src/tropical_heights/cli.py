@@ -409,7 +409,9 @@ def main(argv=None):
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except (ValueError, OSError, OverflowError) as exc:
-        # OverflowError: a rational input too large to convert to a float.
+        # OverflowError: marking or divisor momenta past float range, which
+        # the numeric routes divide as ints (x / d in symanzik); the value
+        # rules of the input objects raise ValueError.
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -11,7 +11,7 @@ count for deformations of the curve.
 from typing import NamedTuple
 
 from .graphs import first_betti
-from .symanzik import MomentumAssignment
+from .symanzik import MomentumAssignment, _integer
 
 
 class Marking(NamedTuple):
@@ -20,6 +20,16 @@ class Marking(NamedTuple):
     marking_id: str
     vertex: str
     momentum: tuple = ()
+
+
+def _vertex_genera(graph, genus):
+    """Every vertex's genus from the dict ``genus`` (default 0), in O(|V|);
+    raises unless each is a non-negative int on a vertex of ``graph``."""
+    genus = dict(genus or {})
+    out = {v: _integer(genus.pop(v, 0), "genus", v, low=0) for v in graph.vertices}
+    if genus:
+        raise ValueError(f"genus given for unknown vertex {next(iter(genus))!r}")
+    return out
 
 
 class StableCurve:
@@ -42,13 +52,7 @@ class StableCurve:
 
     def __init__(self, graph, genus=None, markings=(), space=None):
         self.graph = graph
-        genus = dict(genus or {})
-        for v, gv in genus.items():
-            if v not in graph.vertices:
-                raise ValueError(f"genus given for unknown vertex {v!r}")
-            if not isinstance(gv, int) or gv < 0:
-                raise ValueError(f"genus of {v!r} must be a non-negative integer, got {gv!r}")
-        self.genus = {v: genus.get(v, 0) for v in graph.vertices}
+        self.genus = _vertex_genera(graph, genus)
         marks = []
         seen = set()
         for m in markings:

@@ -11,6 +11,13 @@ shared by every schema here:
 * schema violations raise :class:`SchemaError`, whose message starts
   with the dotted path of the offending field.
 
+This module checks only what is JSON: types, shapes, and required and
+unknown keys.  Every rule on a value (finite, within float range, signed,
+integral, or tied to another field) belongs to the constructor of the
+object the value goes into; its ``ValueError`` becomes a SchemaError
+whose message is the JSON path of that object followed by the
+constructor's message, which names the field.
+
 The graph bundle is the shared input format::
 
     {"vertices": [{"id": str, "genus": int}, ...],
@@ -31,7 +38,7 @@ from fractions import Fraction
 # fixtures and of numeric objects (biextension points, holomorphic fixtures,
 # segments, families) import their layer when called, so that loading a
 # graph bundle does not load numpy.
-from .curves import Marking, StableCurve, restrict_momenta
+from .curves import Marking, StableCurve, _vertex_genera, restrict_momenta
 from .graphs import Multigraph
 from .symanzik import MinkowskiSpace
 
@@ -60,6 +67,22 @@ def _as_list(value, path):
     if not isinstance(value, list):
         raise SchemaError("expected an array", path)
     return value
+
+
+def _number(value, path):
+    """``value`` if it is a JSON number (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError("expected a number", path)
+    return value
+
+
+def _built(path, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a ValueError it raises turned into a
+    SchemaError at ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(str(exc), path) from None
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +179,16 @@ class GraphBundle:
 
     ``space`` is the momentum space: the bundle's ``minkowski`` entry, or
     Euclidean of the marking momenta's dimension when that is omitted.
-    It is None only when no marking carries a momentum.
+    It is None only when no marking carries a momentum.  The vertex
+    genera are checked as :meth:`curve` checks them.
     """
 
     __slots__ = ("graph", "genus", "markings", "space", "raw")
 
     def __init__(self, graph, genus=None, markings=(), space=None, raw=None):
         self.graph = graph
+        if genus is not None:
+            _vertex_genera(graph, genus)
         self.genus = genus
         self.markings = tuple(markings)
         if space is None:
@@ -186,21 +212,20 @@ class GraphBundle:
 
 def minkowski_from_json(data, path=("minkowski",)):
     dim = _require(data, "dim", path)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise SchemaError("dim must be a positive integer", path + ("dim",))
     if "matrix" in data:
+        # dim only declares the matrix's size; MinkowskiSpace checks it is >= 1.
+        if type(dim) is not int:
+            raise SchemaError("expected an integer", path + ("dim",))
         rows = _as_list(data["matrix"], path + ("matrix",))
         matrix = [rational_vector_from_json(row, path + ("matrix", i))
                   for i, row in enumerate(rows)]
         if len(matrix) != dim or any(len(r) != dim for r in matrix):
             raise SchemaError(f"matrix must be {dim}x{dim}", path + ("matrix",))
-        return MinkowskiSpace(matrix)
+        return _built(path, MinkowskiSpace, matrix)
     signature = data.get("signature", "euclidean")
-    if signature == "euclidean":
-        return MinkowskiSpace.euclidean(dim)
-    if signature == "lorentzian":
-        return MinkowskiSpace.lorentzian(dim)
-    raise SchemaError(f"unknown signature {signature!r}", path + ("signature",))
+    if signature not in ("euclidean", "lorentzian"):
+        raise SchemaError(f"unknown signature {signature!r}", path + ("signature",))
+    return _built(path, getattr(MinkowskiSpace, signature), dim)
 
 
 def minkowski_to_json(space):
@@ -214,31 +239,21 @@ def graph_bundle_from_json(data, path=()):
         raise SchemaError("expected a graph object", path)
     vertices = []
     genus = {}
-    has_genus = False
     for i, v in enumerate(_as_list(_require(data, "vertices", path), path + ("vertices",))):
-        vpath = path + ("vertices", i)
         if isinstance(v, str):
             vertices.append(v)
             continue
-        vid = _require(v, "id", vpath, str)
+        vid = _require(v, "id", path + ("vertices", i), str)
         vertices.append(vid)
         if "genus" in v:
-            g = v["genus"]
-            if isinstance(g, bool) or not isinstance(g, int) or g < 0:
-                raise SchemaError("genus must be a non-negative integer",
-                                  vpath + ("genus",))
-            genus[vid] = g
-            has_genus = True
+            genus[vid] = v["genus"]
     edges = []
     for i, e in enumerate(_as_list(_require(data, "edges", path), path + ("edges",))):
         epath = path + ("edges", i)
         edges.append((_require(e, "id", epath, str),
                       _require(e, "tail", epath, str),
                       _require(e, "head", epath, str)))
-    try:
-        graph = Multigraph(vertices, edges)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path + ("edges",)) from None
+    graph = _built(path + ("edges",), Multigraph, vertices, edges)
 
     space = None
     if "minkowski" in data:
@@ -257,8 +272,8 @@ def graph_bundle_from_json(data, path=()):
             momentum = rational_vector_from_json(m["momentum"], mpath + ("momentum",))
         markings.append(Marking(mid, vertex, momentum))
 
-    return GraphBundle(graph, genus=genus if has_genus else None,
-                       markings=markings, space=space, raw=data)
+    return _built(path + ("vertices",), GraphBundle, graph, genus=genus or None,
+                  markings=markings, space=space, raw=data)
 
 
 def load_graph_bundle(path):
@@ -307,35 +322,13 @@ def monodromy_fixture_from_json(data, path=()):
     coeffs = {}
     d1 = {}
     d2 = {}
-    genus = None
     for eid, entry in edges.items():
         epath = path + ("edges", eid)
-        c = _as_list(_require(entry, "c", epath), epath + ("c",))
-        row = []
-        for i, x in enumerate(c):
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise SchemaError("cycle coefficients must be integers",
-                                  epath + ("c", i))
-            row.append(x)
-        if genus is None:
-            genus = len(row)
-        elif len(row) != genus:
-            raise SchemaError(f"cycle vector length {len(row)} != genus {genus}",
-                              epath + ("c",))
-        coeffs[eid] = tuple(row)
+        coeffs[eid] = _as_list(_require(entry, "c", epath), epath + ("c",))
         for key, store in (("d1", d1), ("d2", d2)):
-            block = entry.get(key, {})
-            if not isinstance(block, dict):
+            store[eid] = entry.get(key, {})
+            if not isinstance(store[eid], dict):
                 raise SchemaError(f"{key} must be an object", epath + (key,))
-            out = {}
-            for l, k in block.items():
-                if isinstance(k, bool) or not isinstance(k, int):
-                    raise SchemaError("crossing counts must be integers",
-                                      epath + (key, l))
-                out[str(l)] = k
-            store[eid] = out
-    if genus == 0:
-        raise SchemaError("fixture needs positive genus", path)
 
     def section_list(key, blocks):
         if key in data:
@@ -344,9 +337,13 @@ def monodromy_fixture_from_json(data, path=()):
 
     sections1 = section_list("sections1", d1)
     sections2 = section_list("sections2", d2)
-    vc = VanishingCycleData(genus, coeffs)
-    sc = SectionCrossingData(sections1, sections2, d1, d2)
-    return vc, sc
+    # The genus is the length of the first cycle vector; the others must match
+    # it.  The API takes a tree's genus 0, this format does not.
+    genus = len(next(iter(coeffs.values())))
+    if genus == 0:
+        raise SchemaError("fixture needs positive genus", path)
+    vc = _built(path, VanishingCycleData, genus, coeffs)
+    return vc, _built(path, SectionCrossingData, sections1, sections2, d1, d2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +355,7 @@ def biextension_point_from_json(data, path=()):
     w = complex_vector_from_json(_require(data, "w", path), path + ("w",))
     z = complex_vector_from_json(_require(data, "z", path), path + ("z",))
     rho = complex_from_json(_require(data, "rho", path), path + ("rho",))
-    try:
-        return BiextensionPoint(omega, w, z, rho)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from None
+    return _built(path, BiextensionPoint, omega, w, z, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +364,10 @@ def biextension_point_from_json(data, path=()):
 def holomorphic_fixture_from_json(data, path=()):
     from .asymptotics import HolomorphicFixture
     genus = _require(data, "genus", path)
-    if isinstance(genus, bool) or not isinstance(genus, int) or genus < 1:
-        raise SchemaError("genus must be a positive integer", path + ("genus",))
-    dim = data.get("dim", 1)
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise SchemaError("dim must be a positive integer", path + ("dim",))
     edge_ids = [str(e) for e in _as_list(data.get("edge_ids", []), path + ("edge_ids",))]
-    fx = HolomorphicFixture(genus, dim=dim, edge_ids=edge_ids)
+    fx = _built(path, HolomorphicFixture, genus, dim=data.get("dim", 1), edge_ids=edge_ids)
+    if fx.genus == 0:  # the API takes a tree's genus 0, this format does not
+        raise SchemaError("fixture needs positive genus", path + ("genus",))
     for i, term in enumerate(_as_list(_require(data, "terms", path), path + ("terms",))):
         tpath = path + ("terms", i)
         field = _require(term, "field", tpath, str)
@@ -385,39 +376,20 @@ def holomorphic_fixture_from_json(data, path=()):
         exponents = term.get("exponents", {})
         if not isinstance(exponents, dict):
             raise SchemaError("exponents must be an object", tpath + ("exponents",))
-        for e, k in exponents.items():
-            if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-                raise SchemaError("exponents must be non-negative integers",
-                                  tpath + ("exponents", e))
-        try:
-            fx.add_term(field, coeff, exponents)
-        except ValueError as exc:
-            raise SchemaError(str(exc), tpath) from None
+        _built(tpath, fx.add_term, field, coeff, exponents)
     return fx
 
 
 def segment_from_json(data, path=()):
-    from .asymptotics import AdmissibleSegment, SegmentEdge
-    known = set(SegmentEdge._fields)
-    edges = _require(data, "edges", path)
-    if not isinstance(edges, dict) or not edges:
-        raise SchemaError("edges must be a non-empty object", path + ("edges",))
-    parsed = {}
+    from .asymptotics import AdmissibleSegment
+    edges = _require(data, "edges", path, dict)
     for eid, entry in edges.items():
         epath = path + ("edges", eid)
         if not isinstance(entry, dict):
             raise SchemaError("expected an object of segment fields", epath)
-        unknown = set(entry) - known
-        if unknown:
-            raise SchemaError(f"unknown segment fields {sorted(unknown)}", epath)
-        if "y_scale" not in entry:
-            raise SchemaError("missing required field 'y_scale'", epath)
-        parsed[eid] = SegmentEdge(**{k: _finite_number(v, epath + (k,), f"field {k!r}")
-                                     for k, v in entry.items()})
-    try:
-        return AdmissibleSegment(parsed)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from None
+        for k, v in entry.items():
+            _number(v, epath + (k,))
+    return _built(path, AdmissibleSegment, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -428,33 +400,16 @@ def _divisor_from_json(value, path):
     for i, ins in enumerate(_as_list(value, path)):
         ipath = path + (i,)
         c = rational_from_json(_require(ins, "c", ipath), ipath + ("c",))
-        x = _finite_number(ins.get("x", 0), ipath + ("x",), "x")
+        x = _number(ins.get("x", 0), ipath + ("x",))
         momentum = rational_vector_from_json(_require(ins, "momentum", ipath),
                                              ipath + ("momentum",))
         out.append((c, x, momentum))
     return out
 
 
-def _finite_number(value, path, name):
-    """A JSON number as a finite float; the errors name the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{name} must be a number", path)
-    try:
-        out = float(value)
-    except OverflowError:  # an integer beyond the float range
-        out = math.inf
-    if not math.isfinite(out):
-        raise SchemaError(f"{name} must be finite", path)
-    return out
-
-
 def degeneration_family_from_json(data, path=()):
     from .lab import DegenerationFamily
     y_total = rational_from_json(_require(data, "y_total", path), path + ("y_total",))
-    try:
-        y_total = float(y_total)
-    except OverflowError:
-        raise SchemaError("y_total must be finite as a float", path + ("y_total",)) from None
     divisor1 = _divisor_from_json(_require(data, "divisor1", path), path + ("divisor1",))
     divisor2 = None
     if data.get("divisor2") is not None:
@@ -464,19 +419,11 @@ def degeneration_family_from_json(data, path=()):
         space = minkowski_from_json(data["minkowski"], path + ("minkowski",))
     kwargs = {}
     if "alphas" in data:
-        alphas = _as_list(data["alphas"], path + ("alphas",))
-        kwargs["alphas"] = [_finite_number(a, path + ("alphas", i), "alphas")
-                            for i, a in enumerate(alphas)]
-        for i, a in enumerate(kwargs["alphas"]):
-            if a <= 0:
-                raise SchemaError("alphas must be positive numbers", path + ("alphas", i))
+        kwargs["alphas"] = [_number(a, path + ("alphas", i))
+                            for i, a in enumerate(_as_list(data["alphas"], path + ("alphas",)))]
     for key in ("imag_offset", "metric_scale"):
         if key in data:
-            kwargs[key] = _finite_number(data[key], path + (key,), key)
+            kwargs[key] = _number(data[key], path + (key,))
     if "mode" in data:
         kwargs["mode"] = data["mode"]
-    try:
-        return DegenerationFamily(y_total, divisor1, divisor2, space=space,
-                                  **kwargs)
-    except ValueError as exc:
-        raise SchemaError(str(exc), path) from None
+    return _built(path, DegenerationFamily, y_total, divisor1, divisor2, space=space, **kwargs)

@@ -55,7 +55,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .graphs import Multigraph
-from .symanzik import MinkowskiSpace, MomentumAssignment, _scaled_to_ints, resistance_oracle
+from .symanzik import (MinkowskiSpace, MomentumAssignment, _finite_float, _scaled_to_ints,
+                       resistance_oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +69,9 @@ _MAX_CANCELLATION = 1e4
 
 
 def _as_tau(tau):
-    """``tau`` as a complex number; raises unless Im(tau) > 0 and Re(tau)
-    is finite.  An infinite Im(tau) passes here and is refused by
-    :func:`_checked_tau`, whose message names the float range."""
+    """``tau`` as a complex number; raises unless Re(tau) is finite, Im(tau)
+    > 0 and 2 pi Im(tau) is a finite float.  An infinite Im(tau), or one so
+    large that 2 pi Im(tau) overflows, is refused as past float range."""
     try:
         tau = complex(tau)
     except OverflowError:
@@ -79,6 +80,9 @@ def _as_tau(tau):
         raise ValueError(f"tau must be finite, got {tau!r}")
     if tau.imag <= 0:
         raise ValueError("tau must lie in the upper half-plane")
+    if not math.isfinite(2.0 * math.pi * tau.imag):
+        raise ValueError(f"Im(tau) = {tau.imag:.6g} is past float range: "
+                         f"2 pi Im(tau) overflows")
     return tau
 
 
@@ -267,14 +271,6 @@ def _unit_fracs(v):
     return v
 
 
-def _as_float(value, name):
-    """``value`` as a float; an integer past float range raises, naming it."""
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got a value past float range") from None
-
-
 class TorusPoint:
     """Point on the torus in fractional coordinates (x, y) in [0, 1)^2,
     representing z = x + y tau; raises unless both are finite."""
@@ -282,11 +278,8 @@ class TorusPoint:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        x, y = _as_float(x, "torus point x"), _as_float(y, "torus point y")
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"torus point x + y tau must be finite, got x={x!r}, y={y!r}")
-        self.x = _unit_frac(x)
-        self.y = _unit_frac(y)
+        self.x = _unit_frac(_finite_float(x, "torus point x"))
+        self.y = _unit_frac(_finite_float(y, "torus point y"))
 
     @classmethod
     def from_complex(cls, z, tau):
@@ -396,12 +389,9 @@ def _checked_tau(tau):
     """``tau`` as by :func:`_as_tau`, for a torus of the lab: raises unless
     1.68e-3 < Im(tau) <= 1e10, the theta product's term cap and the point
     past which the Green's terms of size pi Im(tau) round to errors above
-    1e-6.  A 2 pi Im(tau) past float range has its own message."""
+    1e-6."""
     tau = _as_tau(tau)
     _product_terms(tau.imag)
-    if not math.isfinite(2.0 * math.pi * tau.imag):
-        raise ValueError(f"Im(tau) = {tau.imag:.6g} is past float range: "
-                         f"2 pi Im(tau) overflows")
     if tau.imag > 1e10:
         raise ValueError(f"Im(tau) = {tau.imag:.6g} is above 1e10, where the Green's "
                          f"function rounds to errors above {_MATCH_TOL:g}")
@@ -825,21 +815,13 @@ class Insertion(NamedTuple):
     momentum: tuple
 
 
-def _finite(value, name):
-    """``value`` as a float; raises, naming it, unless it is finite."""
-    value = _as_float(value, name)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _as_insertions(raw):
+def _as_insertions(raw, label):
     out = []
-    for item in raw:
+    for k, item in enumerate(raw):
         c, x, p = item
         if isinstance(p, (int, Fraction)):
             p = (p,)
-        out.append(Insertion(Fraction(c) % 1, _finite(x, "insertion x") % 1.0,
+        out.append(Insertion(Fraction(c) % 1, _finite_float(x, label, k, "x") % 1.0,
                              tuple(Fraction(v) for v in p)))
     if not out:
         raise ValueError("a divisor needs at least one insertion")
@@ -856,8 +838,10 @@ class DegenerationFamily:
     perturbation of the vertical direction: it leaves the limit
     unchanged while making the first-order remainder visible (offset 0
     reproduces the straight family, whose remainder decays faster than
-    any power).  Every number must be finite; a NaN or infinite one
-    raises a ``ValueError`` that names its field, as do fewer than two
+    any power).  Every number must be finite; a NaN, infinite or
+    out-of-float-range one raises a ``ValueError`` that names its field
+    (``alphas.k`` for the k-th alpha, ``divisor1.k.x`` for an insertion's
+    x), as do a ``y_total`` or an alpha that is not positive, fewer than two
     ``alphas`` whose logarithms are pairwise at least sqrt(eps) max(1,
     |log alpha|) apart (no slope can be fitted above rounding), an
     ``imag_offset`` that leaves Im(tau) <= 0 at the largest alpha, and a
@@ -870,10 +854,10 @@ class DegenerationFamily:
     def __init__(self, y_total, divisor1, divisor2=None, space=None,
                  alphas=(1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4),
                  imag_offset=0.5, metric_scale=1.0, mode=None):
-        self.y_total = _finite(y_total, "y_total")
+        self.y_total = _finite_float(y_total, "y_total")
         if self.y_total <= 0:
-            raise ValueError("the family needs a positive total length")
-        self.divisor1 = _as_insertions(divisor1)
+            raise ValueError(f"y_total must be a positive total length, got {self.y_total!r}")
+        self.divisor1 = _as_insertions(divisor1, "divisor1")
         if mode is None:
             mode = "self" if divisor2 is None else "disjoint"
         if mode not in ("disjoint", "self"):
@@ -882,18 +866,20 @@ class DegenerationFamily:
             raise ValueError("disjoint mode needs a second divisor")
         if mode == "self" and divisor2 is not None:
             raise ValueError("self mode takes a single divisor")
-        self.divisor2 = _as_insertions(divisor2) if divisor2 is not None else None
+        self.divisor2 = _as_insertions(divisor2, "divisor2") if divisor2 is not None else None
         dim = len(self.divisor1[0].momentum)
         self.space = space if space is not None else MinkowskiSpace.euclidean(dim)
         _check_conserved([i.momentum for i in self.divisor1], "first divisor")
         if self.divisor2 is not None:
             _check_conserved([i.momentum for i in self.divisor2], "second divisor")
-        self.alphas = tuple(sorted((_finite(a, "alphas") for a in alphas), reverse=True))
+        alphas = [_finite_float(a, "alphas", i) for i, a in enumerate(alphas)]
+        for i, a in enumerate(alphas):
+            if a <= 0:
+                raise ValueError(f"alphas.{i} must be positive, got {a!r}")
+        self.alphas = tuple(sorted(alphas, reverse=True))
         distinct = "alphas must hold at least two pairwise distinct values"
         if len(self.alphas) < 2 or len(set(self.alphas)) < len(self.alphas):
             raise ValueError(f"{distinct}, got {list(self.alphas)}")
-        if self.alphas[-1] <= 0:
-            raise ValueError("alphas must be positive")
         # The slope is fitted in log(alpha): logarithms closer than
         # sqrt(eps) max(1, |log alpha|) fit it through rounding noise.
         logs = [math.log(a) for a in self.alphas]
@@ -901,11 +887,11 @@ class DegenerationFamily:
                for a, b in zip(logs, logs[1:])):
             raise ValueError(f"{distinct} of log(alpha), at least sqrt(eps) * "
                              f"max(1, |log(alpha)|) apart, got {list(self.alphas)}")
-        self.imag_offset = _finite(imag_offset, "imag_offset")
+        self.imag_offset = _finite_float(imag_offset, "imag_offset")
         if not self.tau(self.alphas[0]).imag > 0:
             raise ValueError(f"imag_offset = {self.imag_offset!r} puts Im(tau) at or "
                              f"below 0 at the largest alpha {self.alphas[0]!r}")
-        self.metric_scale = _finite(metric_scale, "metric_scale")
+        self.metric_scale = _finite_float(metric_scale, "metric_scale")
         if self.metric_scale <= 0:
             raise ValueError(f"metric_scale must be positive, got {self.metric_scale!r}")
         self.mode = mode

@@ -28,7 +28,7 @@ crossing-derived momentum lifts.
 from fractions import Fraction
 
 from .graphs import _tree_walk
-from .symanzik import MomentumLift, MomentumAssignment, momentum_lift
+from .symanzik import MomentumLift, MomentumAssignment, _integer, momentum_lift
 
 
 def _std_symplectic_pairing(x, y):
@@ -53,19 +53,19 @@ def picard_lefschetz(beta, a):
 
 
 class VanishingCycleData:
-    """a-coordinates of the vanishing cycles, one integer g-vector per edge."""
+    """a-coordinates of the vanishing cycles, one integer g-vector per edge
+    (g = 0 on a tree)."""
 
     __slots__ = ("genus", "coeffs")
 
     def __init__(self, genus, coeffs):
-        self.genus = int(genus)
+        self.genus = _integer(genus, "genus", low=0)
         clean = {}
         for e, row in coeffs.items():
-            row = tuple(int(c) for c in row)
+            row = tuple(_integer(c, "coeffs", e, i) for i, c in enumerate(row))
             if len(row) != self.genus:
-                raise ValueError(
-                    f"vanishing cycle of {e!r} has {len(row)} coordinates, expected {self.genus}"
-                )
+                raise ValueError(f"coeffs.{e} has {len(row)} coordinates, "
+                                 f"expected the genus {self.genus}")
             clean[str(e)] = row
         self.coeffs = clean
 
@@ -103,10 +103,10 @@ class SectionCrossingData:
     def _normalize(d, sections, label):
         out = {}
         for e, row in d.items():
-            row = {str(l): int(k) for l, k in row.items()}
+            row = {str(l): _integer(k, label, e, l) for l, k in row.items()}
             unknown = set(row) - set(sections)
             if unknown:
-                raise ValueError(f"{label}[{e!r}] mentions unknown sections {sorted(unknown)}")
+                raise ValueError(f"{label}.{e} mentions unknown sections {sorted(unknown)}")
             out[str(e)] = {l: row.get(l, 0) for l in sections}
         return out
 

@@ -51,6 +51,34 @@ from .graphs import (_tree_masks, _tree_walk, _two_forests, _UnionFind, boundary
 from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free
 
 
+# ---------------------------------------------------------------------------
+# Field values: the float and integer rules that the constructors of every
+# layer apply to their fields (standard library only).
+
+
+def _finite_float(value, *field):
+    """``value`` as a float; a ValueError naming ``field`` (its parts joined
+    by dots) unless it is finite.  A number past float range, such as an
+    int or a Fraction, is refused the same way, not with an OverflowError."""
+    try:
+        out = float(value)
+    except OverflowError:
+        out = None
+    if out is None or not math.isfinite(out):
+        got = "a value past float range" if out is None else repr(out)
+        raise ValueError(f"{'.'.join(map(str, field))} must be finite, got {got}")
+    return out
+
+
+def _integer(value, *field, low=None):
+    """``value`` if it is an int (a bool is not) of at least ``low``; else a
+    ValueError naming ``field`` as :func:`_finite_float` does."""
+    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
+        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
+        raise ValueError(f"{'.'.join(map(str, field))} must be {kind} integer, got {value!r}")
+    return value
+
+
 def _as_fraction_vector(vec, dim):
     vec = tuple(Fraction(x) if not isinstance(x, Fraction) else x for x in vec)
     if len(vec) != dim:
@@ -64,15 +92,15 @@ class MinkowskiSpace:
     Parameters
     ----------
     matrix : sequence of sequences
-        Symmetric D x D Gram matrix of the pairing, rational entries,
-        kept also as ints times their common denominator.
+        Symmetric D x D Gram matrix of the pairing (D >= 1), rational
+        entries, kept also as ints times their common denominator.
     """
 
     __slots__ = ("dim", "matrix", "_ints", "_numeric")
 
     def __init__(self, matrix):
         rows = [tuple(Fraction(x) for x in r) for r in matrix]
-        d = len(rows)
+        d = _integer(len(rows), "dim", low=1)
         if any(len(r) != d for r in rows):
             raise ValueError("pairing matrix must be square")
         for i in range(d):
@@ -86,11 +114,13 @@ class MinkowskiSpace:
 
     @classmethod
     def euclidean(cls, dim):
+        dim = _integer(dim, "dim", low=1)
         return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
 
     @classmethod
     def lorentzian(cls, dim):
         """Mostly-minus signature (+, -, ..., -)."""
+        dim = _integer(dim, "dim", low=1)
         return cls([[(1 if i == 0 else -1) if i == j else 0 for j in range(dim)]
                     for i in range(dim)])
 
@@ -455,12 +485,10 @@ def _edge_values(order, y):
     missing = [e for e in order if e not in y]
     if missing:
         raise ValueError(f"missing edge weights for {missing}")
-    vals = [float(y[e]) for e in order]
-    bad = [e for e, v in zip(order, vals) if not math.isfinite(v)]
-    if bad:
-        raise ValueError(f"edge weights must be finite: {bad}")
-    if any(v <= 0 for v in vals):
-        raise ValueError("edge weights must be positive")
+    vals = [_finite_float(y[e], "y", e) for e in order]
+    for e, v in zip(order, vals):
+        if v <= 0:
+            raise ValueError(f"y.{e} must be positive, got {v!r}")
     return vals
 
 

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -21,11 +22,16 @@ from hypothesis import strategies as st
 
 import tropical_heights
 from tropical_heights import symanzik
+from tropical_heights.asymptotics import AdmissibleSegment, EdgeParameters, HolomorphicFixture
 from tropical_heights.cli import main
 from tropical_heights.corpus import (corpus_data_dir, random_conserved_momenta,
                                      random_connected_multigraph)
-from tropical_heights.curves import Marking
+from tropical_heights.curves import Marking, StableCurve
+from tropical_heights.graphs import Multigraph
 from tropical_heights.jsonio import dump_json, graph_bundle_to_json
+from tropical_heights.lab import DegenerationFamily, TorusPoint
+from tropical_heights.monodromy import SectionCrossingData, VanishingCycleData
+from tropical_heights.symanzik import MinkowskiSpace, MomentumAssignment
 
 
 @pytest.fixture()
@@ -490,8 +496,8 @@ def test_limit_eval_nonfinite_segment_names_field(capsys, tmp_path, banana_path)
             "--fixture", str(fixture), "--segment", str(segment),
         )
         assert (code, out) == (2, "")
-        assert len(err.splitlines()) == 1 and "edges.e1.y_scale:" in err
-        assert "'y_scale' must be finite" in err
+        assert len(err.splitlines()) == 1
+        assert "<root>: edges.e1.y_scale must be finite" in err
 
 
 def test_limit_eval_overflowing_vertical_coordinate_names_field(capsys, tmp_path,
@@ -751,7 +757,7 @@ def test_lab_torus_limit_non_finite_numbers(capsys, tmp_path, field, value, wher
               family)
     code, out, err = run(capsys, "lab", "torus-limit", "--family", str(family))
     _assert_one_line_input_error((code, out, err))
-    assert f"{where}: {field} must be finite" in err
+    assert f"<root>: {where} must be finite" in err
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -787,7 +793,7 @@ def test_lab_torus_limit_overflowing_x_names_field(capsys, tmp_path):
                             {"c": "1/2", "momentum": [-1]}]}, family)
     result = run(capsys, "lab", "torus-limit", "--family", str(family))
     _assert_one_line_input_error(result)
-    assert "divisor1.0.x: x must be finite" in result[2]
+    assert "<root>: divisor1.0.x must be finite, got a value past float range" in result[2]
 
 
 @pytest.mark.parametrize("extra", [{"alphas": [1e-320, 1e-2]}, {"imag_offset": 1e308}])
@@ -1064,6 +1070,149 @@ def test_readme_commands_match_recorded_digests(capsys, tmp_path):
         got[name] = digest(run(capsys, *argv),
                            [(str(tmp_path), "<tmp>"), (corpus, "<corpus>")])
     assert got == RECORDED_README_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# Each value rule lives in the constructor of its object, and jsonio puts the
+# JSON path in front of the constructor's message.
+
+_GRAPH = Multigraph(["v1", "v2"], [("e1", "v1", "v2"), ("e2", "v1", "v2")])
+_MOMENTA = MomentumAssignment(MinkowskiSpace.euclidean(1), {"v1": (3,), "v2": (-3,)})
+_DIVISORS = {"divisor1": [(0, 0.0, (1,)), ("1/2", 0.0, (-1,))],
+             "divisor2": [("1/8", 0.0, (1,)), ("3/8", 0.0, (-1,))]}
+
+
+def _family(**kw):
+    return DegenerationFamily(**{"y_total": 1, **_DIVISORS, **kw})
+
+
+def _fixture_term(exponents):
+    return HolomorphicFixture(1, edge_ids=["e1"]).add_term("omega", [[1j]], exponents)
+
+
+# Values the CLI refuses with exit 2, fed to their constructors: (call, the
+# field its ValueError names).  Each row once raised an OverflowError or a
+# TypeError, passed, truncated the value, or named no field path.
+CONSTRUCTOR_ROWS = {
+    "EdgeParameters y 10**400": (lambda: EdgeParameters({"e1": 10 ** 400}), "y.e1"),
+    "EdgeParameters y nan": (lambda: EdgeParameters({"e1": math.nan}), "y.e1"),
+    "EdgeParameters h0 10**400": (lambda: EdgeParameters({"e1": 1.0}, h0=10 ** 400), "h0"),
+    "segment y_scale 10**400": (lambda: AdmissibleSegment({"e1": {"y_scale": 10 ** 400}}),
+                                "edges.e1.y_scale"),
+    "segment phase_frequency -inf": (lambda: AdmissibleSegment(
+        {"e1": {"y_scale": 1.0, "phase_frequency": -math.inf}}), "edges.e1.phase_frequency"),
+    "segment imag_offset nan": (lambda: AdmissibleSegment(
+        {"e1": {"y_scale": 1.0, "imag_offset": math.nan}}), "edges.e1.imag_offset"),
+    "segment y_scale 0": (lambda: AdmissibleSegment({"e1": {"y_scale": 0}}),
+                          "edges.e1.y_scale"),
+    "segment missing y_scale": (lambda: AdmissibleSegment({"e1": {"phase_offset": 1.0}}),
+                                "edges.e1"),
+    "segment unknown field": (lambda: AdmissibleSegment({"e1": {"y_scale": 1.0, "bogus": 2}}),
+                              "edges.e1"),
+    "ratio y 10**400": (lambda: symanzik.symanzik_ratio_eval(
+        _GRAPH, {"e1": Fraction(10 ** 400), "e2": 1}, _MOMENTA), "y.e1"),
+    "ratio y inf": (lambda: symanzik.symanzik_ratio_eval(
+        _GRAPH, {"e1": 1.0, "e2": math.inf}, _MOMENTA), "y.e2"),
+    "ratio y 0": (lambda: symanzik.symanzik_ratio_eval(
+        _GRAPH, {"e1": 0, "e2": 1}, _MOMENTA), "y.e1"),
+    "fixture genus 1.7": (lambda: HolomorphicFixture(1.7), "genus"),
+    "fixture genus -1": (lambda: HolomorphicFixture(-1), "genus"),
+    "fixture genus True": (lambda: HolomorphicFixture(True), "genus"),
+    "fixture dim 0": (lambda: HolomorphicFixture(1, dim=0), "dim"),
+    "fixture dim 1.5": (lambda: HolomorphicFixture(1, dim=1.5), "dim"),
+    "fixture exponent 1.5": (lambda: _fixture_term({"e1": 1.5}), "exponents.e1"),
+    "fixture exponent -1": (lambda: _fixture_term({"e1": -1}), "exponents.e1"),
+    "fixture exponent True": (lambda: _fixture_term({"e1": True}), "exponents.e1"),
+    "minkowski dim 0": (lambda: MinkowskiSpace.euclidean(0), "dim"),
+    "minkowski dim -1": (lambda: MinkowskiSpace.lorentzian(-1), "dim"),
+    "minkowski dim 1.5": (lambda: MinkowskiSpace.euclidean(1.5), "dim"),
+    "minkowski dim True": (lambda: MinkowskiSpace.lorentzian(True), "dim"),
+    "vanishing cycle 1.9": (lambda: VanishingCycleData(1, {"e1": [1.9]}), "coeffs.e1.0"),
+    "vanishing cycle True": (lambda: VanishingCycleData(1, {"e1": [True]}), "coeffs.e1.0"),
+    "vanishing genus 1.5": (lambda: VanishingCycleData(1.5, {"e1": [1]}), "genus"),
+    "vanishing genus -1": (lambda: VanishingCycleData(-1, {}), "genus"),
+    "crossing 0.5": (lambda: SectionCrossingData(["l1"], ["l2"], {"e1": {"l1": 0.5}}, {}),
+                     "d1.e1.l1"),
+    "crossing True": (lambda: SectionCrossingData(["l1"], ["l2"], {}, {"e1": {"l2": True}}),
+                      "d2.e1.l2"),
+    "vertex genus True": (lambda: StableCurve(_GRAPH, genus={"v1": True}), "genus.v1"),
+    "vertex genus -1": (lambda: StableCurve(_GRAPH, genus={"v1": -1}), "genus.v1"),
+    "vertex genus 1.5": (lambda: StableCurve(_GRAPH, genus={"v2": 1.5}), "genus.v2"),
+    "family y_total 0": (lambda: _family(y_total=0), "y_total"),
+    "family alphas -1e-3": (lambda: _family(alphas=(1e-2, -1e-3)), "alphas.1"),
+    "family alphas nan": (lambda: _family(alphas=(1e-2, math.nan)), "alphas.1"),
+    "family x 10**400": (lambda: _family(divisor1=[(0, 10 ** 400, (1,)), ("1/2", 0.0, (-1,))]),
+                         "divisor1.0.x"),
+    "family x nan": (lambda: _family(divisor2=[("1/8", 0.0, (1,)), ("3/8", math.nan, (-1,))]),
+                     "divisor2.1.x"),
+    "torus point x inf": (lambda: TorusPoint(math.inf, 0.5), "torus point x"),
+}
+
+
+@pytest.mark.parametrize("make, field", CONSTRUCTOR_ROWS.values(), ids=CONSTRUCTOR_ROWS)
+def test_constructors_refuse_bad_values_naming_the_field(make, field):
+    # pytest.raises(ValueError) lets neither an OverflowError nor a TypeError through.
+    with pytest.raises(ValueError) as err:
+        make()
+    assert re.match(rf"{re.escape(field)} (must|is|has) ", str(err.value)), str(err.value)
+
+
+_FIXTURE = {"genus": 1, "dim": 1, "edge_ids": ["e1"],
+            "terms": [{"field": "omega", "coeff": [[[0.0, 1.0]]]}]}
+_SEGMENT = {"edges": {"e1": {"y_scale": 1.0}, "e2": {"y_scale": 1.0}}}
+_MONO = README_FILES["mono.json"]
+
+
+def _limit(fixture=_FIXTURE, segment=_SEGMENT):
+    return (["limit", "eval", "--graph", "g.json", "--fixture", "f.json", "--segment", "s.json"],
+            {"g.json": _BANANA, "f.json": fixture, "s.json": segment})
+
+
+def _mono_edge(**entry):
+    return (["monodromy", "check", "--graph", "g.json", "--fixture", "m.json"],
+            {"g.json": _BANANA,
+             "m.json": {**_MONO, "edges": {**_MONO["edges"], "e1": {"c": [1], **entry}}}})
+
+
+def _torus(**data):
+    return ["lab", "torus-limit", "--family", "fam.json"], {"fam.json": {
+        "y_total": 1, **_README_DIVISORS, **data}}
+
+
+# Rows of CONSTRUCTOR_ROWS whose value also reaches the CLI: the command, its
+# input files and the JSON path of the object the value goes into.
+CLI_TWINS = {
+    "segment y_scale 10**400": (*_limit(segment={"edges": {"e1": {"y_scale": 10 ** 400},
+                                                           "e2": {"y_scale": 1.0}}}),
+                                "<root>"),
+    "fixture genus 1.7": (*_limit(fixture={**_FIXTURE, "genus": 1.7}), "<root>"),
+    "fixture exponent 1.5": (*_limit(fixture={**_FIXTURE, "terms": [
+        {**_FIXTURE["terms"][0], "exponents": {"e1": 1.5}}]}), "terms.0"),
+    "minkowski dim 0": (["symanzik", "first", "--graph", "g.json"],
+                        {"g.json": {**_BANANA, "minkowski": {"dim": 0}}}, "minkowski"),
+    "vanishing cycle 1.9": (*_mono_edge(c=[1.9]), "<root>"),
+    "crossing 0.5": (*_mono_edge(d1={"l1": 0.5}), "<root>"),
+    "vertex genus True": (["curve", "stability", "--graph", "g.json"],
+                          {"g.json": {**_BANANA, "vertices": [{"id": "v1", "genus": True},
+                                                              "v2"]}}, "vertices"),
+    "family alphas -1e-3": (*_torus(alphas=[1e-2, -1e-3]), "<root>"),
+    "family x 10**400": (*_torus(divisor1=[{"c": 0, "x": 10 ** 400, "momentum": [1]},
+                                           {"c": "1/2", "momentum": [-1]}]), "<root>"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_TWINS)
+def test_cli_error_is_json_path_and_constructor_message(capsys, tmp_path, name):
+    # No second copy of a rule in jsonio: the CLI's one line is the
+    # constructor's own message behind the JSON path.
+    argv, files, path = CLI_TWINS[name]
+    make, _field = CONSTRUCTOR_ROWS[name]
+    with pytest.raises(ValueError) as err:
+        make()
+    for file, data in files.items():
+        dump_json(data, tmp_path / file)
+    result = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+    assert result == (2, "", f"input error: {path}: {err.value}\n")
 
 
 def test_corpus_run_missing_directory(capsys, tmp_path):

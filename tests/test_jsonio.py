@@ -152,7 +152,7 @@ def test_monodromy_fixture_roundtrip():
         monodromy_fixture_from_json(
             {"edges": {"e1": {"c": [1]}, "e2": {"c": [1, 0]}}}
         )
-    with pytest.raises(SchemaError, match="integers"):
+    with pytest.raises(SchemaError, match=r"coeffs\.e1\.0 must be an integer"):
         monodromy_fixture_from_json({"edges": {"e1": {"c": [1.5]}}})
 
 

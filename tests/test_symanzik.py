@@ -477,7 +477,7 @@ def test_ratio_methods_match_oracle():
 def test_ratio_routes_reject_nonfinite_weights(bad):
     mom = banana_momenta(3)
     for route in (symanzik_ratio_eval, resistance_oracle):
-        with pytest.raises(ValueError, match=r"edge weights must be finite: \['e1'\]"):
+        with pytest.raises(ValueError, match=r"y\.e1 must be finite"):
             route(BANANA, {"e1": bad, "e2": 1.0}, mom)
 
 
@@ -546,7 +546,7 @@ def test_ratio_sequence_with_one_overflowing_row_raises():
     rows = [{"e1": 1.0, "e2": 2.0}, {"e1": 1e308, "e2": 1e308}, {"e1": 3.0, "e2": 1.0}]
     with pytest.raises(ValueError, match="phi/psi overflows a float at these edge weights"):
         symanzik_ratio_eval(BANANA, rows, mom)
-    with pytest.raises(ValueError, match=r"edge weights must be finite: \['e2'\]"):
+    with pytest.raises(ValueError, match=r"y\.e2 must be finite"):
         symanzik_ratio_eval(BANANA, [rows[0], {"e1": 1.0, "e2": math.inf}], mom)
 
 
