@@ -21,8 +21,8 @@ _EXPORTS = {
                  "first_symanzik_det", "first_symanzik_trees", "momentum_lift",
                  "second_symanzik_bordered", "second_symanzik_forests",
                  "symanzik_ratio_eval", "resistance_oracle"),
-    "curves": ("Marking", "StableCurve", "DeformationDimensions", "is_stable",
-               "arithmetic_genus", "restrict_momenta", "deformation_dimensions"),
+    "curves": ("Marking", "StableCurve", "GraphBundle", "DeformationDimensions",
+               "is_stable", "arithmetic_genus", "restrict_momenta", "deformation_dimensions"),
     "monodromy": ("VanishingCycleData", "SectionCrossingData", "NilpotentBlock",
                   "BlockCheckReport", "picard_lefschetz", "tilde_matrices", "build_Ne",
                   "crossing_lift", "translation_block_check", "consistent_fixture"),
@@ -38,7 +38,7 @@ _EXPORTS = {
             "normalization_by_quadrature", "green_sphere", "cross_ratio_height",
             "height_pairing_surface", "regularized_self_height", "build_cycle_graph",
             "degeneration_experiment"),
-    "jsonio": ("SchemaError", "GraphBundle", "load_json", "dump_json", "dumps_canonical",
+    "jsonio": ("SchemaError", "load_json", "dump_json", "dumps_canonical",
                "load_graph_bundle", "graph_bundle_from_json", "graph_bundle_to_json"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -72,6 +72,15 @@ class EdgeBlocks(NamedTuple):
     gamma: np.ndarray
 
 
+def _float_arg(value, *field):
+    # float(value), with a number past float range refused as _finite_float
+    # refuses it, naming ``field``; NaN and infinities pass to the caller's rule.
+    try:
+        return float(value)
+    except OverflowError:
+        return _finite_float(value, *field)
+
+
 def _quadrants(p, g):
     # Views (Omega, W, Z, rho) of P = [[Omega, Z], [W, rho]]; leading axes stack.
     return p[..., :g, :g], p[..., g:, :g], p[..., :g, g:], p[..., g:, g:]
@@ -236,7 +245,10 @@ def _heights(fixture, blocks, yprime, space=None, periods=None):
     """
     if periods is None:
         periods = fixture._periods()
-    p = _translate(periods.imag, yprime[..., None, None] * _block_stack(fixture, blocks))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _translate(periods.imag, yprime[..., None, None] * _block_stack(fixture, blocks))
+    if not np.isfinite(p).all():
+        raise ValueError("the translated period matrix overflows a float at these coordinates")
     a, wmat, zmat, rmat = _quadrants(p, fixture.genus)
     q = _pairing_matrix(space, fixture.dim)
     try:
@@ -272,12 +284,12 @@ def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
     """
     from .poincare import BiextensionPoint, SiegelPoint, log_norm
 
-    phases = phases or {}
+    phases = {e: _float_arg(x, "phases", e) for e, x in (phases or {}).items()}
     bad = sorted(e for e, x in phases.items() if e not in blocks or not math.isfinite(x))
     if bad:
         raise ValueError(f"phases must be finite and on edges of the blocks: {bad}")
     order = sorted(blocks)
-    ze = [float(phases.get(e, 0.0)) + 1j * yp for e, yp in zip(order, params.offsets(order))]
+    ze = [phases.get(e, 0.0) + 1j * yp for e, yp in zip(order, params.offsets(order))]
     steps = np.array(ze, dtype=complex)[:, None, None] * _block_stack(fixture, blocks)
     p = _translate(fixture._periods(s), steps)
     omega, wmat, zmat, rmat = _quadrants(p, fixture.genus)
@@ -314,7 +326,12 @@ def _momentum_norm(momenta):
 
 
 def _scan_grid(ts):
-    ts = np.geomspace(1.0, 1.0e4, 25) if ts is None else np.asarray(ts, dtype=float)
+    if ts is None:
+        return np.geomspace(1.0, 1.0e4, 25)
+    try:
+        ts = np.asarray(ts, dtype=float)
+    except OverflowError:  # name the first value past float range
+        ts = np.array([_float_arg(t, "ts", i) for i, t in enumerate(ts)])
     if (ts.ndim != 1 or ts.size < 2 or not np.all(np.isfinite(ts)) or ts[0] <= 0
             or np.any(np.diff(ts) <= 0)):
         raise ValueError("ts must hold at least two finite, positive, strictly "
@@ -322,11 +339,11 @@ def _scan_grid(ts):
     return ts
 
 
-def _ray_weights(direction, edges):
+def _ray_weights(direction, edges, index):
     missing = sorted(e for e in edges if e not in direction)
     if missing:
         raise ValueError(f"ray has no weight for edges {missing}")
-    weights = {e: float(d) for e, d in direction.items()}
+    weights = {e: _float_arg(d, "rays", index, e) for e, d in direction.items()}
     bad = [e for e, d in weights.items() if not (math.isfinite(d) and d > 0)]
     if bad:
         raise ValueError(f"ray weights must be finite and positive: {bad}")
@@ -370,7 +387,7 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
                 * _momentum_norm(momenta1 if momenta2 is None else momenta2))
     order = sorted(blocks)
     edges = set(order).union(graph.edge_ids())
-    weights = [_ray_weights(direction, edges) for direction in rays]
+    weights = [_ray_weights(direction, edges, r) for r, direction in enumerate(rays)]
     # y[r, j, k] = h0 + ts[j] * weight of edge order[k] on ray r.
     with np.errstate(over="ignore"):
         y = h0 + ts[:, None] * np.array([[w[e] for e in order] for w in weights]
@@ -503,7 +520,7 @@ def limit_along_segment(graph, momenta1, momenta2, fixture, segment, blocks=None
         blocks, _g = graph_blocks(graph, momenta1, momenta2)
     if space is None:
         space = momenta1.space
-    alphas = tuple(float(a) for a in schedule)
+    alphas = tuple(_float_arg(a, "schedule", i) for i, a in enumerate(schedule))
     if (len(alphas) < 2 or not all(math.isfinite(a) and a > 0 for a in alphas)
             or len(set(alphas)) != len(alphas)):
         raise ValueError("schedule must contain at least two positive values, "

@@ -20,8 +20,8 @@ import math
 import sys
 import time
 
-# Each subcommand imports its own layers, so a cold process loads only
-# what it runs (the exact ones never load numpy).
+# jsonio imports no layer, and each subcommand imports its own after the checks
+# that need none, so a cold process loads only what it runs (never numpy if exact).
 from . import jsonio
 
 CHECK_FAIL = 1
@@ -102,28 +102,38 @@ def _require_momenta(bundle, flag_context):
 # ---------------------------------------------------------------------------
 # symanzik
 
+# The --method names of each quantity's two routes, and its default route.
+_ROUTES = {"first": ("trees", "det"), "second": ("bordered", "forests"),
+           "ratio": ("schur", "polynomial")}
+_DEFAULT_ROUTE = {"first": "det", "second": "bordered", "ratio": "schur"}
+
+
 def _cmd_symanzik(args):
+    # Faults of the arguments alone are refused before the bundle is read.
+    if args.which == "ratio" and not args.y:
+        raise jsonio.SchemaError("symanzik ratio needs --y weights", ("--y",))
+    method = args.method or _DEFAULT_ROUTE[args.which]
+    if method not in _ROUTES[args.which]:
+        raise jsonio.SchemaError(
+            f"method {method!r} does not apply to 'symanzik {args.which}' "
+            f"(choose from {sorted(_ROUTES[args.which])})", ("--method",))
+    bundle = jsonio.load_graph_bundle(args.graph)
     from .symanzik import (_psi_phi, first_symanzik_det, first_symanzik_trees,
                            second_symanzik_bordered, second_symanzik_forests,
                            symanzik_ratio_eval)
-    bundle = jsonio.load_graph_bundle(args.graph)
     graph = bundle.graph
     y = _parse_y(args.y, graph) if args.y else None
 
     if args.which == "first":
         routes = {"det": first_symanzik_det, "trees": first_symanzik_trees}
-        default = "det"
     elif args.which == "second":
         momenta = _require_momenta(bundle, "symanzik second")
         routes = {
             "bordered": lambda g: second_symanzik_bordered(g, momenta),
             "forests": lambda g: second_symanzik_forests(g, momenta),
         }
-        default = "bordered"
     else:  # ratio
         momenta = _require_momenta(bundle, "symanzik ratio")
-        if y is None:
-            raise jsonio.SchemaError("symanzik ratio needs --y weights", ("--y",))
         yf = {e: float(v) for e, v in y.items()}
 
         def polynomial(g):
@@ -156,13 +166,6 @@ def _cmd_symanzik(args):
 
         routes = {"schur": lambda g: symanzik_ratio_eval(g, yf, momenta),
                   "polynomial": polynomial}
-        default = "schur"
-
-    method = args.method or default
-    if method not in routes:
-        raise jsonio.SchemaError(
-            f"method {method!r} does not apply to 'symanzik {args.which}' "
-            f"(choose from {sorted(routes)})", ("--method",))
 
     if args.check:
         results = {name: fn(graph) for name, fn in sorted(routes.items())}
@@ -198,8 +201,8 @@ def _render(value, y):
 # curve
 
 def _cmd_curve(args):
-    from .curves import arithmetic_genus, deformation_dimensions, is_stable
     bundle = jsonio.load_graph_bundle(args.graph)
+    from .curves import arithmetic_genus, deformation_dimensions, is_stable
     curve = bundle.curve()
     if args.which == "stability":
         stable = is_stable(curve, with_markings=bool(curve.markings))
@@ -216,10 +219,10 @@ def _cmd_curve(args):
 # monodromy
 
 def _cmd_monodromy(args):
-    from .graphs import cycle_basis, first_betti
-    from .monodromy import translation_block_check
     bundle = jsonio.load_graph_bundle(args.graph)
     vc, sc = jsonio.monodromy_fixture_from_json(jsonio.load_json(args.fixture))
+    from .graphs import cycle_basis, first_betti
+    from .monodromy import translation_block_check
     graph = bundle.graph
     h = first_betti(graph)
     if vc.genus != h:
@@ -258,19 +261,19 @@ def _cmd_monodromy(args):
 # poincare / limit / lab / corpus
 
 def _cmd_poincare(args):
-    from .poincare import log_norm
     point = jsonio.biextension_point_from_json(jsonio.load_json(args.point))
+    from .poincare import log_norm
     _emit(log_norm(point))
     return 0
 
 
 def _cmd_limit(args):
-    from .asymptotics import limit_along_segment
-    from .graphs import first_betti
-    from .symanzik import symanzik_ratio_eval
     bundle = jsonio.load_graph_bundle(args.graph)
     fixture = jsonio.holomorphic_fixture_from_json(jsonio.load_json(args.fixture))
     segment = jsonio.segment_from_json(jsonio.load_json(args.segment))
+    from .asymptotics import limit_along_segment
+    from .graphs import first_betti
+    from .symanzik import symanzik_ratio_eval
     momenta = _require_momenta(bundle, "limit eval")
     h = first_betti(bundle.graph)
     if fixture.genus != h:
@@ -310,10 +313,10 @@ def _cmd_lab_torus(args):
 
 
 def _cmd_lab_crossratio(args):
-    from .lab import cross_ratio_height
     if len(args.points) != 4:
         raise jsonio.SchemaError("exactly four points are required", ("--points",))
     z1, z2, z3, z4 = (_parse_complex(p) for p in args.points)
+    from .lab import cross_ratio_height
     try:
         value = cross_ratio_height(z1, z2, z3, z4)
     except ValueError as exc:
@@ -348,8 +351,7 @@ def build_parser():
     p_sym.add_argument("which", choices=("first", "second", "ratio"))
     p_sym.add_argument("--graph", required=True, help="graph bundle JSON")
     p_sym.add_argument("--method",
-                       choices=("trees", "det", "bordered", "forests",
-                                "schur", "polynomial"))
+                       choices=[r for routes in _ROUTES.values() for r in routes])
     p_sym.add_argument("--y", help="edge weights, e.g. e1=1.0,e2=3/2")
     p_sym.add_argument("--check", action="store_true",
                        help="run all routes and require agreement")

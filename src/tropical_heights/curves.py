@@ -2,16 +2,16 @@ r"""Dual graphs of stable nodal curves.
 
 A nodal curve is encoded by its dual graph: one vertex per component
 with a geometric genus label, one edge per node, and marked points
-(optionally carrying external momenta) attached to vertices.  The
-functions here cover the standard bookkeeping: stability, arithmetic
-genus, pushing marking momenta down to vertices, and the dimension
-count for deformations of the curve.
+(optionally carrying external momenta) attached to vertices, as read
+into a :class:`GraphBundle`.  The functions here cover the standard
+bookkeeping: stability, arithmetic genus, pushing marking momenta down
+to vertices, and the dimension count for deformations of the curve.
 """
 
 from typing import NamedTuple
 
 from .graphs import first_betti
-from .symanzik import MomentumAssignment, _integer
+from .symanzik import MinkowskiSpace, MomentumAssignment, _integer
 
 
 class Marking(NamedTuple):
@@ -86,6 +86,42 @@ class StableCurve:
     def __repr__(self):
         return (f"StableCurve(|V|={len(self.graph.vertices)}, "
                 f"|E|={len(self.graph.edges)}, n={len(self.markings)})")
+
+
+class GraphBundle:
+    """Parsed graph JSON: the multigraph plus optional curve/momentum data.
+
+    ``space`` is the momentum space: the bundle's ``minkowski`` entry, or
+    Euclidean of the marking momenta's dimension when that is omitted.
+    It is None only when no marking carries a momentum.  The vertex
+    genera are checked as :meth:`curve` checks them.
+    """
+
+    __slots__ = ("graph", "genus", "markings", "space", "raw")
+
+    def __init__(self, graph, genus=None, markings=(), space=None, raw=None):
+        self.graph = graph
+        if genus is not None:
+            _vertex_genera(graph, genus)
+        self.genus = genus
+        self.markings = tuple(markings)
+        if space is None:
+            dim = next((len(m.momentum) for m in self.markings if m.momentum), None)
+            if dim is not None:
+                space = MinkowskiSpace.euclidean(dim)
+        self.space = space
+        self.raw = raw if raw is not None else {}
+
+    def curve(self):
+        """The bundle as a stable-curve candidate (vertex genera default 0)."""
+        return StableCurve(self.graph, genus=self.genus, markings=self.markings,
+                           space=self.space)
+
+    def momentum_assignment(self):
+        """Per-vertex momenta summed from the markings (None if unmarked)."""
+        if self.space is None:
+            return None
+        return restrict_momenta(self.curve())
 
 
 def is_stable(curve, with_markings=False):

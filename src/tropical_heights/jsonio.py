@@ -18,7 +18,8 @@ object the value goes into; its ``ValueError`` becomes a SchemaError
 whose message is the JSON path of that object followed by the
 constructor's message, which names the field.
 
-The graph bundle is the shared input format::
+The graph bundle is the shared input format, read into a
+:class:`curves.GraphBundle`::
 
     {"vertices": [{"id": str, "genus": int}, ...],
      "edges": [{"id": str, "tail": str, "head": str}, ...],
@@ -34,13 +35,8 @@ import json
 import math
 from fractions import Fraction
 
-# Only the exact layers are imported here.  The parsers of monodromy
-# fixtures and of numeric objects (biextension points, holomorphic fixtures,
-# segments, families) import their layer when called, so that loading a
-# graph bundle does not load numpy.
-from .curves import Marking, StableCurve, _vertex_genera, restrict_momenta
-from .graphs import Multigraph
-from .symanzik import MinkowskiSpace
+# No layer is imported here: each parser imports the layer of the objects it
+# builds, so a graph bundle loads no numpy and a biextension point no graph layer.
 
 
 class SchemaError(ValueError):
@@ -174,43 +170,8 @@ def dump_json(obj, path):
 # ---------------------------------------------------------------------------
 # Graph bundles
 
-class GraphBundle:
-    """Parsed graph JSON: the multigraph plus optional curve/momentum data.
-
-    ``space`` is the momentum space: the bundle's ``minkowski`` entry, or
-    Euclidean of the marking momenta's dimension when that is omitted.
-    It is None only when no marking carries a momentum.  The vertex
-    genera are checked as :meth:`curve` checks them.
-    """
-
-    __slots__ = ("graph", "genus", "markings", "space", "raw")
-
-    def __init__(self, graph, genus=None, markings=(), space=None, raw=None):
-        self.graph = graph
-        if genus is not None:
-            _vertex_genera(graph, genus)
-        self.genus = genus
-        self.markings = tuple(markings)
-        if space is None:
-            dim = next((len(m.momentum) for m in self.markings if m.momentum), None)
-            if dim is not None:
-                space = MinkowskiSpace.euclidean(dim)
-        self.space = space
-        self.raw = raw if raw is not None else {}
-
-    def curve(self):
-        """The bundle as a stable-curve candidate (vertex genera default 0)."""
-        return StableCurve(self.graph, genus=self.genus, markings=self.markings,
-                           space=self.space)
-
-    def momentum_assignment(self):
-        """Per-vertex momenta summed from the markings (None if unmarked)."""
-        if self.space is None:
-            return None
-        return restrict_momenta(self.curve())
-
-
 def minkowski_from_json(data, path=("minkowski",)):
+    from .symanzik import MinkowskiSpace
     dim = _require(data, "dim", path)
     if "matrix" in data:
         # dim only declares the matrix's size; MinkowskiSpace checks it is >= 1.
@@ -234,7 +195,9 @@ def minkowski_to_json(space):
 
 
 def graph_bundle_from_json(data, path=()):
-    """Parse the graph bundle schema into a :class:`GraphBundle`."""
+    """Parse the graph bundle schema into a :class:`curves.GraphBundle`."""
+    from .curves import GraphBundle, Marking
+    from .graphs import Multigraph
     if not isinstance(data, dict):
         raise SchemaError("expected a graph object", path)
     vertices = []
@@ -350,11 +313,11 @@ def monodromy_fixture_from_json(data, path=()):
 # Biextension points
 
 def biextension_point_from_json(data, path=()):
-    from .poincare import BiextensionPoint
     omega = complex_matrix_from_json(_require(data, "omega", path), path + ("omega",))
     w = complex_vector_from_json(_require(data, "w", path), path + ("w",))
     z = complex_vector_from_json(_require(data, "z", path), path + ("z",))
     rho = complex_from_json(_require(data, "rho", path), path + ("rho",))
+    from .poincare import BiextensionPoint
     return _built(path, BiextensionPoint, omega, w, z, rho)
 
 

@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 
 import tropical_heights
 from tropical_heights import symanzik
-from tropical_heights.asymptotics import AdmissibleSegment, EdgeParameters, HolomorphicFixture
+from tropical_heights.asymptotics import (AdmissibleSegment, EdgeParameters, HolomorphicFixture,
+                                          bounded_remainder_scan, graph_blocks,
+                                          height_via_orbit, limit_along_segment)
 from tropical_heights.cli import main
 from tropical_heights.corpus import (corpus_data_dir, random_conserved_momenta,
                                      random_connected_multigraph)
@@ -1090,9 +1092,15 @@ def _fixture_term(exponents):
     return HolomorphicFixture(1, edge_ids=["e1"]).add_term("omega", [[1j]], exponents)
 
 
-# Values the CLI refuses with exit 2, fed to their constructors: (call, the
-# field its ValueError names).  Each row once raised an OverflowError or a
-# TypeError, passed, truncated the value, or named no field path.
+_CONSTANT = HolomorphicFixture.constant([[1j]])
+_UNIT_SEGMENT = AdmissibleSegment({"e1": {"y_scale": 1.0}, "e2": {"y_scale": 1.0}})
+
+
+# Values the CLI refuses with exit 2, fed to their constructors, and values
+# past float range fed to the arguments of the asymptotics entry points:
+# (call, the field its ValueError names).  Each row once raised an
+# OverflowError or a TypeError, passed, truncated the value, or named no
+# field path.
 CONSTRUCTOR_ROWS = {
     "EdgeParameters y 10**400": (lambda: EdgeParameters({"e1": 10 ** 400}), "y.e1"),
     "EdgeParameters y nan": (lambda: EdgeParameters({"e1": math.nan}), "y.e1"),
@@ -1146,6 +1154,16 @@ CONSTRUCTOR_ROWS = {
     "family x nan": (lambda: _family(divisor2=[("1/8", 0.0, (1,)), ("3/8", math.nan, (-1,))]),
                      "divisor2.1.x"),
     "torus point x inf": (lambda: TorusPoint(math.inf, 0.5), "torus point x"),
+    "scan rays 10**400": (lambda: bounded_remainder_scan(
+        _GRAPH, _MOMENTA, None, _CONSTANT, rays=[{"e1": 10 ** 400, "e2": 1.0}]), "rays.0.e1"),
+    "scan ts 10**400": (lambda: bounded_remainder_scan(
+        _GRAPH, _MOMENTA, None, _CONSTANT, ts=[1.0, 10 ** 400]), "ts.1"),
+    "limit schedule 10**400": (lambda: limit_along_segment(
+        _GRAPH, _MOMENTA, None, _CONSTANT, _UNIT_SEGMENT, schedule=(1e-2, 10 ** 400)),
+        "schedule.1"),
+    "orbit phases 10**400": (lambda: height_via_orbit(
+        _CONSTANT, graph_blocks(_GRAPH, _MOMENTA)[0], EdgeParameters({"e1": 2.0, "e2": 3.0}),
+        phases={"e1": 10 ** 400}), "phases.e1"),
 }
 
 
@@ -1213,6 +1231,19 @@ def test_cli_error_is_json_path_and_constructor_message(capsys, tmp_path, name):
         dump_json(data, tmp_path / file)
     result = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
     assert result == (2, "", f"input error: {path}: {err.value}\n")
+
+
+def test_limit_on_a_segment_past_float_range_is_input_error(capsys, tmp_path):
+    # y' N_e overflowed: numpy warned twice and the run reported the NaN
+    # extrapolant as a failed check.  The suite turns a warning into an error.
+    segment = README_FILES["segment.json"]
+    argv, files = _limit(fixture=README_FILES["fixture.json"], segment={"edges": {
+        **segment["edges"], "e1": {"y_scale": 1.0, "imag_offset": 1e308}}})
+    for file, data in files.items():
+        dump_json(data, tmp_path / file)
+    result = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+    assert result == (2, "", "input error: the translated period matrix overflows a float "
+                             "at these coordinates\n")
 
 
 def test_corpus_run_missing_directory(capsys, tmp_path):
@@ -1334,6 +1365,33 @@ def test_exact_subcommands_do_not_load_numpy(tmp_path, banana_path):
     # The sphere's pairing runs in lab, on math alone.
     code, loaded = _cold_main("lab", "sphere-crossratio", "--points", "0", "1", "2", "4")
     assert code == 0 and "numpy" not in loaded, sorted(loaded & _NUMERIC)
+
+
+_GRAPH_LAYERS = {f"tropical_heights.{m}" for m in ("curves", "graphs", "symanzik",
+                                                    "polynomials")}
+# README commands that run no graph layer, or whose fault shows before any
+# layer is needed: their exit code and the modules they must not load.
+COLD_UNLOADED = {
+    "poincare norm": (0, _GRAPH_LAYERS),
+    "poincare nan": (2, _GRAPH_LAYERS | {"tropical_heights.poincare", "numpy"}),
+    "broken json": (2, _GRAPH_LAYERS),
+    "missing file": (2, _GRAPH_LAYERS),
+    "bordered first": (2, _GRAPH_LAYERS),
+    "ratio without y": (2, _GRAPH_LAYERS),
+    "crossratio nan": (2, {"tropical_heights.lab"}),
+}
+
+
+@pytest.mark.parametrize("name", COLD_UNLOADED)
+def test_cold_run_loads_only_the_layers_it_runs(tmp_path, name):
+    expected, unloaded = COLD_UNLOADED[name]
+    for file, data in README_FILES.items():
+        dump_json(data, tmp_path / file)
+    (tmp_path / "broken.json").write_text('{"vertices": ["v1", ', encoding="utf-8")
+    code, loaded = _cold_main(*(str(tmp_path / a) if a.endswith(".json") else a
+                                for a in README_COMMANDS[name]))
+    assert code == expected
+    assert not loaded & unloaded, sorted(loaded & unloaded)
 
 
 def test_numeric_subcommands_load_numpy(tmp_path, banana_path):
