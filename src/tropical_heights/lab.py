@@ -31,13 +31,16 @@ agrees with :meth:`TorusGreen.values` up to rounding, not bit for bit.
 
 Pairings of degree-zero divisors against these Green's functions, with
 their regularized diagonal for self-pairings, degenerate as
-Im(tau) -> infinity to the resistance pairing on a metric circle;
+Im(tau) -> infinity to the resistance pairing on a metric circle of
+length Y, -1/2 Y sum_ij <p_i, q_j> d_ij (1 - d_ij) with d_ij = (c_i - c_j)
+mod 1 (Zhang 1993; Chinburg and Rumely 1993), which
+:meth:`DegenerationFamily.prediction` sums exactly and rounds once.
 :func:`degeneration_experiment` measures that limit and its first-order
 remainder over a :class:`DegenerationFamily`'s schedule of tori.  It
 takes the whole schedule at once: each torus's constants are closed
-forms, one theta call gives every Green's value, and the momenta pair on
-ints.  Every torus, alone or in a schedule, needs 1.68e-3 < Im(tau) <= 1e10
-(:func:`_checked_tau`).
+forms, one theta call gives every Green's value, and the estimate and
+the prediction read one int table of momentum pairings.  Every torus,
+alone or in a schedule, needs 1.68e-3 < Im(tau) <= 1e10 (:func:`_checked_tau`).
 
 Orientation convention for the four-point pairing on the sphere: the
 divisors are (z2) - (z1) and (z3) - (z4), which makes
@@ -54,9 +57,7 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import Multigraph
-from .symanzik import (MinkowskiSpace, MomentumAssignment, _finite_float, _scaled_to_ints,
-                       resistance_oracle)
+from .symanzik import MinkowskiSpace, _finite_float, _scaled_to_ints
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +87,7 @@ def _as_tau(tau):
     return tau
 
 
-def theta1(z, tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
+def theta1(z, tau):
     r"""First Jacobi theta function, odd in z.
 
     Evaluates the sine series
@@ -101,7 +102,7 @@ def theta1(z, tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
     z = complex(z)
     acc = 0j
     peak = 0.0
-    for n in range(max_terms):
+    for n in range(_THETA_MAX_TERMS):
         k = 2 * n + 1
         # q^{k^2/8} sin(k pi z), with the exponential assembled once to
         # avoid overflow in intermediate factors.
@@ -111,24 +112,23 @@ def theta1(z, tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
         bound = math.exp(-math.pi * tau.imag * k * k / 4.0
                          + k * math.pi * abs(z.imag))
         peak = max(peak, abs(term))
-        if bound <= tol * max(1.0, peak) and n >= 2:
+        if bound <= 1e-16 * max(1.0, peak) and n >= 2:
             return _uncancelled(acc, peak)
-    raise ValueError("theta series did not converge within the term cap; "
-                     "reduce |Im z| or increase max_terms")
+    raise ValueError("theta series did not converge within the term cap; reduce |Im z|")
 
 
-def theta1_prime_zero(tau, tol=1e-16, max_terms=_THETA_MAX_TERMS):
+def theta1_prime_zero(tau):
     """d/dz theta1(z; tau) at z = 0, by the differentiated sine series;
     raises as :func:`theta1` does."""
     tau = _as_tau(tau)
     acc = 0j
     peak = 0.0
-    for n in range(max_terms):
+    for n in range(_THETA_MAX_TERMS):
         k = 2 * n + 1
         term = 2.0 * math.pi * k * (-1) ** n * cmath.exp(1j * math.pi * tau * k * k / 4.0)
         acc += term
         peak = max(peak, abs(term))
-        if abs(term) <= tol * max(1.0, abs(acc)) and n >= 2:
+        if abs(term) <= 1e-16 * max(1.0, abs(acc)) and n >= 2:
             return _uncancelled(acc, peak)
     raise ValueError("theta derivative series did not converge within the term cap")
 
@@ -674,11 +674,11 @@ def _check_conserved(momenta, label):
             )
 
 
-def _pairing_terms(m1, m2, space):
-    """Nonzero pairings <p_i, q_j> as (i, j, float), in summation order:
-    the int pairing of the momenta scaled to ints, by the space's int
-    Gram matrix, over the product of their scales.  int / int rounds
-    correctly, so each is the float of the rational ``space.pair`` gives."""
+def _int_pairings(m1, m2, space):
+    """Nonzero pairings <p_i, q_j> as (i, j, int) in summation order, and
+    their common scale s, so that each pairing is exactly int / s: the int
+    pairing of the momenta scaled to ints, by the space's int Gram matrix,
+    over the product of their scales."""
     if any(len(p) != space.dim for p in (*m1, *m2)):
         raise ValueError("vector dimension does not match the pairing")
     (ints1, d1), (ints2, d2) = map(_scaled_to_ints, (m1, m2))
@@ -686,7 +686,14 @@ def _pairing_terms(m1, m2, space):
     gram_q = [[sum(g * x for g, x in zip(row, q)) for row in gram] for q in ints2]
     pairs = [(i, j, sum(x * y for x, y in zip(p, gq)))
              for i, p in enumerate(ints1) for j, gq in enumerate(gram_q)]
-    return [(i, j, c / (d1 * d2 * dg)) for i, j, c in pairs if c]
+    return [(i, j, c) for i, j, c in pairs if c], d1 * d2 * dg
+
+
+def _pairing_terms(m1, m2, space):
+    """:func:`_int_pairings` as (i, j, float).  int / int rounds correctly,
+    so each is the float of the rational ``space.pair`` gives."""
+    pairs, scale = _int_pairings(m1, m2, space)
+    return [(i, j, c / scale) for i, j, c in pairs]
 
 
 def _pairing_sum(terms, points1, points2, green, metric_scale=None):
@@ -774,37 +781,6 @@ def cross_ratio_height(z1, z2, z3, z4):
 
 # ---------------------------------------------------------------------------
 # Metric-graph side and degeneration experiments
-
-def build_cycle_graph(positions, total_length):
-    """Metric circle of circumference ``total_length`` subdivided at
-    fractional positions.
-
-    Returns (graph, lengths, vertex_of_position).  A single distinct
-    position yields the one-vertex loop graph.
-    """
-    fracs = sorted({Fraction(c) % 1 for c in positions})
-    if not fracs:
-        raise ValueError("at least one position is required")
-    total = Fraction(total_length)
-    if total <= 0:
-        raise ValueError("the circle needs positive total length")
-    k = len(fracs)
-    vertices = [f"v{i}" for i in range(k)]
-    vertex_of = {c: f"v{i}" for i, c in enumerate(fracs)}
-    edges = []
-    lengths = {}
-    if k == 1:
-        edges.append(("e1", "v0", "v0"))
-        lengths["e1"] = float(total)
-    else:
-        for i in range(k):
-            nxt = (i + 1) % k
-            gap = (fracs[nxt] - fracs[i]) % 1
-            eid = f"e{i + 1}"
-            edges.append((eid, vertices[i], vertices[nxt]))
-            lengths[eid] = float(gap * total)
-    return Multigraph(vertices, edges), lengths, vertex_of
-
 
 class Insertion(NamedTuple):
     """Marked point on the degenerating torus: vertical fraction c,
@@ -900,19 +876,28 @@ class DegenerationFamily:
         return complex(0.0, self.y_total / (2.0 * math.pi * alpha) + self.imag_offset)
 
     def prediction(self):
-        """Tropical limit: resistance pairing on the subdivided circle."""
-        all_c = [ins.c for ins in self.divisor1]
-        if self.divisor2 is not None:
-            all_c += [ins.c for ins in self.divisor2]
-        graph, lengths, vertex_of = build_cycle_graph(all_c, Fraction(self.y_total))
+        """Tropical limit: the resistance pairing on the metric circle of
+        length Y = ``y_total``, -1/2 Y sum_ij <p_i, q_j> d_ij (1 - d_ij)
+        with d_ij = (c_i - c_j) mod 1, exact and rounded once to a float."""
+        return self._circle_pairing(*self._pairings())
 
-        def assignment(divisor):
-            return MomentumAssignment(self.space,
-                                      ((vertex_of[ins.c], ins.momentum) for ins in divisor))
+    def _pairings(self):
+        """The second divisor (divisor1 in self mode), and the
+        :func:`_int_pairings` of the two divisors' momenta."""
+        second = self.divisor2 or self.divisor1
+        return (second, *_int_pairings([ins.momentum for ins in self.divisor1],
+                                       [ins.momentum for ins in second], self.space))
 
-        m1 = assignment(self.divisor1)
-        m2 = assignment(self.divisor2) if self.divisor2 is not None else m1
-        return resistance_oracle(graph, lengths, m1, m2)
+    def _circle_pairing(self, second, pairs, scale):
+        """:meth:`prediction` from :meth:`_pairings`: with the positions on
+        their common denominator D, d (1 - d) = k (D - k) / D^2 for the int
+        gap k = (n_i - n_j) mod D, so the sum is one int."""
+        (n1, n2), den = _scaled_to_ints([[ins.c for ins in d] for d in (self.divisor1, second)])
+        total = 0
+        for i, j, c in pairs:
+            k = (n1[i] - n2[j]) % den
+            total += c * k * (den - k)
+        return float(Fraction(self.y_total) * Fraction(-total, 2 * den * den * scale))
 
 
 class ExperimentReport(NamedTuple):
@@ -926,27 +911,34 @@ class ExperimentReport(NamedTuple):
     values: tuple
 
 
+# A torus's value is at its rounding floor within _NOISE_ULPS * eps * alpha
+# sum |c_ij g_ij| of the prediction.  On the tests' and torus-lab's families a
+# remainder that dies out reads at most 10.6 such units, one that fits >= 4e9.
+_NOISE_ULPS = 1024
+
+
 def degeneration_experiment(family):
     """Run the scan a' -> a' * pairing(tau(a')) and compare to the
     tropical prediction.
 
-    The slope is the log-log rate of |scaled pairing - prediction| over
-    the schedule: 1.0 for the generic linear remainder (NaN when the
-    remainder is already at noise level, as happens for the straight
-    family).  Each torus takes its constants in closed form:
-    log|eta(tau)|, and log|theta1'(0; tau)| where a diagonal term needs
-    it; no quadrature runs.  A modulus that :class:`TorusGreen` would
+    ``rel_error`` is relative, or the absolute gap for a prediction of
+    exactly 0.  The slope is the log-log rate of |scaled pairing -
+    prediction| over the schedule: 1.0 for the generic linear remainder,
+    NaN when some torus is at its rounding floor (:data:`_NOISE_ULPS`), as
+    for the straight family.  Each torus takes its constants in closed
+    form: log|eta(tau)|, and log|theta1'(0; tau)| where a diagonal term
+    needs it; no quadrature runs.  A modulus that :class:`TorusGreen` would
     refuse raises, and so does a family whose tori never degenerate,
     y_total / (2 pi min(alphas)) <= |imag_offset|.
     """
     import numpy as np
-    pred = family.prediction()
     self_mode = family.mode == "self"
-    second = family.divisor1 if self_mode else family.divisor2
     # The momentum pairings do not depend on tau (the family checked
-    # conservation), so they are computed once, not once per torus.
-    terms = _pairing_terms([ins.momentum for ins in family.divisor1],
-                           [ins.momentum for ins in second], family.space)
+    # conservation), so they are computed once, for the prediction too.
+    second, pairs, scale = family._pairings()
+    pred = family._circle_pairing(second, pairs, scale)
+    terms = [(i, j, c / scale) for i, j, c in pairs]
+    sizes = [(i, j, abs(c)) for i, j, c in terms]
     # Every torus of the schedule at once: one theta call takes the Green's
     # values of every off-diagonal term (rows) on every torus (columns).
     taus = [_checked_tau(family.tau(alpha)) for alpha in family.alphas]
@@ -972,18 +964,20 @@ def degeneration_experiment(family):
     (x1, y1), (x2, y2) = (fractional([pair[k] for pair in off]) for k in (0, 1))
     grid = _green_values(x1 - x2, y1 - y2, columns, np.array(norms))
     values = []
+    floors = []
     for alpha, tau, norm, gs in zip(family.alphas, taus, norms, grid.T.tolist()):
         diag = (_regularized_diagonal(tau, norm, log_abs_theta1_prime_zero(tau),
                                       family.metric_scale)
                 if len(off) < len(terms) else None)
         values.append(alpha * _sum_terms(terms, gs, diag))
+        floors.append(alpha * _sum_terms(sizes, map(abs, gs),
+                                         None if diag is None else abs(diag)))
     values = tuple(values)
     estimate = values[-1]
-    denom = abs(pred) if abs(pred) > 1e-9 else 1.0
-    rel_error = abs(estimate - pred) / denom
+    rel_error = abs(estimate - pred) / abs(pred) if pred else abs(estimate - pred)
     diffs = np.abs(np.array(values) - pred)
     slope = math.nan
-    if np.all(diffs > 1e-13):
+    if np.all(diffs > _NOISE_ULPS * math.ulp(1.0) * np.array(floors)):
         lx = np.log(np.array(family.alphas))
         lx -= lx.mean()
         ly = np.log(diffs)

@@ -270,15 +270,19 @@ def translation_block_check(basis, vc, sc, p1, p2, space):
     * ``p2 Gamma_e p1^T = -<omega1_e, omega2_e>`` in the momentum pairing,
 
     where W_e(omega)_i = c^gr_{e,i} omega_e over the graph cycle basis and
-    omega1/omega2 are the crossing-derived lifts.  Returns a report whose
-    ``failures`` list localizes any violated identity.
+    omega1/omega2 are the crossing-derived lifts (:func:`crossing_lift`),
+    whose vectors on e are the crossing sums s_e = sum_l d_{e,l,side} p_l
+    that Zt_e, Wt_e and Gamma_e contract with.  So the first two
+    identities come down to c_e = -c^gr_e on each edge with a nonzero
+    crossing sum, and the third holds by the symmetry of the pairing;
+    that the crossing lifts lift the marked momenta is not checked here.
+    Returns a report whose ``failures`` list localizes any violated
+    identity.
     """
     graph = basis.graph
     dim = space.dim
     pm1 = _scalarize(p1, sc.sections1, dim)
     pm2 = _scalarize(p2, sc.sections2, dim)
-    lift1 = crossing_lift(graph, sc, 1, pm1, space)
-    lift2 = crossing_lift(graph, sc, 2, pm2, space)
     h = len(basis)
     if vc.genus < h:
         raise ValueError(f"vanishing-cycle genus {vc.genus} is below the graph's h = {h}")
@@ -286,24 +290,23 @@ def translation_block_check(basis, vc, sc, p1, p2, space):
     failures = []
     for k, e in enumerate(graph.edge_ids()):
         c = vc.vector(e)
+        # The crossing sums, which are also omega1_e and omega2_e.
         s1 = sc.weighted_sum(e, 1, pm1, dim)
         s2 = sc.weighted_sum(e, 2, pm2, dim)
-        om1 = lift1.vector(e)
-        om2 = lift2.vector(e)
         for i in range(h):
             lhs = tuple(c[i] * x for x in s1)             # (Zt p1)_i
-            rhs = tuple(-cmat[i][k] * x for x in om1)     # -W_e(omega1)_i
+            rhs = tuple(-cmat[i][k] * x for x in s1)      # -W_e(omega1)_i
             if lhs != rhs:
                 failures.append((e, "Zt*p1", i, lhs, rhs))
             lhs = tuple(-c[i] * x for x in s2)            # (p2 Wt)_i
-            rhs = tuple(cmat[i][k] * x for x in om2)      # W_e(omega2)_i
+            rhs = tuple(cmat[i][k] * x for x in s2)       # W_e(omega2)_i
             if lhs != rhs:
                 failures.append((e, "p2*Wt", i, lhs, rhs))
         for i in range(h, vc.genus):
             if any(c[i] * x != 0 for x in s1) or any(c[i] * x != 0 for x in s2):
                 failures.append((e, "padding", i, c[i], None))
         lhs = -space.pair(s2, s1)                         # p2 Gamma p1^T
-        rhs = -space.pair(om1, om2)
+        rhs = -space.pair(s1, s2)
         if lhs != rhs:
             failures.append((e, "p2*Gamma*p1", None, lhs, rhs))
     return BlockCheckReport(not failures, failures)

@@ -13,9 +13,9 @@ from tropical_heights import (
     DegenerationFamily,
     MinkowskiSpace,
     MomentumAssignment,
+    Multigraph,
     TorusGreen,
     TorusPoint,
-    build_cycle_graph,
     cross_ratio_height,
     dedekind_eta_log_abs,
     degeneration_experiment,
@@ -673,31 +673,30 @@ def test_sphere_pairing_conservation_gate():
         green_sphere(1.0, 1.0)
 
 
-def test_build_cycle_graph_subdivision():
-    graph, lengths, vertex_of = build_cycle_graph(
-        (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), 1
-    )
-    assert len(graph.edges) == 4
-    assert sorted(lengths.values()) == [0.25, 0.25, 0.25, 0.25]
-    assert vertex_of[Fraction(0)] == "v0"
-    # One distinct position (1 == 0 mod 1) gives the single loop.
-    loop, loop_lengths, _ = build_cycle_graph((0, 1), Fraction(7, 2))
-    assert [tuple(e) for e in loop.edges] == [("e1", "v0", "v0")]
-    assert loop_lengths["e1"] == pytest.approx(3.5)
-    with pytest.raises(ValueError, match="positive total length"):
-        build_cycle_graph((0,), 0)
+def _circle(positions, y_total):
+    """The metric circle of length ``y_total`` cut at the distinct fractional
+    positions: (graph, Fraction edge lengths, vertex of each position).  One
+    position gives the one-vertex loop."""
+    fracs = sorted({Fraction(c) % 1 for c in positions})
+    names = [f"v{i}" for i in range(len(fracs))]
+    edges, lengths = [], {}
+    for i, c in enumerate(fracs):
+        nxt = (i + 1) % len(fracs)
+        edges.append((f"e{i + 1}", names[i], names[nxt]))
+        lengths[f"e{i + 1}"] = ((fracs[nxt] - c) % 1 or 1) * Fraction(y_total)
+    return Multigraph(names, edges), lengths, dict(zip(fracs, names))
 
 
 def test_cycle_resistance_closed_form():
     # Unit charges at arc distance a on a circle of length Y pair to
     # a (Y - a) / Y, the two arcs in parallel.
     for a, y_total in ((Fraction(1, 4), 1), (Fraction(1, 8), 1), (Fraction(1, 3), 5)):
-        graph, lengths, vertex_of = build_cycle_graph((0, a), y_total)
+        graph, lengths, vertex_of = _circle((0, a), y_total)
         space = MinkowskiSpace.euclidean(1)
         mom = MomentumAssignment(
             space, {vertex_of[Fraction(0)]: (1,), vertex_of[a % 1]: (-1,)}
         )
-        got = resistance_oracle(graph, lengths, mom)
+        got = resistance_oracle(graph, {e: float(y) for e, y in lengths.items()}, mom)
         arc = float(a * y_total)
         want = arc * (y_total - arc) / y_total
         assert got == pytest.approx(want, rel=1e-12)
@@ -739,7 +738,8 @@ def test_degeneration_self_pairing_frozen():
 
 def _per_torus_report(family):
     """The experiment as one TorusGreen and one _pairing_sum per torus, with
-    the momenta paired in Fractions."""
+    the momenta paired in Fractions; each torus's rounding floor scales
+    with alpha sum |c g| over the same Green's values."""
     self_mode = family.mode == "self"
     second = family.divisor1 if self_mode else family.divisor2
     terms = []
@@ -748,20 +748,26 @@ def _per_torus_report(family):
             coeff = family.space.pair(a.momentum, b.momentum)
             if coeff != 0:
                 terms.append((i, j, float(coeff)))
+    off = [(i, j) for i, j, _c in terms if not (self_mode and i == j)]
     pred = family.prediction()
-    values = []
+    values, floors = [], []
     for alpha in family.alphas:
         tau = family.tau(alpha)
+        green = TorusGreen(tau)
         pts1 = [complex(ins.x) + float(ins.c) * tau for ins in family.divisor1]
         pts2 = [complex(ins.x) + float(ins.c) * tau for ins in second]
         values.append(alpha * lab._pairing_sum(
-            terms, pts1, pts2, TorusGreen(tau),
+            terms, pts1, pts2, green,
             metric_scale=family.metric_scale if self_mode else None))
+        gs = iter(green.values([pts1[i] for i, _j in off], [pts2[j] for _i, j in off]).tolist())
+        diag = abs(green.regularized_diagonal(family.metric_scale)) if self_mode else None
+        floors.append(alpha * sum(abs(c) * (diag if self_mode and i == j else abs(next(gs)))
+                                  for i, j, c in terms))
     estimate = values[-1]
-    rel_error = abs(estimate - pred) / (abs(pred) if abs(pred) > 1e-9 else 1.0)
+    rel_error = abs(estimate - pred) / abs(pred) if pred else abs(estimate - pred)
     diffs = np.abs(np.array(values) - pred)
     slope = math.nan
-    if np.all(diffs > 1e-13) and len(diffs) >= 2:
+    if np.all(diffs > lab._NOISE_ULPS * math.ulp(1.0) * np.array(floors)) and len(diffs) >= 2:
         lx = np.log(np.array(family.alphas))
         lx = lx - lx.mean()
         ly = np.log(diffs)
@@ -804,6 +810,81 @@ def test_experiment_matches_per_torus_reference():
         want = _per_torus_report(family)
         for name, a, b in zip(got._fields, got, want):
             assert a == b or (name == "slope" and math.isnan(a) and math.isnan(b)), name
+
+
+def _lab_shaped_families(count):
+    """Families of the torus-lab benchmark's shape: length 2, positions on
+    sixteenths, disjoint pairs in Euclidean dimension 1 and null momenta
+    (E, +-E n) in Lorentzian dimension 4."""
+    rng = random.Random(97)
+    units = [(Fraction(3, 5), Fraction(4, 5), 0), (Fraction(2, 3), Fraction(2, 3), Fraction(1, 3)),
+             (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7)), (0, 0, 1)]
+    families = []
+    for k in range(count):
+        cs = [Fraction(c, 16) for c in rng.sample(range(16), 4)]
+        xs = [round(rng.uniform(0, 1), 6) for _ in cs]
+        if k % 2 == 0:
+            a, b = rng.randint(1, 3), rng.randint(1, 3) * rng.choice((1, -1))
+            momenta = [(a,), (-a,), (b,), (-b,)]
+            families.append(DegenerationFamily(
+                2, list(zip(cs[:2], xs[:2], momenta[:2])), list(zip(cs[2:], xs[2:], momenta[2:]))))
+        else:
+            e = rng.randint(1, 3)
+            n, m = rng.sample(units, 2)
+            null = [(e, *(e * u for u in n)), (e, *(-e * u for u in n)),
+                    (-e, *(e * u for u in m)), (-e, *(-e * u for u in m))]
+            families.append(DegenerationFamily(2, list(zip(cs, xs, null)),
+                                               space=MinkowskiSpace.lorentzian(4)))
+    return families
+
+
+def test_prediction_matches_two_independent_routes():
+    # The closed form on the positions' common denominator against phi/psi
+    # of the cut circle by the exact cofactor route (bit-equal after one
+    # rounding) and against the float Laplacian pseudo-inverse (1e-12).
+    from tropical_heights.symanzik import _psi_phi
+    for family in _seeded_families(40) + _lab_shaped_families(16):
+        divisors = [family.divisor1] + ([family.divisor2] if family.divisor2 else [])
+        graph, lengths, vertex_of = _circle([ins.c for d in divisors for ins in d],
+                                            family.y_total)
+        m1, m2 = (MomentumAssignment(family.space,
+                                     ((vertex_of[ins.c], ins.momentum) for ins in d))
+                  for d in (divisors[0], divisors[-1]))
+        psi, phi = _psi_phi(graph, m1, m2)
+        exact = phi.evaluate(lengths) / psi.evaluate(lengths)
+        got = family.prediction()
+        assert got.hex() == float(exact).hex()
+        oracle = resistance_oracle(graph, {e: float(y) for e, y in lengths.items()}, m1, m2)
+        assert got == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+
+
+def test_experiment_is_linear_in_divisor1_momenta():
+    # Scaling divisor1's momenta by 2^-k scales every pairing by 2^-k (by
+    # 4^-k in self mode, where divisor1 pairs with itself), so the estimate,
+    # the values and the exact prediction scale exactly, while rel_error and
+    # the noise decision keep their bits and the slope moves by rounding.
+    zero = 0
+    for family in _seeded_families(40):
+        base = degeneration_experiment(family)
+        for k in (1, 9, 30, 60):
+            moved = degeneration_experiment(DegenerationFamily(
+                family.y_total,
+                [ins._replace(momentum=tuple(p / 2 ** k for p in ins.momentum))
+                 for ins in family.divisor1],
+                family.divisor2, space=family.space, alphas=family.alphas,
+                imag_offset=family.imag_offset, metric_scale=family.metric_scale))
+            factor = 2.0 ** (-2 * k if family.mode == "self" else -k)
+            assert moved.estimate == factor * base.estimate
+            assert moved.values == tuple(factor * v for v in base.values)
+            assert moved.prediction == factor * base.prediction
+            # An exactly zero prediction leaves rel_error an absolute gap.
+            rel = base.rel_error if base.prediction else factor * base.rel_error
+            assert moved.rel_error == rel
+            assert math.isnan(moved.slope) == math.isnan(base.slope)
+            if not math.isnan(base.slope):
+                assert moved.slope == pytest.approx(base.slope, abs=1e-12)
+        zero += not base.prediction
+    assert zero  # the absolute fallback is among the families
 
 
 def test_straight_family_converges_superpolynomially():
