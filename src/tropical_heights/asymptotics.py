@@ -17,7 +17,7 @@ equals the biextension log-norm of the translated point
 ``2 pi phi/psi`` stays bounded along rays y = t d as t grows, provided
 the blocks are the geometric ones.  The scan evaluates the heights of a
 whole t-grid, on every ray at once, as one stack of translated matrices,
-and every ray's tropical height at t = 1 in one stacked Schur solve: phi
+and every ray's tropical height at t = 1 from one ratio call: phi
 has degree h+1 and psi degree h, so ``2 pi phi/psi`` at t d is t times
 its value at d.
 
@@ -31,12 +31,14 @@ arithmetic in the order a lone one does and returns the same bits.
 """
 
 import cmath
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .symanzik import (MinkowskiSpace, _finite_float, _integer, _numeric_tables,
+from .graphs import cycle_basis
+from .symanzik import (MinkowskiSpace, _finite_float, _int_lift, _integer,
                        symanzik_ratio_eval)
 
 
@@ -179,6 +181,25 @@ class HolomorphicFixture:
         return _quadrants(self._periods(s), self.genus)
 
 
+def _numeric_tables(graph, momenta1, momenta2=None):
+    """``(order, cmat, om1, om2)``: the edge order, ``cycle_basis(graph).matrix()``
+    as an (h, E) float array and the (E, d) float lifts along the basis's
+    tree walk (one array when ``momenta2`` is None or ``momenta1``), each
+    entry ``x / d`` of the int lift, rounded correctly by Python."""
+    order = graph.edge_ids()
+    basis = cycle_basis(graph)
+    rows = basis.matrix()
+
+    def lift(momenta):
+        ints, d = _int_lift(graph, momenta, basis.walk)
+        return np.array([[x / d for x in row] for row in ints]).reshape(
+            len(order), momenta.space.dim)
+
+    om1 = lift(momenta1)
+    om2 = om1 if momenta2 is None or momenta2 is momenta1 else lift(momenta2)
+    return order, np.array(rows, dtype=float).reshape(len(rows), len(order)), om1, om2
+
+
 def graph_blocks(graph, momenta1, momenta2=None):
     """Geometric translation blocks of a graph with external momenta.
 
@@ -189,8 +210,9 @@ def graph_blocks(graph, momenta1, momenta2=None):
     ``gamma_e[mu, nu] = -omega2_{e,mu} omega1_{e,nu}``.
 
     The (E, g+d, g+d) stack of the N_e is one broadcast outer product of
-    the (E, g) cycle table and the (E, d) lift arrays that the Schur route
-    solves with; every edge's EdgeBlocks holds views of its quadrants.
+    the (E, g) cycle table and the (E, d) lift arrays of
+    :func:`_numeric_tables`; every edge's EdgeBlocks holds views of its
+    quadrants.
     Returns (blocks, g) with blocks a dict over edge ids.
     """
     edges, cmat, om1, om2 = _numeric_tables(graph, momenta1, momenta2)
@@ -201,10 +223,20 @@ def graph_blocks(graph, momenta1, momenta2=None):
     return {e: EdgeBlocks(*_quadrants(stack[k], g)) for k, e in enumerate(edges)}, g
 
 
+@functools.lru_cache(maxsize=64)
+def _pairing_array(space):
+    """The pairing of ``space`` as a read-only float array, each entry its
+    rational rounded correctly; built once per space."""
+    qrows, dq = space._ints
+    q = np.array([[x / dq for x in row] for row in qrows])
+    q.setflags(write=False)
+    return q
+
+
 def _pairing_matrix(space, dim):
     if space is None:
         return np.eye(dim)
-    q = space.numeric()
+    q = _pairing_array(space)
     if q.shape != (dim, dim):
         raise ValueError(f"pairing dimension {q.shape[0]} does not match fixture dimension {dim}")
     return q
@@ -369,7 +401,7 @@ def bounded_remainder_scan(graph, momenta1, momenta2, fixture, blocks=None, rays
 
     The heights of every ray over the whole grid are one stacked
     evaluation, and their tropical heights, on the graph and never on
-    ``blocks``, one stacked Schur solve: phi/psi is homogeneous of degree
+    ``blocks``, one ratio call on every ray: phi/psi is homogeneous of degree
     1, so the tropical height at t * d is t times its value at d.  ``ts``
     must hold at least two finite, positive, strictly increasing values,
     ``h0`` must be finite, and every ray needs a finite positive weight on

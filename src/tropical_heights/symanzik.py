@@ -11,8 +11,10 @@ the height pairing:
   chosen inner product.
 
 Each has two independent exact routes, an enumeration and a
-determinant, and the ratio ``phi/psi`` has a third, numeric oracle
-through the weighted graph Laplacian.  The determinant routes take the
+determinant.  The ratio ``phi/psi`` is evaluated in floats as a pairing
+of least-squares residuals on the cycle form (:func:`symanzik_ratio_eval`),
+with an independent oracle through the weighted graph Laplacian
+(:func:`resistance_oracle`).  The determinant routes take the
 smaller of two Kirchhoff matrices, each a Gram matrix ``sum_e x_e t_e
 t_e^T`` of an integer table t_{e,i}:
 
@@ -38,10 +40,10 @@ times their common denominators, which the determinant weights carry,
 and a cycle basis with the lifts from one walk of the designated tree.
 On a tree (h = 0) M is empty and phi is the sum of the corners; on one
 vertex L0 is empty, psi is the product of the loops and phi = 0.  Only
-the numeric evaluators import numpy, when they are called.
+the oracle imports numpy, when it is called; everything else here runs
+on the standard library.
 """
 
-import functools
 import math
 from collections.abc import Mapping
 from fractions import Fraction
@@ -96,7 +98,7 @@ class MinkowskiSpace:
         entries, kept also as ints times their common denominator.
     """
 
-    __slots__ = ("dim", "matrix", "_ints", "_numeric")
+    __slots__ = ("dim", "matrix", "_ints")
 
     def __init__(self, matrix):
         rows = [tuple(Fraction(x) for x in r) for r in matrix]
@@ -110,7 +112,6 @@ class MinkowskiSpace:
         self.dim = d
         self.matrix = tuple(rows)
         self._ints = _scaled_to_ints(rows)
-        self._numeric = None
 
     @classmethod
     def euclidean(cls, dim):
@@ -138,14 +139,6 @@ class MinkowskiSpace:
 
     def zero(self):
         return (Fraction(0),) * self.dim
-
-    def numeric(self):
-        """The pairing as a read-only float array, built on first call."""
-        if self._numeric is None:
-            import numpy as np
-            self._numeric = np.array([[float(x) for x in r] for r in self.matrix])
-            self._numeric.setflags(write=False)
-        return self._numeric
 
     def __repr__(self):
         return f"MinkowskiSpace(dim={self.dim})"
@@ -492,106 +485,155 @@ def _edge_values(order, y):
     return vals
 
 
-def _finite_ratio(route):
-    """Decorator for a numeric ``phi/psi`` route: it runs with numpy
-    overflow raising, and an overflow on the way or an inf or NaN value
-    (which a LAPACK call can return without one), in a lone value or in
-    any entry of a list of them, becomes one ValueError, with no warning."""
-    @functools.wraps(route)
-    def checked(*args, **kwargs):
-        import numpy as np
-        try:
-            with np.errstate(over="raise"):
-                value = route(*args, **kwargs)
-        except FloatingPointError:
-            value = math.nan
-        if not all(map(math.isfinite, value if isinstance(value, list) else [value])):
-            raise ValueError("phi/psi overflows a float at these edge weights")
-        return value
-    return checked
+def _ratio_rows(graph, momenta1, momenta2=None):
+    """``(h, n, rows, pairing)``: the tables of :func:`_residual_pairing`,
+    from ``cycle_basis(graph)`` and the int lifts along its tree walk.
 
-
-def _numeric_tables(graph, momenta1, momenta2=None):
-    """``(order, cmat, om1, om2)``: the edge order, ``cycle_basis(graph).matrix()``
-    as an (h, E) float array and the (E, d) float lifts along the basis's
-    tree walk (one array when ``momenta2`` is None or ``momenta1``), each
-    entry ``x / d`` of the int lift, rounded correctly by Python."""
-    import numpy as np
-    order = graph.edge_ids()
+    h is the number of cycles and n the number of lift entries per edge.
+    ``rows[k]`` is edge k of ``graph.edge_ids()``: its cycle coefficients
+    ``[(i, c_ik)]`` (the nonzero ones, by i) and its lift entries ``x / d``
+    (omega1, followed by omega2 unless ``momenta2`` is None or
+    ``momenta1``), None where they are all 0, as off the tree.  ``pairing``
+    holds the nonzero ``(mu, nu, q_{mu nu})``, nu counted in the lift entries.
+    """
     basis = cycle_basis(graph)
-    rows = basis.matrix()
+    lifts = [_int_lift(graph, momenta1, basis.walk)]
+    if momenta2 is not None and momenta2 is not momenta1:
+        lifts.append(_int_lift(graph, momenta2, basis.walk))
+    qrows, dq = momenta1.space._ints
+    pairing = [(mu, nu + len(qrows) * (len(lifts) - 1), q / dq)
+               for mu, row in enumerate(qrows) for nu, q in enumerate(row) if q]
+    cycles = {e: [] for e in graph.edge_ids()}
+    for i, cycle in enumerate(basis.cycles):
+        for e, c in cycle.coeffs.items():
+            cycles[e].append((i, c))
+    rows = []
+    for k, coeffs in enumerate(cycles.values()):
+        lift = [x / d for table, d in lifts for x in table[k]]
+        rows.append((coeffs, lift if any(lift) else None))
+    return len(basis), len(qrows) * len(lifts), rows, pairing
 
-    def lift(momenta):
-        ints, d = _int_lift(graph, momenta, basis.walk)
-        return np.array([[x / d for x in row] for row in ints]).reshape(
-            len(order), momenta.space.dim)
 
-    om1 = lift(momenta1)
-    om2 = om1 if momenta2 is None or momenta2 is momenta1 else lift(momenta2)
-    return order, np.array(rows, dtype=float).reshape(len(rows), len(order)), om1, om2
+def _residual_pairing(h, n, rows, pairing, y):
+    """phi/psi at the edge weights ``y`` (floats in edge order), from the
+    tables of :func:`_ratio_rows`.
+
+    phi/psi is the minimum over cycle currents x of ``|Y^1/2 (omega - C^T
+    x)|^2``, paired by q over the momentum components.  The edges' rows of
+    ``[C^T | omega]`` enter a QR factorization of ``Y^1/2 [C^T | omega]``
+    one by one, in order of decreasing weight (Powell and Reid 1969), by
+    square-root-free Givens rotations (Gentleman 1973) over the nonzero
+    cycle columns: the triangle is kept as pivot weights ``d_j`` and unit
+    rows ``u_j``, and a row's weight shrinks by ``d_j / (d_j + w x_j^2)`` at
+    each rotation.  What is left of a row once its cycle columns are 0 is
+    a residual row x of weight w, and the value is ``sum w q_{mu nu} x_mu
+    x_nu`` over those rows, with no difference of large terms (Bjorck,
+    Numerical Methods for Least Squares Problems, 1996).  The weights are
+    first scaled by 2^-k, k halfway between the exponents of the largest
+    and the smallest weight (but leaving the largest below 2^1000; a
+    weight that this scales to 0, past 2^2074 below the largest, is
+    refused), and the value by 2^k: weights y and 2^j y give the same
+    arithmetic and values exactly 2^j apart.
+    """
+    top, low = (math.frexp(f(y, default=1.0))[1] for f in (max, min))
+    scale = max((top + low) // 2, top - 1000)
+    width = h + n
+    pivots = [0.0] * h
+    units = [[0.0] * width for _ in range(h)]
+    total = 0.0
+    for e in sorted(range(len(y)), key=y.__getitem__, reverse=True):
+        cycles, lift = rows[e]
+        if not cycles and lift is None:
+            continue
+        w = math.ldexp(y[e], -scale)
+        if not w:
+            raise ValueError("edge weights spread too widely to share one float scale")
+        x = [0.0] * h + (lift or [0.0] * n)
+        for i, c in cycles:
+            x[i] = c
+        for j in range(cycles[0][0] if cycles else h, h):
+            xj = x[j]
+            if not xj:
+                continue
+            d = pivots[j]
+            dnew = d + w * xj * xj
+            if not dnew:
+                continue
+            c, s = d / dnew, w * xj / dnew
+            pivots[j], w = dnew, w * c
+            u = units[j]
+            for t in range(j + 1, width):
+                ut, xt = u[t], x[t]
+                if ut or xt:
+                    x[t], u[t] = xt - xj * ut, c * ut + s * xt
+            if not w:
+                break
+        else:
+            total += w * sum(q * x[h + mu] * x[h + nu] for mu, nu, q in pairing)
+    try:
+        value = math.ldexp(total, scale)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError("phi/psi overflows a float at these edge weights")
+    if value == 0.0 and total != 0.0:
+        raise ValueError("phi/psi underflows a float at these edge weights")
+    return value
 
 
-@_finite_ratio
 def symanzik_ratio_eval(graph, y, momenta1, momenta2=None):
-    """Numeric value of ``phi/psi`` at positive edge weights ``y``, solving
-    the cycle Gram system directly (a Schur complement).
+    """Numeric value of ``phi/psi`` at positive edge weights ``y``, the
+    pairing of least-squares residuals (:func:`_residual_pairing`).
 
     Parameters
     ----------
     y : dict or sequence of dicts
         Edge id to positive, finite weight.  One dict gives a float; a
         sequence gives a list, one value per dict with the bits of its own
-        call, from one table build and one stacked Schur solve.
+        call, from one table build.
 
     Raises ValueError when a weight is not finite or positive, and when
-    a value overflows a float.
+    a value overflows or underflows a float.
     """
-    import numpy as np
-    order, cmat, om1, om2 = _numeric_tables(graph, momenta1, momenta2)
+    order = graph.edge_ids()
     single = isinstance(y, Mapping)
-    ys = [y] if single else list(y)
-    vals = np.array([_edge_values(order, w) for w in ys]).reshape(len(ys), len(order))
-    qnum = momenta1.space.numeric()
-    ratios = np.einsum("re,em,mn,en->r", vals, om1, qnum, om2)
-    if len(cmat):
-        scaled = cmat * vals[:, None, :]
-        w1 = scaled @ om1
-        w2 = w1 if om2 is om1 else scaled @ om2
-        try:
-            chol = np.linalg.cholesky(scaled @ cmat.T)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("cycle Gram matrix is not positive definite at these weights") from exc
-        sol = np.linalg.solve(np.swapaxes(chol, 1, 2), np.linalg.solve(chol, w1))
-        ratios = ratios - np.einsum("rim,mn,rin->r", w2, qnum, sol)
-    return float(ratios[0]) if single else ratios.tolist()
+    weights = [_edge_values(order, w) for w in ([y] if single else y)]
+    tables = _ratio_rows(graph, momenta1, momenta2)
+    values = [_residual_pairing(*tables, w) for w in weights]
+    return values[0] if single else values
 
 
-@_finite_ratio
 def resistance_oracle(graph, y, momenta1, momenta2=None):
     """Independent Laplacian oracle for ``phi/psi``.
 
     Builds the weighted graph Laplacian ``L = B diag(1/y) B^T`` from the
     incidence matrix and returns ``sum_{mu,nu} q_{mu nu} p1^mu . L^+ p2^nu``.
-    Shares nothing with the polynomial or Schur routes beyond the graph
+    Shares nothing with the polynomial or residual routes beyond the graph
     and the assignments' int momenta.  Raises ValueError as
-    :func:`symanzik_ratio_eval` does, and on momenta off the graph.
+    :func:`symanzik_ratio_eval` does, and on momenta off the graph; a numpy
+    overflow on the way raises it too, with no warning.
     """
     import numpy as np
     if momenta2 is None:
         momenta2 = momenta1
     vals = np.array(_edge_values(graph.edge_ids(), y))
-    b = np.array(boundary_matrix(graph), dtype=float)
-    lap = (b / vals) @ b.T
     vorder = sorted(graph.vertices)
-    nv = len(vorder)
-    space = momenta1.space
-    # x / d rounds correctly, so each entry is the float of the rational momentum.
+    # x / d rounds correctly, so each entry is the float of its rational.
     p1, p2 = (np.array([[x / d for x in rows[v]] for v in vorder])
               for rows, d in (momenta1._int_rows(graph), momenta2._int_rows(graph)))
-    if nv == 1:
+    if len(vorder) == 1:
         return 0.0
-    red = lap[1:, 1:]
-    sol = np.zeros_like(p2)
-    sol[1:] = np.linalg.solve(red, p2[1:])
-    qnum = space.numeric()
-    return float(np.einsum("vm,mn,vn->", p1, qnum, sol))
+    qrows, dq = momenta1.space._ints
+    qnum = np.array([[x / dq for x in row] for row in qrows])
+    try:
+        with np.errstate(over="raise"):
+            b = np.array(boundary_matrix(graph), dtype=float)
+            lap = (b / vals) @ b.T
+            sol = np.zeros_like(p2)
+            sol[1:] = np.linalg.solve(lap[1:, 1:], p2[1:])
+            value = float(np.einsum("vm,mn,vn->", p1, qnum, sol))
+    except FloatingPointError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError("phi/psi overflows a float at these edge weights")
+    return value

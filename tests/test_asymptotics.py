@@ -28,8 +28,10 @@ from tropical_heights import (
     momentum_lift,
     tropical_height,
 )
-from tropical_heights.asymptotics import _heights
+from tropical_heights.asymptotics import _heights, _numeric_tables
 from tropical_heights.corpus import random_conserved_momenta, random_connected_multigraph
+
+from test_symanzik import ratio_cases
 
 BANANA = Multigraph(["v1", "v2"], [("e1", "v1", "v2"), ("e2", "v1", "v2")])
 TRIANGLE = Multigraph(
@@ -157,6 +159,19 @@ def test_height_eval_requires_positive_translate():
     }
     with pytest.raises(ValueError, match="positive definite"):
         height_eval(fx, blocks, EdgeParameters({"e1": 4.0}))
+
+
+def test_numeric_lift_is_the_float_of_the_exact_lift():
+    for graph, mom1, mom2 in ratio_cases(23, 60):
+        order, cmat, om1, om2 = _numeric_tables(graph, mom1, mom2)
+        assert order == graph.edge_ids()
+        assert cmat.tobytes() == np.array(cycle_basis(graph).matrix(), dtype=float).reshape(
+            first_betti(graph), len(order)).tobytes()
+        assert (om2 is om1) == (mom2 is None)
+        for got, mom in ((om1, mom1), (om2, mom2 or mom1)):
+            lift = momentum_lift(graph, mom)
+            want = np.array([[float(x) for x in lift.vector(e)] for e in order])
+            assert got.tobytes() == want.reshape(len(order), mom.space.dim).tobytes()
 
 
 def test_graph_blocks_banana_frozen():

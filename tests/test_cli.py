@@ -251,16 +251,47 @@ def test_symanzik_ratio_polynomial_route_underflow(capsys, tmp_path):
         assert "phi/psi underflows a float at these edge weights" in result[2]
 
 
-@pytest.mark.parametrize("y", ["e1=1,e2=1e-12", "e1=1,e2=1e-16", "e1=1e300,e2=1e-300"])
-def test_symanzik_ratio_check_is_relative_at_small_values(capsys, banana_path, y):
-    # The Schur route loses phi/psi = 9 y1 y2 / (y1 + y2) to cancellation at
-    # these weights (relative error 9e-5 at the first, 0.0 at the others).
-    # The check is relative at every magnitude, so it sees the disagreement.
-    code, out, _err = run(capsys, "symanzik", "ratio", "--graph", banana_path, "--y", y,
-                          "--check")
-    report = json.loads(out)
-    assert code == 1 and report["agree"] is False
-    assert set(report["results"]) == {"polynomial", "schur"}
+@pytest.mark.parametrize("graph, y", [
+    ("banana", "e1=1,e2=1e-12"), ("banana", "e1=1,e2=1e-16"), ("banana", "e1=1e300,e2=1e-300"),
+    ("banana", "e1=1e-10,e2=1e-320"), ("banana3", "e1=1e160,e2=1e-160,e3=1e-160"),
+])
+def test_symanzik_ratio_keeps_a_small_weight(capsys, banana_path, banana3_path, graph, y):
+    # One weight far below another: the default route printed 9.0008e-12
+    # (relative error 9e-5), 0.0, 0.0 and 1.03e-25 on the banana, and exited 2
+    # ("not positive definite") on banana3, when it subtracted W^2/M from the
+    # tree's weight.  phi/psi is 9 y1 y2 / (y1 + y2) on the banana and
+    # 4 / (1/y1 + 1/y2 + 1/y3) on banana3, at the floats of --y.
+    weights = [Fraction(float(part.split("=")[1])) for part in y.split(",")]
+    exact = (9 * weights[0] * weights[1] / sum(weights) if graph == "banana"
+             else 4 / sum(1 / w for w in weights))
+    path = banana_path if graph == "banana" else banana3_path
+    code, out, err = run(capsys, "symanzik", "ratio", "--graph", path, "--y", y)
+    assert (code, err) == (0, "")
+    assert run(capsys, "symanzik", "ratio", "--graph", path, "--y", y, "--check") == (0, out, "")
+    gap = abs(Fraction(float(out)) - exact)
+    if exact < Fraction(sys.float_info.min):  # subnormal: within 2 ulps
+        assert gap <= 2 * Fraction(math.ulp(0.0))
+    else:
+        assert gap <= Fraction(1, 10**14) * exact
+
+
+@pytest.mark.parametrize("shift, agree", [(1e-8, False), (1e-10, True)])
+def test_symanzik_ratio_check_is_relative_at_small_values(capsys, monkeypatch, banana_path,
+                                                          shift, agree):
+    # At 1e-200 the two routes' values differ by about 4.5e-208 when one is
+    # moved by 1e-8 relative: the check is relative at every magnitude, so
+    # it sees that, and lets a 1e-10 move through.
+    schur = symanzik.symanzik_ratio_eval
+    monkeypatch.setattr(symanzik, "symanzik_ratio_eval",
+                        lambda *args: schur(*args) * (1 + shift))
+    code, out, _err = run(capsys, "symanzik", "ratio", "--graph", banana_path,
+                          "--y", "e1=1e-200,e2=1e-200", "--check")
+    if agree:
+        assert code == 0 and float(out) == 4.5e-200 * (1 + shift)
+    else:
+        report = json.loads(out)
+        assert code == 1 and report["agree"] is False
+        assert set(report["results"]) == {"polynomial", "schur"}
 
 
 def test_symanzik_ratio_weight_underflowing_to_zero(capsys, banana_path):
@@ -906,9 +937,9 @@ RECORDED_CLI_DIGESTS = {
     "k4 y": "054789044096", "loop y": "233ed893da3e", "single_edge y": "233ed893da3e",
     "square y": "6575788f702c", "triangle y": "64128352366b",
     "triangle_loop y": "64128352366b",
-    "banana2 ratio": "ee86459b6cd9", "banana3 ratio": "40008a899ffa",
-    "bowtie ratio": "6ab4f136377b", "k23 ratio": "e843eb4cd16f",
-    "triangle ratio": "3fa8ce583934",
+    "banana2 ratio": "ee86459b6cd9", "banana3 ratio": "ebe0cb0bc791",
+    "bowtie ratio": "ebd19003e3f2", "k23 ratio": "7bd9aa086049",
+    "triangle ratio": "444be8442386",
 }
 
 
@@ -1068,7 +1099,7 @@ RECORDED_README_DIGESTS = {
     "symanzik first": "61d2859c284b", "symanzik second": "a2e6322444f6",
     "limit eval": "6ca3e3861233", "limit eval matrix": "f761dee07e53",
     "poincare norm": "9e02a3c239e0", "sphere-crossratio": "783a6aaba79b",
-    "symanzik ratio": "9f0f35d9c92d", "curve stability": "4c78b7de2f97",
+    "symanzik ratio": "47a8561cdd72", "curve stability": "4c78b7de2f97",
     "curve dimensions": "370fce327272", "monodromy check": "89a0aa9c797b",
     "missing file": "cdb95507eb83", "broken json": "99abdb992b93",
     "ratio without y": "cf6e7de4eff6", "bordered first": "40c369db8492",
@@ -1376,6 +1407,8 @@ def test_exact_subcommands_do_not_load_numpy(tmp_path, banana_path):
         (("monodromy", "check", "--graph", banana_path, "--fixture", str(fixture)), 0),
         (("corpus", "run", str(corpus)), 0),
         (("symanzik", "ratio", "--graph", banana_path), 2),
+        (("symanzik", "ratio", "--graph", banana_path, "--y", "e1=1,e2=2"), 0),
+        (("symanzik", "ratio", "--graph", banana_path, "--y", "e1=1,e2=2", "--check"), 0),
     ]
     for argv, expected in cases:
         code, loaded = _cold_main(*argv)
@@ -1418,8 +1451,11 @@ def test_numeric_subcommands_load_numpy(tmp_path, banana_path):
     dump_json({"omega": [[[0.0, 1.0]]], "w": [[0.25, 0.0]], "z": [[0.0, 0.5]],
                "rho": [0.0, 0.5]}, point)
     family = _torus_family(tmp_path, 1, "1")
+    for name in ("fixture.json", "segment.json"):
+        dump_json(README_FILES[name], tmp_path / name)
     for argv in (("poincare", "norm", "--point", str(point)),
-                 ("symanzik", "ratio", "--graph", banana_path, "--y", "e1=1,e2=2"),
+                 ("limit", "eval", "--graph", banana_path, "--fixture",
+                  str(tmp_path / "fixture.json"), "--segment", str(tmp_path / "segment.json")),
                  ("lab", "torus-limit", "--family", family)):
         code, loaded = _cold_main(*argv)
         assert code == 0 and "numpy" in loaded, argv

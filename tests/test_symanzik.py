@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropical_heights import (
     CycleBasis,
@@ -32,6 +34,7 @@ from tropical_heights.corpus import (
     random_conserved_momenta,
     random_positive_lengths,
 )
+from tropical_heights.symanzik import _psi_phi
 
 BANANA = Multigraph(["v1", "v2"], [("e1", "v1", "v2"), ("e2", "v1", "v2")])
 TRIANGLE = Multigraph(
@@ -526,19 +529,70 @@ def test_ratio_sequence_matches_single_calls_bitwise():
     assert symanzik_ratio_eval(BANANA, [], banana_momenta(3)) == []
 
 
-def test_numeric_lift_is_the_float_of_the_exact_lift():
-    import numpy as np
-    from tropical_heights.symanzik import _numeric_tables
-    for graph, mom1, mom2 in ratio_cases(23, 60):
-        order, cmat, om1, om2 = _numeric_tables(graph, mom1, mom2)
-        assert order == graph.edge_ids()
-        assert cmat.tobytes() == np.array(cycle_basis(graph).matrix(), dtype=float).reshape(
-            first_betti(graph), len(order)).tobytes()
-        assert (om2 is om1) == (mom2 is None)
-        for got, mom in ((om1, mom1), (om2, mom2 or mom1)):
-            lift = momentum_lift(graph, mom)
-            want = np.array([[float(x) for x in lift.vector(e)] for e in order])
-            assert got.tobytes() == want.reshape(len(order), mom.space.dim).tobytes()
+# The weights of the property below are log-uniform over [1e-12, 1e12].
+WEIGHT_SPREAD = 12
+
+
+def relabelled(rng, graph, *momenta):
+    """The same graph and momenta under new vertex and edge ids, drawn so
+    that their sorted orders are shuffled, with a random half of the edges
+    reversed."""
+    vnames = {v: f"w{k}"
+              for v, k in zip(graph.vertices, rng.sample(range(100), len(graph.vertices)))}
+    edges = [(f"f{k}", *((h, t) if rng.random() < 0.5 else (t, h)))
+             for k, (_e, t, h) in zip(rng.sample(range(100), len(graph.edges)), graph.edges)]
+    new = Multigraph(vnames.values(), [(e, vnames[t], vnames[h]) for e, t, h in edges])
+    ids = dict(zip((e for e, _t, _h in graph.edges), (e for e, _t, _h in edges)))
+    moved = [None if m is None else MomentumAssignment(m.space, {vnames[v]: p for v, p in
+                                                                 m.momenta.items()})
+             for m in momenta]
+    return new, ids, moved
+
+
+def exact_ratio(graph, y, momenta1, momenta2=None):
+    """phi/psi from the exact polynomials at the exact values of the floats y."""
+    psi, phi = _psi_phi(graph, momenta1, momenta2)
+    exact_y = {e: Fraction(v) for e, v in y.items()}
+    return phi.evaluate(exact_y) / psi.evaluate(exact_y)
+
+
+def cancellation_floor(graph, y, mom1, mom2):
+    """|q|_F |r1| |r2|, the residuals' Euclidean sizes times the pairing's
+    Frobenius norm: a bound on every term of sum q r1 r2.  An indefinite
+    pairing can cancel them down to a value far smaller, where an error of
+    rounding times this floor is all any float evaluation can promise."""
+    euclid = MinkowskiSpace.euclidean(mom1.space.dim)
+    sizes = [exact_ratio(graph, y, MomentumAssignment(euclid, m.momenta))
+             for m in (mom1, mom2 or mom1)]
+    return math.sqrt(sum(q * q for row in mom1.space.matrix for q in row) * sizes[0] * sizes[1])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), space=st.sampled_from(range(3)),
+       bilinear=st.booleans(), j=st.integers(-200, 200))
+def test_ratio_is_accurate_homogeneous_and_label_free(seed, space, bilinear, j):
+    # At weights spread over 24 decades the route must match the exact
+    # Fraction phi/psi within 1e-9 relative (the route it replaced was off by
+    # 1e-2 at a spread of 1e+-8), or within 1e-12 of the cancellation floor
+    # where an indefinite pairing cancels; scaling every weight by 2^j scales
+    # the value by exactly 2^j; relabelling vertices and edges and reversing
+    # edges, which changes the tree, the cycle basis and the lifts, moves it
+    # only by rounding.
+    rng = random.Random(seed)
+    space = (D1, MinkowskiSpace.lorentzian(4), OFF_DIAGONAL)[space]
+    graph = random_connected_multigraph(rng, max_edges=8, max_vertices=6)
+    mom1 = random_conserved_momenta(rng, graph, space)
+    mom2 = random_conserved_momenta(rng, graph, space) if bilinear else None
+    y = {e: 10.0 ** rng.uniform(-WEIGHT_SPREAD, WEIGHT_SPREAD) for e in graph.edge_ids()}
+    exact = exact_ratio(graph, y, mom1, mom2)
+    rounding = 1e-12 * cancellation_floor(graph, y, mom1, mom2)
+    value = symanzik_ratio_eval(graph, y, mom1, mom2)
+    assert abs(Fraction(value) - exact) <= abs(exact) / 10**9 + Fraction(rounding)
+    scaled = symanzik_ratio_eval(graph, {e: math.ldexp(v, j) for e, v in y.items()}, mom1, mom2)
+    assert scaled == math.ldexp(value, j)
+    other, ids, (m1, m2) = relabelled(rng, graph, mom1, mom2)
+    moved = symanzik_ratio_eval(other, {ids[e]: v for e, v in y.items()}, m1, m2)
+    assert abs(moved - value) <= 1e-12 * abs(exact) + rounding
 
 
 def test_ratio_sequence_with_one_overflowing_row_raises():
