@@ -17,7 +17,8 @@ _EXPORTS = {
     "graphs": ("Multigraph", "CycleVector", "CycleBasis", "cycle_basis",
                "boundary_matrix", "spanning_trees", "spanning_2forests", "first_betti",
                "designated_tree"),
-    "symanzik": ("MinkowskiSpace", "MomentumAssignment", "MomentumLift",
+    "spaces": ("MinkowskiSpace",),
+    "symanzik": ("MomentumAssignment", "MomentumLift",
                  "first_symanzik_det", "first_symanzik_trees", "momentum_lift",
                  "second_symanzik_bordered", "second_symanzik_forests",
                  "symanzik_ratio_eval", "resistance_oracle"),

@@ -38,8 +38,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import cycle_basis
-from .symanzik import (MinkowskiSpace, _finite_float, _int_lift, _integer,
-                       symanzik_ratio_eval)
+from .spaces import _finite_float, _integer
+from .symanzik import _int_lift, symanzik_ratio_eval
 
 
 class EdgeParameters:

@@ -326,6 +326,7 @@ def _cmd_lab_crossratio(args):
 
 
 def _cmd_corpus(args):
+    jsonio.json_files(args.directory)  # a missing directory is refused before any layer loads
     from .corpus import corpus_run
     t0 = time.monotonic()
     report = corpus_run(args.directory)

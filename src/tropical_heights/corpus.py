@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .graphs import Multigraph
-from .jsonio import SchemaError, graph_bundle_from_json, load_json
+from .jsonio import SchemaError, graph_bundle_from_json, json_files, load_json
 from .symanzik import (MomentumAssignment, _psi_phi,
                        first_symanzik_det, first_symanzik_trees,
                        second_symanzik_forests)
@@ -210,10 +210,7 @@ def corpus_run(directory, threads=None):
     ``graphs`` rows and a ``summary``.
     """
     directory = Path(directory)
-    if not directory.is_dir():
-        raise SchemaError(f"corpus directory not found: {directory}")
-    files = sorted(p for p in directory.iterdir()
-                   if p.is_file() and p.suffix == ".json")
+    files = json_files(directory)
 
     def run_one(path):
         row = {"name": path.stem}

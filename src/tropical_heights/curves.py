@@ -11,7 +11,8 @@ to vertices, and the dimension count for deformations of the curve.
 from typing import NamedTuple
 
 from .graphs import first_betti
-from .symanzik import MinkowskiSpace, MomentumAssignment, _integer
+from .spaces import MinkowskiSpace, _integer
+from .symanzik import MomentumAssignment
 
 
 class Marking(NamedTuple):

@@ -34,6 +34,7 @@ import cmath
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 # No layer is imported here: each parser imports the layer of the objects it
 # builds, so a graph bundle loads no numpy and a biextension point no graph layer.
@@ -157,6 +158,15 @@ def load_json(path):
         raise SchemaError(f"invalid JSON in {path}: {exc}") from None
 
 
+def json_files(directory):
+    """The ``*.json`` files of ``directory``, sorted; a SchemaError unless
+    it is a directory."""
+    directory = Path(directory)
+    if not directory.is_dir():
+        raise SchemaError(f"corpus directory not found: {directory}")
+    return sorted(p for p in directory.iterdir() if p.is_file() and p.suffix == ".json")
+
+
 def dumps_canonical(obj):
     """Deterministic JSON text (sorted keys, trailing newline)."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -171,7 +181,7 @@ def dump_json(obj, path):
 # Graph bundles
 
 def minkowski_from_json(data, path=("minkowski",)):
-    from .symanzik import MinkowskiSpace
+    from .spaces import MinkowskiSpace
     dim = _require(data, "dim", path)
     if "matrix" in data:
         # dim only declares the matrix's size; MinkowskiSpace checks it is >= 1.

@@ -57,7 +57,7 @@ import numbers
 from fractions import Fraction
 from typing import NamedTuple
 
-from .symanzik import MinkowskiSpace, _finite_float, _scaled_to_ints
+from .spaces import MinkowskiSpace, _finite_float, _scaled_to_ints
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ crossing-derived momentum lifts.
 from fractions import Fraction
 
 from .graphs import _tree_walk
-from .symanzik import MomentumLift, MomentumAssignment, _integer, momentum_lift
+from .spaces import _integer
+from .symanzik import MomentumLift, MomentumAssignment, momentum_lift
 
 
 def _std_symplectic_pairing(x, y):

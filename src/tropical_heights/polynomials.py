@@ -21,23 +21,20 @@ packed when ``coeffs``, ``den`` or ``width`` is first read.  Strings
 list terms in descending graded lexicographic order; they are output
 only, and nothing parses them back.
 
-Determinants run on the entries' int dicts, each row scaled by the lcm
-of its entries' denominators, as a cofactor expansion memoized on column
-sets.  The bordered determinants ``det [[corner, row], [column, M]]`` of
-one matrix M share it: one memo holds M's minors and the column sets
-that keep a border column, one family per distinct column; each top row
-then costs n more products, and as a determinant is linear in its top
-row the corners enter once, as ``(sum q corner) det M``.  det M itself
-comes back from the same memo, so psi and phi of one Kirchhoff matrix
-share one expansion.  Width-1 entries keep width-1 keys (edge subsets),
-and the products of an entry and a minor whose keys overlap are summed
-apart, per pair of keys.  Those sums cancel on every Symanzik matrix, a
-rank-one term per edge plus constants, whose minors are multilinear; if
-one does not, or an entry is wider, the whole sum is redone on keys
-re-spaced to a width no minor's exponents can overflow.  Matrices above
-dimension 12 are rejected; for the graph polynomials that limit reads
-min(h, |V| - 1) <= 12, since :mod:`~tropical_heights.symanzik` takes the
-smaller Kirchhoff matrix.
+Determinants run on int dicts, one per entry, as a cofactor expansion
+along rows memoized on column sets (:func:`_det_ints`); one inner loop,
+:func:`_mul_into`, forms every product, leaving out those whose keys
+share a bit of a drop mask.  :func:`det_fraction_free` scales each row
+to ints and re-spaces every key to a width no minor's exponents can
+overflow, with nothing dropped, so it is exact on any matrix.  The
+graph polynomials of :mod:`~tropical_heights.symanzik` are multilinear
+and run on width-1 keys with every bit dropped, that is over
+Z[x]/(x_i^2), where a product of two monomials that share a variable
+is 0; the same expansion carries a second matrix B to first order in t,
+so that det(A + tB) mod t^2 gives det A and tr(adj(A) B) at once.
+Matrices above dimension 12 are rejected; for the graph polynomials
+that limit reads min(h, |V| - 1) <= 12, since
+:mod:`~tropical_heights.symanzik` takes the smaller Kirchhoff matrix.
 """
 
 import math
@@ -381,30 +378,22 @@ _DIM_LIMIT = 12
 def det_fraction_free(matrix):
     """Exact determinant of a RingMatrix (or list-of-lists of MultiPoly).
 
-    Computed by the memoized cofactor expansion of :func:`_det_cofactor`,
-    which only multiplies and adds integers and divides once at the end,
-    so it is exact over the rationals.  Dimensions above 12 raise
-    ValueError.
+    Row i is scaled to ints by the lcm s_i of its entries' denominators,
+    and every key is re-spaced to the bits, per variable, of the sum over
+    rows of each row's largest exponent, which no exponent of a minor
+    exceeds; :func:`_det_ints` expands it with nothing dropped, and the
+    result is divided by s_0 ... s_{n-1} once.  Dimensions above 12 raise
+    ValueError before any work.
     """
     if not isinstance(matrix, RingMatrix):
         matrix = RingMatrix(matrix)
     _check_dim(matrix.n)
-    return _det_sum(matrix, None)[0]
-
-
-def bordered_det(matrix, borders):
-    """Exact ``(det(matrix), sum q * det [[corner, row^T], [column, matrix]])``
-    over the ``(q, corner, row, column)`` in ``borders``, for a RingMatrix.
-
-    All of them share one integer cofactor expansion
-    (:func:`_det_cofactor`): one memo of ``matrix``'s minors, one family
-    of column sets per distinct ``column``, n more products for each
-    ``row``, and the corners once, as ``(sum q corner) det(matrix)``;
-    det(matrix) is read from the same memo.  The dimension limit applies
-    to ``matrix``, so every matrix with a determinant has bordered ones.
-    """
-    _check_dim(matrix.n)
-    return _det_sum(matrix, borders)
+    lines = [[a._packed_form() for a in r] for r in matrix.rows]
+    width = max(sum((1 << max(w for *_cd, w in line)) - 1 for line in lines).bit_length(), 1)
+    dens = [math.lcm(*(den for _c, den, _w in line)) for line in lines]
+    rows = [[{(k if w == width else _respace(k, w, width)): v * (d // den) for k, v in c.items()}
+             for c, den, w in line] for line, d in zip(lines, dens)]
+    return MultiPoly.packed(matrix.variables, _det_ints(rows)[0], math.prod(dens), width)
 
 
 def _check_dim(n):
@@ -412,116 +401,68 @@ def _check_dim(n):
         raise ValueError(f"determinant supported up to dimension {_DIM_LIMIT}, got {n}")
 
 
-def _det_sum(matrix, borders, wide=False):
-    """:func:`bordered_det`; the sum is 0 when ``borders`` is None.
+def _det_ints(rows, trows=None, drop=0):
+    """``(det A, tr(adj(A) B))`` for square matrices A (``rows``) and B
+    (``trows``; zero when None) of int dicts ``{key: coefficient}`` on
+    packed monomial keys, leaving out every product of two monomials whose
+    keys share a bit of ``drop``; ``({0: 1}, {})`` when they are empty.
 
-    Row i of ``matrix`` and entry i of every distinct column are scaled to
-    ints by the lcm s_i of their denominators; a border's top row by the
-    lcm t of its own, times the int q D / t for a common multiple D of the
-    denominators of every q / t; the top rows of one column are summed.
-    The expansion is D s_0 ... s_{n-1} times the sum and s_0 ... s_{n-1}
-    times det(matrix).  Width-1 entries keep width-1 keys, and both are
-    redone ``wide`` if an overlap survives; wide keys get per field the
-    bits of the sum over rows of each row's largest exponent, which no
-    exponent of a minor exceeds.
-    """
-    n, families, heads = matrix.n, {}, []  # distinct column -> index; (index, q, top row)
-    for q, corner, row, column in borders or ():
-        heads.append((families.setdefault(tuple(column), len(families)), Fraction(q),
-                     [a._packed_form() for a in (*row, corner)]))
-    # Entries as (coeffs, den, width); line i is row i of M, then entry i of each column.
-    lines = [[a._packed_form() for a in (*r, *(c[i] for c in families))]
-             for i, r in enumerate(matrix.rows)]
-    # The widest entry of each line, then of every top row (0 without borders).
-    widths = [max(w for *_cd, w in line) for line in lines] + [
-        max((w for *_f, top in heads for *_cd, w in top), default=0)]
-    multilinear = not wide and max(widths) == 1
-    width = 1 if multilinear else max(sum((1 << w) - 1 for w in widths).bit_length(), 1)
+    By Jacobi's formula these are the t^0 and t^1 parts of det(A + tB)
+    mod t^2, which a Laplace expansion along rows gives, memoized on
+    column sets: the minor on rows i..n-1 and a column set S, |S| = n - i,
+    is D(S) = sum_k (-1)^k (A + tB)_{i,j_k} D(S - {j_k}) over j_0 < j_1 <
+    ... in S, D(empty) = 1, and each is expanded once; zero entries are
+    skipped.  Every minor is kept as its t^0 and t^1 parts, so the
+    products of two t^1 parts, which t^2 = 0 kills, are never formed.
 
-    def ints(entry, d, f=1):
-        c, den, w = entry
-        if w != width:
-            c = {_respace(k, w, width): v for k, v in c.items()}
-        f *= d // den
-        return c if f == 1 else {k: v * f for k, v in c.items()}
-
-    dens = [math.lcm(*(den for _c, den, _w in line)) for line in lines]
-    tdens = [q.denominator * math.lcm(*(den for _c, den, _w in top)) for _f, q, top in heads]
-    scale = math.lcm(*tdens)
-    # Row f sums the top rows of column f, and entry n of row 0 all corners.
-    top_rows = [[{} for _ in range(n + len(families))] for _ in families]
-    for (f, q, top), t in zip(heads, tdens):
-        for target, entry in zip([*top_rows[f][:n], top_rows[0][n]], top):
-            for k, v in ints(entry, t // q.denominator, q.numerator * (scale // t)).items():
-                target[k] = target.get(k, 0) + v
-    det, total, overlap = _det_cofactor(
-        [[ints(a, d) for a in line] for line, d in zip(lines, dens)],
-        [[{k: v for k, v in a.items() if v} for a in row] for row in top_rows], multilinear)
-    if overlap:  # a minor is not multilinear
-        return _det_sum(matrix, borders, wide=True)
-    den = math.prod(dens)
-    return (MultiPoly.packed(matrix.variables, det, den, width),
-            MultiPoly.packed(matrix.variables, total, scale * den, width))
-
-
-def _det_cofactor(rows, tops, multilinear):
-    """Laplace expansion along rows, memoized on column sets, of det M
-    and of ``sum_f det [[c_f, tops[f]], [column f, M]]``.
-
-    Line i of ``rows`` is row i of M, then entry i of each border column
-    (column n + f is border f), as dicts from packed monomial keys to int
-    coefficients.  The minor on rows i..n-1 and a column set S, |S| =
-    n - i, with at most one border column, is D(S) = sum_k (-1)^k
-    a_{i,j_k} D(S - {j_k}) over j_0 < j_1 < ... in S, D(empty) = 1.  One
-    memo holds them all, so every border shares M's minors; zero entries
-    are skipped.  ``tops[f]`` is expanded on columns 0..n-1 and n + f with
-    sign (-1)^n, which moves the border column first; every corner is
-    entry n of ``tops[0]``.  det M is the memo's full column set, which a
-    nonzero corner fills; else one more expansion of row 0 over the same
-    memo.  Returns ``(det M, sum, overlap)``.  With
-    ``multilinear`` (width-1 keys), the products whose keys ``ka``, ``ks``
-    share a bit are summed apart, per expansion and ``(ka, ks)``, and
-    ``overlap`` tells whether any such sum is nonzero; if none is, every
-    minor is multilinear and the result is exact.
+    With ``drop`` 0 and keys wide enough for every minor's exponents this
+    is exact over Z[x].  With ``drop`` -1 and width-1 keys, each key a set
+    of variables, it is exact over Z[x]/(x_i^2): the quotient map is a
+    ring homomorphism, so it commutes with det, and it sends a product of
+    two square-free monomials to 0 exactly when they share a variable.
     """
     n = len(rows)
-    memo = {0: {0: 1}}
-    overlap = []  # the nonzero sums of overlapping products
-    check = -1 if multilinear else 0
+    if trows is None:
+        trows = [[{}] * n] * n
+    memo = {0: ({0: 1}, {})}
 
-    def expand(acc, side, row, colmask, sign):
-        for j, a in enumerate(row):
+    def minor(cols):
+        i = n - cols.bit_count()
+        low, high, sign = {}, {}, 1
+        for j, (a, b) in enumerate(zip(rows[i], trows[i])):
             bit = 1 << j
-            if not colmask & bit:
+            if not cols & bit:
                 continue
-            if a:
-                sub = memo.get(colmask ^ bit)
+            if a or b:
+                sub = memo.get(cols ^ bit)
                 if sub is None:
-                    sub = memo[colmask ^ bit] = close(
-                        *expand({}, {}, rows[n + 1 - colmask.bit_count()], colmask ^ bit, 1))
-                for ka, ca in a.items():
-                    ca *= sign
-                    kc = ka & check
-                    for ks, cs in sub.items():
-                        if kc & ks:
-                            side[ka, ks] = side.get((ka, ks), 0) + ca * cs
-                        else:
-                            k = ka + ks
-                            acc[k] = acc.get(k, 0) + ca * cs
+                    sub = minor(cols ^ bit)
+                if a:
+                    _mul_into(low, a, sub[0], sign, drop)
+                    _mul_into(high, a, sub[1], sign, drop)
+                if b:
+                    _mul_into(high, b, sub[0], sign, drop)
             sign = -sign
-        return acc, side
+        out = memo[cols] = ({k: c for k, c in low.items() if c},
+                            {k: c for k, c in high.items() if c})
+        return out
 
-    def close(acc, side):
-        overlap.extend(filter(None, side.values()))
-        return {k: c for k, c in acc.items() if c}
+    return minor((1 << n) - 1) if n else memo[0]
 
-    full, acc, side = (1 << n) - 1, {}, {}
-    for f, top in enumerate(tops):
-        expand(acc, side, top, full | 1 << (n + f), (-1) ** n)
-    total = close(acc, side)
-    if full not in memo:  # no corner reached det M
-        memo[full] = close(*expand({}, {}, rows[0], full, 1))
-    return memo[full], total, bool(overlap)
+
+def _mul_into(acc, a, b, sign=1, drop=0):
+    """Add ``sign * a * b`` into ``acc``, int dicts on packed monomial keys,
+    leaving out every product of two monomials whose keys share a bit of
+    ``drop``; returns ``acc``, where a sum may have become 0."""
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= sign
+        kd = ka & drop
+        for kb, cb in b.items():
+            if not kd & kb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    return acc
 
 
 def fraction_det(rows):

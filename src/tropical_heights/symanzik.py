@@ -19,66 +19,44 @@ smaller of two Kirchhoff matrices, each a Gram matrix ``sum_e x_e t_e
 t_e^T`` of an integer table t_{e,i}:
 
 * the cycle form, h x h: the cycle Gram matrix ``M = sum_e Y_e c_e
-  c_e^T`` of an integral cycle basis, with ``psi = det M`` and phi a
-  sum of determinants of M bordered by a lift omega of the external
-  momenta and the edge pairing;
+  c_e^T`` of an integral cycle basis, with ``psi = det M``;
 * the vertex form, (|V| - 1) square, taken when |V| - 1 < h and no
   basis or lift is given: the reduced Laplacian L0 (incidence rows of
   every vertex but the first, loops left out).  By the all-minors
-  matrix-tree theorem ``psi = complement(det L0)`` and phi is minus the
-  complement of a sum of determinants of L0 bordered by the vertex
-  momenta, where complement maps ``x^S`` to ``Y^{E - S}``.
+  matrix-tree theorem ``psi = complement(det L0)``, where complement
+  maps ``x^S`` to ``Y^{E - S}``.
+
+phi is a q-weighted sum of determinants of the Kirchhoff matrix M
+bordered by the momenta (a lift omega of them in the cycle form), and
+that sum is the t^1 part of the one determinant det(M + tT) for a
+matrix T built from the borders and the pairing
+(:func:`second_symanzik_bordered`), whose t^0 part is det M.  Both parts
+come from one expansion over Z[x, t]/(x_e^2, t^2), which is exact since
+psi and phi are multilinear (:func:`_psi_phi`).
 
 All four routes write :class:`~tropical_heights.polynomials.MultiPoly`'s
 packed form directly: edge k is key ``1 << k``, so a monomial is an
 edge subset, the complement is ``full ^ key`` (a tree or forest, an
-edge mask from the search, gives ``full ^ mask``), and every matrix,
-border and corner entry is an int linear form (or constant) built in
-one step from its table.  Each int table is built once: the momenta of
-a :class:`MomentumAssignment` and the pairing of a :class:`MinkowskiSpace`
-times their common denominators, which the determinant weights carry,
-and a cycle basis with the lifts from one walk of the designated tree.
-On a tree (h = 0) M is empty and phi is the sum of the corners; on one
-vertex L0 is empty, psi is the product of the loops and phi = 0.  Only
-the oracle imports numpy, when it is called; everything else here runs
-on the standard library.
+edge mask from the search, gives ``full ^ mask``), and every entry of
+M and T is an int dict built from int tables.  Each int table is built
+once: the momenta of a :class:`MomentumAssignment` and the pairing of
+a :class:`MinkowskiSpace` times their common denominators, which phi's
+denominator carries, and a cycle basis with the lifts from one walk of
+the designated tree.  On a tree (h = 0) M is empty and phi is linear;
+on one vertex L0 is empty, psi is the product of the loops and phi =
+0.  Only the oracle imports numpy, when it is called; everything else
+here runs on the standard library.
 """
 
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from operator import mul as _mul
 
 from .graphs import (_tree_masks, _tree_walk, _two_forests, _UnionFind, boundary_matrix,
                      cycle_basis)
-from .polynomials import MultiPoly, RingMatrix, bordered_det, det_fraction_free
-
-
-# ---------------------------------------------------------------------------
-# Field values: the float and integer rules that the constructors of every
-# layer apply to their fields (standard library only).
-
-
-def _finite_float(value, *field):
-    """``value`` as a float; a ValueError naming ``field`` (its parts joined
-    by dots) unless it is finite.  A number past float range, such as an
-    int or a Fraction, is refused the same way, not with an OverflowError."""
-    try:
-        out = float(value)
-    except OverflowError:
-        out = None
-    if out is None or not math.isfinite(out):
-        got = "a value past float range" if out is None else repr(out)
-        raise ValueError(f"{'.'.join(map(str, field))} must be finite, got {got}")
-    return out
-
-
-def _integer(value, *field, low=None):
-    """``value`` if it is an int (a bool is not) of at least ``low``; else a
-    ValueError naming ``field`` as :func:`_finite_float` does."""
-    if isinstance(value, bool) or not isinstance(value, int) or (low is not None and value < low):
-        kind = {None: "an", 0: "a non-negative", 1: "a positive"}[low]
-        raise ValueError(f"{'.'.join(map(str, field))} must be {kind} integer, got {value!r}")
-    return value
+from .polynomials import MultiPoly, _check_dim, _det_ints, _mul_into
+from .spaces import MinkowskiSpace, _finite_float, _scaled_to_ints  # noqa: F401 (MinkowskiSpace)
 
 
 def _as_fraction_vector(vec, dim):
@@ -86,62 +64,6 @@ def _as_fraction_vector(vec, dim):
     if len(vec) != dim:
         raise ValueError(f"momentum vector {vec} has length {len(vec)}, expected {dim}")
     return vec
-
-
-class MinkowskiSpace:
-    """Momentum space with a fixed rational symmetric pairing.
-
-    Parameters
-    ----------
-    matrix : sequence of sequences
-        Symmetric D x D Gram matrix of the pairing (D >= 1), rational
-        entries, kept also as ints times their common denominator.
-    """
-
-    __slots__ = ("dim", "matrix", "_ints")
-
-    def __init__(self, matrix):
-        rows = [tuple(Fraction(x) for x in r) for r in matrix]
-        d = _integer(len(rows), "dim", low=1)
-        if any(len(r) != d for r in rows):
-            raise ValueError("pairing matrix must be square")
-        for i in range(d):
-            for j in range(d):
-                if rows[i][j] != rows[j][i]:
-                    raise ValueError("pairing matrix must be symmetric")
-        self.dim = d
-        self.matrix = tuple(rows)
-        self._ints = _scaled_to_ints(rows)
-
-    @classmethod
-    def euclidean(cls, dim):
-        dim = _integer(dim, "dim", low=1)
-        return cls([[1 if i == j else 0 for j in range(dim)] for i in range(dim)])
-
-    @classmethod
-    def lorentzian(cls, dim):
-        """Mostly-minus signature (+, -, ..., -)."""
-        dim = _integer(dim, "dim", low=1)
-        return cls([[(1 if i == 0 else -1) if i == j else 0 for j in range(dim)]
-                    for i in range(dim)])
-
-    def pair(self, u, v):
-        """<u, v> under the pairing; exact when inputs are rational."""
-        if len(u) != self.dim or len(v) != self.dim:
-            raise ValueError("vector dimension does not match the pairing")
-        acc = 0
-        for i, row in enumerate(self.matrix):
-            ui = u[i]
-            if ui == 0:
-                continue
-            acc += ui * sum(q * v[j] for j, q in enumerate(row) if q != 0)
-        return acc
-
-    def zero(self):
-        return (Fraction(0),) * self.dim
-
-    def __repr__(self):
-        return f"MinkowskiSpace(dim={self.dim})"
 
 
 class MomentumAssignment:
@@ -190,32 +112,29 @@ class MomentumAssignment:
         return f"MomentumAssignment(D={self.space.dim}, vertices={sorted(self.momenta)})"
 
 
-def _gram_matrix(variables, table):
-    """RingMatrix ``sum_e x_e t_e t_e^T`` of the integer rows ``table``.
-
-    Entry (i, j) is the linear form ``sum_e t_{i,e} t_{j,e} x_e``.
-    Returns None for an empty table, where the matrix is empty and its
-    determinant is 1 by convention.
-    """
-    h = len(table)
-    if h == 0:
-        return None
-    rows = [[None] * h for _ in range(h)]
-    for i in range(h):
-        for j in range(i, h):
-            rows[i][j] = rows[j][i] = _linear_form(
-                variables, [a * b for a, b in zip(table[i], table[j])])
-    return RingMatrix(rows)
+def _gram_rows(n, columns):
+    """The n x n Gram matrix ``sum_e x_e t_e t_e^T`` of an integer table
+    given by its ``columns`` (:func:`_kirchhoff`), as rows of int dicts:
+    entry (i, j) maps key ``1 << e`` to ``t_{i,e} t_{j,e}``, each dict its own."""
+    rows = [[{} for _ in range(n)] for _ in range(n)]
+    for e, col in enumerate(columns):
+        for i, a in col:
+            row = rows[i]
+            for j, b in col:
+                row[j][1 << e] = a * b
+    return rows
 
 
 def _kirchhoff(graph, basis=None, cycle=False):
-    """``(basis, table, m)``: the smaller Kirchhoff matrix m, the Gram
-    matrix of the int table ``table`` (None when it is empty).
+    """``(basis, columns, rows)``: the smaller Kirchhoff matrix, the Gram
+    matrix of an int table t, as :func:`_gram_rows`, whose ``columns[e]``
+    lists the nonzero ``(i, t_{i,e})`` of edge e.
 
     The reduced Laplacian (|V| - 1 square), with ``basis`` None, when it
     is smaller than h x h and neither ``basis`` nor ``cycle`` asks for the
     cycle form; else the cycle Gram matrix of ``basis`` (:func:`cycle_basis`
-    when None).  Raises ValueError on disconnected input.
+    when None).  Raises ValueError on disconnected input, and above the
+    determinant's dimension limit before the matrix is built.
     """
     variables, nv = graph.edge_ids(), len(graph.vertices)
     if basis is None and not cycle and nv - 1 < len(variables) - nv + 1:
@@ -225,14 +144,16 @@ def _kirchhoff(graph, basis=None, cycle=False):
     else:
         basis = cycle_basis(graph) if basis is None else basis
         table = basis.matrix()
-    return basis, table, _gram_matrix(variables, table)
+    _check_dim(len(table))
+    columns = [[(i, t[e]) for i, t in enumerate(table) if t[e]] for e in range(len(variables))]
+    return basis, columns, _gram_rows(len(table), columns)
 
 
-def _complement(p):
-    """``x^S -> Y^{E - S}`` on a multilinear polynomial, whose width-1
-    keys are edge subsets."""
-    full = (1 << len(p.variables)) - 1
-    return MultiPoly.packed(p.variables, {full ^ k: c for k, c in p.coeffs.items()}, p.den)
+def _complement(variables, coeffs, den=1):
+    """``x^S -> Y^{E - S}`` on a multilinear polynomial given by its int
+    coefficients on width-1 keys (edge subsets), over ``den``."""
+    full = (1 << len(variables)) - 1
+    return MultiPoly.packed(variables, {full ^ k: c for k, c in coeffs.items()}, den)
 
 
 def first_symanzik_det(graph, basis=None):
@@ -241,11 +162,14 @@ def first_symanzik_det(graph, basis=None):
 
     With |V| - 1 < h and no ``basis``, ``psi = complement(det L0)`` for
     the reduced Laplacian L0; otherwise ``psi = det M`` for the cycle Gram
-    matrix M of ``basis`` (the designated cycle basis when None).
+    matrix M of ``basis`` (the designated cycle basis when None).  Both
+    are multilinear, so :func:`~tropical_heights.polynomials._det_ints`
+    expands them over Z[x]/(x_e^2).
     """
-    basis, _table, m = _kirchhoff(graph, basis)
-    psi = MultiPoly.constant(graph.edge_ids(), 1) if m is None else det_fraction_free(m)
-    return _complement(psi) if basis is None else psi
+    basis, _columns, rows = _kirchhoff(graph, basis)
+    variables = graph.edge_ids()
+    psi = _det_ints(rows, drop=-1)[0]
+    return _complement(variables, psi) if basis is None else MultiPoly.packed(variables, psi)
 
 
 def first_symanzik_trees(graph):
@@ -255,18 +179,6 @@ def first_symanzik_trees(graph):
     # Distinct trees have distinct complements, so each monomial occurs once.
     return MultiPoly.packed(variables, {full ^ mask: 1 for mask in _tree_masks(
         graph, _UnionFind(len(graph.vertices)))})
-
-
-def _linear_form(variables, coeffs, den=1):
-    """``sum_k coeffs[k] * Y_{variables[k]} / den`` for int ``coeffs``."""
-    return MultiPoly.packed(variables, {1 << k: a for k, a in enumerate(coeffs) if a}, den)
-
-
-def _scaled_to_ints(vectors):
-    """``(ints, d)``: the rational vectors times the least common
-    denominator d of their entries, as lists of ints."""
-    d = math.lcm(*(x.denominator for vec in vectors for x in vec))
-    return [[x.numerator * (d // x.denominator) for x in vec] for vec in vectors], d
 
 
 class MomentumLift:
@@ -337,30 +249,39 @@ def momentum_lift(graph, momenta):
 
 def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=None,
                              lift2=None):
-    """Momentum polynomial as a sum of bordered determinants (exact).
+    """Momentum polynomial from one determinant det(M + tT) (exact).
 
-    It is taken from the smaller Kirchhoff matrix, as in
+    It is taken from the smaller Kirchhoff matrix M, as in
     :func:`first_symanzik_det`; a ``basis``, ``lift1`` or ``lift2``
     selects the cycle form, whose basis and lifts share one tree walk.
-    The sums run over the nonzero entries ``q_{mu nu}`` of the pairing,
-    and go through one :func:`~tropical_heights.polynomials.bordered_det`,
-    which shares M's minors and returns psi from the same memo.
+    phi is the q-weighted sum of the bordered determinants
+
+        sum q_{mu nu} det [[c_{mu nu}, r_mu^T], [s_nu, M]]
+            = (sum q_{mu nu} c_{mu nu}) det M - tr(adj(M) T),
+        T = sum q_{mu nu} s_nu r_mu^T,
+
+    and by Jacobi's formula det(M + tT) = det M + t tr(adj(M) T) mod t^2,
+    so one expansion of M + tT over Z[x, t]/(x_e^2, t^2) gives psi as its
+    t^0 part and phi from its t^1 part (:func:`_psi_phi`).
 
     Cycle form: the cycle Gram matrix M is bordered by the row
     ``W_mu(omega1)``, the column ``W_nu(omega2)`` and the corner
     ``Q_{mu nu} = sum_e Y_e omega1_{e,mu} omega2_{e,nu}``, where
-    ``W_mu(omega)_i = sum_e c_{e,i} omega_{e,mu} Y_e``:
+    ``W_mu(omega)_i = sum_e c_{e,i} omega_{e,mu} Y_e``.  With the Gram
+    matrix ``G_ef = sum q_{mu nu} omega1_{f,mu} omega2_{e,nu}`` of the
+    lifts, ``T_kl = sum_{e,f} c_{e,k} c_{f,l} G_ef Y_e Y_f`` and
 
-        phi = sum q_{mu nu} det [[Q_{mu nu}, W_mu(omega1)^T],
-                                 [W_nu(omega2), M]].
+        phi = (sum_e G_ee Y_e) psi - [t^1] det(M + tT).
 
-    On a tree (h = 0) each determinant is its corner, so phi is
-    ``sum_e Y_e <omega1_e, omega2_e>``.
+    On a tree (h = 0) M is empty and phi is ``sum_e Y_e <omega1_e,
+    omega2_e>``.
 
     Vertex form (|V| - 1 < h): with P the vertex momenta of every vertex
-    but the first, the reduced Laplacian L0 is bordered by constants,
+    but the first, the reduced Laplacian L0 is bordered by the constants
+    P1_mu, P2_nu and a zero corner, T_kl = sum q_{mu nu} P1_{l,mu}
+    P2_{k,nu}, and
 
-        phi = -complement(sum q_{mu nu} det [[0, P1_mu^T], [P2_nu, L0]]).
+        phi = complement([t^1] det(L0 + tT)).
 
     On one vertex L0 is empty and phi = 0.  With ``momenta2`` omitted
     this is the usual quadratic momentum polynomial; with both given it
@@ -371,32 +292,41 @@ def second_symanzik_bordered(graph, momenta1, momenta2=None, basis=None, lift1=N
 
 def _psi_phi(graph, momenta1, momenta2=None, basis=None, lift1=None, lift2=None):
     """``(psi, phi)`` of :func:`second_symanzik_bordered`'s Kirchhoff
-    matrix: psi as :func:`first_symanzik_det` reads it, from phi's memo."""
+    matrix, both from one expansion of det(M + tT), psi as
+    :func:`first_symanzik_det` reads it.
+
+    The expansion (``polynomials._det_ints`` with every edge bit
+    dropped) runs over Z[x, t]/(x_e^2, t^2), and it is exact: det commutes
+    with the quotient map Z[x, t] -> Z[x, t]/(x_e^2, t^2), which is a ring
+    homomorphism, and psi and phi are multilinear (Cauchy-Binet: every
+    minor of a matrix ``sum_e x_e a_e b_e^T`` is), so they are their own
+    images.  In the cycle form the product (sum_e G_ee Y_e) psi is taken
+    in the quotient too, and T keeps only its terms with e != f, the
+    others being 0 there.  The tables are ints: the lifts (or vertex
+    momenta) times d1 and d2 and the pairing times dq, so phi is divided
+    by d1 d2 dq once.
+    """
     if momenta2 is None:
         momenta2 = momenta1
     space = momenta1.space
     if space is not momenta2.space and space.matrix != momenta2.space.matrix:
         raise ValueError("both assignments must live in the same momentum space")
     variables = graph.edge_ids()
-    pairing = [(mu, nu, q) for mu, qrow in enumerate(space.matrix)
-               for nu, q in enumerate(qrow) if q]
-    basis, cmat, m = _kirchhoff(graph, basis, lift1 is not None or lift2 is not None)
-    one, zero = MultiPoly.constant(variables, 1), MultiPoly.zero(variables)
+    qrows, dq = space._ints
+    basis, columns, rows = _kirchhoff(graph, basis, lift1 is not None or lift2 is not None)
+    trows = [[{} for _ in rows] for _ in rows]  # T
     if basis is None:
         (p1, d1), (p2, d2) = momenta1._int_rows(graph), momenta2._int_rows(graph)
-        if m is None:  # one vertex: psi is the product of the loops
-            return _complement(one), zero
         rest = sorted(graph.vertices)[1:]
-
-        def momentum_border(rows, mu):
-            # d P_mu, constant: coordinate mu of the scaled momentum at each vertex of L0.
-            return [MultiPoly.packed(variables, {0: rows[v][mu]} if rows[v][mu] else {})
-                    for v in rest]
-
-        # The sign of phi and the scales d1 d2 go into the weights.
-        return tuple(map(_complement, bordered_det(m, [
-            (-q / (d1 * d2), zero, momentum_border(p1, mu), momentum_border(p2, nu))
-            for mu, nu, q in pairing])))
+        # Row k of T: (Q P2_k)^T P1_l over the columns l.
+        for trow, k in zip(trows, rest):
+            qp2 = [sum(map(_mul, qrow, p2[k])) for qrow in qrows]
+            for entry, v in zip(trow, rest):
+                c = sum(map(_mul, qp2, p1[v]))
+                if c:
+                    entry[0] = c
+        psi, phi = _det_ints(rows, trows, -1)
+        return _complement(variables, psi), _complement(variables, phi, d1 * d2 * dq)
     walk = basis.walk or _tree_walk(graph)  # one walk for both lifts on any basis
 
     def int_lift(lift, momenta):
@@ -405,28 +335,34 @@ def _psi_phi(graph, momenta1, momenta2=None, basis=None, lift1=None, lift2=None)
             return _int_lift(graph, momenta, walk)
         return _scaled_to_ints([lift.vector(e) for e in variables])
 
-    # The lifts as ints: row 0 and column 0 of each bordered matrix scale
-    # by d1 and d2, and the weights undo it.
     same = lift2 is lift1 if lift2 is not None else momenta2 is momenta1
     om1, d1 = int_lift(lift1, momenta1)
     om2, d2 = (om1, d1) if same else int_lift(lift2, momenta2)
-    if m is None:
-        qrows, dq = space._ints
-        return one, _linear_form(variables, [sum(qrows[mu][nu] * a[mu] * b[nu]
-                                                 for mu, nu, _q in pairing)
-                                             for a, b in zip(om1, om2)], d1 * d2 * dq)
-
-    def border(omegas, mu):
-        # d W_mu(omega), one linear form per basis cycle.
-        return [_linear_form(variables, [c * w[mu] for c, w in zip(row, omegas)])
-                for row in cmat]
-
-    w1 = [border(om1, mu) for mu in range(space.dim)]
-    w2 = w1 if same else [border(om2, nu) for nu in range(space.dim)]
-    return bordered_det(m, [
-        (q / (d1 * d2), _linear_form(variables, [a[mu] * b[nu] for a, b in zip(om1, om2)]),
-         w1[mu], w2[nu])
-        for mu, nu, q in pairing])
+    # Q omega2_e on the edges whose lift is not zero.
+    qw2 = {e: [sum(map(_mul, qrow, w)) for qrow in qrows] for e, w in enumerate(om2) if any(w)}
+    support1 = [(f, w) for f, w in enumerate(om1) if any(w)]
+    diagonal = {}
+    for e, u in qw2.items():
+        for f, w in support1:
+            g = sum(map(_mul, u, w))  # G_ef
+            if not g:
+                continue
+            if e == f:  # Y_e^2 = 0: G_ee enters through the corners
+                diagonal[1 << e] = g
+                continue
+            key = 1 << e | 1 << f
+            for k, a in columns[e]:
+                trow, ag = trows[k], a * g
+                for l, b in columns[f]:
+                    # The terms of (e, f) and (f, e) often cancel; no zero is kept.
+                    entry = trow[l]
+                    c = entry.pop(key, 0) + ag * b
+                    if c:
+                        entry[key] = c
+    psi, tr = _det_ints(rows, trows, -1)
+    phi = _mul_into({k: -c for k, c in tr.items()}, diagonal, psi, drop=-1)
+    return (MultiPoly.packed(variables, psi),
+            MultiPoly.packed(variables, {k: c for k, c in phi.items() if c}, d1 * d2 * dq))
 
 
 def second_symanzik_forests(graph, momenta1, momenta2=None):

@@ -1431,6 +1431,7 @@ COLD_UNLOADED = {
     "bordered first": (2, _GRAPH_LAYERS),
     "ratio without y": (2, _GRAPH_LAYERS),
     "crossratio nan": (2, {"tropical_heights.lab"}),
+    "sphere-crossratio": (0, _GRAPH_LAYERS | {"numpy"}),
 }
 
 
@@ -1444,6 +1445,12 @@ def test_cold_run_loads_only_the_layers_it_runs(tmp_path, name):
                                 for a in README_COMMANDS[name]))
     assert code == expected
     assert not loaded & unloaded, sorted(loaded & unloaded)
+
+
+def test_corpus_run_refuses_a_missing_directory_before_any_layer_loads(tmp_path):
+    code, loaded = _cold_main("corpus", "run", str(tmp_path / "nope"))
+    unloaded = _GRAPH_LAYERS | {"tropical_heights.corpus"}
+    assert code == 2 and not loaded & unloaded, sorted(loaded & unloaded)
 
 
 def test_numeric_subcommands_load_numpy(tmp_path, banana_path):

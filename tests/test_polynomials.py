@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from tropical_heights import polynomials, symanzik
+from tropical_heights import symanzik
 from tropical_heights.corpus import random_connected_multigraph, random_conserved_momenta
-from tropical_heights.graphs import cycle_basis
-from tropical_heights.polynomials import (MultiPoly, RingMatrix, bordered_det,
-                                          det_fraction_free, fraction_det)
-from tropical_heights.symanzik import MinkowskiSpace
+from tropical_heights.graphs import CycleBasis, CycleVector, boundary_matrix, cycle_basis
+from tropical_heights.polynomials import MultiPoly, RingMatrix, det_fraction_free, fraction_det
+from tropical_heights.symanzik import MinkowskiSpace, MomentumAssignment, MomentumLift
 
 VARS = ("e1", "e2", "e3")
 
@@ -146,10 +145,23 @@ def rand_entry(rng, variables=VARS):
     return p
 
 
+def bordered(rows, corner, row, column):
+    """The matrix ``[[corner, row^T], [column, rows]]``."""
+    return [[corner, *row]] + [[c, *r] for c, r in zip(column, rows)]
+
+
 def bordered_reference(rows, borders):
     want = MultiPoly.zero(rows[0][0].variables)
     for q, corner, row, column in borders:
-        want = want + q * det_reference([[corner, *row]] + [[c, *r] for c, r in zip(column, rows)])
+        want = want + q * det_reference(bordered(rows, corner, row, column))
+    return want
+
+
+def bordered_by_kernel(rows, borders):
+    """``sum q det [[corner, row^T], [column, rows]]``, each by det_fraction_free."""
+    want = MultiPoly.zero(rows[0][0].variables)
+    for q, *border in borders:
+        want = want + q * det_fraction_free(bordered(rows, *border))
     return want
 
 
@@ -160,17 +172,13 @@ def test_integer_kernel_matches_leibniz():
         for _ in range(6):
             rows = [[rand_entry(rng) for _ in range(n)] for _ in range(n)]
             assert det_fraction_free(rows) == det_reference(rows)
-            # Up to three borders with rational weights, summed under one
-            # common denominator.
+            # Up to three bordered matrices, summed with rational weights.
             borders = []
             for _ in range(rng.randint(1, 3)):
                 q = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
                 corner, *border = [rand_entry(rng) for _ in range(2 * n + 1)]
                 borders.append((q, corner, border[:n], border[n:]))
-            # det(rows) comes back with the sum, from the same memo.
-            det, total = bordered_det(RingMatrix(rows), borders)
-            assert det == det_reference(rows)
-            assert total == bordered_reference(rows, borders)
+            assert bordered_by_kernel(rows, borders) == bordered_reference(rows, borders)
             if n == 5:  # the Leibniz reference takes 6! terms per bordered matrix
                 continue
             # Borders that share one column (the same list, or an equal
@@ -180,17 +188,14 @@ def test_integer_kernel_matches_leibniz():
             shared = [(Fraction(rng.randint(1, 5), rng.randint(1, 4)), rand_entry(rng),
                        [rand_entry(rng) for _ in range(n)], col)
                       for col in (column, column, list(column))]
-            assert bordered_det(RingMatrix(rows), shared)[1] == bordered_reference(rows, shared)
+            assert bordered_by_kernel(rows, shared) == bordered_reference(rows, shared)
             # Corners that sum to zero: 2 c - 3 (2/3 c) = 0.
             corner = rand_entry(rng) + y1
             _q, _corner, row, column = borders[0]
             cancel = [(2, corner, row, column),
                       (-3, Fraction(2, 3) * corner, [rand_entry(rng) for _ in range(n)],
                        [rand_entry(rng) for _ in range(n)])]
-            # No corner reaches det(rows), which one more row-0 expansion gives.
-            det, total = bordered_det(RingMatrix(rows), cancel)
-            assert det == det_reference(rows)
-            assert total == bordered_reference(rows, cancel)
+            assert bordered_by_kernel(rows, cancel) == bordered_reference(rows, cancel)
 
 
 def test_integer_kernel_exponents_past_four_bits():
@@ -229,97 +234,156 @@ def test_det_fraction_free_zero_and_identity():
     assert det_fraction_free([[one, zero], [zero, one]]) == one
 
 
-def wide_calls(monkeypatch):
-    """Record, per ``_det_sum`` call, whether it is the wide redo."""
-    calls = []
-    real = polynomials._det_sum
-
-    def spy(matrix, borders, wide=False):
-        calls.append(wide)
-        return real(matrix, borders, wide)
-
-    monkeypatch.setattr(polynomials, "_det_sum", spy)
-    return calls
-
-
-def test_width_one_kernel_falls_back_when_not_multilinear(monkeypatch):
-    # Width-1 entries whose determinants square a variable: the width-1
-    # pass finds an overlap that does not cancel, and the sum is redone wide.
-    calls = wide_calls(monkeypatch)
+def test_det_fraction_free_is_exact_when_not_multilinear():
+    # Width-1 entries whose determinants square a variable: the expansion
+    # runs on keys wide enough for every minor, so nothing is lost.
     y1, y2, y3 = (MultiPoly.variable(VARS, v) for v in VARS)
     zero = MultiPoly.zero(VARS)
     for rows in ([[y1, zero], [zero, y1]], [[y3, zero], [zero, Fraction(1, 3) * y3]]):
-        calls.clear()
         assert det_fraction_free(rows) == det_reference(rows)
-        assert calls == [False, True]
-    # Only the second of two bordered matrices overlaps; the whole sum is redone.
+    # Two bordered matrices, only the second of which squares a variable.
     matrix = [[y1]]
     borders = [(Fraction(1, 2), y2, [zero], [zero]), (3, y1 + y3, [y2], [y2])]
-    want = MultiPoly.zero(VARS)
-    for q, corner, row, column in borders:
-        want = want + q * det_reference([[corner, *row]] + [[c, *r] for c, r in
-                                                            zip(column, matrix)])
-    calls.clear()
-    assert bordered_det(RingMatrix(matrix), borders) == (MultiPoly.variable(VARS, "e1"), want)
-    assert calls == [False, True]
+    want = bordered_reference(matrix, borders)
+    assert bordered_by_kernel(matrix, borders) == want
     assert want.width == 2
 
 
-def test_width_one_kernel_never_falls_back_on_symanzik_matrices(monkeypatch):
-    # Every Symanzik matrix is a rank-one term per edge plus constants, so
-    # its minors are multilinear: the cycle and vertex forms, plain and
-    # bordered, quadratic and bilinear, all stay on width-1 keys.
-    calls = wide_calls(monkeypatch)
-    rng = random.Random(21)
-    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
-    spaces = (MinkowskiSpace.euclidean(1), MinkowskiSpace.lorentzian(4), rational)
-    forms = []
-    for k in range(60):
-        graph = random_connected_multigraph(rng, max_edges=9, max_vertices=6)
-        mom1, mom2 = (random_conserved_momenta(rng, graph, spaces[k % 3]) for _ in range(2))
+RATIONAL = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+
+
+def _gram(variables, table):
+    """The RingMatrix rows of ``sum_e Y_e t_e t_e^T``, as MultiPoly entries."""
+    ys = [MultiPoly.variable(variables, e) for e in variables]
+    return [[sum((a * b * y for a, b, y in zip(r, s, ys) if a * b),
+                 MultiPoly.zero(variables)) for s in table] for r in table]
+
+
+def _complement(p):
+    return MultiPoly(p.variables, {tuple(1 - x for x in e): c for e, c in p.terms.items()})
+
+
+def symanzik_reference(graph, mom1, mom2, basis=None, lift1=None, lift2=None):
+    """``(psi, phi)`` by Leibniz: psi = det M and phi the literal q-weighted
+    sum of bordered determinants, in the cycle form of ``basis`` (with the
+    tree lifts unless lifts are given), or in the vertex form when None."""
+    variables = graph.edge_ids()
+    zero = MultiPoly.zero(variables)
+    ys = [MultiPoly.variable(variables, e) for e in variables]
+    pairing = [(mu, nu, q) for mu, row in enumerate(mom1.space.matrix)
+               for nu, q in enumerate(row) if q]
+    if basis is None:
+        rows = _gram(variables, boundary_matrix(graph)[1:])
+        rest = sorted(graph.vertices)[1:]
+
+        def border(mom, mu):
+            return [MultiPoly.constant(variables, mom.vector(v)[mu]) for v in rest]
+        phi = bordered_reference(rows, [(-q, zero, border(mom1, mu), border(mom2, nu))
+                                        for mu, nu, q in pairing])
+        return _complement(det_reference(rows)), _complement(phi)
+    rows = _gram(variables, basis.matrix())
+    om1, om2 = (lift or symanzik.momentum_lift(graph, mom)
+                for lift, mom in ((lift1, mom1), (lift2, mom2)))
+
+    def border(om, mu):
+        return [sum((c * om.vector(e)[mu] * y for c, e, y in zip(row, variables, ys)
+                     if c * om.vector(e)[mu]), zero) for row in basis.matrix()]
+    phi = bordered_reference(rows, [
+        (q, sum((om1.vector(e)[mu] * om2.vector(e)[nu] * y for e, y in zip(variables, ys)
+                 if om1.vector(e)[mu] * om2.vector(e)[nu]), zero),
+         border(om1, mu), border(om2, nu)) for mu, nu, q in pairing])
+    return det_reference(rows), phi
+
+
+def near_null_momenta(rng, graph, space):
+    """Lorentzian momenta (n + s, n, 0, ...) with n about 1e8 and small s on
+    every vertex but the last, which takes minus their sum: p^2 = 2 n s +
+    s^2 is about 1e-8 of |p|^2."""
+    vertices = sorted(graph.vertices)
+    momenta = {}
+    for v in vertices[:-1]:
+        n, s = rng.randint(10 ** 8, 2 * 10 ** 8), Fraction(rng.randint(1, 9), rng.randint(1, 3))
+        momenta[v] = (n + s, n) + (0,) * (space.dim - 2)
+    momenta[vertices[-1]] = tuple(-sum(p[i] for p in momenta.values()) for i in range(space.dim))
+    return MomentumAssignment(space, momenta)
+
+
+def shifted_lift(rng, graph, basis, mom):
+    """The tree lift plus a cycle of ``basis`` times a rational vector:
+    another lift of the same momenta, off the tree."""
+    lift = symanzik.momentum_lift(graph, mom)
+    cycle = basis.cycles[rng.randrange(len(basis))]
+    shift = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(mom.space.dim)]
+    return MomentumLift(graph, mom.space, {
+        e: [x + cycle.coefficient(e) * s for x, s in zip(lift.vector(e), shift)]
+        for e in graph.edge_ids()})
+
+
+def sheared_basis(basis):
+    """``basis`` with its first cycle replaced by the sum of the first two:
+    a unimodular change of basis."""
+    a, b, *rest = basis.cycles
+    edges = basis.graph.edge_ids()
+    first = CycleVector({e: a.coefficient(e) + b.coefficient(e) for e in edges})
+    return CycleBasis(basis.graph, basis.tree, [first, b, *rest], basis.nontree_edges)
+
+
+def test_quotient_kernel_matches_forests_and_bordered_reference():
+    # det(M + tT) over Z[x, t]/(x_e^2, t^2) gives psi and phi exactly: each
+    # is checked against the tree and forest routes, and, where the
+    # bordered matrices are at most 4 x 4, against the literal sum of
+    # bordered determinants by Leibniz.  Both Kirchhoff forms, quadratic and
+    # bilinear, in E1, L4 and a rational pairing; the cycle form on the
+    # designated basis, on a sheared one, and with lifts passed in, the tree
+    # lifts and lifts shifted off the tree by a cycle; and near-null
+    # Lorentzian momenta.  Streams 21 and 26 draw the graphs and momenta
+    # of the width-1 and single-border kernel checks this one replaces.
+    spaces = (MinkowskiSpace.euclidean(1), MinkowskiSpace.lorentzian(4), RATIONAL)
+    kinds, referenced = set(), 0
+    cases = []
+    for seed, count in ((21, 60), (26, 45)):
+        rng = random.Random(seed)
+        for k in range(count):
+            graph = random_connected_multigraph(rng, max_edges=9, max_vertices=6)
+            mom1, mom2 = (random_conserved_momenta(rng, graph, spaces[k % 3]) for _ in range(2))
+            cases.append((graph, mom1, mom2, "L4" if k % 3 == 1 else "other"))
+    rng = random.Random(36)
+    for k in range(16):
+        graph = random_connected_multigraph(rng, max_edges=7, max_vertices=5)
+        space = MinkowskiSpace.lorentzian(2 + 2 * (k % 2))
+        mom1, mom2 = (near_null_momenta(rng, graph, space) for _ in range(2))
+        cases.append((graph, mom1, mom2, "near-null"))
+    for graph, mom1, mom2, kind in cases:
         basis = cycle_basis(graph)
         psi = symanzik.first_symanzik_trees(graph)
+        vertex = symanzik._kirchhoff(graph)[0] is None
         assert symanzik.first_symanzik_det(graph) == psi
         assert symanzik.first_symanzik_det(graph, basis=basis) == psi
-        for other in (mom1, mom2):
-            phi = symanzik.second_symanzik_forests(graph, mom1, other)
-            assert symanzik.second_symanzik_bordered(graph, mom1, other) == phi
-            assert symanzik.second_symanzik_bordered(graph, mom1, other, basis=basis) == phi
-        if len(basis):  # with h = 0 neither form has a determinant
-            forms.append(symanzik._kirchhoff(graph)[0] is None)
-    assert forms.count(True) >= 10 and forms.count(False) >= 10
-    assert calls and not any(calls)
-
-
-def test_bordered_det_is_the_sum_of_its_single_border_calls(monkeypatch):
-    # One call over d borders shares M's minors, one family of column sets
-    # per distinct column and a single corner sum; on the Symanzik routes'
-    # own borders it prints as the sum of d one-border calls.
-    seen = []
-    real = polynomials.bordered_det
-    monkeypatch.setattr(symanzik, "bordered_det",
-                        lambda matrix, borders: seen.append((matrix, borders)) or
-                        real(matrix, borders))
-    rng = random.Random(26)
-    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
-    spaces = (MinkowskiSpace.euclidean(1), MinkowskiSpace.lorentzian(4), rational)
-    forms = []
-    for k in range(45):
-        graph = random_connected_multigraph(rng, max_edges=9, max_vertices=6)
-        mom1, mom2 = (random_conserved_momenta(rng, graph, spaces[k % 3]) for _ in range(2))
-        basis = cycle_basis(graph)
         for other in (mom1, mom2):  # quadratic, then bilinear
-            for extra in ({}, {"basis": basis}):  # the smaller form, then the cycle form
-                count = len(seen)
-                symanzik.second_symanzik_bordered(graph, mom1, other, **extra)
-                if len(seen) > count:
-                    forms.append((k % 3, not extra and symanzik._kirchhoff(graph)[0] is None))
-    for matrix, borders in seen:
-        parts = MultiPoly.zero(matrix.variables)
-        for border in borders:
-            parts = parts + real(matrix, [border])[1]
-        assert str(real(matrix, borders)[1]) == str(parts)
-    assert {(k, vertex) for k in range(3) for vertex in (True, False)} <= set(forms)
+            phi = symanzik.second_symanzik_forests(graph, mom1, other)
+            assert symanzik._psi_phi(graph, mom1, other) == (psi, phi)
+            assert symanzik._psi_phi(graph, mom1, other, basis=basis) == (psi, phi)
+            lifts = [symanzik.momentum_lift(graph, m) for m in (mom1, other)]
+            assert symanzik._psi_phi(graph, mom1, other, lift1=lifts[0],
+                                     lift2=lifts[1]) == (psi, phi)
+            if len(basis):
+                lifts = [shifted_lift(rng, graph, basis, m) for m in (mom1, other)]
+                assert symanzik._psi_phi(graph, mom1, other, lift1=lifts[0],
+                                         lift2=lifts[1]) == (psi, phi)
+            if len(basis) > 1:
+                assert symanzik._psi_phi(graph, mom1, other,
+                                         basis=sheared_basis(basis)) == (psi, phi)
+            if vertex and 2 <= len(graph.vertices) <= 4:
+                assert symanzik_reference(graph, mom1, other) == (psi, phi)
+                referenced += 1
+            if 0 < len(basis) <= 3:
+                assert symanzik_reference(graph, mom1, other, basis, *lifts) == (psi, phi)
+                referenced += 1
+        if len(basis):
+            kinds.add((kind, "vertex form" if vertex else "cycle form"))
+    assert kinds == {(kind, form) for kind in ("L4", "other", "near-null")
+                     for form in ("vertex form", "cycle form")}, kinds
+    assert referenced >= 100, referenced
 
 
 def test_det_dimension_limit():
