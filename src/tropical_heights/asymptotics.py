@@ -37,9 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import cycle_basis
 from .spaces import _finite_float, _integer
-from .symanzik import _int_lift, symanzik_ratio_eval
+from .symanzik import _ratio_rows, symanzik_ratio_eval
 
 
 class EdgeParameters:
@@ -181,25 +180,6 @@ class HolomorphicFixture:
         return _quadrants(self._periods(s), self.genus)
 
 
-def _numeric_tables(graph, momenta1, momenta2=None):
-    """``(order, cmat, om1, om2)``: the edge order, ``cycle_basis(graph).matrix()``
-    as an (h, E) float array and the (E, d) float lifts along the basis's
-    tree walk (one array when ``momenta2`` is None or ``momenta1``), each
-    entry ``x / d`` of the int lift, rounded correctly by Python."""
-    order = graph.edge_ids()
-    basis = cycle_basis(graph)
-    rows = basis.matrix()
-
-    def lift(momenta):
-        ints, d = _int_lift(graph, momenta, basis.walk)
-        return np.array([[x / d for x in row] for row in ints]).reshape(
-            len(order), momenta.space.dim)
-
-    om1 = lift(momenta1)
-    om2 = om1 if momenta2 is None or momenta2 is momenta1 else lift(momenta2)
-    return order, np.array(rows, dtype=float).reshape(len(rows), len(order)), om1, om2
-
-
 def graph_blocks(graph, momenta1, momenta2=None):
     """Geometric translation blocks of a graph with external momenta.
 
@@ -210,17 +190,25 @@ def graph_blocks(graph, momenta1, momenta2=None):
     ``gamma_e[mu, nu] = -omega2_{e,mu} omega1_{e,nu}``.
 
     The (E, g+d, g+d) stack of the N_e is one broadcast outer product of
-    the (E, g) cycle table and the (E, d) lift arrays of
-    :func:`_numeric_tables`; every edge's EdgeBlocks holds views of its
-    quadrants.
+    the u and v rows, read off the float tables of the ratio evaluator
+    (``symanzik._ratio_rows``); every edge's EdgeBlocks holds views of
+    its quadrants.
     Returns (blocks, g) with blocks a dict over edge ids.
     """
-    edges, cmat, om1, om2 = _numeric_tables(graph, momenta1, momenta2)
-    g = len(cmat)
-    u = np.concatenate((cmat.T, om2), axis=1)
-    v = np.concatenate((cmat.T, -om1), axis=1)
+    g, n, rows, _pairing = _ratio_rows(graph, momenta1, momenta2)
+    d = momenta1.space.dim
+    cmat = np.zeros((len(rows), g))
+    lifts = np.zeros((len(rows), n))
+    for k, (coeffs, lift) in enumerate(rows):
+        for i, c in coeffs:
+            cmat[k, i] = c
+        if lift is not None:
+            lifts[k] = lift
+    u = np.concatenate((cmat, lifts[:, n - d:]), axis=1)
+    v = np.concatenate((cmat, -lifts[:, :d]), axis=1)
     stack = u[:, :, None] * v[:, None, :]
-    return {e: EdgeBlocks(*_quadrants(stack[k], g)) for k, e in enumerate(edges)}, g
+    return {e: EdgeBlocks(*_quadrants(stack[k], g))
+            for k, e in enumerate(graph.edge_ids())}, g
 
 
 @functools.lru_cache(maxsize=64)

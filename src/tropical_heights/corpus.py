@@ -17,8 +17,8 @@ Three sources of graphs:
 
 :func:`corpus_run` sweeps a directory of graph bundles, checks the two
 first-polynomial routes against each other (and the two second-polynomial
-routes when momenta are present), compares against any golden strings,
-and returns a deterministic machine-readable report.
+routes when momenta are present), compares them with the bundle's
+golden strings, and returns a deterministic machine-readable report.
 """
 
 import itertools
@@ -134,10 +134,12 @@ def check_bundle(bundle):
 
     Returns ``(checks, failures)`` where ``checks`` maps check names to
     "pass"/"fail"/"skipped" and ``failures`` lists human-readable
-    mismatch details.  With momenta, the determinant and bordered
-    polynomials come from one Kirchhoff matrix and one cofactor memo
-    (``symanzik._psi_phi``); each is still checked against its own
-    enumeration, psi against the trees and phi against the 2-forests.
+    mismatch details.  Each string of ``bundle.golden`` must be the
+    canonical string of its polynomial, ``first`` or ``second``.  With
+    momenta, the determinant and bordered polynomials come from one
+    Kirchhoff matrix and one cofactor memo (``symanzik._psi_phi``); each
+    is still checked against its own enumeration, psi against the trees
+    and phi against the 2-forests.
     """
     checks = {}
     failures = []
@@ -167,30 +169,17 @@ def check_bundle(bundle):
                 f"second polynomial mismatch: bordered={by_bordered} "
                 f"forests={by_forests}")
 
-    golden = bundle.raw.get("golden", {})
-    if isinstance(golden, dict) and golden:
-        if "first" in golden:
-            got = str(by_det)
-            if got == golden["first"]:
-                checks["golden_first"] = "pass"
-            else:
-                checks["golden_first"] = "fail"
-                failures.append(
-                    f"golden first mismatch: got {got!r}, expected "
-                    f"{golden['first']!r}")
-        if "second" in golden:
-            if momenta is None:
-                checks["golden_second"] = "fail"
-                failures.append("golden second present but the bundle has no momenta")
-            else:
-                got = str(by_bordered)
-                if got == golden["second"]:
-                    checks["golden_second"] = "pass"
-                else:
-                    checks["golden_second"] = "fail"
-                    failures.append(
-                        f"golden second mismatch: got {got!r}, expected "
-                        f"{golden['second']!r}")
+    polys = {"first": by_det, "second": None if momenta is None else by_bordered}
+    for key, poly in polys.items():
+        want = bundle.golden.get(key)
+        if want is None:
+            continue
+        got = None if poly is None else str(poly)
+        checks[f"golden_{key}"] = "pass" if got == want else "fail"
+        if got is None:
+            failures.append(f"golden {key} present but the bundle has no momenta")
+        elif got != want:
+            failures.append(f"golden {key} mismatch: got {got!r}, expected {want!r}")
     return checks, failures
 
 

@@ -2,10 +2,12 @@ r"""Dual graphs of stable nodal curves.
 
 A nodal curve is encoded by its dual graph: one vertex per component
 with a geometric genus label, one edge per node, and marked points
-(optionally carrying external momenta) attached to vertices, as read
-into a :class:`GraphBundle`.  The functions here cover the standard
-bookkeeping: stability, arithmetic genus, pushing marking momenta down
-to vertices, and the dimension count for deformations of the curve.
+(optionally carrying external momenta) attached to vertices.  A graph
+bundle read from JSON is a :class:`GraphBundle`: the :class:`StableCurve`
+it describes, checked whole when it is built.  The functions here cover
+the standard bookkeeping: stability, arithmetic genus, pushing marking
+momenta down to vertices, and the dimension count for deformations of
+the curve.
 """
 
 from typing import NamedTuple
@@ -89,40 +91,35 @@ class StableCurve:
                 f"|E|={len(self.graph.edges)}, n={len(self.markings)})")
 
 
-class GraphBundle:
-    """Parsed graph JSON: the multigraph plus optional curve/momentum data.
+class GraphBundle(StableCurve):
+    """A parsed graph bundle: the stable curve it describes, checked whole
+    by :class:`StableCurve`, plus its ``golden`` strings.
 
     ``space`` is the momentum space: the bundle's ``minkowski`` entry, or
-    Euclidean of the marking momenta's dimension when that is omitted.
-    It is None only when no marking carries a momentum.  The vertex
-    genera are checked as :meth:`curve` checks them.
+    Euclidean of the first marking momentum's dimension when that is
+    omitted.  It is None only when no marking carries a momentum.
+    ``golden`` maps ``first``/``second`` to the canonical strings the
+    bundle's polynomials are expected to print as.
     """
 
-    __slots__ = ("graph", "genus", "markings", "space", "raw")
+    __slots__ = ("golden",)
 
-    def __init__(self, graph, genus=None, markings=(), space=None, raw=None):
-        self.graph = graph
-        if genus is not None:
-            _vertex_genera(graph, genus)
-        self.genus = genus
-        self.markings = tuple(markings)
+    def __init__(self, graph, genus=None, markings=(), space=None, golden=None):
+        markings = tuple(markings)
         if space is None:
-            dim = next((len(m.momentum) for m in self.markings if m.momentum), None)
+            dim = next((len(m.momentum) for m in markings if m.momentum), None)
             if dim is not None:
                 space = MinkowskiSpace.euclidean(dim)
-        self.space = space
-        self.raw = raw if raw is not None else {}
+        super().__init__(graph, genus, markings, space)
+        self.golden = dict(golden or {})
 
     def curve(self):
-        """The bundle as a stable-curve candidate (vertex genera default 0)."""
-        return StableCurve(self.graph, genus=self.genus, markings=self.markings,
-                           space=self.space)
+        """The bundle's stable curve: the bundle itself."""
+        return self
 
     def momentum_assignment(self):
         """Per-vertex momenta summed from the markings (None if unmarked)."""
-        if self.space is None:
-            return None
-        return restrict_momenta(self.curve())
+        return None if self.space is None else restrict_momenta(self)
 
 
 def is_stable(curve, with_markings=False):

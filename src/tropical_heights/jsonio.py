@@ -12,22 +12,26 @@ shared by every schema here:
   with the dotted path of the offending field.
 
 This module checks only what is JSON: types, shapes, and required and
-unknown keys.  Every rule on a value (finite, within float range, signed,
+unknown keys (an object holding a key its reader does not read is
+refused).  Every rule on a value (finite, within float range, signed,
 integral, or tied to another field) belongs to the constructor of the
 object the value goes into; its ``ValueError`` becomes a SchemaError
 whose message is the JSON path of that object followed by the
 constructor's message, which names the field.
 
 The graph bundle is the shared input format, read into a
-:class:`curves.GraphBundle`::
+:class:`curves.GraphBundle`, which checks it whole as a stable curve::
 
     {"vertices": [{"id": str, "genus": int}, ...],
      "edges": [{"id": str, "tail": str, "head": str}, ...],
      "markings": [{"id": str, "vertex": str, "momentum": [rational...]}, ...],
-     "minkowski": {"dim": int, "matrix": [[rational...], ...]}}
+     "minkowski": {"dim": int, "matrix": [[rational...], ...]},
+     "golden": {"first": str, "second": str}}
 
-``genus``, ``markings`` and ``minkowski`` are optional; vertices may be
-plain id strings when no genus is attached.
+``genus``, ``markings``, ``momentum``, ``minkowski``, ``golden`` and its
+strings are optional; vertices may be plain id strings.  ``minkowski``
+takes ``matrix`` or ``signature`` (``"euclidean"``, the default, or
+``"lorentzian"``), not both.
 """
 
 import cmath
@@ -49,9 +53,34 @@ class SchemaError(ValueError):
         super().__init__(f"{loc}: {message}")
 
 
-def _require(data, key, path, kind=None):
+# The keys each reader reads, per object with fixed keys.
+_BUNDLE = frozenset(("vertices", "edges", "markings", "minkowski", "golden"))
+_VERTEX = frozenset(("id", "genus"))
+_EDGE = frozenset(("id", "tail", "head"))
+_MARKING = frozenset(("id", "vertex", "momentum"))
+_GOLDEN = frozenset(("first", "second"))
+_MINKOWSKI = frozenset(("dim", "matrix", "signature"))
+_MONODROMY = frozenset(("edges", "sections1", "sections2"))
+_MONODROMY_EDGE = frozenset(("c", "d1", "d2"))
+_POINT = frozenset(("omega", "w", "z", "rho"))
+_FIXTURE = frozenset(("genus", "dim", "edge_ids", "terms"))
+_TERM = frozenset(("field", "coeff", "exponents"))
+_SEGMENT = frozenset(("edges",))
+_FAMILY = frozenset(("y_total", "divisor1", "divisor2", "minkowski", "alphas",
+                     "imag_offset", "metric_scale"))
+_INSERTION = frozenset(("c", "x", "momentum"))
+
+
+def _object(data, keys, path):
+    """``data`` if it is an object whose keys all lie in the frozenset ``keys``."""
     if not isinstance(data, dict):
         raise SchemaError("expected an object", path)
+    if not data.keys() <= keys:
+        raise SchemaError(f"unknown fields {sorted(data.keys() - keys)}", path)
+    return data
+
+
+def _require(data, key, path, kind=None):
     if key not in data:
         raise SchemaError(f"missing required field {key!r}", path)
     value = data[key]
@@ -182,8 +211,10 @@ def dump_json(obj, path):
 
 def minkowski_from_json(data, path=("minkowski",)):
     from .spaces import MinkowskiSpace
-    dim = _require(data, "dim", path)
+    dim = _require(_object(data, _MINKOWSKI, path), "dim", path)
     if "matrix" in data:
+        if "signature" in data:
+            raise SchemaError("give either matrix or signature, not both", path)
         # dim only declares the matrix's size; MinkowskiSpace checks it is >= 1.
         if type(dim) is not int:
             raise SchemaError("expected an integer", path + ("dim",))
@@ -208,21 +239,22 @@ def graph_bundle_from_json(data, path=()):
     """Parse the graph bundle schema into a :class:`curves.GraphBundle`."""
     from .curves import GraphBundle, Marking
     from .graphs import Multigraph
-    if not isinstance(data, dict):
-        raise SchemaError("expected a graph object", path)
+    _object(data, _BUNDLE, path)
     vertices = []
     genus = {}
     for i, v in enumerate(_as_list(_require(data, "vertices", path), path + ("vertices",))):
         if isinstance(v, str):
             vertices.append(v)
             continue
-        vid = _require(v, "id", path + ("vertices", i), str)
+        vpath = path + ("vertices", i)
+        vid = _require(_object(v, _VERTEX, vpath), "id", vpath, str)
         vertices.append(vid)
         if "genus" in v:
             genus[vid] = v["genus"]
     edges = []
     for i, e in enumerate(_as_list(_require(data, "edges", path), path + ("edges",))):
         epath = path + ("edges", i)
+        _object(e, _EDGE, epath)
         edges.append((_require(e, "id", epath, str),
                       _require(e, "tail", epath, str),
                       _require(e, "head", epath, str)))
@@ -235,25 +267,23 @@ def graph_bundle_from_json(data, path=()):
     markings = []
     for i, m in enumerate(_as_list(data.get("markings", []), path + ("markings",))):
         mpath = path + ("markings", i)
-        mid = _require(m, "id", mpath, str)
-        vertex = _require(m, "vertex", mpath, str)
-        if vertex not in graph.vertices:
-            raise SchemaError(f"marking vertex {vertex!r} is not in the graph",
-                              mpath + ("vertex",))
+        mid = _require(_object(m, _MARKING, mpath), "id", mpath, str)
         momentum = ()
         if "momentum" in m:
             momentum = rational_vector_from_json(m["momentum"], mpath + ("momentum",))
-        markings.append(Marking(mid, vertex, momentum))
+        markings.append(Marking(mid, _require(m, "vertex", mpath, str), momentum))
 
-    return _built(path + ("vertices",), GraphBundle, graph, genus=genus or None,
-                  markings=markings, space=space, raw=data)
+    golden = _object(data.get("golden", {}), _GOLDEN, path + ("golden",))
+    for key in golden:
+        _require(golden, key, path + ("golden",), str)
+    return _built(path, GraphBundle, graph, genus, markings, space, golden)
 
 
 def load_graph_bundle(path):
     return graph_bundle_from_json(load_json(path))
 
 
-def graph_bundle_to_json(graph, genus=None, markings=(), space=None, extra=None):
+def graph_bundle_to_json(graph, genus=None, markings=(), space=None):
     data = {
         "vertices": [
             {"id": v, **({"genus": genus[v]} if genus and v in genus else {})}
@@ -273,8 +303,6 @@ def graph_bundle_to_json(graph, genus=None, markings=(), space=None, extra=None)
         ]
     if space is not None:
         data["minkowski"] = minkowski_to_json(space)
-    if extra:
-        data.update(extra)
     return data
 
 
@@ -289,7 +317,7 @@ def monodromy_fixture_from_json(data, path=()):
     the sorted union of the crossing keys is used.
     """
     from .monodromy import SectionCrossingData, VanishingCycleData
-    edges = _require(data, "edges", path)
+    edges = _require(_object(data, _MONODROMY, path), "edges", path)
     if not isinstance(edges, dict) or not edges:
         raise SchemaError("edges must be a non-empty object", path + ("edges",))
     coeffs = {}
@@ -297,6 +325,7 @@ def monodromy_fixture_from_json(data, path=()):
     d2 = {}
     for eid, entry in edges.items():
         epath = path + ("edges", eid)
+        _object(entry, _MONODROMY_EDGE, epath)
         coeffs[eid] = _as_list(_require(entry, "c", epath), epath + ("c",))
         for key, store in (("d1", d1), ("d2", d2)):
             store[eid] = entry.get(key, {})
@@ -323,6 +352,7 @@ def monodromy_fixture_from_json(data, path=()):
 # Biextension points
 
 def biextension_point_from_json(data, path=()):
+    _object(data, _POINT, path)
     omega = complex_matrix_from_json(_require(data, "omega", path), path + ("omega",))
     w = complex_vector_from_json(_require(data, "w", path), path + ("w",))
     z = complex_vector_from_json(_require(data, "z", path), path + ("z",))
@@ -336,14 +366,14 @@ def biextension_point_from_json(data, path=()):
 
 def holomorphic_fixture_from_json(data, path=()):
     from .asymptotics import HolomorphicFixture
-    genus = _require(data, "genus", path)
+    genus = _require(_object(data, _FIXTURE, path), "genus", path)
     edge_ids = [str(e) for e in _as_list(data.get("edge_ids", []), path + ("edge_ids",))]
     fx = _built(path, HolomorphicFixture, genus, dim=data.get("dim", 1), edge_ids=edge_ids)
     if fx.genus == 0:  # the API takes a tree's genus 0, this format does not
         raise SchemaError("fixture needs positive genus", path + ("genus",))
     for i, term in enumerate(_as_list(_require(data, "terms", path), path + ("terms",))):
         tpath = path + ("terms", i)
-        field = _require(term, "field", tpath, str)
+        field = _require(_object(term, _TERM, tpath), "field", tpath, str)
         coeff = complex_matrix_from_json(_require(term, "coeff", tpath),
                                          tpath + ("coeff",))
         exponents = term.get("exponents", {})
@@ -355,7 +385,7 @@ def holomorphic_fixture_from_json(data, path=()):
 
 def segment_from_json(data, path=()):
     from .asymptotics import AdmissibleSegment
-    edges = _require(data, "edges", path, dict)
+    edges = _require(_object(data, _SEGMENT, path), "edges", path, dict)
     for eid, entry in edges.items():
         epath = path + ("edges", eid)
         if not isinstance(entry, dict):
@@ -372,7 +402,8 @@ def _divisor_from_json(value, path):
     out = []
     for i, ins in enumerate(_as_list(value, path)):
         ipath = path + (i,)
-        c = rational_from_json(_require(ins, "c", ipath), ipath + ("c",))
+        c = rational_from_json(_require(_object(ins, _INSERTION, ipath), "c", ipath),
+                               ipath + ("c",))
         x = _number(ins.get("x", 0), ipath + ("x",))
         momentum = rational_vector_from_json(_require(ins, "momentum", ipath),
                                              ipath + ("momentum",))
@@ -382,7 +413,8 @@ def _divisor_from_json(value, path):
 
 def degeneration_family_from_json(data, path=()):
     from .lab import DegenerationFamily
-    y_total = rational_from_json(_require(data, "y_total", path), path + ("y_total",))
+    y_total = rational_from_json(_require(_object(data, _FAMILY, path), "y_total", path),
+                                 path + ("y_total",))
     divisor1 = _divisor_from_json(_require(data, "divisor1", path), path + ("divisor1",))
     divisor2 = None
     if data.get("divisor2") is not None:
@@ -397,6 +429,4 @@ def degeneration_family_from_json(data, path=()):
     for key in ("imag_offset", "metric_scale"):
         if key in data:
             kwargs[key] = _number(data[key], path + (key,))
-    if "mode" in data:
-        kwargs["mode"] = data["mode"]
     return _built(path, DegenerationFamily, y_total, divisor1, divisor2, space=space, **kwargs)

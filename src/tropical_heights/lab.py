@@ -808,13 +808,14 @@ class DegenerationFamily:
     """Family of tori tau(a') = i (Y / (2 pi a') + offset) with marked
     points at fixed fractional positions.
 
-    ``divisor1``/``divisor2`` are iterables of (c, x, momentum); in
-    ``mode="self"`` the second divisor is omitted and the pairing is the
-    regularized self-pairing.  ``imag_offset`` is a bounded admissible
-    perturbation of the vertical direction: it leaves the limit
-    unchanged while making the first-order remainder visible (offset 0
-    reproduces the straight family, whose remainder decays faster than
-    any power).  Every number must be finite; a NaN, infinite or
+    ``divisor1``/``divisor2`` are iterables of (c, x, momentum); with the
+    second divisor omitted, the pairing is the regularized self-pairing
+    and ``mode`` reads ``"self"`` (else ``"disjoint"``).
+    ``imag_offset`` is a bounded admissible perturbation of the vertical
+    direction: it leaves the limit unchanged while making the first-order
+    remainder visible (offset 0 reproduces the straight family, whose
+    remainder decays faster than any power).  Every number must be
+    finite; a NaN, infinite or
     out-of-float-range one raises a ``ValueError`` that names its field
     (``alphas.k`` for the k-th alpha, ``divisor1.k.x`` for an insertion's
     x), as do a ``y_total`` or an alpha that is not positive, fewer than two
@@ -829,19 +830,11 @@ class DegenerationFamily:
 
     def __init__(self, y_total, divisor1, divisor2=None, space=None,
                  alphas=(1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4),
-                 imag_offset=0.5, metric_scale=1.0, mode=None):
+                 imag_offset=0.5, metric_scale=1.0):
         self.y_total = _finite_float(y_total, "y_total")
         if self.y_total <= 0:
             raise ValueError(f"y_total must be a positive total length, got {self.y_total!r}")
         self.divisor1 = _as_insertions(divisor1, "divisor1")
-        if mode is None:
-            mode = "self" if divisor2 is None else "disjoint"
-        if mode not in ("disjoint", "self"):
-            raise ValueError(f"unknown mode {mode!r}")
-        if mode == "disjoint" and divisor2 is None:
-            raise ValueError("disjoint mode needs a second divisor")
-        if mode == "self" and divisor2 is not None:
-            raise ValueError("self mode takes a single divisor")
         self.divisor2 = _as_insertions(divisor2, "divisor2") if divisor2 is not None else None
         dim = len(self.divisor1[0].momentum)
         self.space = space if space is not None else MinkowskiSpace.euclidean(dim)
@@ -870,7 +863,7 @@ class DegenerationFamily:
         self.metric_scale = _finite_float(metric_scale, "metric_scale")
         if self.metric_scale <= 0:
             raise ValueError(f"metric_scale must be positive, got {self.metric_scale!r}")
-        self.mode = mode
+        self.mode = "self" if self.divisor2 is None else "disjoint"
 
     def tau(self, alpha):
         return complex(0.0, self.y_total / (2.0 * math.pi * alpha) + self.imag_offset)

@@ -28,7 +28,7 @@ from tropical_heights import (
     momentum_lift,
     tropical_height,
 )
-from tropical_heights.asymptotics import _heights, _numeric_tables
+from tropical_heights.asymptotics import _heights
 from tropical_heights.corpus import random_conserved_momenta, random_connected_multigraph
 
 from test_symanzik import ratio_cases
@@ -162,16 +162,24 @@ def test_height_eval_requires_positive_translate():
 
 
 def test_numeric_lift_is_the_float_of_the_exact_lift():
+    # graph_blocks reads c_e and the lifts off the ratio evaluator's float
+    # tables: each N_e is the outer product of the correctly rounded floats of
+    # the exact cycle coefficients and lifts, u_e = (c_e, omega2_e) and
+    # v_e = (c_e, -omega1_e).
     for graph, mom1, mom2 in ratio_cases(23, 60):
-        order, cmat, om1, om2 = _numeric_tables(graph, mom1, mom2)
-        assert order == graph.edge_ids()
-        assert cmat.tobytes() == np.array(cycle_basis(graph).matrix(), dtype=float).reshape(
-            first_betti(graph), len(order)).tobytes()
-        assert (om2 is om1) == (mom2 is None)
-        for got, mom in ((om1, mom1), (om2, mom2 or mom1)):
-            lift = momentum_lift(graph, mom)
-            want = np.array([[float(x) for x in lift.vector(e)] for e in order])
-            assert got.tobytes() == want.reshape(len(order), mom.space.dim).tobytes()
+        blocks, g = graph_blocks(graph, mom1, mom2)
+        order = graph.edge_ids()
+        assert g == first_betti(graph) and tuple(blocks) == order
+        cmat = np.array(cycle_basis(graph).matrix(), dtype=float).reshape(g, len(order)).T
+        om1, om2 = (np.array([[float(x) for x in momentum_lift(graph, mom).vector(e)]
+                              for e in order]).reshape(len(order), mom.space.dim)
+                    for mom in (mom1, mom2 or mom1))
+        u = np.concatenate((cmat, om2), axis=1)
+        v = np.concatenate((cmat, -om1), axis=1)
+        for k, e in enumerate(order):
+            b = blocks[e]
+            got = np.block([[b.mt, b.z], [b.w, b.gamma]])
+            assert got.tobytes() == np.outer(u[k], v[k]).tobytes()
 
 
 def test_graph_blocks_banana_frozen():

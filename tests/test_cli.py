@@ -1262,7 +1262,7 @@ CLI_TWINS = {
     "crossing 0.5": (*_mono_edge(d1={"l1": 0.5}), "<root>"),
     "vertex genus True": (["curve", "stability", "--graph", "g.json"],
                           {"g.json": {**_BANANA, "vertices": [{"id": "v1", "genus": True},
-                                                              "v2"]}}, "vertices"),
+                                                              "v2"]}}, "<root>"),
     "family alphas -1e-3": (*_torus(alphas=[1e-2, -1e-3]), "<root>"),
     "family x 10**400": (*_torus(divisor1=[{"c": 0, "x": 10 ** 400, "momentum": [1]},
                                            {"c": "1/2", "momentum": [-1]}]), "<root>"),
@@ -1281,6 +1281,110 @@ def test_cli_error_is_json_path_and_constructor_message(capsys, tmp_path, name):
         dump_json(data, tmp_path / file)
     result = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
     assert result == (2, "", f"input error: {path}: {err.value}\n")
+
+
+# A key that no reader reads is refused: each of these files once ran with the
+# key ignored and exit 0.  (argv, files with the stray key, the error line,
+# the same files with the key spelled right, what those print.)
+_TRIANGLE = {"vertices": ["v1", "v2", "v3"],
+             "edges": [{"id": "e1", "tail": "v1", "head": "v2"},
+                       {"id": "e2", "tail": "v2", "head": "v3"},
+                       {"id": "e3", "tail": "v3", "head": "v1"}],
+             "markings": [{"id": "l1", "vertex": "v1", "momentum": [2, 1]},
+                          {"id": "l2", "vertex": "v2", "momentum": [-2, -1]}]}
+_LORENTZIAN_TRIANGLE = {**_TRIANGLE, "minkowski": {"dim": 2, "signature": "lorentzian"}}
+_README_FAMILY = {"y_total": 1, **_README_DIVISORS}
+_EXPONENT_FIXTURE = {**_FIXTURE, "terms": [{**_FIXTURE["terms"][0], "exponents": {"e1": 1}}]}
+STRAY_KEY_REPRODUCERS = {
+    "minkowski signture": (
+        ["symanzik", "second", "--graph", "g.json"],
+        {"g.json": {**_TRIANGLE, "minkowski": {"dim": 2, "signture": "lorentzian"}}},
+        "minkowski: unknown fields ['signture']",
+        {"g.json": _LORENTZIAN_TRIANGLE}, "3*Y_e1*Y_e2 + 3*Y_e1*Y_e3"),
+    "minkowski matrix and signature": (
+        ["symanzik", "second", "--graph", "g.json"],
+        {"g.json": {**_TRIANGLE, "minkowski": {**_LORENTZIAN_TRIANGLE["minkowski"],
+                                               "matrix": [[1, 0], [0, 1]]}}},
+        "minkowski: give either matrix or signature, not both",
+        {"g.json": _LORENTZIAN_TRIANGLE}, "3*Y_e1*Y_e2 + 3*Y_e1*Y_e3"),
+    "family imag_ofset": (
+        *_torus(imag_ofset=0), "<root>: unknown fields ['imag_ofset']",
+        {"fam.json": {**_README_FAMILY, "imag_offset": 0}}, '"remainder_at_noise_floor": true'),
+    "fixture term exponent": (
+        *_limit(fixture={**_FIXTURE, "terms": [{**_FIXTURE["terms"][0],
+                                                "exponent": {"e1": 1}}]}),
+        "terms.0: unknown fields ['exponent']",
+        _limit(fixture=_EXPONENT_FIXTURE)[1], '"samples": [4.5, 4.5, 4.5]'),
+    "segment schedule": (
+        *_limit(fixture=README_FILES["fixture.json"],
+                segment={**README_FILES["segment.json"], "schedule": [1e-2, 1e-3]}),
+        "<root>: unknown fields ['schedule']",
+        _limit(fixture=README_FILES["fixture.json"], segment=README_FILES["segment.json"])[1],
+        '"value": 4.500000134812338'),
+    "point rh0": (
+        ["poincare", "norm", "--point", "p.json"], {"p.json": {**_POINT, "rh0": [0.0, 0.5]}},
+        "<root>: unknown fields ['rh0']", {"p.json": _POINT}, "-3.141592653589793"),
+}
+
+
+@pytest.mark.parametrize("name", STRAY_KEY_REPRODUCERS)
+def test_stray_key_is_input_error_and_the_right_key_runs(capsys, tmp_path, name):
+    argv, stray, error, right, printed = STRAY_KEY_REPRODUCERS[name]
+    argv = [str(tmp_path / a) if a in stray else a for a in argv]
+    for files, want in ((stray, None), (right, printed)):
+        for file, data in files.items():
+            dump_json(data, tmp_path / file)
+        code, out, err = run(capsys, *argv)
+        if want is None:
+            assert (code, out, err) == (2, "", f"input error: {error}\n")
+        else:
+            assert code == 0 and want in out and err == "", (code, out, err)
+
+
+# Bundles whose markings no stable curve has: every command that reads the
+# bundle refuses it with StableCurve's message, and corpus run lists it as an
+# error row.
+BAD_MARKING_BUNDLES = {
+    "duplicate_id": ({**_BANANA, "markings": [{"id": "l1", "vertex": "v1", "momentum": [3]},
+                                             {"id": "l1", "vertex": "v2", "momentum": [-3]}]},
+                     "<root>: duplicate marking id 'l1'"),
+    "dimensions_disagree": (
+        {**_BANANA, "markings": [{"id": "l1", "vertex": "v1", "momentum": [3]},
+                                 {"id": "l2", "vertex": "v2", "momentum": [-3, 0]}]},
+        "<root>: marking 'l2' momentum has dimension 2, expected 1"),
+}
+BUNDLE_COMMANDS = {
+    **{f"symanzik {which}": ["symanzik", which, "--graph", "g.json"]
+       for which in ("first", "second")},
+    "symanzik ratio": ["symanzik", "ratio", "--graph", "g.json", "--y", "e1=1,e2=1"],
+    **{f"curve {which}": ["curve", which, "--graph", "g.json"]
+       for which in ("genus", "stability", "dimensions")},
+    "monodromy check": ["monodromy", "check", "--graph", "g.json", "--fixture", "mono.json"],
+    "limit eval": ["limit", "eval", "--graph", "g.json", "--fixture", "fixture.json",
+                   "--segment", "segment.json"],
+}
+
+
+@pytest.mark.parametrize("command", BUNDLE_COMMANDS)
+@pytest.mark.parametrize("bundle", BAD_MARKING_BUNDLES)
+def test_bad_marking_bundle_is_one_input_error_everywhere(capsys, tmp_path, bundle, command):
+    data, error = BAD_MARKING_BUNDLES[bundle]
+    files = {"g.json": data, **{f: README_FILES[f]
+                                for f in ("mono.json", "fixture.json", "segment.json")}}
+    for file, value in files.items():
+        dump_json(value, tmp_path / file)
+    argv = [str(tmp_path / a) if a in files else a for a in BUNDLE_COMMANDS[command]]
+    assert run(capsys, *argv) == (2, "", f"input error: {error}\n")
+
+
+def test_corpus_run_lists_bad_marking_bundles_as_errors(capsys, tmp_path):
+    for name, (data, _error) in BAD_MARKING_BUNDLES.items():
+        dump_json(data, tmp_path / f"{name}.json")
+    code, out, _err = run(capsys, "corpus", "run", str(tmp_path))
+    assert code == 1
+    want = sorted(BAD_MARKING_BUNDLES.items())
+    assert json.loads(out)["graphs"] == [{"name": name, "status": "error", "detail": error}
+                                         for name, (_data, error) in want]
 
 
 def test_limit_on_a_segment_past_float_range_is_input_error(capsys, tmp_path):

@@ -15,6 +15,7 @@ from tropical_heights import (
     second_symanzik_forests,
 )
 from tropical_heights.corpus import (
+    check_bundle,
     corpus_data_dir,
     corpus_run,
     exhaustive_small_graphs,
@@ -25,8 +26,9 @@ from tropical_heights.corpus import (
 from tropical_heights.jsonio import (
     dump_json,
     dumps_canonical,
+    load_graph_bundle,
 )
-from tropical_heights import MinkowskiSpace
+from tropical_heights import GraphBundle, MinkowskiSpace
 
 
 def test_exhaustive_counts_up_to_isomorphism():
@@ -102,6 +104,18 @@ def test_corpus_run_reports_bad_golden(tmp_path):
     bad = next(r for r in report["graphs"] if r["status"] == "fail")
     assert bad["name"] == "banana2"
     assert "golden first mismatch" in bad["detail"]
+
+
+def test_check_bundle_compares_each_golden_string():
+    banana = load_graph_bundle(corpus_data_dir() / "banana2.json")
+    banana.golden["second"] = "Y_e1*Y_e2"
+    checks, failures = check_bundle(banana)
+    assert (checks["golden_first"], checks["golden_second"]) == ("pass", "fail")
+    assert failures == ["golden second mismatch: got '9*Y_e1*Y_e2', expected 'Y_e1*Y_e2'"]
+    unmarked = GraphBundle(banana.graph, golden={"second": "9*Y_e1*Y_e2"})
+    checks, failures = check_bundle(unmarked)
+    assert "golden_first" not in checks and checks["golden_second"] == "fail"
+    assert failures == ["golden second present but the bundle has no momenta"]
 
 
 def test_corpus_run_reports_schema_errors(tmp_path):

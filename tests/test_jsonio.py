@@ -1,6 +1,7 @@
 """Tests for the JSON schemas: parsing, validation paths, and the round
 trips of the graph-bundle and Minkowski writers."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -97,13 +98,13 @@ def test_graph_bundle_roundtrip():
     }
     bundle = graph_bundle_from_json(data)
     assert bundle.graph.edge_ids() == ("e1", "e2")
-    assert bundle.genus == {"v1": 1}
+    assert bundle.genus == {"v1": 1, "v2": 0}
+    assert bundle.golden == {}
     assert bundle.space.matrix == space.matrix
     assert bundle.markings[0].momentum == (1, Fraction(1, 2))
     mom = bundle.momentum_assignment()
     assert mom.vector("v1") == (1, Fraction(1, 2))
-    curve = bundle.curve()
-    assert curve.genus["v1"] == 1
+    assert bundle.curve() is bundle
 
     redata = graph_bundle_to_json(bundle.graph, genus=bundle.genus,
                                   markings=bundle.markings, space=bundle.space)
@@ -117,7 +118,8 @@ def test_graph_bundle_roundtrip():
 def test_graph_bundle_rejects_bad_marking_vertex():
     data = dict(TRIANGLE_JSON)
     data["markings"] = [{"id": "l1", "vertex": "v9"}]
-    with pytest.raises(SchemaError, match="not in the graph"):
+    # The rule is StableCurve's, at the path of the bundle it checks whole.
+    with pytest.raises(SchemaError, match=r"^<root>: marking 'l1' on unknown vertex 'v9'$"):
         graph_bundle_from_json(data)
 
 
@@ -257,3 +259,69 @@ def test_file_io_and_canonical_form(tmp_path):
     broken.write_text("{not json")
     with pytest.raises(SchemaError, match="invalid JSON"):
         load_json(broken)
+
+
+# One valid input per reader, and the path of each object with fixed keys in it.
+_BUNDLE = {
+    "vertices": [{"id": "v1", "genus": 0}, "v2"],
+    "edges": [{"id": "e1", "tail": "v1", "head": "v2"},
+              {"id": "e2", "tail": "v1", "head": "v2"}],
+    "markings": [{"id": "l1", "vertex": "v1", "momentum": [3]},
+                 {"id": "l2", "vertex": "v2", "momentum": [-3]}],
+    "minkowski": {"dim": 1, "signature": "euclidean"},
+    "golden": {"first": "Y_e1 + Y_e2", "second": "9*Y_e1*Y_e2"},
+}
+_MONODROMY = {"edges": {"e1": {"c": [1], "d1": {"l1": 1}, "d2": {"l2": 1}},
+                        "e2": {"c": [-1], "d1": {}, "d2": {}}},
+              "sections1": ["l1"], "sections2": ["l2"]}
+_POINT = {"omega": [[[0.0, 1.0]]], "w": [[0.25, 0.0]], "z": [[0.0, 0.5]], "rho": [0.0, 0.5]}
+_FIXTURE = {"genus": 1, "dim": 1, "edge_ids": ["e1"],
+            "terms": [{"field": "omega", "coeff": [[[0.0, 1.0]]], "exponents": {"e1": 1}}]}
+_SEGMENT = {"edges": {"e1": {"y_scale": 1.0}}}
+_FAMILY = {"y_total": 1, "divisor1": [{"c": 0, "x": 0.5, "momentum": [1]},
+                                      {"c": "1/2", "momentum": [-1]}],
+           "divisor2": [{"c": "1/8", "momentum": [1]}, {"c": "3/8", "momentum": [-1]}],
+           "minkowski": {"dim": 1, "matrix": [[1]]}, "alphas": [1e-2, 1e-3],
+           "imag_offset": 0.5, "metric_scale": 1.0}
+STRAY_KEY_OBJECTS = {
+    "bundle": (graph_bundle_from_json, _BUNDLE, ()),
+    "vertex": (graph_bundle_from_json, _BUNDLE, ("vertices", 0)),
+    "edge": (graph_bundle_from_json, _BUNDLE, ("edges", 1)),
+    "marking": (graph_bundle_from_json, _BUNDLE, ("markings", 0)),
+    "golden": (graph_bundle_from_json, _BUNDLE, ("golden",)),
+    "minkowski": (graph_bundle_from_json, _BUNDLE, ("minkowski",)),
+    "monodromy": (monodromy_fixture_from_json, _MONODROMY, ()),
+    "monodromy edge": (monodromy_fixture_from_json, _MONODROMY, ("edges", "e2")),
+    "point": (biextension_point_from_json, _POINT, ()),
+    "fixture": (holomorphic_fixture_from_json, _FIXTURE, ()),
+    "fixture term": (holomorphic_fixture_from_json, _FIXTURE, ("terms", 0)),
+    "segment": (segment_from_json, _SEGMENT, ()),
+    "family": (degeneration_family_from_json, _FAMILY, ()),
+    "family insertion": (degeneration_family_from_json, _FAMILY, ("divisor2", 1)),
+}
+
+
+@pytest.mark.parametrize("name", STRAY_KEY_OBJECTS)
+def test_reader_refuses_a_key_it_does_not_read(name):
+    read, data, where = STRAY_KEY_OBJECTS[name]
+    read(copy.deepcopy(data))  # every key of the input is read
+    stray = copy.deepcopy(data)
+    obj = stray
+    for key in where:
+        obj = obj[key]
+    obj["bogus"] = 1
+    with pytest.raises(SchemaError) as err:
+        read(stray)
+    assert str(err.value) == f"{'.'.join(map(str, where)) or '<root>'}: unknown fields ['bogus']"
+
+
+def test_golden_shape_and_retired_family_mode():
+    bundle = graph_bundle_from_json(copy.deepcopy(_BUNDLE))
+    assert bundle.golden == _BUNDLE["golden"]
+    for golden, error in (([], "golden: expected an object"),
+                          ({"first": 1}, "golden.first: field 'first' has the wrong type")):
+        with pytest.raises(SchemaError) as err:
+            graph_bundle_from_json({**_BUNDLE, "golden": golden})
+        assert str(err.value) == error
+    with pytest.raises(SchemaError, match=r"^<root>: unknown fields \['mode'\]$"):
+        degeneration_family_from_json({**_FAMILY, "mode": "disjoint"})

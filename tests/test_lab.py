@@ -944,12 +944,9 @@ def test_off_shell_metric_scale_control():
 
 
 def test_family_validation():
-    with pytest.raises(ValueError, match="second divisor"):
-        DegenerationFamily(1.0, DISJOINT["divisor1"], mode="disjoint")
-    with pytest.raises(ValueError, match="single divisor"):
-        DegenerationFamily(
-            1.0, DISJOINT["divisor1"], DISJOINT["divisor2"], mode="self"
-        )
+    # The mode is read off whether a second divisor is given.
+    assert DegenerationFamily(**DISJOINT).mode == "disjoint"
+    assert DegenerationFamily(1.0, DISJOINT["divisor1"]).mode == "self"
     with pytest.raises(ValueError, match="conservation law violated"):
         DegenerationFamily(1.0, [(Fraction(0), 0.0, (1,))])
     with pytest.raises(ValueError, match="positive total length"):
