@@ -300,7 +300,9 @@ def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
     log-norms of its (Omega, W row, Z column, rho entry) points against
     the pairing.  Horizontal phases provably drop out; the equality with
     :func:`height_eval` is exercised by the tests as a consistency check
-    between the two code paths.
+    between the two code paths, which solve with different solvers: the
+    norm with :mod:`poincare`'s Cholesky factor of Im Omega in Python
+    floats, :func:`height_eval` with numpy's LU solve.
     """
     from .poincare import BiextensionPoint, SiegelPoint, log_norm
 
@@ -312,18 +314,19 @@ def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
     ze = [phases.get(e, 0.0) + 1j * yp for e, yp in zip(order, params.offsets(order))]
     steps = np.array(ze, dtype=complex)[:, None, None] * _block_stack(fixture, blocks)
     p = _translate(fixture._periods(s), steps)
-    omega, wmat, zmat, rmat = _quadrants(p, fixture.genus)
-    q = _pairing_matrix(space, fixture.dim)
-    # One validated period matrix serves every entry of the pairing.
+    omega, wmat, zmat, rmat = (x.tolist() for x in _quadrants(p, fixture.genus))
+    q = _pairing_matrix(space, fixture.dim).tolist()
+    # One validated period matrix, and its Cholesky factor, serves every
+    # entry of the pairing.
     point = SiegelPoint(omega)
     total = 0.0
-    for mu in range(fixture.dim):
-        for nu in range(fixture.dim):
-            if q[mu, nu] == 0:
+    for mu, qrow in enumerate(q):
+        for nu, qmn in enumerate(qrow):
+            if qmn == 0:
                 continue
-            pt = BiextensionPoint(point, wmat[mu, :], zmat[:, nu], rmat[mu, nu])
-            total += q[mu, nu] * log_norm(pt)
-    return float(total)
+            pt = BiextensionPoint(point, wmat[mu], [row[nu] for row in zmat], rmat[mu][nu])
+            total += qmn * log_norm(pt)
+    return total
 
 
 def tropical_height(graph, y, momenta1, momenta2=None):

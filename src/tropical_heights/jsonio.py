@@ -284,9 +284,11 @@ def load_graph_bundle(path):
 
 
 def graph_bundle_to_json(graph, genus=None, markings=(), space=None):
+    # A genus is written only where it is positive: 0 is the reader's default.
+    genus = genus or {}
     data = {
         "vertices": [
-            {"id": v, **({"genus": genus[v]} if genus and v in genus else {})}
+            {"id": v, **({"genus": genus[v]} if genus.get(v, 0) > 0 else {})}
             for v in sorted(graph.vertices)
         ],
         "edges": [
@@ -384,13 +386,12 @@ def holomorphic_fixture_from_json(data, path=()):
 
 
 def segment_from_json(data, path=()):
-    from .asymptotics import AdmissibleSegment
+    from .asymptotics import AdmissibleSegment, SegmentEdge
     edges = _require(_object(data, _SEGMENT, path), "edges", path, dict)
+    fields = frozenset(SegmentEdge._fields)
     for eid, entry in edges.items():
         epath = path + ("edges", eid)
-        if not isinstance(entry, dict):
-            raise SchemaError("expected an object of segment fields", epath)
-        for k, v in entry.items():
+        for k, v in _object(entry, fields, epath).items():
             _number(v, epath + (k,))
     return _built(path, AdmissibleSegment, edges)
 

@@ -333,11 +333,11 @@ def test_scan_rejects_overflowing_ray():
         bounded_remainder_scan(BANANA, mom, mom, fx, rays=[{"e1": 1e305, "e2": 1.0}])
 
 
-def random_scan_case(rng):
-    """A random graph, momenta (two sides), a generic constant fixture of
-    the graph's genus and its geometric blocks."""
+def random_scan_case(rng, spaces=(D1, MinkowskiSpace.euclidean(2))):
+    """A random graph, momenta (two sides) in one of ``spaces``, a generic
+    constant fixture of the graph's genus and its geometric blocks."""
     graph = random_connected_multigraph(rng)
-    space = rng.choice((D1, MinkowskiSpace.euclidean(2)))
+    space = rng.choice(spaces)
     mom1 = random_conserved_momenta(rng, graph, space)
     mom2 = random_conserved_momenta(rng, graph, space) if rng.random() < 0.5 else mom1
     g, d = first_betti(graph), space.dim
@@ -384,6 +384,29 @@ def test_scan_matches_per_t_reference():
             assert abs(rep.final_increment - increment) <= 1e-8 * scale
             assert abs(rep.linear_rate - rate) * ts[-1] <= 1e-8 * scale
             assert rep.bounded == bounded
+
+
+def test_orbit_route_matches_direct_eval_on_random_graphs():
+    # The orbit route solves with poincare's Cholesky factor of Im Omega in
+    # Python floats, height_eval with numpy's LU solve: two implementations
+    # of one height, at genus 1-4, d = 1 and 2 with both pairings, random
+    # horizontal phases and offsets from 0.5 to 3e3.
+    rng = random.Random(1618)
+    spaces = (D1, MinkowskiSpace.euclidean(2), MinkowskiSpace.lorentzian(2))
+    seen = set()
+    for _ in range(200):
+        graph, space, _m1, _m2, fx, blocks = random_scan_case(rng, spaces)
+        if not 1 <= fx.genus <= 4:
+            continue
+        seen.add((fx.genus, spaces.index(space)))
+        edges = graph.edge_ids()
+        for scale in (1.0, 1e3):
+            params = EdgeParameters({e: scale * rng.uniform(0.5, 3.0) for e in edges})
+            phases = {e: rng.uniform(-3.0, 3.0) for e in edges}
+            direct = height_eval(fx, blocks, params, space=space)
+            orbit = height_via_orbit(fx, blocks, params, space=space, phases=phases)
+            assert orbit == pytest.approx(direct, rel=1e-11, abs=1e-11)
+    assert seen == {(g, k) for g in range(1, 5) for k in range(3)}
 
 
 def test_stacked_heights_match_height_eval_bitwise():

@@ -36,6 +36,7 @@ from tropical_heights.jsonio import (
     rational_to_json,
     segment_from_json,
 )
+from tropical_heights.corpus import corpus_data_dir
 
 TRIANGLE_JSON = {
     "vertices": ["v1", "v2", "v3"],
@@ -113,6 +114,25 @@ def test_graph_bundle_roundtrip():
     assert again.genus == bundle.genus
     assert again.markings == bundle.markings
     assert again.space.matrix == bundle.space.matrix
+
+
+def _bundle_fields(bundle):
+    graph = bundle.graph
+    return (sorted(graph.vertices), [(e, graph.endpoints(e)) for e in graph.edge_ids()],
+            bundle.genus, bundle.markings, bundle.space and bundle.space.matrix)
+
+
+def test_bundled_corpus_writes_back_as_read():
+    # The writer adds no genus a file lacked (a genus-0 vertex once gained
+    # "genus": 0), and what it writes reads back as the same curve.
+    for path in sorted(corpus_data_dir().glob("*.json")):
+        data = load_json(path)
+        bundle = graph_bundle_from_json(data)
+        redata = graph_bundle_to_json(bundle.graph, genus=bundle.genus,
+                                      markings=bundle.markings, space=bundle.space)
+        had = {v["id"] for v in data["vertices"] if isinstance(v, dict) and "genus" in v}
+        assert {v["id"] for v in redata["vertices"] if "genus" in v} <= had, path.name
+        assert _bundle_fields(graph_bundle_from_json(redata)) == _bundle_fields(bundle), path.name
 
 
 def test_graph_bundle_rejects_bad_marking_vertex():
@@ -214,8 +234,10 @@ def test_segment_roundtrip():
                          "e2": SegmentEdge(2.0, phase_amplitude=0.25, phase_frequency=3.0)}
     with pytest.raises(SchemaError, match="y_scale"):
         segment_from_json({"edges": {"e1": {"phase_offset": 1.0}}})
-    with pytest.raises(SchemaError, match="unknown segment fields"):
+    with pytest.raises(SchemaError, match=r"^edges\.e1: unknown fields \['bogus'\]$"):
         segment_from_json({"edges": {"e1": {"y_scale": 1.0, "bogus": 2}}})
+    with pytest.raises(SchemaError, match=r"^edges\.e1: expected an object$"):
+        segment_from_json({"edges": {"e1": 1.0}})
 
 
 def test_degeneration_family_roundtrip():
@@ -296,6 +318,7 @@ STRAY_KEY_OBJECTS = {
     "fixture": (holomorphic_fixture_from_json, _FIXTURE, ()),
     "fixture term": (holomorphic_fixture_from_json, _FIXTURE, ("terms", 0)),
     "segment": (segment_from_json, _SEGMENT, ()),
+    "segment edge": (segment_from_json, _SEGMENT, ("edges", "e1")),
     "family": (degeneration_family_from_json, _FAMILY, ()),
     "family insertion": (degeneration_family_from_json, _FAMILY, ("divisor2", 1)),
 }
