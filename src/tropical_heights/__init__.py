@@ -34,9 +34,8 @@ _EXPORTS = {
                     "height_eval", "height_via_orbit", "tropical_height",
                     "bounded_remainder_scan", "limit_along_segment"),
     "lab": ("TorusPoint", "TorusGreen", "Insertion", "DegenerationFamily",
-            "ExperimentReport", "theta1", "theta1_prime_zero", "log_abs_theta1_frac",
-            "log_abs_theta1_prime_zero", "dedekind_eta_log_abs",
-            "normalization_by_quadrature", "green_sphere", "cross_ratio_height",
+            "ExperimentReport", "log_abs_theta1_frac", "log_abs_theta1_prime_zero",
+            "dedekind_eta_log_abs", "green_sphere", "cross_ratio_height",
             "height_pairing_surface", "regularized_self_height", "degeneration_experiment"),
     "jsonio": ("SchemaError", "load_json", "dump_json", "dumps_canonical",
                "load_graph_bundle", "graph_bundle_from_json", "graph_bundle_to_json"),

@@ -257,6 +257,9 @@ def _translate(periods, steps):
     return p
 
 
+_OVERFLOW = "the translated period matrix overflows a float at these coordinates"
+
+
 def _heights(fixture, blocks, yprime, space=None, periods=None):
     """Heights at a stack of offset vectors (last axis over ``sorted(blocks)``).
 
@@ -268,7 +271,7 @@ def _heights(fixture, blocks, yprime, space=None, periods=None):
     with np.errstate(over="ignore", invalid="ignore"):
         p = _translate(periods.imag, yprime[..., None, None] * _block_stack(fixture, blocks))
     if not np.isfinite(p).all():
-        raise ValueError("the translated period matrix overflows a float at these coordinates")
+        raise ValueError(_OVERFLOW)
     a, wmat, zmat, rmat = _quadrants(p, fixture.genus)
     q = _pairing_matrix(space, fixture.dim)
     try:
@@ -298,11 +301,13 @@ def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
     ``z_e = x_e + i y'_e`` (x from ``phases``, default 0; each must be
     finite and on an edge of ``blocks``, else ValueError) and sums the
     log-norms of its (Omega, W row, Z column, rho entry) points against
-    the pairing.  Horizontal phases provably drop out; the equality with
-    :func:`height_eval` is exercised by the tests as a consistency check
-    between the two code paths, which solve with different solvers: the
-    norm with :mod:`poincare`'s Cholesky factor of Im Omega in Python
-    floats, :func:`height_eval` with numpy's LU solve.
+    the pairing.  A translated matrix past float range raises the
+    ValueError of :func:`height_eval`.  Horizontal phases provably drop
+    out; the equality with :func:`height_eval` is exercised by the tests
+    as a consistency check between the two code paths, which solve with
+    different solvers: the norm with :mod:`poincare`'s Cholesky factor
+    of Im Omega in Python floats, :func:`height_eval` with numpy's LU
+    solve.
     """
     from .poincare import BiextensionPoint, SiegelPoint, log_norm
 
@@ -312,8 +317,11 @@ def height_via_orbit(fixture, blocks, params, space=None, s=None, phases=None):
         raise ValueError(f"phases must be finite and on edges of the blocks: {bad}")
     order = sorted(blocks)
     ze = [phases.get(e, 0.0) + 1j * yp for e, yp in zip(order, params.offsets(order))]
-    steps = np.array(ze, dtype=complex)[:, None, None] * _block_stack(fixture, blocks)
-    p = _translate(fixture._periods(s), steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.array(ze, dtype=complex)[:, None, None] * _block_stack(fixture, blocks)
+        p = _translate(fixture._periods(s), steps)
+    if not np.isfinite(p).all():
+        raise ValueError(_OVERFLOW)
     omega, wmat, zmat, rmat = (x.tolist() for x in _quadrants(p, fixture.genus))
     q = _pairing_matrix(space, fixture.dim).tolist()
     # One validated period matrix, and its Cholesky factor, serves every

@@ -7,25 +7,29 @@ C/(Z + tau Z) the Green's function of the unit-area flat metric is
 
 normalized so that g integrates to zero against the flat measure.  The
 constant C(tau) is the closed form log|eta(tau)|, which every torus takes
-from the eta product.  :func:`normalization_by_quadrature` checks it on
-demand against a quadrature (4 Gauss-Legendre rows, exact for the
-affine-in-y structure of the integrand), and an independent
-2D singularity-subtracted scheme verifies the vanishing integral; since
-g(-z) = g(z) and the midpoint grid is symmetric under z -> -z, it
-evaluates half the grid's rows.  The Laplacian check takes every grid
-point's five-point stencil in one stacked call.  Distances to the
-lattice, which both checks and the coincidence test read, scan the nine
-translates as three rows of three after reducing Re(tau) to [-1/2, 1/2],
-so any tau gets the nearest lattice point.
+from the eta product.  :meth:`TorusGreen.integral_residual` verifies the
+vanishing integral on demand by a 2D singularity-subtracted midpoint
+scheme; since g(-z) = g(z) and the midpoint grid is symmetric under
+z -> -z, it evaluates half the grid's rows.  The Laplacian check takes
+every grid point's five-point stencil in one stacked call.  Distances to
+the lattice, which both checks and the coincidence test read, scan the
+nine translates as three rows of three after reducing Re(tau) to
+[-1/2, 1/2], so any tau gets the nearest lattice point.
 
 The theta product :func:`log_abs_theta1_frac` broadcasts over both
 fractional coordinates and over a set of moduli, each with its own
-scalars, so each quadrature, residual check and pairing's set of Green's
-values is a few array calls rather than one call per row, point or
-torus.  Those array functions import numpy when they are called, so the
-sphere's pairings, which need only ``math``, never load it.  One pair's
-value, :meth:`TorusGreen.value`, is a scalar ``math``/``cmath`` loop over
-the same factors instead, since at a single point numpy's per-call cost
+scalars, so the Laplacian check and each pairing's set of Green's values
+is a few array calls rather than one call per point or torus; it forms
+its factors e(x + y tau) and e((1 - y) tau - x) at every point.  The
+integral check's half grid is a tensor grid, and as e(x + y tau) =
+e(x) e(y tau) its theta values take a grid route, whose factors are outer
+products of 1-D tables: ceil(n/2) + 2n complex exponentials instead of
+2 n ceil(n/2).  The grid route agrees with the pointwise one up to
+rounding, not bit for bit; both run one product loop.  Those array
+functions import numpy when they are called, so the sphere's pairings,
+which need only ``math``, never load it.  One pair's value,
+:meth:`TorusGreen.value`, is a scalar ``math``/``cmath`` loop over the
+same factors instead, since at a single point numpy's per-call cost
 is most of the time.  It makes the array route's coincidence decision and
 agrees with :meth:`TorusGreen.values` up to rounding, not bit for bit.
 
@@ -64,9 +68,6 @@ from .spaces import MinkowskiSpace, _finite_float, _scaled_to_ints
 # Theta functions
 
 _THETA_MAX_TERMS = 4000
-# Largest ratio of a sine series' biggest term to its sum that theta1 and
-# theta1_prime_zero accept; it leaves about 2e-12 relative error.
-_MAX_CANCELLATION = 1e4
 
 
 def _as_tau(tau):
@@ -85,61 +86,6 @@ def _as_tau(tau):
         raise ValueError(f"Im(tau) = {tau.imag:.6g} is past float range: "
                          f"2 pi Im(tau) overflows")
     return tau
-
-
-def theta1(z, tau):
-    r"""First Jacobi theta function, odd in z.
-
-    Evaluates the sine series
-
-        theta1(z | tau) = 2 sum_{n >= 0} (-1)^n q^{(2n+1)^2/8} sin((2n+1) pi z)
-
-    with the nome q = exp(2 pi i tau), truncated adaptively.  Raises if
-    Im(tau) <= 0, if the term cap is hit before convergence (extreme
-    |Im z| / Im tau ratios), or if the terms cancel (small Im tau).
-    """
-    tau = _as_tau(tau)
-    z = complex(z)
-    acc = 0j
-    peak = 0.0
-    for n in range(_THETA_MAX_TERMS):
-        k = 2 * n + 1
-        # q^{k^2/8} sin(k pi z), with the exponential assembled once to
-        # avoid overflow in intermediate factors.
-        expo = 1j * math.pi * (tau * k * k / 4.0)
-        term = 2.0 * (-1) ** n * cmath.exp(expo) * cmath.sin(k * math.pi * z)
-        acc += term
-        bound = math.exp(-math.pi * tau.imag * k * k / 4.0
-                         + k * math.pi * abs(z.imag))
-        peak = max(peak, abs(term))
-        if bound <= 1e-16 * max(1.0, peak) and n >= 2:
-            return _uncancelled(acc, peak)
-    raise ValueError("theta series did not converge within the term cap; reduce |Im z|")
-
-
-def theta1_prime_zero(tau):
-    """d/dz theta1(z; tau) at z = 0, by the differentiated sine series;
-    raises as :func:`theta1` does."""
-    tau = _as_tau(tau)
-    acc = 0j
-    peak = 0.0
-    for n in range(_THETA_MAX_TERMS):
-        k = 2 * n + 1
-        term = 2.0 * math.pi * k * (-1) ** n * cmath.exp(1j * math.pi * tau * k * k / 4.0)
-        acc += term
-        peak = max(peak, abs(term))
-        if abs(term) <= 1e-16 * max(1.0, abs(acc)) and n >= 2:
-            return _uncancelled(acc, peak)
-    raise ValueError("theta derivative series did not converge within the term cap")
-
-
-def _uncancelled(acc, peak):
-    """``acc``, a sine series' sum, whose largest term has modulus ``peak``;
-    raises if they cancel past _MAX_CANCELLATION (all-zero terms do not)."""
-    if peak > _MAX_CANCELLATION * abs(acc):
-        raise ValueError(f"theta series cancels: its largest term {peak:.3g} exceeds its "
-                         f"sum {abs(acc):.3g} by more than {_MAX_CANCELLATION:g}")
-    return acc
 
 
 def _product_terms(im_tau):
@@ -203,22 +149,47 @@ def log_abs_theta1_frac(x, y, tau):
     if not ((y >= 0.0) & (y < 1.0)).all():
         raise ValueError("fractional coordinate y must lie in [0, 1)")
     terms = max(_product_terms(t.imag) for t in moduli)
-    im = tau.imag
     w = np.exp(2j * math.pi * (x + y * tau))
     v = np.exp(2j * math.pi * ((1.0 - y) * tau - x))
-    with np.errstate(divide="ignore"):
-        out = -math.pi * im / 4.0 + math.pi * y * im + np.log(np.abs(1.0 - w))
     powers, logs = zip(*(_nome_powers(t, terms) for t in moduli))
 
     def spread(rows):
         # Per power n, the moduli's values laid over the shape of tau.
         return [col[0] if inverse is None else np.array(col)[inverse] for col in zip(*rows)]
 
-    qn, log_qn = spread(powers), spread(logs)
+    return _theta_product(w, v, y, tau.imag, spread(powers), spread(logs))
+
+
+def _log_abs_theta1_grid(xs, ys, tau, nome):
+    """:func:`log_abs_theta1_frac` on the tensor grid of the 1-D arrays
+    ``xs`` (rows) and ``ys`` (columns, each in [0, 1)) for one checked
+    modulus, with its table ``nome`` from :func:`_nome_powers`.
+
+    As e(x + y tau) = e(x) e(y tau), the factors are outer products of
+    1-D tables, w_ij = e(x_i) e(y_j tau) and v_ij = conj(e(x_i))
+    e((1 - y_j) tau): len(xs) + 2 len(ys) complex exponentials rather
+    than two per point.  The values agree with the pointwise route up to
+    rounding, not bit for bit."""
+    import numpy as np
+    ex = np.exp(2j * math.pi * xs)
+    w = np.multiply.outer(ex, np.exp(2j * math.pi * (ys * tau)))
+    v = np.multiply.outer(ex.conj(), np.exp(2j * math.pi * ((1.0 - ys) * tau)))
+    return _theta_product(w, v, ys, tau.imag, *nome)
+
+
+def _theta_product(w, v, y, im, qn, log_qn):
+    """The triple product of :func:`log_abs_theta1_frac` from its factor
+    arrays ``w`` = e(x + y tau) and ``v`` = e((1 - y) tau - x), with ``y``
+    and ``im`` = Im(tau) broadcasting against them, and per power n the
+    nome's q^n in ``qn`` and log|1 - q^n| in ``log_qn`` (scalars, or arrays
+    over the moduli's shape)."""
+    import numpy as np
+    with np.errstate(divide="ignore"):
+        out = -math.pi * im / 4.0 + math.pi * y * im + np.log(np.abs(1.0 - w))
     a = np.empty_like(w)
     b = np.empty_like(w)
     mod = np.empty_like(out)
-    for n in range(1, terms + 1):
+    for n in range(1, len(log_qn) + 1):
         out += log_qn[n - 1]
         np.multiply(w, qn[n], out=a)
         np.subtract(1.0, a, out=a)
@@ -373,7 +344,7 @@ def _gauss_legendre(nodes):
     """Gauss-Legendre nodes and weights of ``nodes`` points on [-1, 1],
     read-only because every caller shares them.  Computing 64 of them,
     as each :meth:`TorusGreen.integral_residual` asks, takes 1.2-1.8 ms,
-    about as long as the residual itself at n = 96."""
+    about three times the residual itself at n = 96."""
     import numpy as np
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(nodes)
     gl_nodes.flags.writeable = False
@@ -381,7 +352,8 @@ def _gauss_legendre(nodes):
     return gl_nodes, gl_weights
 
 
-# Largest gap |quadrature - log|eta(tau)|| that normalization_by_quadrature accepts.
+# Largest rounding error of a Green's value that _checked_tau admits; the
+# tests' quadrature check of log|eta(tau)| holds its gap to the same bound.
 _MATCH_TOL = 1e-6
 
 
@@ -398,50 +370,14 @@ def _checked_tau(tau):
     return tau
 
 
-def normalization_by_quadrature(tau):
-    """Constant C(tau) of one torus by direct quadrature of the Green's
-    function, checked against its closed form log|eta(tau)|.
-
-    Separable scheme: 4 Gauss-Legendre rows in the vertical coordinate,
-    each the mean of a periodic trapezoid in the horizontal one, whose
-    point count adapts to the analyticity strip ~ Im(tau) min(y, 1-y).
-    Each factor log|1 - c e^{+-2 pi i x}| of the triple product has
-    |c| < 1, so its x-mean is 0 by Jensen's formula and a row's mean is
-    affine in y, which any rule of 2 or more nodes integrates exactly.
-    All rows go through one :func:`log_abs_theta1_frac` call.  Like
-    :meth:`TorusGreen.integral_residual`, it is an on-demand check, which
-    no torus runs.  A gap above 1e-6 from log|eta(tau)| raises, as does a
-    modulus that :func:`_checked_tau` refuses (the term cap also bounds
-    the row sizes).  The check sees only these x-means, so a wrong factor
-    that keeps them, like a dropped (1 - q^n w), passes it.
-    """
-    import numpy as np
-    tau = _checked_tau(tau)
-    gl_nodes, gl_weights = _gauss_legendre(4)
-    ys = 0.5 * (gl_nodes + 1.0)
-    counts = [64 + int(math.ceil(6.5 / (tau.imag * min(y, 1.0 - y)))) for y in ys]
-    xs = np.concatenate([np.arange(nx) / nx for nx in counts])
-    vals = log_abs_theta1_frac(xs, np.repeat(ys, counts), tau)
-    means = np.add.reduceat(vals, np.cumsum([0] + counts[:-1])) / counts
-    c_quad = float(np.dot(0.5 * gl_weights, means)) - math.pi * tau.imag / 3.0
-    gap = abs(c_quad - dedekind_eta_log_abs(tau))
-    if not gap <= _MATCH_TOL:
-        raise ValueError(
-            f"torus normalization quadrature disagrees with the closed form "
-            f"log|eta(tau)| by {gap:.3e} (tolerance {_MATCH_TOL:g}) at "
-            f"Im(tau) = {tau.imag:.6g}"
-        )
-    return c_quad
-
-
 class TorusGreen:
     """Green's function of the unit-area flat metric on one torus.
 
     The normalization constant is the closed form log|eta(tau)|, from the
-    eta product; :func:`normalization_by_quadrature` and
-    :meth:`integral_residual` check it on demand.  The eta product's nome
-    table (q^n and log|1 - q^n|) is kept for :meth:`value`.  The modulus
-    needs 1.68e-3 < Im(tau) <= 1e10 (:func:`_checked_tau`).
+    eta product; :meth:`integral_residual` checks it on demand.  The eta
+    product's nome table (q^n and log|1 - q^n|) is kept for :meth:`value`
+    and :meth:`integral_residual`.  The modulus needs
+    1.68e-3 < Im(tau) <= 1e10 (:func:`_checked_tau`).
     """
 
     __slots__ = ("tau", "normalization", "_nome")
@@ -500,8 +436,10 @@ class TorusGreen:
         under (x, y) -> (1 - x, 1 - y), which sends row i to row n - 1 - i;
         the subtracted model depends only on the distance to the lattice,
         which is even too.  So only rows i < ceil(n/2) are evaluated, each
-        counted twice except the middle row of an odd n.  ``n`` must be a
-        positive integer.
+        counted twice except the middle row of an odd n.  The theta values
+        come from the grid route :func:`_log_abs_theta1_grid`, which takes
+        ceil(n/2) + 2n complex exponentials.  ``n`` must be a positive
+        integer.
         """
         import numpy as np
         n = _grid_size(n)
@@ -510,8 +448,9 @@ class TorusGreen:
         r0 = 0.45 * min(1.0, im)
         half = (n + 1) // 2
         grid = (np.arange(n) + 0.5) / n
+        vals = _green_from_theta(_log_abs_theta1_grid(grid[:half], grid, tau, self._nome),
+                                 grid, tau, self.normalization)
         xg, yg = np.meshgrid(grid[:half], grid, indexing="ij")
-        vals = self.value_frac(xg, yg)
         r = _min_image_distance(xg, yg, tau)
         model = np.zeros_like(vals)
         inside = r < r0
@@ -566,8 +505,12 @@ class TorusGreen:
 def _green_frac(x, y, tau, normalization):
     """:meth:`TorusGreen.value_frac`; ``tau`` and ``normalization`` may be
     arrays (one torus per point) that broadcast with ``x`` and ``y``."""
-    return (-log_abs_theta1_frac(x, y, tau)
-            + math.pi * y * y * tau.imag + normalization)
+    return _green_from_theta(log_abs_theta1_frac(x, y, tau), y, tau, normalization)
+
+
+def _green_from_theta(log_theta, y, tau, normalization):
+    """The Green's value from log|theta1| at vertical fraction ``y``."""
+    return -log_theta + math.pi * y * y * tau.imag + normalization
 
 
 # Smallest distance from the lattice, relative to max(1, Im(tau)), at which

@@ -6,10 +6,22 @@ holds only what it runs.
 * ``group_matrix``, ``group_element_from_matrix`` and ``compose``: the
   (2g+2) x (2g+2) matrix embedding of :class:`poincare.GroupElement`, in
   numpy, in which composition of group elements is matrix multiplication.
+* ``theta1`` and ``theta1_prime_zero``: the sine series of the first
+  Jacobi theta function and of its derivative at 0, an independent route
+  to the lab's triple products.
+* ``normalization_by_quadrature``: the Green's function's constant
+  C(tau) by quadrature, checked against the closed form log|eta(tau)|
+  that every torus takes.
 """
+
+import cmath
+import math
 
 import numpy as np
 
+from tropical_heights import lab
+from tropical_heights.lab import (_MATCH_TOL, _THETA_MAX_TERMS, _as_tau, _checked_tau,
+                                  _gauss_legendre, dedekind_eta_log_abs)
 from tropical_heights.poincare import GroupElement, is_symplectic
 
 
@@ -65,3 +77,99 @@ def compose(first, second):
     if first.genus != second.genus:
         raise ValueError("cannot compose elements of different genus")
     return group_element_from_matrix(group_matrix(first) @ group_matrix(second))
+
+
+# Largest ratio of a sine series' biggest term to its sum that theta1 and
+# theta1_prime_zero accept; it leaves about 2e-12 relative error.
+_MAX_CANCELLATION = 1e4
+
+
+def theta1(z, tau):
+    r"""First Jacobi theta function, odd in z.
+
+    Evaluates the sine series
+
+        theta1(z | tau) = 2 sum_{n >= 0} (-1)^n q^{(2n+1)^2/8} sin((2n+1) pi z)
+
+    with the nome q = exp(2 pi i tau), truncated adaptively.  Raises if
+    Im(tau) <= 0, if the term cap is hit before convergence (extreme
+    |Im z| / Im tau ratios), or if the terms cancel (small Im tau).
+    """
+    tau = _as_tau(tau)
+    z = complex(z)
+    acc = 0j
+    peak = 0.0
+    for n in range(_THETA_MAX_TERMS):
+        k = 2 * n + 1
+        # q^{k^2/8} sin(k pi z), with the exponential assembled once to
+        # avoid overflow in intermediate factors.
+        expo = 1j * math.pi * (tau * k * k / 4.0)
+        term = 2.0 * (-1) ** n * cmath.exp(expo) * cmath.sin(k * math.pi * z)
+        acc += term
+        bound = math.exp(-math.pi * tau.imag * k * k / 4.0
+                         + k * math.pi * abs(z.imag))
+        peak = max(peak, abs(term))
+        if bound <= 1e-16 * max(1.0, peak) and n >= 2:
+            return _uncancelled(acc, peak)
+    raise ValueError("theta series did not converge within the term cap; reduce |Im z|")
+
+
+def theta1_prime_zero(tau):
+    """d/dz theta1(z; tau) at z = 0, by the differentiated sine series;
+    raises as :func:`theta1` does."""
+    tau = _as_tau(tau)
+    acc = 0j
+    peak = 0.0
+    for n in range(_THETA_MAX_TERMS):
+        k = 2 * n + 1
+        term = 2.0 * math.pi * k * (-1) ** n * cmath.exp(1j * math.pi * tau * k * k / 4.0)
+        acc += term
+        peak = max(peak, abs(term))
+        if abs(term) <= 1e-16 * max(1.0, abs(acc)) and n >= 2:
+            return _uncancelled(acc, peak)
+    raise ValueError("theta derivative series did not converge within the term cap")
+
+
+def _uncancelled(acc, peak):
+    """``acc``, a sine series' sum, whose largest term has modulus ``peak``;
+    raises if they cancel past _MAX_CANCELLATION (all-zero terms do not)."""
+    if peak > _MAX_CANCELLATION * abs(acc):
+        raise ValueError(f"theta series cancels: its largest term {peak:.3g} exceeds its "
+                         f"sum {abs(acc):.3g} by more than {_MAX_CANCELLATION:g}")
+    return acc
+
+
+def normalization_by_quadrature(tau):
+    """Constant C(tau) of one torus by direct quadrature of the Green's
+    function, checked against its closed form log|eta(tau)|.
+
+    Separable scheme: 4 Gauss-Legendre rows in the vertical coordinate,
+    each the mean of a periodic trapezoid in the horizontal one, whose
+    point count adapts to the analyticity strip ~ Im(tau) min(y, 1-y).
+    Each factor log|1 - c e^{+-2 pi i x}| of the triple product has
+    |c| < 1, so its x-mean is 0 by Jensen's formula and a row's mean is
+    affine in y, which any rule of 2 or more nodes integrates exactly.
+    All rows go through one ``lab.log_abs_theta1_frac`` call, looked up
+    when it runs, so a test can patch the kernel it checks.  Like
+    :meth:`TorusGreen.integral_residual`, it is an on-demand check, which
+    no torus runs.  A gap above 1e-6 from log|eta(tau)| raises, as does a
+    modulus that ``lab._checked_tau`` refuses (the term cap also bounds
+    the row sizes).  The check sees only these x-means, so a wrong factor
+    that keeps them, like a dropped (1 - q^n w), passes it.
+    """
+    tau = _checked_tau(tau)
+    gl_nodes, gl_weights = _gauss_legendre(4)
+    ys = 0.5 * (gl_nodes + 1.0)
+    counts = [64 + int(math.ceil(6.5 / (tau.imag * min(y, 1.0 - y)))) for y in ys]
+    xs = np.concatenate([np.arange(nx) / nx for nx in counts])
+    vals = lab.log_abs_theta1_frac(xs, np.repeat(ys, counts), tau)
+    means = np.add.reduceat(vals, np.cumsum([0] + counts[:-1])) / counts
+    c_quad = float(np.dot(0.5 * gl_weights, means)) - math.pi * tau.imag / 3.0
+    gap = abs(c_quad - dedekind_eta_log_abs(tau))
+    if not gap <= _MATCH_TOL:
+        raise ValueError(
+            f"torus normalization quadrature disagrees with the closed form "
+            f"log|eta(tau)| by {gap:.3e} (tolerance {_MATCH_TOL:g}) at "
+            f"Im(tau) = {tau.imag:.6g}"
+        )
+    return c_quad

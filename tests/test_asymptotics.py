@@ -238,6 +238,26 @@ def test_orbit_phases_must_be_finite_and_on_block_edges(phases, bad):
         height_via_orbit(HolomorphicFixture.constant([[1j]]), blocks, params, phases=phases)
 
 
+def test_both_routes_refuse_a_period_matrix_past_float_range():
+    # On the README banana with y on both edges, Im of the translated period
+    # matrix is 1 + 2y.  Up to y = 1e300 both routes give the height; past
+    # float range height_eval refused it, while the orbit route let numpy
+    # warn from its translation (an error under this suite's warning
+    # filter) and then blamed a singular period matrix.
+    blocks, _g = graph_blocks(BANANA, banana_momenta(3))
+    fx = HolomorphicFixture.constant([[1j]])
+    for y in (1e150, 1e200, 1e300):
+        params = EdgeParameters({"e1": y, "e2": y})
+        assert height_via_orbit(fx, blocks, params) == \
+            pytest.approx(height_eval(fx, blocks, params), rel=1e-12)
+    for y in (1e308, 1.7e308):
+        params = EdgeParameters({"e1": y, "e2": y})
+        for route in (height_eval, height_via_orbit):
+            with pytest.raises(ValueError, match="^the translated period matrix overflows "
+                                                 "a float at these coordinates$"):
+                route(fx, blocks, params)
+
+
 @pytest.mark.parametrize("genus, size", [(2, 1), (1, 2)])
 def test_block_shapes_must_match_the_fixture(genus, size):
     # Numpy broadcasts 1 x 1 blocks into a 2 x 2 period matrix, so a

@@ -23,12 +23,11 @@ from tropical_heights import (
     height_pairing_surface,
     log_abs_theta1_frac,
     log_abs_theta1_prime_zero,
-    normalization_by_quadrature,
     regularized_self_height,
     resistance_oracle,
-    theta1,
-    theta1_prime_zero,
 )
+
+from reference import normalization_by_quadrature, theta1, theta1_prime_zero
 
 TAUS = (0.3 + 1.2j, 0.8j, 2.5j, -0.41 + 0.9j)
 
@@ -494,6 +493,25 @@ def test_integral_residual_half_grid_matches_full_grid():
         for n in (95, 96):
             want = _full_grid_integral_residual(green, n)
             assert abs(green.integral_residual(n=n) - want) <= 1e-14
+
+
+GRID_TAUS = (0.3 + 1.2j, 0.8j, 2.5j, -0.41 + 0.9j, 3 + 0.8j, 0.05j, 0.3j, 40j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 95, 96])
+def test_theta_grid_route_matches_pointwise(n):
+    # integral_residual's theta values come from outer products of 1-D
+    # tables, e(x) e(y tau) and conj(e(x)) e((1 - y) tau); on the whole
+    # midpoint grid, which holds its half grid, they agree with the
+    # pointwise exponentials of log_abs_theta1_frac to 1e-13 absolute.
+    grid = (np.arange(n) + 0.5) / n
+    xg, yg = np.meshgrid(grid, grid, indexing="ij")
+    for tau in GRID_TAUS:
+        green = TorusGreen(tau)
+        got = lab._log_abs_theta1_grid(grid, grid, green.tau, green._nome)
+        want = log_abs_theta1_frac(xg, yg, tau)
+        assert got.shape == want.shape == (n, n)
+        assert np.max(np.abs(got - want)) <= 1e-13, tau
 
 
 def test_laplacian_residual_matches_five_calls():
