@@ -264,23 +264,28 @@ def _heights(fixture, blocks, yprime, space=None, periods=None):
     """Heights at a stack of offset vectors (last axis over ``sorted(blocks)``).
 
     ``periods`` holds the fixture's period matrix P at the points, stacked
-    on the leading axes (default: P at s = 0 for every point).
+    on the leading axes (default: P at s = 0 for every point).  Raises
+    ValueError when the translated period matrix or a height is past
+    float range.
     """
     if periods is None:
         periods = fixture._periods()
     with np.errstate(over="ignore", invalid="ignore"):
         p = _translate(periods.imag, yprime[..., None, None] * _block_stack(fixture, blocks))
-    if not np.isfinite(p).all():
-        raise ValueError(_OVERFLOW)
-    a, wmat, zmat, rmat = _quadrants(p, fixture.genus)
-    q = _pairing_matrix(space, fixture.dim)
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("imaginary part of the translated period matrix is not "
-                         "positive definite at these coordinates") from exc
-    middle = wmat @ np.linalg.solve(a, zmat) if fixture.genus else np.zeros_like(rmat)
-    return 2.0 * math.pi * np.sum(q * (middle - rmat), axis=(-2, -1))
+        if not np.isfinite(p).all():
+            raise ValueError(_OVERFLOW)
+        a, wmat, zmat, rmat = _quadrants(p, fixture.genus)
+        q = _pairing_matrix(space, fixture.dim)
+        try:
+            np.linalg.cholesky(a)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("imaginary part of the translated period matrix is not "
+                             "positive definite at these coordinates") from exc
+        middle = wmat @ np.linalg.solve(a, zmat) if fixture.genus else np.zeros_like(rmat)
+        heights = 2.0 * math.pi * np.sum(q * (middle - rmat), axis=(-2, -1))
+    if not np.isfinite(heights).all():
+        raise ValueError("the height overflows a float at these coordinates")
+    return heights
 
 
 def height_eval(fixture, blocks, params, space=None, s=None):

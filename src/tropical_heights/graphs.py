@@ -17,13 +17,16 @@ and rolls it back when it backtracks, so an edge closing a cycle prunes
 every subset through it and the output order is that of
 ``itertools.combinations``.  The search runs on vertex positions, with
 the union-find's parents and ranks in lists; its find, union and
-rollback are inline, and it yields each subset as an int mask in which
-edge k of ``edge_ids()`` is bit k, the key convention of the packed
-polynomials.  :func:`spanning_trees` and :func:`spanning_2forests`
-decode the masks into edge-id tuples.
+rollback are inline.  A subset's last edge is never merged: it is
+tested by comparing its endpoints' roots, so at each yield the
+union-find (and the int payloads summed over its classes, which the
+2-forest route of :mod:`~tropical_heights.symanzik` uses) holds the
+subset without its last edge, and the yield names that edge's two
+roots.  The subset itself comes as an int mask in which edge k of
+``edge_ids()`` is bit k, the key convention of the packed polynomials.
+:func:`spanning_trees` and :func:`spanning_2forests` decode the masks
+into edge-id tuples.
 """
-
-from operator import add
 
 
 class Multigraph:
@@ -295,22 +298,30 @@ def boundary_matrix(graph):
 
 
 def _acyclic_subsets(graph, size, uf, payload=None):
-    """Yield every acyclic ``size``-subset of the non-loop edges, as an
-    int mask in which edge k of ``graph.edge_ids()`` is bit k, in the
-    order of ``itertools.combinations``.
+    """Yield every acyclic ``size``-subset of the non-loop edges, in the
+    order of ``itertools.combinations``, as ``(mask, a, b)``: ``mask`` is
+    the subset as an int in which edge k of ``graph.edge_ids()`` is bit k,
+    and ``a`` and ``b`` are the roots, in ``uf``, of its last edge's two
+    endpoints; the empty subset comes as ``(0, None, None)``.
 
     Depth-first search over the edges in lexicographic id order on ``uf``,
     a :class:`_UnionFind` over the positions of ``graph.vertices``: each
-    edge is tried as included, its endpoints' roots are merged, and the
-    merge is rolled back on backtracking by resetting the absorbed root's
-    parent (and the rank it bumped).  An edge that closes a cycle is
-    skipped, with every subset through it.  With ``payload``, a list of
-    int tuples indexed by vertex position, each root's entry holds the
-    elementwise sum over its component: a merge adds the absorbed root's
-    entry, and the rollback puts back the entry it replaced.  At each
-    yield ``uf`` and ``payload`` hold exactly the yielded subset's
-    components; when the search ends they are as they were.
+    edge but a subset's last is tried as included, its endpoints' roots
+    are merged, and the merge is rolled back on backtracking by resetting
+    the absorbed root's parent (and the rank it bumped).  An edge that
+    closes a cycle is skipped, with every subset through it.  The last
+    edge is never merged: at depth ``size - 1`` each remaining edge is
+    only tested, by comparing its endpoints' roots, and completes a subset
+    when they differ.  With ``payload``, a list of ints indexed by vertex
+    position, each root's entry holds the sum over its component: a merge
+    adds the absorbed root's entry, and the rollback puts back the entry
+    it replaced.  At each yield ``uf`` and ``payload`` hold the components
+    of the subset without its last edge, which joins the components of
+    ``a`` and ``b``; when the search ends they are as they were.
     """
+    if size == 0:
+        yield 0, None, None
+        return
     index = {v: i for i, v in enumerate(graph.vertices)}
     ends = []
     for k, eid in enumerate(graph.edge_ids()):
@@ -318,14 +329,21 @@ def _acyclic_subsets(graph, size, uf, payload=None):
         if tail != head:
             ends.append((1 << k, index[tail], index[head]))
     parent, rank = uf.parent, uf.rank
+    last = size - 1
     slack = len(ends) - size  # how far past its depth a choice may reach
-    # Per chosen edge: its position in ``ends``, the root it absorbed,
+    # Per merged edge: its position in ``ends``, the root it absorbed,
     # whether it bumped a rank, and the payload entry it replaced.
     undo = []
     mask = i = 0
     while True:
-        if len(undo) == size:
-            yield mask
+        if len(undo) == last:
+            for bit, a, b in ends[i:]:
+                while parent[a] != a:
+                    a = parent[a]
+                while parent[b] != b:
+                    b = parent[b]
+                if a != b:
+                    yield mask | bit, a, b
         elif i <= slack + len(undo):
             bit, a, b = ends[i]
             while parent[a] != a:
@@ -341,7 +359,7 @@ def _acyclic_subsets(graph, size, uf, payload=None):
                 old = None
                 if payload is not None:
                     old = payload[a]
-                    payload[a] = tuple(map(add, old, payload[b]))
+                    payload[a] = old + payload[b]
                 undo.append((i, b, bumped, old))
                 mask |= bit
             i += 1
@@ -369,7 +387,7 @@ def _tree_masks(graph, uf):
     :func:`_acyclic_subsets` on ``uf``: a tree is an acyclic set of
     |V|-1 edges.  Raises ValueError on disconnected input, which has no
     spanning tree."""
-    masks = list(_acyclic_subsets(graph, len(graph.vertices) - 1, uf))
+    masks = [mask for mask, _a, _b in _acyclic_subsets(graph, len(graph.vertices) - 1, uf)]
     if not masks:  # a connected graph has at least one
         raise ValueError("graph is disconnected; it has no spanning trees")
     return masks
@@ -388,10 +406,12 @@ def spanning_trees(graph):
 
 
 def _two_forests(graph, uf, payload=None):
-    """Iterator over the spanning 2-forests' edge masks, from the search
-    of :func:`_acyclic_subsets` on ``uf`` (and ``payload``): an acyclic
-    set of |V|-2 edges leaves exactly two components.  Raises ValueError
-    on disconnected input."""
+    """Iterator over the spanning 2-forests, as the ``(mask, a, b)`` of
+    the search of :func:`_acyclic_subsets` on ``uf`` (and ``payload``): an
+    acyclic set of |V|-2 edges leaves exactly two components, the class
+    of ``a`` joined with that of ``b`` and the one other class of ``uf``
+    (on two vertices, the empty forest's two vertices).  Raises
+    ValueError on disconnected input."""
     if not graph.is_connected():
         raise ValueError("graph is disconnected; 2-forest enumeration needs connected input")
     nv = len(graph.vertices)
@@ -406,8 +426,10 @@ def spanning_2forests(graph):
     covering all vertices, and ``part0`` contains the smallest vertex id.
     Forests have |V|-2 edges and exactly two components; they come in
     lexicographic order from the same search as :func:`spanning_trees`,
-    and each forest's parts are read off the search's union-find.  Raises
-    ValueError on disconnected input.
+    and each forest's parts are read off the search's union-find: the
+    smallest vertex's class, joined with the other root's class when its
+    root is one of the last edge's two.  Raises ValueError on
+    disconnected input.
     """
     ids, vertices = graph.edge_ids(), graph.vertices
     vmin = vertices.index(min(vertices))
@@ -415,8 +437,9 @@ def spanning_2forests(graph):
     uf = _UnionFind(len(vertices))
     find = uf.find
     out = []
-    for mask in _two_forests(graph, uf):
+    for mask, a, b in _two_forests(graph, uf):
         root = find(vmin)
-        part0 = frozenset(v for i, v in enumerate(vertices) if find(i) == root)
+        roots = (a, b) if root == a or root == b else (root,)
+        part0 = frozenset(v for i, v in enumerate(vertices) if find(i) in roots)
         out.append((_edge_tuple(ids, mask), (part0, everything - part0)))
     return out

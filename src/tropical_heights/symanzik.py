@@ -51,6 +51,8 @@ here runs on the standard library.
 import math
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import chain
+from operator import lshift
 from operator import mul as _mul
 
 from .graphs import (_tree_masks, _tree_walk, _two_forests, _UnionFind, boundary_matrix,
@@ -110,6 +112,14 @@ class MomentumAssignment:
 
     def __repr__(self):
         return f"MomentumAssignment(D={self.space.dim}, vertices={sorted(self.momenta)})"
+
+
+def _check_same_space(momenta1, momenta2):
+    """Raise ValueError unless ``momenta2`` (None stands for ``momenta1``)
+    lives in the momentum space of ``momenta1``: same pairing matrix."""
+    if (momenta2 is not None and momenta2.space is not momenta1.space
+            and momenta2.space.matrix != momenta1.space.matrix):
+        raise ValueError("both assignments must live in the same momentum space")
 
 
 def _gram_rows(n, columns):
@@ -306,13 +316,11 @@ def _psi_phi(graph, momenta1, momenta2=None, basis=None, lift1=None, lift2=None)
     momenta) times d1 and d2 and the pairing times dq, so phi is divided
     by d1 d2 dq once.
     """
+    _check_same_space(momenta1, momenta2)
     if momenta2 is None:
         momenta2 = momenta1
-    space = momenta1.space
-    if space is not momenta2.space and space.matrix != momenta2.space.matrix:
-        raise ValueError("both assignments must live in the same momentum space")
     variables = graph.edge_ids()
-    qrows, dq = space._ints
+    qrows, dq = momenta1.space._ints
     basis, columns, rows = _kirchhoff(graph, basis, lift1 is not None or lift2 is not None)
     trows = [[{} for _ in rows] for _ in rows]  # T
     if basis is None:
@@ -373,21 +381,30 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
     p(F_2) = -p(F_1) for both assignments, so the bilinear weight is the
     same on either part and is read on the part of the first vertex; the
     diagonal case reduces to ``-<p(F_1), p(F_2)>``.  Raises ValueError on
-    disconnected input.
+    disconnected input, and when the assignments' spaces differ.
 
     The 2-forest search runs with the vertex momenta as payloads, so
     each root of its union-find holds its part's momentum sums.  They
     are ints: the assignments' and the pairing's int tables, scaled by
     their common denominators d1, d2 and dq, and phi, being bilinear, is
-    divided by d1 d2 dq once at the end.
+    divided by d1 d2 dq once at the end.  A vertex's D components (2D,
+    p then p', for two assignments) are packed into one int, component i
+    in bits ``[i w, (i + 1) w)`` as a signed field, with w two bits past
+    the length of the sum of every |component|: no part's sum reaches
+    half a field, so a part's packed sum is one int addition and carries
+    nothing from one field into the next.  The first vertex's part is
+    the union-find class of its root r, or, when r is a root of the
+    forest's last edge, the join of that edge's two classes.  Its packed
+    sum keys a dict of weights, and is unpacked and paired only the first
+    time it occurs.
     """
+    _check_same_space(momenta1, momenta2)
     if momenta2 is None:
         momenta2 = momenta1
     variables, vertices = graph.edge_ids(), graph.vertices
     qrows, dq = momenta1.space._ints
     rows, d1 = momenta1._int_rows(graph)
     vecs = [rows[v] for v in vertices]
-    # Each payload is p, followed by p' when the assignments differ.
     d2, offset = d1, 0
     if momenta2 is not momenta1:
         rows2, d2 = momenta2._int_rows(graph)
@@ -395,12 +412,28 @@ def second_symanzik_forests(graph, momenta1, momenta2=None):
         offset = len(qrows)
     pairing = [(mu, offset + nu, q) for mu, row in enumerate(qrows)
                for nu, q in enumerate(row) if q]
-    uf, payload = _UnionFind(len(vertices)), list(map(tuple, vecs))
+    width = 2 + sum(map(abs, chain.from_iterable(vecs))).bit_length()
+    shifts = range(0, width * len(vecs[0]), width)
+    payload = [sum(map(lshift, vec, shifts)) for vec in vecs]
+    # Half a field added to every field makes each one its unsigned bits.
+    half, low = 1 << width - 1, (1 << width) - 1
+    bias = half * ((1 << shifts.stop) - 1) // low
+
+    def weight(key):
+        key += bias
+        p = [(key >> s & low) - half for s in shifts]
+        return sum(q * p[mu] * p[nu] for mu, nu, q in pairing)
+
+    uf = _UnionFind(len(vertices))
+    find = uf.find
     full = (1 << len(variables)) - 1
-    terms = {}
-    for mask in _two_forests(graph, uf, payload):
-        p = payload[uf.find(0)]  # the sums on the first vertex's part
-        qf = sum(q * p[mu] * p[nu] for mu, nu, q in pairing)
+    weights, terms = {}, {}
+    for mask, a, b in _two_forests(graph, uf, payload):
+        r = find(0)
+        key = payload[a] + payload[b] if r == a or r == b else payload[r]
+        qf = weights.get(key)
+        if qf is None:
+            qf = weights[key] = weight(key)
         if qf:
             terms[full ^ mask] = qf
     return MultiPoly.packed(variables, terms, d1 * d2 * dq)
@@ -431,7 +464,9 @@ def _ratio_rows(graph, momenta1, momenta2=None):
     (omega1, followed by omega2 unless ``momenta2`` is None or
     ``momenta1``), None where they are all 0, as off the tree.  ``pairing``
     holds the nonzero ``(mu, nu, q_{mu nu})``, nu counted in the lift entries.
+    Raises ValueError when the assignments' spaces differ.
     """
+    _check_same_space(momenta1, momenta2)
     basis = cycle_basis(graph)
     lifts = [_int_lift(graph, momenta1, basis.walk)]
     if momenta2 is not None and momenta2 is not momenta1:
@@ -546,9 +581,11 @@ def resistance_oracle(graph, y, momenta1, momenta2=None):
     incidence matrix and returns ``sum_{mu,nu} q_{mu nu} p1^mu . L^+ p2^nu``.
     Shares nothing with the polynomial or residual routes beyond the graph
     and the assignments' int momenta.  Raises ValueError as
-    :func:`symanzik_ratio_eval` does, and on momenta off the graph; a numpy
-    overflow on the way raises it too, with no warning.
+    :func:`symanzik_ratio_eval` does, on momenta off the graph and when
+    the assignments' spaces differ; a numpy overflow on the way raises it
+    too, with no warning.
     """
+    _check_same_space(momenta1, momenta2)
     import numpy as np
     if momenta2 is None:
         momenta2 = momenta1

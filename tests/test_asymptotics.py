@@ -258,6 +258,27 @@ def test_both_routes_refuse_a_period_matrix_past_float_range():
                 route(fx, blocks, params)
 
 
+def test_both_routes_refuse_a_height_past_float_range():
+    # At y = 1e307 on both edges of the README banana the translated period
+    # matrix is finite but the height 2 pi sum q (W A^-1 Z - rho) is not:
+    # height_eval let numpy warn (an error under this suite's warning
+    # filter) and returned inf, while the orbit route refused it.  The scan
+    # takes its heights the same way.
+    blocks, _g = graph_blocks(BANANA, banana_momenta(3))
+    fx = HolomorphicFixture.constant([[1j]])
+    params = EdgeParameters({"e1": 1e300, "e2": 1e300})
+    assert height_via_orbit(fx, blocks, params) == \
+        pytest.approx(height_eval(fx, blocks, params), rel=1e-12)
+    params = EdgeParameters({"e1": 1e307, "e2": 1e307})
+    with pytest.raises(ValueError, match="^the height overflows a float at these coordinates$"):
+        height_eval(fx, blocks, params)
+    with pytest.raises(ValueError, match="overflows a float"):
+        height_via_orbit(fx, blocks, params)
+    with pytest.raises(ValueError, match="^the height overflows a float at these coordinates$"):
+        bounded_remainder_scan(BANANA, banana_momenta(3), None, fx, blocks=blocks,
+                               ts=[1.0, 1e307])
+
+
 @pytest.mark.parametrize("genus, size", [(2, 1), (1, 2)])
 def test_block_shapes_must_match_the_fixture(genus, size):
     # Numpy broadcasts 1 x 1 blocks into a 2 x 2 period matrix, so a

@@ -1400,6 +1400,18 @@ def test_limit_on_a_segment_past_float_range_is_input_error(capsys, tmp_path):
                              "at these coordinates\n")
 
 
+def test_limit_whose_heights_overflow_is_input_error(capsys, tmp_path):
+    # At imag_offset 1e307 on both edges the period matrix stays finite but
+    # the heights do not: numpy warned and the NaN extrapolant was reported
+    # as a failed check.
+    argv, files = _limit(fixture=README_FILES["fixture.json"], segment={"edges": {
+        e: {"y_scale": 1.0, "imag_offset": 1e307} for e in ("e1", "e2")}})
+    for file, data in files.items():
+        dump_json(data, tmp_path / file)
+    result = run(capsys, *(str(tmp_path / a) if a in files else a for a in argv))
+    assert result == (2, "", "input error: the height overflows a float at these coordinates\n")
+
+
 def test_corpus_run_missing_directory(capsys, tmp_path):
     code, _out, err = run(capsys, "corpus", "run", str(tmp_path / "nope"))
     assert code == 2

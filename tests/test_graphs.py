@@ -222,26 +222,74 @@ def test_enumerations_match_brute_force():
         assert spanning_2forests(graph) == reference_2forests(graph)
 
 
+def test_search_yields_acyclic_subsets_with_their_last_edges_roots():
+    # At every size the search yields exactly the acyclic subsets of the
+    # non-loop edges, in the order of itertools.combinations; at each yield
+    # the union-find holds the subset without its last edge, and (a, b) are
+    # the two distinct roots of that edge's endpoints.
+    rng = random.Random(40)
+    graphs = [random_connected_multigraph(rng, max_edges=9, max_vertices=7) for _ in range(60)]
+    assert any(graph.is_loop(e) for graph in graphs for e in graph.edge_ids())
+    assert any(len({frozenset(graph.endpoints(e)) for e in graph.edge_ids()})
+               < len(graph.edges) for graph in graphs)
+    for graph in graphs:
+        nv, ids, index = len(graph.vertices), graph.edge_ids(), graph.vertices.index
+        edges = [k for k, e in enumerate(ids) if not graph.is_loop(e)]
+        for size in range(nv):
+            expected = [sum(1 << k for k in subset) for subset in combinations(edges, size)
+                        if len(graph.components({ids[k] for k in subset})) == nv - size]
+            uf, got = _UnionFind(nv), []
+            for mask, a, b in _acyclic_subsets(graph, size, uf):
+                got.append(mask)
+                if not mask:
+                    assert (a, b) == (None, None)
+                    assert uf.parent == list(range(nv))
+                    continue
+                last = mask.bit_length() - 1
+                groups = {}
+                for i, v in enumerate(graph.vertices):
+                    groups.setdefault(uf.find(i), set()).add(v)
+                assert sorted(map(frozenset, groups.values()), key=min) == graph.components(
+                    {ids[k] for k in range(last) if mask >> k & 1})
+                tail, head = graph.endpoints(ids[last])
+                assert a != b
+                assert {a, b} == {uf.find(index(tail)), uf.find(index(head))}
+            assert got == expected
+            # Exhausted, the search has rolled every merge back.
+            assert uf.parent == list(range(nv))
+            assert uf.rank == [0] * nv
+
+
 def test_search_rollback_restores_union_find():
     rng = random.Random(5)
     for _ in range(30):
         graph = random_connected_multigraph(rng, max_edges=9, max_vertices=7)
         nv, ids = len(graph.vertices), graph.edge_ids()
-        weight = [(k, 1 - 2 * k) for k in range(nv)]
+        # Powers of -2: every set of vertices has a sum of its own.
+        weight = [(-2) ** k for k in range(nv)]
         for size in range(nv):
             uf, payload = _UnionFind(nv), list(weight)
-            for mask in _acyclic_subsets(graph, size, uf, payload):
+            for mask, a, b in _acyclic_subsets(graph, size, uf, payload):
                 groups = {}
                 for i in range(nv):
                     groups.setdefault(uf.find(i), []).append(i)
-                # The union-find holds the subset's components, and each
-                # root's payload is the elementwise sum over its component.
+                # The union-find holds the components of the subset without
+                # its last edge, and each root's payload is the sum over its
+                # component; joining the classes of a and b gives the
+                # components of the whole subset.
+                last = mask.bit_length() - 1
+                parts = sorted((frozenset(graph.vertices[i] for i in g)
+                                for g in groups.values()), key=min)
+                assert parts == graph.components(
+                    {e for k, e in enumerate(ids) if k < last and mask >> k & 1})
+                for root, group in groups.items():
+                    assert payload[root] == sum(weight[i] for i in group)
+                if mask:
+                    groups[a] += groups.pop(b)
                 parts = sorted((frozenset(graph.vertices[i] for i in g)
                                 for g in groups.values()), key=min)
                 assert parts == graph.components(
                     {e for k, e in enumerate(ids) if mask >> k & 1})
-                for root, group in groups.items():
-                    assert payload[root] == tuple(map(sum, zip(*(weight[i] for i in group))))
             # Exhausted, the search has rolled every merge back.
             assert uf.parent == list(range(nv))
             assert uf.rank == [0] * nv

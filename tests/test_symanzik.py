@@ -29,6 +29,7 @@ from tropical_heights import (
     spanning_trees,
     symanzik_ratio_eval,
 )
+from tropical_heights.asymptotics import graph_blocks
 from tropical_heights.corpus import (
     random_connected_multigraph,
     random_conserved_momenta,
@@ -354,6 +355,85 @@ def test_forest_route_matches_bordered_rational_pairing():
         assert second_symanzik_bordered(graph, mom1) == second_symanzik_forests(graph, mom1)
         assert (second_symanzik_bordered(graph, mom1, mom2)
                 == second_symanzik_forests(graph, mom1, mom2))
+
+
+def _extreme_momenta(rng, graph, space, kind):
+    """Conserved momenta on every vertex but the last, which balances
+    them: entries up to +-10**30, entries over mixed denominators, or all 0."""
+    vertices = sorted(graph.vertices)
+    rows = {}
+    for v in vertices[:-1]:
+        if kind == "huge":
+            rows[v] = [rng.choice((-1, 1)) * (10**30 - rng.randint(0, 5))
+                       for _ in range(space.dim)]
+        elif kind == "mixed":
+            rows[v] = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 11, 13)))
+                       for _ in range(space.dim)]
+        else:
+            rows[v] = [0] * space.dim
+    rows[vertices[-1]] = [-sum(col) for col in zip(*rows.values())] or [0] * space.dim
+    return MomentumAssignment(space, rows)
+
+
+def test_forest_route_packs_extreme_momenta_exactly():
+    # The forest route adds each part's momenta as one packed int, one
+    # signed field per component; at +-10**30, over mixed denominators,
+    # with all momenta 0 and for bilinear pairs mixing these, its phi is
+    # _psi_phi's exactly.
+    rng = random.Random(404)
+    rational = MinkowskiSpace([[Fraction(2, 3), Fraction(1, 2)], [Fraction(1, 2), -3]])
+    graphs = [EDGE, BANANA, TRIANGLE, complete_graph(4)] + [
+        random_connected_multigraph(rng, max_edges=7, max_vertices=5) for _ in range(8)]
+    kinds = ("huge", "mixed", "zero")
+    for graph in graphs:
+        for space in (MinkowskiSpace.lorentzian(4), rational, D1):
+            for kind in kinds:
+                mom1 = _extreme_momenta(rng, graph, space, kind)
+                assert second_symanzik_forests(graph, mom1) == _psi_phi(graph, mom1)[1]
+                for other in kinds:
+                    mom2 = _extreme_momenta(rng, graph, space, other)
+                    assert (second_symanzik_forests(graph, mom1, mom2)
+                            == _psi_phi(graph, mom1, mom2)[1])
+            zero = _extreme_momenta(rng, graph, space, "zero")
+            assert not second_symanzik_forests(graph, zero).terms
+
+
+def test_forest_route_matches_psi_phi_on_k7_lorentzian():
+    rng = random.Random(7)
+    k7 = complete_graph(7)
+    lorentzian = MinkowskiSpace.lorentzian(4)
+    mom1 = random_conserved_momenta(rng, k7, lorentzian)
+    mom2 = random_conserved_momenta(rng, k7, lorentzian)
+    assert second_symanzik_forests(k7, mom1) == _psi_phi(k7, mom1)[1]
+    assert second_symanzik_forests(k7, mom1, mom2) == _psi_phi(k7, mom1, mom2)[1]
+
+
+TRIANGLE_E2 = {"v1": (1, 2), "v2": (-3, 1), "v3": (2, -3)}
+TRIANGLE_Y = {"e1": 1, "e2": 2, "e3": 3}
+BILINEAR_ROUTES = {
+    "psi_phi": lambda m1, m2: _psi_phi(TRIANGLE, m1, m2),
+    "forests": lambda m1, m2: second_symanzik_forests(TRIANGLE, m1, m2),
+    "ratio_eval": lambda m1, m2: symanzik_ratio_eval(TRIANGLE, TRIANGLE_Y, m1, m2),
+    "graph_blocks": lambda m1, m2: graph_blocks(TRIANGLE, m1, m2),
+    "resistance_oracle": lambda m1, m2: resistance_oracle(TRIANGLE, TRIANGLE_Y, m1, m2),
+}
+
+
+@pytest.mark.parametrize("other", [
+    MomentumAssignment(MinkowskiSpace.lorentzian(2), TRIANGLE_E2),
+    MomentumAssignment(D1, {"v1": (1,), "v2": (-1,)}),
+], ids=["lorentzian-2", "euclidean-1"])
+@pytest.mark.parametrize("route", sorted(BILINEAR_ROUTES))
+def test_every_bilinear_route_refuses_assignments_from_two_spaces(route, other):
+    # Before one shared check only _psi_phi refused this: the forest and
+    # ratio routes paired Euclidean-2 momenta with Lorentzian-2 ones (or
+    # failed with an IndexError against Euclidean-1), graph_blocks failed in
+    # a numpy broadcast and the oracle returned a number.
+    mom1 = MomentumAssignment(MinkowskiSpace.euclidean(2), TRIANGLE_E2)
+    with pytest.raises(ValueError, match="^both assignments must live in the same "
+                                         "momentum space$"):
+        BILINEAR_ROUTES[route](mom1, other)
+    BILINEAR_ROUTES[route](mom1, mom1)
 
 
 def test_first_routes_agree_on_k6():
